@@ -38,7 +38,8 @@ print("Held-out accuracy rises from collapsed to near the visual ceiling while")
 print("seen-concept accuracy is untouched: the frozen encoders never moved,")
 print("only the name embeddings (plus fusion and coordinator scalars) did.")
 
-# The message log doubles as a replayable protocol trace.
+# The message log is a compact protocol trace: who sent what, each feature
+# payload summarized by its shape and first four values.
 print(f"\nbus log: {len(session.bus.log)} messages over {session.bus.round_index} rounds")
 for record in session.bus.log[:6]:
     print("  ", record.summary())

@@ -37,8 +37,9 @@ backward(tape, loss)
 print("gradient through detach:", y.grad)
 
 # The big one: the complete training loss (name embeddings, context fusion,
-# difficulty scorer, temperature, balancing weights, classification head)
-# against central differences, twenty random 4-sample batches.
+# temperature, balancing weights, classification head) against central
+# differences, twenty random 4-sample batches.  The image agent's difficulty
+# scorer is fixed, so it has no coordinates to check.
 report = full_loss_grad_checks(n_batches=20)
 print(report.line())
 

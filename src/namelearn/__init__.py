@@ -8,7 +8,7 @@ synthetic, reproducible testbed.
 
 __version__ = "0.1.0"
 
-from .autodiff import Tape, Tensor, backward, forward_op, grad_check
+from .autodiff import Tape, Tensor, backward, grad_check
 from .harness import (
     ExperimentConfig,
     emit_metrics,
@@ -23,7 +23,6 @@ __all__ = [
     "Tape",
     "Tensor",
     "backward",
-    "forward_op",
     "grad_check",
     "ExperimentConfig",
     "emit_metrics",

@@ -346,34 +346,6 @@ def stack_rows(tensors: Sequence[Tensor]) -> Tensor:
     return _make(np.stack([t.data for t in items]), items, backward)
 
 
-_FORWARD_KINDS = {
-    "matmul": matmul,
-    "add": add,
-    "scale": scale,
-    "relu": relu,
-    "sigmoid": sigmoid,
-    "l2_normalize_rows": l2_normalize_rows,
-    "mean_rows": mean_rows,
-    "concat_cols": concat_cols,
-    "detach": detach,
-    "log_softmax_rows": log_softmax_rows,
-}
-
-
-def forward_op(kind: str, inputs: Sequence[Tensor], **params) -> Tensor:
-    """Dispatch an operation by name.
-
-    ``scale`` takes its constant as ``factor=...``; all other kinds consume
-    tensors only.
-    """
-    if kind not in _FORWARD_KINDS:
-        raise ValueError(f"forward_op: unknown kind {kind!r}")
-    fn = _FORWARD_KINDS[kind]
-    if kind == "scale":
-        return fn(*inputs, factor=params["factor"])
-    return fn(*inputs)
-
-
 # ---------------------------------------------------------------------------
 # Backward pass and gradient checking
 

@@ -2,14 +2,15 @@
 
 One bus per training session, single-threaded within a round.  Messages carry
 feature tensors, strategy tags, or string metadata; delivery is FIFO per
-(sender, receiver) pair.  Every send is appended to an immutable log whose
-value snapshots support deterministic replay of agent-memory trajectories.
+(sender, receiver) pair.  Every send is appended to a log that keeps, per
+message, what ``serialize_log`` writes: a feature payload's shape and first
+four values, a strategy tag, or the metadata keys.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Protocol, runtime_checkable
 
@@ -98,41 +99,37 @@ class Message:
 class AgentMemory:
     """State carried by an agent across rounds."""
 
-    context_vector: np.ndarray | None = None
-    difficulty_ema: float = 0.5
     step_count: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.difficulty_ema <= 1.0:
-            raise ValueError(f"difficulty_ema {self.difficulty_ema} outside [0, 1]")
         if self.step_count < 0:
             raise ValueError("step_count must be nonnegative")
 
 
-def update_ema(ema: float, difficulty: float) -> float:
-    """Shared memory-update rule: slow exponential average of batch difficulty."""
-    return 0.9 * ema + 0.1 * difficulty
+# Values kept per feature payload in the log: the shape and this many leading
+# values (row-major), exactly what ``LogRecord.summary`` reports.
+LOG_VALUES = 4
 
 
 @dataclass(frozen=True)
 class LogRecord:
-    """One delivered message, with a value snapshot for replay."""
+    """One delivered message; feature payloads keep only a short summary."""
 
     round_index: int
     sender: AgentId
     receiver: AgentId
     tag: str
     label: str | None = None
-    values: np.ndarray | None = None
+    shape: tuple[int, ...] | None = None
+    values: np.ndarray | None = None  # the first LOG_VALUES values
     metadata: dict | None = None
     strategy: str | None = None
 
     def summary(self) -> dict:
         if self.tag == "feature":
-            flat = self.values.reshape(-1)
             payload = {
-                "shape": list(self.values.shape),
-                "first": [float(v) for v in flat[:4]],
+                "shape": list(self.shape),
+                "first": [float(v) for v in self.values],
             }
         elif self.tag == "strategy":
             payload = {"tag": self.strategy}
@@ -190,13 +187,15 @@ class MessageBus:
     def _record(self, msg: Message) -> LogRecord:
         c = msg.content
         tag = content_tag(c)
+        feature = tag == "feature"
         return LogRecord(
             round_index=self.round_index,
             sender=msg.sender,
             receiver=msg.receiver,
             tag=tag,
-            label=c.label if tag == "feature" else None,
-            values=c.tensor.data.copy() if tag == "feature" else None,
+            label=c.label if feature else None,
+            shape=c.tensor.shape if feature else None,
+            values=c.tensor.data.reshape(-1)[:LOG_VALUES].copy() if feature else None,
             metadata=dict(c.entries) if tag == "metadata" else None,
             strategy=c.name if tag == "strategy" else None,
         )
@@ -245,53 +244,3 @@ def run_round(bus: MessageBus, batch) -> RoundResult:
         raise ProtocolError(f"mailboxes not empty at round end: {stuck}")
     return RoundResult(outputs, getattr(coordinator, "last_round", None))
 
-
-def replay_memory_trajectories(
-    log: list[LogRecord], initial: dict[AgentId, AgentMemory]
-) -> dict[AgentId, list[AgentMemory]]:
-    """Reconstruct every agent's memory trajectory from a message log.
-
-    Applies the documented update rules: the text agent's context vector is
-    the last visual-context block it received in a round; the image agent's
-    difficulty average follows the difficulty it reported to the coordinator;
-    step counts advance once per round.
-    """
-    rounds = sorted({rec.round_index for rec in log})
-    current = dict(initial)
-    trajectories: dict[AgentId, list[AgentMemory]] = {a: [] for a in AgentId}
-    for r in rounds:
-        records = [rec for rec in log if rec.round_index == r]
-        context = None
-        difficulty = None
-        for rec in records:
-            if (
-                rec.tag == "feature"
-                and rec.sender == AgentId.IMAGE
-                and rec.receiver == AgentId.TEXT
-                and rec.label == "visual_context"
-            ):
-                context = rec.values
-            if (
-                rec.tag == "metadata"
-                and rec.sender == AgentId.IMAGE
-                and rec.receiver == AgentId.COORDINATOR
-                and "difficulty" in rec.metadata
-            ):
-                difficulty = float(rec.metadata["difficulty"])
-        for agent_id in ROUND_ORDER:
-            mem = current[agent_id]
-            if agent_id == AgentId.IMAGE and difficulty is not None:
-                mem = replace(
-                    mem,
-                    difficulty_ema=update_ema(mem.difficulty_ema, difficulty),
-                    step_count=mem.step_count + 1,
-                )
-            elif agent_id == AgentId.TEXT and context is not None:
-                mem = replace(
-                    mem, context_vector=context.copy(), step_count=mem.step_count + 1
-                )
-            else:
-                mem = replace(mem, step_count=mem.step_count + 1)
-            current[agent_id] = mem
-            trajectories[agent_id].append(mem)
-    return trajectories

@@ -2,9 +2,10 @@
 
 Two encoding strategies over the frozen visual encoder — plain features, or
 unit-normalized features plus a small gradient-blocked residual copy — routed
-by a learnable difficulty score estimated from the batch feature
-distribution.  Emits the batch features to the coordinator and a pooled
-visual context vector to the text agent.
+by a difficulty score that a fixed, seeded scorer estimates from the batch
+feature distribution.  ``ImageAgent.encode`` is the one routing path, for
+training rounds and evaluation alike.  Emits the batch features to the
+coordinator and a pooled visual context vector to the text agent.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .bus import (
     Message,
     Metadata,
     StrategyTag,
-    update_ema,
 )
 
 STANDARD = "standard"
@@ -34,7 +34,6 @@ ROBUST = "robust"
 class ImageAgentConfig:
     alpha: float = 0.1  # residual coefficient in the robust encoding
     difficulty_threshold: float = 0.5
-    difficulty_hidden_dim: int | None = None  # defaults to embed_dim // 2
     difficulty_mode: str = "batch_mean"  # or "per_sample"
     disable_robust: bool = False  # ablation: never route to the robust path
     disable_difficulty: bool = False  # ablation: skip estimation entirely
@@ -49,18 +48,19 @@ class ImageAgentConfig:
 
 
 class DifficultyEstimator:
-    """Two-layer sigmoid scorer of batch (or per-sample) processing difficulty."""
+    """Two-layer sigmoid scorer of batch (or per-sample) processing difficulty.
+
+    The weights are a fixed seeded draw, not learnables: the score reaches the
+    loss only through the routing threshold, so no gradient could move them.
+    """
 
     def __init__(self, embed_dim: int, hidden_dim: int, rng: np.random.Generator):
         half_width = 1.0 / np.sqrt(embed_dim)
         u = lambda shape: rng.uniform(-half_width, half_width, size=shape)
-        self.w1 = Tensor(u((embed_dim, hidden_dim)), requires_grad=True, name="difficulty.w1")
-        self.b1 = Tensor(u(hidden_dim), requires_grad=True, name="difficulty.b1")
-        self.w2 = Tensor(u((hidden_dim, 1)), requires_grad=True, name="difficulty.w2")
-        self.b2 = Tensor(u(1), requires_grad=True, name="difficulty.b2")
-
-    def parameters(self) -> list[Tensor]:
-        return [self.w1, self.b1, self.w2, self.b2]
+        self.w1 = Tensor(u((embed_dim, hidden_dim)), name="difficulty.w1")
+        self.b1 = Tensor(u(hidden_dim), name="difficulty.b1")
+        self.w2 = Tensor(u((hidden_dim, 1)), name="difficulty.w2")
+        self.b2 = Tensor(u(1), name="difficulty.b2")
 
     def estimate(self, features: Tensor, mode: str = "batch_mean") -> Tensor:
         """Difficulty in (0, 1): one scalar for the batch-mean feature, or one
@@ -96,8 +96,7 @@ class ImageAgent:
         self.config = config
         self.frozen_visual = Tensor(frozen_visual, name="frozen_visual")
         d = frozen_visual.shape[1]
-        hidden = config.difficulty_hidden_dim or max(1, d // 2)
-        self.estimator = DifficultyEstimator(d, hidden, rng)
+        self.estimator = DifficultyEstimator(d, max(1, d // 2), rng)
 
     # -- encodings ------------------------------------------------------------
 
@@ -117,8 +116,21 @@ class ImageAgent:
         feats = self.encode_standard(images)
         return ad.add(ad.l2_normalize_rows(feats), ad.scale(ad.detach(feats), a))
 
-    def estimate_difficulty(self, features: Tensor, mode: str | None = None) -> Tensor:
-        return self.estimator.estimate(features, mode or self.config.difficulty_mode)
+    def encode(self, images: np.ndarray) -> tuple[Tensor, float, str]:
+        """Route a raw batch: its features, difficulty score and strategy."""
+        x = Tensor(images)
+        standard = self.encode_standard(x)
+        if self.config.disable_difficulty:
+            difficulty = 0.5  # neutral score when estimation is ablated
+        else:
+            scores = self.estimator.estimate(standard, self.config.difficulty_mode)
+            difficulty = float(scores.data.mean())
+        if self.config.disable_robust:
+            strategy = STANDARD
+        else:
+            strategy = select_strategy(difficulty, self.config.difficulty_threshold)
+        features = standard if strategy == STANDARD else self.encode_robust(x)
+        return features, difficulty, strategy
 
     @staticmethod
     def emit_visual_context(features: Tensor) -> Tensor:
@@ -134,18 +146,7 @@ class ImageAgent:
         for msg in messages:
             if not isinstance(msg.content, Metadata):
                 raise MailboxError(f"image agent cannot handle {msg}")
-        images = Tensor(batch.images)
-        standard = self.encode_standard(images)
-        if self.config.disable_difficulty:
-            difficulty = 0.5  # neutral score when estimation is ablated
-        else:
-            d = self.estimate_difficulty(standard)
-            difficulty = float(d.data.mean())
-        if self.config.disable_robust:
-            strategy = STANDARD
-        else:
-            strategy = select_strategy(difficulty, self.config.difficulty_threshold)
-        features = standard if strategy == STANDARD else self.encode_robust(images)
+        features, difficulty, strategy = self.encode(batch.images)
         context = self.emit_visual_context(features)
         outputs = [
             Message(AgentId.IMAGE, AgentId.TEXT, FeatureBlock(context, "visual_context")),
@@ -159,9 +160,4 @@ class ImageAgent:
             ),
             Message(AgentId.IMAGE, AgentId.COORDINATOR, StrategyTag(strategy)),
         ]
-        new_memory = replace(
-            memory,
-            difficulty_ema=update_ema(memory.difficulty_ema, difficulty),
-            step_count=memory.step_count + 1,
-        )
-        return outputs, new_memory
+        return outputs, replace(memory, step_count=memory.step_count + 1)

@@ -38,6 +38,10 @@ class InsufficientTemplatesError(ValueError):
     """Not enough foreign-family templates for the requested exchange count."""
 
 
+class UnknownTokenError(ValueError):
+    """A token id outside the vocabulary (the reserved blind token is legal)."""
+
+
 @dataclass(frozen=True)
 class PromptTemplate:
     """A token sequence with exactly one NAME_SLOT placeholder."""
@@ -280,7 +284,6 @@ class NameAgent:
         self.table = table
         self.vocab = vocab
         self.frozen_names = frozen_names
-        self.render_log: list[RenderedPrompt] = []
 
     def render(self, concept_id: int, template_id: str) -> RenderedPrompt:
         template = self.templates[template_id]
@@ -288,16 +291,23 @@ class NameAgent:
         return render_prompt(template, concept, self.table, self.frozen_names)
 
     def embed(self, rendered: RenderedPrompt) -> Tensor:
+        """Stack the spliced token embeddings into a (T, D) matrix: frozen
+        rows for token ids, the learnable vectors themselves in the name slot."""
         rows: list[Tensor] = []
         for tok in rendered.prompt_tokens:
             if tok == NAME_SLOT:
                 rows += [
-                    t if isinstance(t, Tensor) else Tensor(self.vocab[t])
+                    t if isinstance(t, Tensor) else self._token(t)
                     for t in rendered.target
                 ]
             else:
-                rows.append(Tensor(self.vocab[tok]))
+                rows.append(self._token(tok))
         return ad.stack_rows(rows)
+
+    def _token(self, tok) -> Tensor:
+        if not isinstance(tok, (int, np.integer)) or not 0 <= tok < len(self.vocab):
+            raise UnknownTokenError(f"token id {tok!r} outside vocabulary")
+        return Tensor(self.vocab[tok])
 
     def open_round(self, memory: AgentMemory) -> list[Message]:
         return []
@@ -309,7 +319,6 @@ class NameAgent:
         outputs = []
         for concept_id, template_id in batch.distinct_prompts:
             rendered = self.render(concept_id, template_id)
-            self.render_log.append(rendered)
             label = f"prompt|{concept_id}|{template_id}|{rendered.origin}"
             outputs.append(
                 Message(AgentId.NAME, AgentId.TEXT, FeatureBlock(self.embed(rendered), label))

@@ -2,9 +2,10 @@
 
 These run both under pytest (acceptance tests) and from the command line
 (`selftest`).  The full-model gradient check exercises the complete training
-loss — name embeddings through context fusion, difficulty scorer, temperature,
-balancing weights and classification head — against central differences on a
-small world.
+loss — name embeddings through context fusion, temperature, balancing weights
+and classification head — against central differences on a small world.  The
+image agent's difficulty scorer is fixed, not learnable, so it is not
+perturbed.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ def composite_grad_checks(n_seeds: int = 20, eps: float = 1e-5) -> SuiteReport:
 def full_loss_grad_checks(n_batches: int = 20, eps: float = 1e-5) -> SuiteReport:
     """The complete training loss on 4-sample batches vs central differences.
 
-    Every learnable participates: name vectors, fusion weights, difficulty
-    scorer, temperature, balancing weights, classification head.
+    Every learnable participates: name vectors, fusion weights, temperature,
+    balancing weights, classification head.
     """
     world = build_world(CHECK_WORLD)
     worst = 0.0

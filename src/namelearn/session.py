@@ -1,10 +1,10 @@
 """One training session: four agents, a bus, an optimizer, and a world.
 
 The session owns everything learnable (name embeddings, context fusion,
-difficulty estimator, coordinator scalars and head), builds per-epoch batches
-of image-prompt pairs with template rotation, runs fixed-schedule bus rounds
-under a gradient tape, and evaluates by cosine retrieval against per-class
-text features.
+coordinator scalars and head), builds per-epoch batches of image-prompt pairs
+with template rotation, runs fixed-schedule bus rounds under a gradient tape,
+and evaluates by cosine retrieval against per-class text features.  The
+image agent's difficulty scorer is fixed: the loss has no path back to it.
 """
 
 from __future__ import annotations
@@ -48,17 +48,13 @@ class SessionSettings:
     alpha: float = 0.1
     difficulty_threshold: float = 0.5
     difficulty_mode: str = "batch_mean"
-    difficulty_hidden_dim: int | None = None
     lambda_mix: float = 0.7
-    text_hidden_dim: int | None = None
     learnable_lambda: bool = False
-    context_gradient: bool = False
     n_name_vectors: int = 1
     name_init: str = "vocab_mean"
     exchange_k: int = 2
     exchange_weight: float = 1.0
     literal_tau_cancellation: bool = False
-    contextual_eval: bool = True
     disable_image_agent_robust: bool = False
     disable_text_context: bool = False
     disable_name_agent: bool = False
@@ -210,7 +206,6 @@ class TrainingSession:
             ImageAgentConfig(
                 alpha=settings.alpha,
                 difficulty_threshold=settings.difficulty_threshold,
-                difficulty_hidden_dim=settings.difficulty_hidden_dim,
                 difficulty_mode=settings.difficulty_mode,
                 disable_robust=settings.disable_image_agent_robust,
                 disable_difficulty=settings.disable_difficulty,
@@ -218,14 +213,11 @@ class TrainingSession:
             np.random.default_rng(difficulty_rng),
         )
         self.text_agent = TextAgent(
-            world.vocab,
             (world.mixer_in, world.mixer_in_bias, world.mixer_out, world.mixer_out_bias),
             TextAgentConfig(
                 lambda_mix=settings.lambda_mix,
-                hidden_dim=settings.text_hidden_dim,
                 fusion="linear" if settings.simple_concat_fusion else "two_layer",
                 learnable_lambda=settings.learnable_lambda,
-                context_gradient=settings.context_gradient,
                 disable_context=settings.disable_text_context,
             ),
             np.random.default_rng(fusion_rng),
@@ -289,8 +281,6 @@ class TrainingSession:
             params += self.table.parameters()
         if not self.settings.disable_text_context:
             params += self.text_agent.parameters()
-        if not self.settings.disable_difficulty:
-            params += self.image_agent.estimator.parameters()
         params += self.coordinator_params.parameters(self.coordinator_config)
         return params
 
@@ -337,10 +327,15 @@ class TrainingSession:
         return history
 
     def training_token_audit(self) -> set[int]:
-        """Every frozen vocabulary id embedded by renderings so far."""
+        """Every frozen vocabulary id the training prompts embed; empty before
+        the first training step.  Batches draw their prompts from the fixed
+        per-concept pools, so the pools bound what training can render."""
         ids: set[int] = set()
-        for rendered in self.name_agent.render_log:
-            ids.update(rendered.frozen_token_ids)
+        if not self.step_records:
+            return ids
+        for cid, pool in self.prompt_pools.items():
+            for tid in pool:
+                ids.update(self.name_agent.render(cid, tid).frozen_token_ids)
         return ids
 
     def write_step_log(self, path) -> None:
@@ -355,22 +350,6 @@ class TrainingSession:
 
     # -- evaluation ----------------------------------------------------------------
 
-    def _eval_image_features(self, images: np.ndarray) -> np.ndarray:
-        """Mirror the image agent's routing, in plain value mode."""
-        feats = self.world.encode_images(images)
-        cfg = self.image_agent.config
-        if cfg.disable_robust:
-            return feats
-        if cfg.disable_difficulty:
-            difficulty = 0.5
-        else:
-            d = self.image_agent.estimate_difficulty(Tensor(feats))
-            difficulty = float(d.data.mean())
-        if difficulty < cfg.difficulty_threshold:
-            return feats
-        norms = np.linalg.norm(feats, axis=1, keepdims=True)
-        return feats / norms + cfg.alpha * feats
-
     def class_text_features(
         self, class_ids: list[int], context: np.ndarray | None
     ) -> np.ndarray:
@@ -378,7 +357,6 @@ class TrainingSession:
         name embeddings and (when enabled) context fusion applied."""
         use_context = (
             context is not None
-            and self.settings.contextual_eval
             and not self.settings.disable_text_context
             and self.settings.lambda_mix < 1.0
         )
@@ -401,7 +379,7 @@ class TrainingSession:
         self, images: np.ndarray, labels: np.ndarray, class_ids: list[int]
     ) -> dict[str, float]:
         """Cosine-retrieval accuracy over a label space, reported per split."""
-        feats = self._eval_image_features(images)
+        feats = self.image_agent.encode(images)[0].data
         context = feats.mean(axis=0)
         text = self.class_text_features(class_ids, context)
         fn = feats / np.linalg.norm(feats, axis=1, keepdims=True)

@@ -1,10 +1,12 @@
 """Text encoding with visual-context fusion.
 
-Standard encoding runs the frozen text encoder over a rendered prompt (token
-embeddings with learnable name vectors spliced in).  Contextual encoding
-mixes that with a learned transform of the text feature concatenated with the
-visual context vector received from the image agent, weighted by a fixed (or
-optionally learnable) mixing ratio.
+Standard encoding runs the frozen text encoder over an embedded prompt (the
+name agent's (T, D) matrix, learnable name vectors spliced in).  Contextual
+encoding mixes that with a learned transform of the text feature
+concatenated with the visual context vector received from the image agent,
+weighted by a fixed (or optionally learnable) mixing ratio.  The context is
+a value snapshot: no gradient crosses from the text agent into the image
+agent.
 """
 
 from __future__ import annotations
@@ -23,11 +25,6 @@ from .bus import (
     Message,
     Metadata,
 )
-from .name_agent import NAME_SLOT
-
-
-class UnknownTokenError(ValueError):
-    """A token id outside the vocabulary (the reserved blind token is legal)."""
 
 
 class MissingContextError(RuntimeError):
@@ -37,10 +34,8 @@ class MissingContextError(RuntimeError):
 @dataclass(frozen=True)
 class TextAgentConfig:
     lambda_mix: float = 0.7  # weight of the plain text feature in the fusion
-    hidden_dim: int | None = None  # fusion hidden width, defaults to embed_dim
     fusion: str = "two_layer"  # or "linear" (simple concatenation arm)
     learnable_lambda: bool = False  # sigmoid-reparameterized mixing ratio
-    context_gradient: bool = False  # let gradients flow into the context vector
     disable_context: bool = False  # ablation: standard encoding only
 
     def __post_init__(self):
@@ -110,22 +105,19 @@ class TextAgent:
 
     def __init__(
         self,
-        vocab: np.ndarray,  # frozen (V, D) token table
         mixer: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         config: TextAgentConfig,
         rng: np.random.Generator,
     ):
         self.config = config
-        self.vocab = vocab
         mi, mib, mo, mob = mixer
         self._mixer_in = Tensor(mi, name="frozen_text_in")
         self._mixer_in_bias = Tensor(mib, name="frozen_text_in_bias")
         self._mixer_out = Tensor(mo, name="frozen_text_out")
         self._mixer_out_bias = Tensor(mob, name="frozen_text_out_bias")
         d = mi.shape[0]
-        hidden = config.hidden_dim or d
         if config.fusion == "two_layer":
-            self.fusion = ContextIntegrationModule(d, hidden, rng)
+            self.fusion = ContextIntegrationModule(d, d, rng)
         else:
             self.fusion = LinearFusion(d, rng)
         self.lambda_param: Tensor | None = None
@@ -143,38 +135,11 @@ class TextAgent:
 
     # -- encodings ------------------------------------------------------------
 
-    def embed_sequence(self, prompt_tokens, target) -> Tensor:
-        """Stack the spliced token embeddings into a (T, D) matrix.
-
-        ``target`` fills the name slot: frozen token ids or learnable vectors.
-        """
-        if len(prompt_tokens) == 0 or len(target) == 0:
-            raise ValueError("prompt and target must be nonempty")
-        rows: list[Tensor] = []
-        for tok in prompt_tokens:
-            if tok == NAME_SLOT:
-                for item in target:
-                    rows.append(self._embed_item(item))
-            else:
-                rows.append(self._embed_item(tok))
-        return ad.stack_rows(rows)
-
-    def _embed_item(self, item) -> Tensor:
-        if isinstance(item, Tensor):
-            return item
-        if not isinstance(item, (int, np.integer)) or not 0 <= item < len(self.vocab):
-            raise UnknownTokenError(f"token id {item!r} outside vocabulary")
-        return Tensor(self.vocab[item])
-
     def encode_matrix(self, matrix: Tensor) -> Tensor:
         """Frozen text encoder over an embedded sequence: mean, then mixer."""
         m = ad.mean_rows(matrix)
         h = ad.relu(ad.add(ad.matmul(m, self._mixer_in), self._mixer_in_bias))
         return ad.add(ad.matmul(h, self._mixer_out), self._mixer_out_bias)
-
-    def encode_standard(self, prompt_tokens, target) -> Tensor:
-        """Frozen encoding of the full rendered sequence; a D-vector."""
-        return self.encode_matrix(self.embed_sequence(prompt_tokens, target))
 
     def integrate_context(self, z: Tensor) -> Tensor:
         """Learned fusion of a concatenated text-plus-context vector."""
@@ -188,30 +153,12 @@ class TextAgent:
         return self.config.lambda_mix, 1.0 - self.config.lambda_mix
 
     def contextual_from_standard(self, standard: Tensor, context: Tensor) -> Tensor:
+        """``lam * standard + (1 - lam) * fusion(standard | context)``."""
         fused = self.integrate_context(ad.concat_cols(standard, context))
         lam, one_minus = self._mixing_weights()
         if isinstance(lam, Tensor):
             return ad.add(ad.mul(lam, standard), ad.mul(one_minus, fused))
         return ad.add(ad.scale(standard, lam), ad.scale(fused, one_minus))
-
-    def encode_contextual(
-        self, prompt_tokens, target, context: Tensor | None, lambda_mix: float | None = None
-    ) -> Tensor:
-        """Mix the plain encoding with its context fusion.
-
-        With ``lambda_mix == 1`` the context is unused; otherwise a missing
-        context is an error directing the caller to encode_standard.
-        """
-        lam = self.config.lambda_mix if lambda_mix is None else lambda_mix
-        standard = self.encode_standard(prompt_tokens, target)
-        if lam == 1.0:
-            return standard
-        if context is None:
-            raise MissingContextError(
-                "no visual context received this round; fall back to encode_standard"
-            )
-        fused = self.integrate_context(ad.concat_cols(standard, context))
-        return ad.add(ad.scale(standard, lam), ad.scale(fused, 1.0 - lam))
 
     # -- round protocol ---------------------------------------------------------
 
@@ -235,9 +182,10 @@ class TextAgent:
         use_context = not self.config.disable_context and self.config.lambda_mix < 1.0
         if use_context and context is None:
             raise MissingContextError(
-                "no visual context received this round; fall back to encode_standard"
+                "no visual context received this round; set lambda_mix=1 or "
+                "disable_context for standard encoding"
             )
-        if context is not None and not self.config.context_gradient:
+        if context is not None:
             context = ad.detach(context)  # value snapshot: no gradient across agents
         for block in prompt_blocks:
             standard = self.encode_matrix(block.tensor)
@@ -250,9 +198,4 @@ class TextAgent:
             outputs.append(
                 Message(AgentId.TEXT, AgentId.COORDINATOR, FeatureBlock(feature, label))
             )
-        new_memory = replace(
-            memory,
-            context_vector=None if context is None else context.data.copy(),
-            step_count=memory.step_count + 1,
-        )
-        return outputs, new_memory
+        return outputs, replace(memory, step_count=memory.step_count + 1)

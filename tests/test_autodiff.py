@@ -8,22 +8,21 @@ from namelearn.autodiff import (
     Tape,
     Tensor,
     backward,
-    forward_op,
     grad_check,
 )
 
 
 def test_sigmoid_at_zero():
-    assert forward_op("sigmoid", [Tensor([0.0])]).data == pytest.approx([0.5])
+    assert ad.sigmoid(Tensor([0.0])).data == pytest.approx([0.5])
 
 
 def test_relu_definition():
-    out = forward_op("relu", [Tensor([-1.0, 2.0])])
+    out = ad.relu(Tensor([-1.0, 2.0]))
     assert np.array_equal(out.data, [0.0, 2.0])
 
 
 def test_l2_normalize_rows_hand_case():
-    out = forward_op("l2_normalize_rows", [Tensor([[3.0, 4.0]])])
+    out = ad.l2_normalize_rows(Tensor([[3.0, 4.0]]))
     assert np.allclose(out.data, [[0.6, 0.8]], atol=1e-12)
 
 
@@ -37,11 +36,6 @@ def test_shape_mismatch_names_op_and_shapes():
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     assert "matmul" in str(exc.value)
     assert "(2, 3)" in str(exc.value)
-
-
-def test_unknown_forward_kind_rejected():
-    with pytest.raises(ValueError):
-        forward_op("conv2d", [Tensor([1.0])])
 
 
 def test_backward_linear():
@@ -178,13 +172,3 @@ def test_gradients_through_shared_subexpression():
     backward(tape, loss)
     # d/dx [2x + 4x^2] = 2 + 8x
     assert np.allclose(x.grad, [10.0, 18.0])
-
-
-def test_dispatcher_matches_direct_calls():
-    rng = np.random.default_rng(0)
-    a = Tensor(rng.normal(size=(3, 4)))
-    b = Tensor(rng.normal(size=(4, 2)))
-    assert np.array_equal(forward_op("matmul", [a, b]).data, ad.matmul(a, b).data)
-    assert np.array_equal(
-        forward_op("scale", [a], factor=2.5).data, ad.scale(a, 2.5).data
-    )

@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from namelearn import autodiff as ad
 from namelearn.autodiff import DomainError, ShapeError, Tape, Tensor, backward, grad_check
+from namelearn.bus import AgentMemory, Metadata
 from namelearn.image_agent import (
     DifficultyEstimator,
     ImageAgent,
@@ -91,7 +94,7 @@ def test_encode_robust_residual_branch_blocks_gradient(agent):
 
 def test_difficulty_zero_parameters_give_half():
     est = DifficultyEstimator(4, 2, np.random.default_rng(0))
-    for p in est.parameters():
+    for p in (est.w1, est.b1, est.w2, est.b2):
         p.data[...] = 0.0
     out = est.estimate(Tensor(np.random.default_rng(1).normal(size=(5, 4))))
     assert out.data == pytest.approx([0.5])
@@ -121,6 +124,22 @@ def test_difficulty_per_sample_shape():
     est = DifficultyEstimator(6, 3, np.random.default_rng(2))
     d = est.estimate(Tensor(np.random.default_rng(3).normal(size=(7, 6))), "per_sample")
     assert d.shape == (7,)
+
+
+@pytest.mark.parametrize("threshold", [0.05, 0.95])
+def test_encode_is_the_round_routing(agent, threshold):
+    agent.config = ImageAgentConfig(difficulty_threshold=threshold)
+    images = np.random.default_rng(6).normal(size=(5, 12))
+    features, difficulty, strategy = agent.encode(images)
+    assert strategy == select_strategy(difficulty, threshold)
+    encoder = agent.encode_standard if strategy == "standard" else agent.encode_robust
+    assert np.array_equal(features.data, encoder(Tensor(images)).data)
+    out, _ = agent.step([], SimpleNamespace(images=images), AgentMemory())
+    (sent,) = [m.content for m in out if getattr(m.content, "label", "") == "image_features"]
+    assert np.array_equal(sent.tensor.data, features.data)
+    assert Metadata({"difficulty": repr(difficulty), "strategy": strategy}) in [
+        m.content for m in out
+    ]
 
 
 def test_select_strategy_rule_and_tiebreak():

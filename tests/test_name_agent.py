@@ -7,8 +7,11 @@ from namelearn.name_agent import (
     FrozenNameError,
     InsufficientTemplatesError,
     MissingNameEmbeddingError,
+    NameAgent,
     NameEmbeddingTable,
     PromptTemplate,
+    RenderedPrompt,
+    UnknownTokenError,
     build_template_bank,
     context_exchange_augment,
     init_name_embeddings,
@@ -16,6 +19,7 @@ from namelearn.name_agent import (
     render_prompt,
     save_name_table,
 )
+from namelearn.session import SessionSettings, TrainingSession
 from namelearn.world import WorldConfig, build_world
 
 SMALL = WorldConfig(
@@ -115,6 +119,30 @@ def test_render_reflects_parameter_updates(world, table):
     table.vectors(concept.id)[0].data += 0.25  # simulated optimizer step
     after = render_prompt(world.canonical_template, concept, table)
     assert not np.array_equal(after.target[0].data, before)
+
+
+@pytest.mark.parametrize(
+    "tokens, target",
+    [((0, -2, NAME_SLOT), (5,)), ((0, 1, NAME_SLOT), (-2,)), ((0, NAME_SLOT), (64,))],
+)
+def test_embed_rejects_token_ids_outside_vocabulary(world, table, tokens, target):
+    agent = NameAgent({}, [], world.canonical_template, table, world.vocab)
+    with pytest.raises(UnknownTokenError):
+        agent.embed(RenderedPrompt(0, "t", "native", tokens, target))
+
+
+def test_training_rejects_negative_template_token():
+    # A template token of -2 (say, from a hand-edited world snapshot) must not
+    # silently embed vocab[-2] during training.
+    world = build_world(SMALL)
+    world.templates = [
+        PromptTemplate(t.template_id, (-2,) + t.tokens, t.category_affinity)
+        for t in world.templates
+    ]
+    session = TrainingSession(world, SessionSettings(), seed=0)
+    shots = {cid: world.sample_images(cid, 2, seed=3) for cid in world.ood_ids}
+    with pytest.raises(UnknownTokenError, match="-2"):
+        session.train(shots, epochs=1, lr=1e-3)
 
 
 def test_exchange_k0_native_only(world, table):

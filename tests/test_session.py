@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from namelearn.bus import AgentId
+from namelearn import selfcheck
 from namelearn.session import SessionSettings, TrainingSession
 from namelearn.world import WorldConfig, build_world
 
@@ -15,6 +15,11 @@ def world():
 
 def shots_for(world, k=4, seed=31):
     return {cid: world.sample_images(cid, k, seed=seed) for cid in world.ood_ids}
+
+
+def scorer_weights(session):
+    est = session.image_agent.estimator
+    return [est.w1, est.b1, est.w2, est.b2]
 
 
 def test_frozen_parameters_bit_identical_after_training(world):
@@ -48,19 +53,38 @@ def test_name_embeddings_receive_nonzero_gradient(world):
 def test_training_moves_only_declared_learnables(world):
     session = TrainingSession(world, SessionSettings(), seed=1)
     before = {id(p): p.data.copy() for p in session.trainable_parameters()}
+    scorer = {w.name: w.data.copy() for w in scorer_weights(session)}
     session.train(shots_for(world), epochs=30, lr=1e-3)
     moved = [
         not np.array_equal(p.data, before[id(p)]) for p in session.trainable_parameters()
     ]
-    # Name embeddings and the classification head must move; the difficulty
-    # estimator has no loss path and stays put by construction.
+    # Name embeddings must move; the fixed difficulty scorer has no loss path
+    # and is not handed to the optimizer.
     name_params = session.table.parameters()
     assert all(
         not np.array_equal(p.data, before[id(p)]) for p in name_params
     )
-    est_params = session.image_agent.estimator.parameters()
-    assert all(np.array_equal(p.data, before[id(p)]) for p in est_params)
+    assert all(np.array_equal(w.data, scorer[w.name]) for w in scorer_weights(session))
     assert any(moved)
+
+
+def test_difficulty_scorer_is_not_trainable(world):
+    session = TrainingSession(world, SessionSettings(), seed=0)
+    names = [p.name for p in session.trainable_parameters()]
+    assert not [n for n in names if n and n.startswith("difficulty.")]
+    assert not any(w.requires_grad for w in scorer_weights(session))
+
+
+def test_criterion_1_perturbs_only_learnable_coordinates(monkeypatch):
+    coords = []
+
+    def counting_grad_check(f, params, eps):
+        coords.append(sum(p.data.size for p in params))
+        return 0.0
+
+    monkeypatch.setattr(selfcheck, "grad_check", counting_grad_check)
+    selfcheck.full_loss_grad_checks(n_batches=2)
+    assert coords == [243, 243]
 
 
 def test_training_is_deterministic(world):
@@ -147,20 +171,7 @@ def test_learnable_lambda_changes_during_training(world):
 
 def test_render_audit_never_uses_ood_frozen_tokens(world):
     session = TrainingSession(world, SessionSettings(), seed=0)
+    assert session.training_token_audit() == set()  # nothing rendered yet
     session.train(shots_for(world), epochs=10, lr=1e-3)
     ood_tokens = {world.concept(cid).name_token for cid in world.ood_ids}
     assert session.training_token_audit() & ood_tokens == set()
-
-
-def test_memory_ema_follows_reported_difficulty(world):
-    session = TrainingSession(world, SessionSettings(), seed=0)
-    session.train(shots_for(world), epochs=3, lr=1e-3)
-    records = [
-        float(rec.metadata["difficulty"])
-        for rec in session.bus.log
-        if rec.tag == "metadata" and rec.sender == AgentId.IMAGE
-    ]
-    ema = 0.5
-    for d in records:
-        ema = 0.9 * ema + 0.1 * d
-    assert session.bus.memories[AgentId.IMAGE].difficulty_ema == pytest.approx(ema, abs=0)
