@@ -328,24 +328,6 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _make(np.clip(a.data, lo, hi), (a,), backward)
 
 
-def stack_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack same-length vectors into a matrix; gradient splits per row."""
-    items = tuple(tensors)
-    if not items:
-        raise ShapeError("stack_rows: empty input")
-    width = items[0].data.shape
-    for t in items:
-        if t.data.ndim != 1 or t.data.shape != width:
-            raise ShapeError(
-                f"stack_rows: need equal-length vectors, got {[i.shape for i in items]}"
-            )
-
-    def backward(g):
-        return tuple(g[i] for i in range(len(items)))
-
-    return _make(np.stack([t.data for t in items]), items, backward)
-
-
 # ---------------------------------------------------------------------------
 # Backward pass and gradient checking
 

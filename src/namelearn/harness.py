@@ -84,8 +84,13 @@ class ExperimentConfig:
     disable_dynamic_balancing: bool = False
 
     def __post_init__(self):
-        if len(self.seeds) == 0:
-            raise ConfigError("seeds must be nonempty")
+        for name in ("shots", "seeds", "lrs"):
+            if len(getattr(self, name)) == 0:
+                raise ConfigError(f"{name} must be nonempty")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.n_test_per_class < 1:
+            raise ConfigError(f"n_test_per_class must be >= 1, got {self.n_test_per_class}")
         if any(s < 0 for s in self.shots):
             raise ConfigError("shots must be nonnegative")
         if list(self.shots) != sorted(self.shots):
@@ -208,15 +213,12 @@ def run_cell(config: ExperimentConfig, shot: int, seed: int, lr: float) -> CellR
     return cell
 
 
-def _run_cell_args(args) -> CellResult:
-    return run_cell(*args)
-
-
-def _map_cells(tasks, jobs: int):
+def _map(fn, tasks, jobs: int) -> list:
+    """``fn(*task)`` for every task, in task order; ``jobs`` worker processes."""
     if jobs <= 1:
-        return [_run_cell_args(t) for t in tasks]
+        return [fn(*t) for t in tasks]
     with get_context("fork").Pool(jobs) as pool:
-        return pool.map(_run_cell_args, tasks)
+        return pool.starmap(fn, tasks)
 
 
 def run_few_shot(config: ExperimentConfig, jobs: int = 1) -> RunResult:
@@ -228,7 +230,7 @@ def run_few_shot(config: ExperimentConfig, jobs: int = 1) -> RunResult:
         for lr in config.lrs
     ]
     result = RunResult("few_shot", config_hash(config))
-    result.cells = _map_cells(tasks, jobs)
+    result.cells = _map(run_cell, tasks, jobs)
     return result
 
 
@@ -277,10 +279,6 @@ def _zero_shot_split(config: ExperimentConfig, seed: int, lr: float) -> list[Cel
     return [base_cell, trained_cell]
 
 
-def _zero_shot_split_args(args) -> list[CellResult]:
-    return _zero_shot_split(*args)
-
-
 def run_zero_shot(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     """Name learning with masked labels across world-seed splits.
 
@@ -290,13 +288,8 @@ def run_zero_shot(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     """
     lr = config.lrs[-1]
     tasks = [(config, seed, lr) for seed in config.seeds]
-    if jobs <= 1:
-        pairs = [_zero_shot_split_args(t) for t in tasks]
-    else:
-        with get_context("fork").Pool(jobs) as pool:
-            pairs = pool.map(_zero_shot_split_args, tasks)
     result = RunResult("zero_shot", config_hash(config))
-    for cells in pairs:
+    for cells in _map(_zero_shot_split, tasks, jobs):
         result.cells.extend(cells)
     return result
 

@@ -112,14 +112,15 @@ class ImageAgent:
 
     def encode_robust(self, images: Tensor, alpha: float | None = None) -> Tensor:
         """Unit-normalized features plus a gradient-blocked scaled residual."""
+        return self._robust(self.encode_standard(images), alpha)
+
+    def _robust(self, feats: Tensor, alpha: float | None = None) -> Tensor:
         a = self.config.alpha if alpha is None else alpha
-        feats = self.encode_standard(images)
         return ad.add(ad.l2_normalize_rows(feats), ad.scale(ad.detach(feats), a))
 
     def encode(self, images: np.ndarray) -> tuple[Tensor, float, str]:
         """Route a raw batch: its features, difficulty score and strategy."""
-        x = Tensor(images)
-        standard = self.encode_standard(x)
+        standard = self.encode_standard(Tensor(images))
         if self.config.disable_difficulty:
             difficulty = 0.5  # neutral score when estimation is ablated
         else:
@@ -129,7 +130,7 @@ class ImageAgent:
             strategy = STANDARD
         else:
             strategy = select_strategy(difficulty, self.config.difficulty_threshold)
-        features = standard if strategy == STANDARD else self.encode_robust(x)
+        features = standard if strategy == STANDARD else self._robust(standard)
         return features, difficulty, strategy
 
     @staticmethod

@@ -84,32 +84,43 @@ def build_template_bank(
 
 
 class NameEmbeddingTable:
-    """Per-concept learnable name vectors, keyed by concept id.
+    """Learnable name vectors of the out-of-vocabulary concepts, as one
+    ``(R, D)`` tensor.
 
-    Only out-of-vocabulary concepts get entries; in-vocabulary names stay on
-    the frozen token table.
+    Each concept owns a contiguous block of rows, blocks in ascending concept
+    id, so the flattened tensor lists the coordinates in (concept id, vector)
+    order.  In-vocabulary names stay on the frozen token table.
     """
 
     def __init__(self, embed_dim: int):
         self.embed_dim = embed_dim
-        self._vectors: dict[int, list[Tensor]] = {}
-
-    def __contains__(self, concept_id: int) -> bool:
-        return concept_id in self._vectors
+        self.weight = Tensor(np.zeros((0, embed_dim)), requires_grad=True, name="name_embed")
+        self._rows: dict[int, range] = {}  # concept id -> its rows, ascending id
 
     def concept_ids(self) -> list[int]:
-        return sorted(self._vectors)
+        return list(self._rows)
 
-    def vectors(self, concept_id: int) -> list[Tensor]:
+    def rows(self, concept_id: int) -> range:
+        """The table rows holding one concept's name vectors."""
         try:
-            return self._vectors[concept_id]
+            return self._rows[concept_id]
         except KeyError:
             raise MissingNameEmbeddingError(
                 f"no name embeddings for concept {concept_id}"
             ) from None
 
+    def add(self, concept_id: int, values: np.ndarray) -> None:
+        """Register (or replace) one concept's block of ``(n, D)`` vectors."""
+        blocks = {cid: self.weight.data[r.start : r.stop] for cid, r in self._rows.items()}
+        blocks[concept_id] = np.asarray(values, dtype=np.float64)
+        self._rows, start = {}, 0
+        for cid in sorted(blocks):
+            self._rows[cid] = range(start, start + len(blocks[cid]))
+            start += len(blocks[cid])
+        self.weight.data = np.concatenate([blocks[cid] for cid in self._rows])
+
     def parameters(self) -> list[Tensor]:
-        return [v for cid in self.concept_ids() for v in self._vectors[cid]]
+        return [self.weight] if self._rows else []
 
 
 def init_name_embeddings(
@@ -120,7 +131,7 @@ def init_name_embeddings(
     vocab: np.ndarray,
     oov_token: int,
     rng: np.random.Generator | None = None,
-) -> list[Tensor]:
+) -> None:
     """Create and register ``n_vectors`` learnable vectors for an OOV concept.
 
     Policies: ``zero``; ``random`` (small gaussian); ``vocab_mean`` (every
@@ -146,38 +157,33 @@ def init_name_embeddings(
         make = lambda i: mean.copy()
     else:
         raise ValueError(f"unknown init policy {policy!r}")
-    vectors = [
-        Tensor(make(i), requires_grad=True, name=f"name_embed[{concept.id}][{i}]")
-        for i in range(n_vectors)
-    ]
-    table._vectors[concept.id] = vectors
-    return vectors
+    table.add(concept.id, np.stack([make(i) for i in range(n_vectors)]))
 
 
 @dataclass
 class RenderedPrompt:
-    """A template with the name slot filled, ready for text encoding.
+    """A template with the name slot filled, ready for pooling.
 
-    ``target`` holds frozen token ids for in-vocabulary names or the
-    learnable vectors for OOV names.  ``frozen_token_ids`` lists every
-    vocabulary id the rendering will embed (used to audit name masking).
+    The slot holds either frozen ``name_tokens`` (in-vocabulary names, or the
+    blind token) or learnable ``name_rows`` of the name table (OOV names).
+    ``frozen_token_ids`` lists every vocabulary id the rendering embeds (used
+    to audit name masking); table rows are never among them.
     """
 
     concept_id: int
     template_id: str
     origin: str
     prompt_tokens: tuple[int, ...]
-    target: tuple
+    name_tokens: tuple[int, ...]
+    name_rows: tuple[int, ...]
 
     @property
     def spliced_length(self) -> int:
-        return len(self.prompt_tokens) - 1 + len(self.target)
+        return len(self.prompt_tokens) - 1 + len(self.name_tokens) + len(self.name_rows)
 
     @property
     def frozen_token_ids(self) -> tuple[int, ...]:
-        ids = [t for t in self.prompt_tokens if t != NAME_SLOT]
-        ids += [t for t in self.target if isinstance(t, int)]
-        return tuple(ids)
+        return tuple(t for t in self.prompt_tokens if t != NAME_SLOT) + self.name_tokens
 
 
 def render_prompt(
@@ -189,21 +195,22 @@ def render_prompt(
     """Fill the template's name slot for one concept.
 
     In-vocabulary concepts always use their frozen name token.  OOV concepts
-    use their learnable vectors, unless ``frozen_names`` forces the frozen
-    (blind) token, e.g. for the no-name-learning baseline.
+    use their rows of the name table, unless ``frozen_names`` forces the
+    frozen (blind) token, e.g. for the no-name-learning baseline.
     """
-    if concept.split == "ood" and not frozen_names:
-        if table is None:
-            raise MissingNameEmbeddingError(f"no table for concept {concept.id}")
-        target: tuple = tuple(table.vectors(concept.id))
-    else:
-        target = (concept.name_token,)
     origin = (
         "native"
         if template.category_affinity in (concept.family, SHARED_AFFINITY)
         else "exchanged"
     )
-    return RenderedPrompt(concept.id, template.template_id, origin, template.tokens, target)
+    name_tokens, name_rows = (concept.name_token,), ()
+    if concept.split == "ood" and not frozen_names:
+        if table is None:
+            raise MissingNameEmbeddingError(f"no table for concept {concept.id}")
+        name_tokens, name_rows = (), tuple(table.rows(concept.id))
+    return RenderedPrompt(
+        concept.id, template.template_id, origin, template.tokens, name_tokens, name_rows
+    )
 
 
 @dataclass(frozen=True)
@@ -260,11 +267,14 @@ def context_exchange_augment(
 
 
 class NameAgent:
-    """Bus-facing wrapper: renders the batch's prompts and ships them as
-    embedded (T, D) matrices to the text agent.
+    """Bus-facing wrapper: renders the batch's prompts and ships their pooled
+    embeddings, one row per image-prompt pair, to the text agent.
 
-    With ``frozen_names`` set (baseline / no-name-learning arm) every
-    rendering uses the concept's frozen token instead of learnable vectors.
+    The frozen text encoder mean-pools token embeddings before anything else,
+    so a prompt's pooled embedding is a frozen part (its vocabulary rows) plus
+    a fixed selection of name-table rows, each weighted by one over the
+    spliced length.  With ``frozen_names`` set (baseline / no-name-learning
+    arm) every rendering uses the concept's frozen token instead.
     """
 
     agent_id = AgentId.NAME
@@ -290,24 +300,25 @@ class NameAgent:
         concept = self.concepts[concept_id]
         return render_prompt(template, concept, self.table, self.frozen_names)
 
-    def embed(self, rendered: RenderedPrompt) -> Tensor:
-        """Stack the spliced token embeddings into a (T, D) matrix: frozen
-        rows for token ids, the learnable vectors themselves in the name slot."""
-        rows: list[Tensor] = []
-        for tok in rendered.prompt_tokens:
-            if tok == NAME_SLOT:
-                rows += [
-                    t if isinstance(t, Tensor) else self._token(t)
-                    for t in rendered.target
-                ]
-            else:
-                rows.append(self._token(tok))
-        return ad.stack_rows(rows)
-
-    def _token(self, tok) -> Tensor:
-        if not isinstance(tok, (int, np.integer)) or not 0 <= tok < len(self.vocab):
-            raise UnknownTokenError(f"token id {tok!r} outside vocabulary")
-        return Tensor(self.vocab[tok])
+    def pool(self, pairs: list[tuple[int, str]]) -> Tensor:
+        """Pooled prompt embeddings ``(N, D)``, one row per (concept id,
+        template id) pair; each distinct pair is rendered once."""
+        distinct = {pair: i for i, pair in enumerate(dict.fromkeys(pairs))}
+        frozen = np.zeros((len(distinct), self.vocab.shape[1]))
+        selection = np.zeros((len(distinct), self.table.weight.shape[0]))
+        for (concept_id, template_id), i in distinct.items():
+            rendered = self.render(concept_id, template_id)
+            ids = list(rendered.frozen_token_ids)
+            for tok in ids:
+                if not 0 <= tok < len(self.vocab):
+                    raise UnknownTokenError(f"token id {tok!r} outside vocabulary")
+            frozen[i] = self.vocab[ids].sum(axis=0) / rendered.spliced_length
+            selection[i, list(rendered.name_rows)] = 1.0 / rendered.spliced_length
+        index = [distinct[pair] for pair in pairs]
+        pooled = Tensor(frozen[index])
+        if selection.any():
+            pooled = ad.add(pooled, ad.matmul(Tensor(selection[index]), self.table.weight))
+        return pooled
 
     def open_round(self, memory: AgentMemory) -> list[Message]:
         return []
@@ -316,27 +327,21 @@ class NameAgent:
         for msg in messages:
             if not isinstance(msg.content, Metadata):
                 raise MailboxError(f"name agent cannot handle {msg}")
-        outputs = []
-        for concept_id, template_id in batch.distinct_prompts:
-            rendered = self.render(concept_id, template_id)
-            label = f"prompt|{concept_id}|{template_id}|{rendered.origin}"
-            outputs.append(
-                Message(AgentId.NAME, AgentId.TEXT, FeatureBlock(self.embed(rendered), label))
-            )
+        block = FeatureBlock(self.pool(batch.prompt_plan), "prompts")
+        outputs = [Message(AgentId.NAME, AgentId.TEXT, block)]
         return outputs, replace(memory, step_count=memory.step_count + 1)
 
 
 # ---------------------------------------------------------------------------
 # Checkpoint format: magic, uint32-LE header length, JSON header, then the
-# concatenated vectors as raw little-endian float64 in header order.
+# table's rows as raw little-endian float64, row-major, in header order.
 
 def save_name_table(table: NameEmbeddingTable, path, world_seed: int) -> None:
     header = {
         "embed_dim": table.embed_dim,
         "world_seed": int(world_seed),
         "concepts": [
-            {"id": cid, "n_vectors": len(table.vectors(cid))}
-            for cid in table.concept_ids()
+            {"id": cid, "n_vectors": len(table.rows(cid))} for cid in table.concept_ids()
         ],
     }
     blob = json.dumps(header, sort_keys=True).encode()
@@ -344,9 +349,7 @@ def save_name_table(table: NameEmbeddingTable, path, world_seed: int) -> None:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for cid in table.concept_ids():
-            for vec in table.vectors(cid):
-                fh.write(vec.data.astype("<f8").tobytes())
+        fh.write(table.weight.data.astype("<f8").tobytes())
 
 
 def load_name_table(path) -> tuple[NameEmbeddingTable, int]:
@@ -361,12 +364,8 @@ def load_name_table(path) -> tuple[NameEmbeddingTable, int]:
     dim = header["embed_dim"]
     table = NameEmbeddingTable(dim)
     for entry in header["concepts"]:
-        vectors = []
-        for i in range(entry["n_vectors"]):
-            data = np.frombuffer(raw, dtype="<f8", count=dim, offset=off).copy()
-            off += dim * 8
-            vectors.append(
-                Tensor(data, requires_grad=True, name=f"name_embed[{entry['id']}][{i}]")
-            )
-        table._vectors[entry["id"]] = vectors
+        count = entry["n_vectors"] * dim
+        data = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
+        off += count * 8
+        table.add(entry["id"], data.reshape(entry["n_vectors"], dim))
     return table, header["world_seed"]

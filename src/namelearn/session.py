@@ -84,20 +84,13 @@ class Batch:
     def match_index(self) -> np.ndarray:
         return np.arange(self.size)
 
-    @property
-    def distinct_prompts(self) -> list[tuple[int, str]]:
-        seen: dict[tuple[int, str], None] = {}
-        for key in self.prompt_plan:
-            seen.setdefault(key)
-        return list(seen)
-
 
 @dataclass
 class CoordinatorRound:
     """What the coordinator collected and computed in one round."""
 
     image_features: Tensor
-    text_features: dict[tuple[int, str], Tensor]
+    text_features: Tensor  # (N, D), one row per pair in prompt_plan order
     difficulty: float
     strategy: str
     total: Tensor | None
@@ -131,7 +124,7 @@ class CoordinatorAgent:
 
     def step(self, messages, batch: Batch, memory: AgentMemory):
         image_features: Tensor | None = None
-        text_features: dict[tuple[int, str], Tensor] = {}
+        text_features: Tensor | None = None
         difficulty = 0.5
         strategy = "standard"
         for msg in messages:
@@ -143,22 +136,18 @@ class CoordinatorAgent:
                     difficulty = float(c.entries["difficulty"])
             elif isinstance(c, FeatureBlock) and c.label == "image_features":
                 image_features = c.tensor
-            elif isinstance(c, FeatureBlock) and c.label.startswith("text|"):
-                _, cid, tid, _ = c.label.split("|")
-                text_features[(int(cid), tid)] = c.tensor
+            elif isinstance(c, FeatureBlock) and c.label == "text_features":
+                text_features = c.tensor
             else:
                 raise MailboxError(f"coordinator cannot handle {msg}")
-        if image_features is None:
-            raise MailboxError("coordinator round ended without image features")
+        if image_features is None or text_features is None:
+            raise MailboxError("coordinator round ended without image or text features")
         total = None
         breakdown = None
         if batch.training:
-            from . import autodiff as ad
-
-            txt_rows = ad.stack_rows([text_features[key] for key in batch.prompt_plan])
             total, breakdown = total_loss(
                 image_features,
-                txt_rows,
+                text_features,
                 batch.match_index,
                 batch.class_labels,
                 self.params,
@@ -350,39 +339,21 @@ class TrainingSession:
 
     # -- evaluation ----------------------------------------------------------------
 
-    def class_text_features(
-        self, class_ids: list[int], context: np.ndarray | None
-    ) -> np.ndarray:
-        """Per-class text features from the canonical prompt, with the trained
-        name embeddings and (when enabled) context fusion applied."""
-        use_context = (
-            context is not None
-            and not self.settings.disable_text_context
-            and self.settings.lambda_mix < 1.0
-        )
-        rows = []
-        for cid in class_ids:
-            rendered = self.name_agent.render(
-                cid, self.world.canonical_template.template_id
-            )
-            standard = self.text_agent.encode_matrix(self.name_agent.embed(rendered))
-            if use_context:
-                feature = self.text_agent.contextual_from_standard(
-                    standard, Tensor(context)
-                )
-            else:
-                feature = standard
-            rows.append(feature.data)
-        return np.stack(rows)
+    def class_text_features(self, class_ids: list[int], context: Tensor) -> np.ndarray:
+        """Per-class text features from the canonical prompt, encoded the way
+        training rounds encode: trained name embeddings, then the text agent
+        with this visual context."""
+        template_id = self.world.canonical_template.template_id
+        pooled = self.name_agent.pool([(cid, template_id) for cid in class_ids])
+        return self.text_agent.encode(pooled, context).data
 
     def evaluate(
         self, images: np.ndarray, labels: np.ndarray, class_ids: list[int]
     ) -> dict[str, float]:
         """Cosine-retrieval accuracy over a label space, reported per split."""
-        feats = self.image_agent.encode(images)[0].data
-        context = feats.mean(axis=0)
-        text = self.class_text_features(class_ids, context)
-        fn = feats / np.linalg.norm(feats, axis=1, keepdims=True)
+        feats = self.image_agent.encode(images)[0]
+        text = self.class_text_features(class_ids, ImageAgent.emit_visual_context(feats))
+        fn = feats.data / np.linalg.norm(feats.data, axis=1, keepdims=True)
         tn = text / np.linalg.norm(text, axis=1, keepdims=True)
         pred = np.asarray(class_ids)[np.argmax(fn @ tn.T, axis=1)]
         correct = pred == labels

@@ -1,12 +1,13 @@
 """Text encoding with visual-context fusion.
 
-Standard encoding runs the frozen text encoder over an embedded prompt (the
-name agent's (T, D) matrix, learnable name vectors spliced in).  Contextual
-encoding mixes that with a learned transform of the text feature
-concatenated with the visual context vector received from the image agent,
-weighted by a fixed (or optionally learnable) mixing ratio.  The context is
-a value snapshot: no gradient crosses from the text agent into the image
-agent.
+``TextAgent.encode`` is the one text-encoding path, for training rounds and
+evaluation alike.  It runs the frozen text encoder's mixer over pooled prompt
+embeddings (the name agent's ``(N, D)`` block, learnable name vectors already
+pooled in), then mixes that standard feature with a learned transform of the
+feature concatenated with the visual context vector received from the image
+agent, weighted by a fixed (or optionally learnable) mixing ratio.  The
+context is a value snapshot broadcast to every row: no gradient crosses from
+the text agent into the image agent.
 """
 
 from __future__ import annotations
@@ -46,11 +47,11 @@ class TextAgentConfig:
 
 
 class ContextIntegrationModule:
-    """Two-layer net fusing a text feature with a same-width context vector.
+    """Two-layer net fusing text features with a same-width context, row-wise.
 
-    Input is the 2D-wide concatenation, output is D-wide.  Starts near zero
-    (zero output bias, small weights) so early training is dominated by the
-    plain text feature.
+    Input rows are the 2D-wide concatenation, output rows are D-wide.  Starts
+    near zero (zero output bias, small weights) so early training is
+    dominated by the plain text feature.
     """
 
     def __init__(self, embed_dim: int, hidden_dim: int, rng: np.random.Generator):
@@ -73,8 +74,8 @@ class ContextIntegrationModule:
         return [self.w3, self.b3, self.w4, self.b4]
 
     def __call__(self, z: Tensor) -> Tensor:
-        if z.shape != (self.in_dim,):
-            raise ShapeError(f"context fusion: need shape ({self.in_dim},), got {z.shape}")
+        if z.data.ndim != 2 or z.shape[1] != self.in_dim:
+            raise ShapeError(f"context fusion: need shape (N, {self.in_dim}), got {z.shape}")
         return ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(z, self.w3), self.b3)), self.w4), self.b4)
 
 
@@ -95,8 +96,8 @@ class LinearFusion:
         return [self.w, self.b]
 
     def __call__(self, z: Tensor) -> Tensor:
-        if z.shape != (self.in_dim,):
-            raise ShapeError(f"linear fusion: need shape ({self.in_dim},), got {z.shape}")
+        if z.data.ndim != 2 or z.shape[1] != self.in_dim:
+            raise ShapeError(f"linear fusion: need shape (N, {self.in_dim}), got {z.shape}")
         return ad.add(ad.matmul(z, self.w), self.b)
 
 
@@ -133,17 +134,7 @@ class TextAgent:
             params.append(self.lambda_param)
         return params
 
-    # -- encodings ------------------------------------------------------------
-
-    def encode_matrix(self, matrix: Tensor) -> Tensor:
-        """Frozen text encoder over an embedded sequence: mean, then mixer."""
-        m = ad.mean_rows(matrix)
-        h = ad.relu(ad.add(ad.matmul(m, self._mixer_in), self._mixer_in_bias))
-        return ad.add(ad.matmul(h, self._mixer_out), self._mixer_out_bias)
-
-    def integrate_context(self, z: Tensor) -> Tensor:
-        """Learned fusion of a concatenated text-plus-context vector."""
-        return self.fusion(z)
+    # -- encoding -------------------------------------------------------------
 
     def _mixing_weights(self) -> tuple:
         if self.lambda_param is not None:
@@ -152,9 +143,25 @@ class TextAgent:
             return lam, one_minus
         return self.config.lambda_mix, 1.0 - self.config.lambda_mix
 
-    def contextual_from_standard(self, standard: Tensor, context: Tensor) -> Tensor:
-        """``lam * standard + (1 - lam) * fusion(standard | context)``."""
-        fused = self.integrate_context(ad.concat_cols(standard, context))
+    def encode(self, pooled: Tensor, context: Tensor | None) -> Tensor:
+        """Text features ``(N, D)`` for pooled prompt embeddings ``(N, D)``.
+
+        The frozen mixer gives the standard feature; unless the context is
+        disabled or ``lambda_mix`` is 1, the result is
+        ``lam * standard + (1 - lam) * fusion(standard | context)``.
+        """
+        h = ad.relu(ad.add(ad.matmul(pooled, self._mixer_in), self._mixer_in_bias))
+        standard = ad.add(ad.matmul(h, self._mixer_out), self._mixer_out_bias)
+        if self.config.disable_context or self.config.lambda_mix >= 1.0:
+            return standard
+        if context is None:
+            raise MissingContextError(
+                "no visual context received; set lambda_mix=1 or "
+                "disable_context for standard encoding"
+            )
+        # A constant copy per row: the value snapshot carries no gradient.
+        rows = Tensor(np.tile(context.data, (standard.shape[0], 1)))
+        fused = self.fusion(ad.concat_cols(standard, rows))
         lam, one_minus = self._mixing_weights()
         if isinstance(lam, Tensor):
             return ad.add(ad.mul(lam, standard), ad.mul(one_minus, fused))
@@ -167,35 +174,19 @@ class TextAgent:
 
     def step(self, messages, batch, memory: AgentMemory):
         context: Tensor | None = None
-        prompt_blocks: list[FeatureBlock] = []
+        pooled: Tensor | None = None
         for msg in messages:
             c = msg.content
             if isinstance(c, Metadata):
                 continue  # coordinator directives are informational
             if isinstance(c, FeatureBlock) and c.label == "visual_context":
                 context = c.tensor
-            elif isinstance(c, FeatureBlock) and c.label.startswith("prompt|"):
-                prompt_blocks.append(c)
+            elif isinstance(c, FeatureBlock) and c.label == "prompts":
+                pooled = c.tensor
             else:
                 raise MailboxError(f"text agent cannot handle {msg}")
-        outputs = []
-        use_context = not self.config.disable_context and self.config.lambda_mix < 1.0
-        if use_context and context is None:
-            raise MissingContextError(
-                "no visual context received this round; set lambda_mix=1 or "
-                "disable_context for standard encoding"
-            )
-        if context is not None:
-            context = ad.detach(context)  # value snapshot: no gradient across agents
-        for block in prompt_blocks:
-            standard = self.encode_matrix(block.tensor)
-            feature = (
-                self.contextual_from_standard(standard, context)
-                if use_context
-                else standard
-            )
-            label = "text|" + block.label.split("|", 1)[1]
-            outputs.append(
-                Message(AgentId.TEXT, AgentId.COORDINATOR, FeatureBlock(feature, label))
-            )
+        if pooled is None:
+            raise MailboxError("text agent round ended without prompts")
+        block = FeatureBlock(self.encode(pooled, context), "text_features")
+        outputs = [Message(AgentId.TEXT, AgentId.COORDINATOR, block)]
         return outputs, replace(memory, step_count=memory.step_count + 1)

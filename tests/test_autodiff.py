@@ -114,8 +114,7 @@ def _random_composite(idx, x, w, b):
     ls = ad.log_softmax_rows(ad.mul(m, m))
     picked = ad.pick_per_row(ls, idx)
     ctx = ad.concat_cols(ad.mean_rows(m), ad.mean_rows(ad.transpose(ls)))
-    stacked = ad.stack_rows([ctx, ad.scale(ctx, -0.5)])
-    total = ad.add(ad.sum_all(picked), ad.sum_all(ad.clip(stacked, -0.4, 0.4)))
+    total = ad.add(ad.sum_all(picked), ad.sum_all(ad.clip(ctx, -0.4, 0.4)))
     return ad.add(total, ad.sum_all(ad.div(picked, Tensor(np.asarray(2.0)))))
 
 

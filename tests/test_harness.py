@@ -44,12 +44,17 @@ def strip_wall_time(csv_text: str) -> str:
 # Config
 
 def test_config_validates_shots_and_seeds():
-    with pytest.raises(ConfigError):
-        ExperimentConfig(shots=(2, 1))
-    with pytest.raises(ConfigError):
-        ExperimentConfig(shots=(-1, 2))
-    with pytest.raises(ConfigError):
-        ExperimentConfig(seeds=())
+    for bad in (
+        dict(shots=(2, 1)),
+        dict(shots=(-1, 2)),
+        dict(shots=()),
+        dict(seeds=()),
+        dict(lrs=()),
+        dict(epochs=0),
+        dict(n_test_per_class=0),
+    ):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**bad)
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -317,6 +322,16 @@ def test_cli_bad_config_is_hard_error(tmp_path):
     bad.write_text("mystery = 1\n")
     rc = main(["few-shot", "--config", str(bad), "--out", str(tmp_path)])
     assert rc == 1
+
+
+@pytest.mark.parametrize("command", ["few-shot", "zero-shot"])
+@pytest.mark.parametrize("setting", [{"lrs": ""}, {"epochs": "0"}])
+def test_cli_empty_or_zero_setting_is_hard_error(tmp_path, capsys, command, setting):
+    cfg = write_tiny_config(tmp_path / "exp.cfg", **setting)
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_usage_error_returns_one():

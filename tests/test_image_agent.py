@@ -142,6 +142,21 @@ def test_encode_is_the_round_routing(agent, threshold):
     ]
 
 
+def test_robust_encode_runs_the_frozen_encoder_once(agent, monkeypatch):
+    agent.config = ImageAgentConfig(difficulty_threshold=0.05)  # always robust
+    calls = []
+    matmul = ad.matmul
+
+    def counting(a, b):
+        calls.append(b is agent.frozen_visual)
+        return matmul(a, b)
+
+    monkeypatch.setattr(ad, "matmul", counting)
+    _, _, strategy = agent.encode(np.random.default_rng(7).normal(size=(5, 12)))
+    assert strategy == "robust"
+    assert sum(calls) == 1
+
+
 def test_select_strategy_rule_and_tiebreak():
     assert select_strategy(0.2, 0.5) == "standard"
     assert select_strategy(0.9, 0.5) == "robust"

@@ -1,3 +1,7 @@
+import json
+import struct
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,7 +14,6 @@ from namelearn.name_agent import (
     NameAgent,
     NameEmbeddingTable,
     PromptTemplate,
-    RenderedPrompt,
     UnknownTokenError,
     build_template_bank,
     context_exchange_augment,
@@ -53,24 +56,19 @@ def test_template_requires_exactly_one_slot():
 def test_init_zero_policy(world):
     t = NameEmbeddingTable(world.config.embed_dim)
     cid = world.ood_ids[0]
-    vecs = init_name_embeddings(
-        t, world.concept(cid), 3, "zero", world.vocab, world.oov_token
-    )
-    assert len(vecs) == 3
-    for v in vecs:
-        assert np.array_equal(v.data, np.zeros(world.config.embed_dim))
-        assert v.requires_grad
+    init_name_embeddings(t, world.concept(cid), 3, "zero", world.vocab, world.oov_token)
+    assert t.rows(cid) == range(3)
+    assert np.array_equal(t.weight.data, np.zeros((3, world.config.embed_dim)))
+    assert t.weight.requires_grad
 
 
 def test_init_vocab_mean_matches_mean_oracle(world):
     t = NameEmbeddingTable(world.config.embed_dim)
     cid = world.ood_ids[0]
-    vecs = init_name_embeddings(
-        t, world.concept(cid), 2, "vocab_mean", world.vocab, world.oov_token
-    )
+    init_name_embeddings(t, world.concept(cid), 2, "vocab_mean", world.vocab, world.oov_token)
     expected = np.delete(world.vocab, world.oov_token, axis=0).mean(axis=0)
-    for v in vecs:
-        assert np.allclose(v.data, expected, atol=0)
+    for v in t.weight.data[t.rows(cid)]:
+        assert np.allclose(v, expected, atol=0)
 
 
 def test_init_rejects_seen_concept(world):
@@ -92,7 +90,8 @@ def test_init_rejects_zero_vectors(world):
 def test_render_seen_concept_uses_frozen_token(world, table):
     concept = world.concept(world.seen_ids[0])
     rp = render_prompt(world.canonical_template, concept, table)
-    assert rp.target == (concept.name_token,)
+    assert rp.name_tokens == (concept.name_token,)
+    assert rp.name_rows == ()
     assert concept.name_token in rp.frozen_token_ids
     assert rp.spliced_length == len(world.canonical_template.tokens)
 
@@ -101,7 +100,12 @@ def test_render_ood_splice_arithmetic(world, table):
     concept = world.concept(world.ood_ids[0])
     rp = render_prompt(world.canonical_template, concept, table)
     assert rp.spliced_length == len(world.canonical_template.tokens) - 1 + 2
-    assert all(not isinstance(t, int) for t in rp.target)
+    assert rp.name_tokens == ()
+    assert rp.name_rows == tuple(table.rows(concept.id))
+    # Table rows are never mistaken for vocabulary ids.
+    assert rp.frozen_token_ids == tuple(
+        t for t in world.canonical_template.tokens if t != NAME_SLOT
+    )
     # The blind frozen token never appears in a learnable rendering.
     assert world.oov_token not in rp.frozen_token_ids
 
@@ -114,11 +118,13 @@ def test_render_ood_missing_from_table(world):
 
 def test_render_reflects_parameter_updates(world, table):
     concept = world.concept(world.ood_ids[0])
-    rp = render_prompt(world.canonical_template, concept, table)
-    before = rp.target[0].data.copy()
-    table.vectors(concept.id)[0].data += 0.25  # simulated optimizer step
-    after = render_prompt(world.canonical_template, concept, table)
-    assert not np.array_equal(after.target[0].data, before)
+    agent = NameAgent(
+        {concept.id: concept}, [], world.canonical_template, table, world.vocab
+    )
+    pair = [(concept.id, world.canonical_template.template_id)]
+    before = agent.pool(pair).data.copy()
+    table.weight.data[table.rows(concept.id)[0]] += 0.25  # simulated optimizer step
+    assert not np.array_equal(agent.pool(pair).data, before)
 
 
 @pytest.mark.parametrize(
@@ -126,9 +132,25 @@ def test_render_reflects_parameter_updates(world, table):
     [((0, -2, NAME_SLOT), (5,)), ((0, 1, NAME_SLOT), (-2,)), ((0, NAME_SLOT), (64,))],
 )
 def test_embed_rejects_token_ids_outside_vocabulary(world, table, tokens, target):
-    agent = NameAgent({}, [], world.canonical_template, table, world.vocab)
+    (name_token,) = target
+    concept = SimpleNamespace(id=0, split="seen", name_token=name_token, family="x")
+    template = PromptTemplate("t", tokens, "x")
+    agent = NameAgent({0: concept}, [template], world.canonical_template, table, world.vocab)
     with pytest.raises(UnknownTokenError):
-        agent.embed(RenderedPrompt(0, "t", "native", tokens, target))
+        agent.pool([(0, "t")])
+
+
+def test_pool_rows_follow_the_plan(world, table):
+    # One row per pair in plan order, each distinct pair rendered once.
+    agent = NameAgent(
+        {c.id: c for c in world.concepts}, world.templates, world.canonical_template,
+        table, world.vocab,
+    )
+    canonical = world.canonical_template.template_id
+    a, b = world.ood_ids[0], world.seen_ids[0]
+    rows = agent.pool([(a, canonical), (b, canonical), (a, canonical)]).data
+    assert np.array_equal(rows[0], rows[2])
+    assert np.array_equal(rows[1], agent.pool([(b, canonical)]).data[0])
 
 
 def test_training_rejects_negative_template_token():
@@ -202,9 +224,36 @@ def test_checkpoint_roundtrip(world, table, tmp_path):
     assert seed == world.config.seed
     assert loaded.concept_ids() == table.concept_ids()
     for cid in table.concept_ids():
-        for a, b in zip(table.vectors(cid), loaded.vectors(cid)):
-            assert a.data.tobytes() == b.data.tobytes()
-            assert b.requires_grad
+        assert loaded.rows(cid) == table.rows(cid)
+    assert loaded.weight.data.tobytes() == table.weight.data.tobytes()
+    assert loaded.weight.requires_grad
+
+
+def test_checkpoint_byte_layout(tmp_path):
+    # Magic, uint32-LE header length, JSON header, then row-major '<f8' values
+    # in (concept id, vector) order, whatever order the concepts were added in.
+    table = NameEmbeddingTable(3)
+    rng = np.random.default_rng(4)
+    for cid in (7, 3):
+        concept = SimpleNamespace(id=cid, split="ood")
+        init_name_embeddings(table, concept, 2, "random", None, 0, rng)
+    drawn = np.random.default_rng(4).normal(scale=0.02, size=(4, 3))  # 7's rows, then 3's
+    path = tmp_path / "names.bin"
+    save_name_table(table, path, world_seed=11)
+    raw = path.read_bytes()
+    magic = b"NLNAMES/1\n"
+    assert raw.startswith(magic)
+    (hlen,) = struct.unpack_from("<I", raw, len(magic))
+    start = len(magic) + 4
+    header = json.loads(raw[start : start + hlen])
+    assert header == {
+        "concepts": [{"id": 3, "n_vectors": 2}, {"id": 7, "n_vectors": 2}],
+        "embed_dim": 3,
+        "world_seed": 11,
+    }
+    assert raw[start : start + hlen] == json.dumps(header, sort_keys=True).encode()
+    body = np.concatenate([drawn[2:], drawn[:2]]).astype("<f8").tobytes()
+    assert raw[start + hlen :] == body
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):

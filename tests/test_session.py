@@ -43,11 +43,27 @@ def test_name_embeddings_receive_nonzero_gradient(world):
         result = run_round(session.bus, batch)
     backward(tape, result.coordinator_round.total)
     grads = [
-        np.abs(v.grad).max()
+        np.abs(session.table.weight.grad[row]).max()
         for cid in world.ood_ids
-        for v in session.table.vectors(cid)
+        for row in session.table.rows(cid)
     ]
+    assert len(grads) == len(world.ood_ids)
     assert all(g > 0.0 for g in grads)
+
+
+def test_default_step_is_batched():
+    # One pooled-prompt block and one text-feature block per round, not one
+    # small graph and two messages per prompt.
+    from namelearn.autodiff import Tape
+    from namelearn.bus import run_round
+
+    world = build_world(WorldConfig())
+    session = TrainingSession(world, SessionSettings(), seed=0)
+    batch = session.build_batch(shots_for(world, k=16), epoch=0)
+    with Tape() as tape:
+        run_round(session.bus, batch)
+    assert len(tape) <= 60
+    assert len(session.bus.log) == 9
 
 
 def test_training_moves_only_declared_learnables(world):
@@ -58,12 +74,10 @@ def test_training_moves_only_declared_learnables(world):
     moved = [
         not np.array_equal(p.data, before[id(p)]) for p in session.trainable_parameters()
     ]
-    # Name embeddings must move; the fixed difficulty scorer has no loss path
-    # and is not handed to the optimizer.
-    name_params = session.table.parameters()
-    assert all(
-        not np.array_equal(p.data, before[id(p)]) for p in name_params
-    )
+    # Every name vector must move; the fixed difficulty scorer has no loss
+    # path and is not handed to the optimizer.
+    (names,) = session.table.parameters()
+    assert np.all(np.any(names.data != before[id(names)], axis=1))
     assert all(np.array_equal(w.data, scorer[w.name]) for w in scorer_weights(session))
     assert any(moved)
 

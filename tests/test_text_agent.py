@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from namelearn.name_agent import (
     NAME_SLOT,
     NameAgent,
     NameEmbeddingTable,
-    RenderedPrompt,
     UnknownTokenError,
     init_name_embeddings,
 )
@@ -42,63 +43,89 @@ def agent(world):
     return make_agent(world)
 
 
-@pytest.fixture(scope="module")
-def namer(world):
+def make_namer(world, extra_concepts=(), frozen_names=False):
+    """Name agent whose table holds two random vectors for the first held-out
+    concept."""
+    table = NameEmbeddingTable(world.config.embed_dim)
+    init_name_embeddings(
+        table,
+        world.concept(world.ood_ids[0]),
+        2,
+        "random",
+        world.vocab,
+        world.oov_token,
+        np.random.default_rng(1),
+    )
+    concepts = {c.id: c for c in list(world.concepts) + list(extra_concepts)}
     return NameAgent(
-        {c.id: c for c in world.concepts},
+        concepts,
         world.templates,
         world.canonical_template,
-        NameEmbeddingTable(world.config.embed_dim),
+        table,
         world.vocab,
+        frozen_names=frozen_names,
     )
 
 
 @pytest.fixture()
-def ood_target(world):
-    table = NameEmbeddingTable(world.config.embed_dim)
-    concept = world.concept(world.ood_ids[0])
-    vecs = init_name_embeddings(
-        table, concept, 2, "random", world.vocab, world.oov_token, np.random.default_rng(1)
-    )
-    return tuple(vecs)
+def namer(world):
+    return make_namer(world)
 
 
-def embed(namer, tokens, target) -> Tensor:
-    return namer.embed(RenderedPrompt(0, "test", "native", tuple(tokens), tuple(target)))
+def pooled(world, namer, concept_id) -> Tensor:
+    """The canonical prompt of one concept, pooled by the name agent: (1, D)."""
+    return namer.pool([(concept_id, world.canonical_template.template_id)])
 
 
-def standard(agent, namer, tokens, target) -> Tensor:
-    """The plain text feature: the name agent's embedding, frozen encoder."""
-    return agent.encode_matrix(embed(namer, tokens, target))
+def standard(world, pooled_rows) -> Tensor:
+    """The plain text feature: the frozen encoder alone, no context fusion."""
+    return make_agent(world, lambda_mix=1.0).encode(pooled_rows, None)
 
 
-def seen_prompt(world, i=0):
-    return world.canonical_template.tokens, (world.concept(world.seen_ids[i]).name_token,)
+def context(world, seed) -> Tensor:
+    return Tensor(np.random.default_rng(seed).normal(size=world.config.embed_dim))
 
 
-def test_encode_standard_deterministic(world, agent, namer):
-    tokens, target = seen_prompt(world)
-    a = standard(agent, namer, tokens, target)
-    b = standard(agent, namer, tokens, target)
+def test_encode_standard_deterministic(world, namer):
+    rows = pooled(world, namer, world.seen_ids[0])
+    a = standard(world, rows)
+    b = standard(world, rows)
     assert np.array_equal(a.data, b.data)
-    assert a.shape == (world.config.embed_dim,)
+    assert a.shape == (1, world.config.embed_dim)
 
 
-def test_encode_standard_rejects_unknown_token(world, namer):
+def test_encode_rows_match_one_at_a_time(world, namer):
+    ids = world.seen_ids + world.ood_ids[:1]  # the table holds the first only
+    rows = namer.pool([(cid, world.canonical_template.template_id) for cid in ids])
+    agent = make_agent(world)
+    c = context(world, 10)
+    batched = agent.encode(rows, c).data
+    single = np.concatenate([agent.encode(pooled(world, namer, cid), c).data for cid in ids])
+    assert np.allclose(batched, single, rtol=0, atol=1e-12)
+
+
+def test_encode_standard_rejects_unknown_token(world):
+    bad = SimpleNamespace(
+        id=99, split="seen", name_token=world.config.vocab_size + 5, family="family_0"
+    )
     with pytest.raises(UnknownTokenError):
-        embed(namer, (0, 1, NAME_SLOT), (world.config.vocab_size + 5,))
+        pooled(world, make_namer(world, [bad]), bad.id)
 
 
-def test_encode_standard_accepts_blind_token(world, agent, namer):
-    out = standard(agent, namer, world.canonical_template.tokens, (world.oov_token,))
-    assert out.shape == (world.config.embed_dim,)
+def test_encode_standard_accepts_blind_token(world):
+    namer = make_namer(world, frozen_names=True)
+    cid = world.ood_ids[0]
+    rendered = namer.render(cid, world.canonical_template.template_id)
+    assert rendered.name_tokens == (world.oov_token,)
+    out = standard(world, pooled(world, namer, cid))
+    assert out.shape == (1, world.config.embed_dim)
 
 
-def test_encode_standard_sensitive_to_name_embeddings(world, agent, namer, ood_target):
-    tokens = world.canonical_template.tokens
-    a = standard(agent, namer, tokens, ood_target)
-    perturbed = tuple(Tensor(t.data + 0.5, requires_grad=True) for t in ood_target)
-    b = standard(agent, namer, tokens, perturbed)
+def test_encode_standard_sensitive_to_name_embeddings(world, namer):
+    cid = world.ood_ids[0]
+    a = standard(world, pooled(world, namer, cid))
+    namer.table.weight.data[namer.table.rows(cid)] += 0.5
+    b = standard(world, pooled(world, namer, cid))
     assert not np.allclose(a.data, b.data)
 
 
@@ -109,8 +136,8 @@ def test_integrate_context_constant_network(world):
         p.data[...] = 0.0
     v = np.arange(d, dtype=float)
     agent.fusion.b4.data = v.copy()
-    out = agent.integrate_context(Tensor(np.random.default_rng(0).normal(size=2 * d)))
-    assert np.array_equal(out.data, v)
+    out = agent.fusion(Tensor(np.random.default_rng(0).normal(size=(3, 2 * d))))
+    assert np.array_equal(out.data, np.tile(v, (3, 1)))
 
 
 def test_integrate_context_hand_case():
@@ -119,8 +146,8 @@ def test_integrate_context_hand_case():
     module.b3.data = np.array([0.0])
     module.w4.data = np.array([[2.0]])
     module.b4.data = np.array([0.0])
-    out = module(Tensor([1.0, 0.5]))
-    assert out.data == pytest.approx([3.0], abs=1e-12)
+    out = module(Tensor([[1.0, 0.5]]))
+    assert out.data[0] == pytest.approx([3.0], abs=1e-12)
 
 
 def test_integrate_context_relu_kill_leaves_bias(world):
@@ -128,46 +155,47 @@ def test_integrate_context_relu_kill_leaves_bias(world):
     module.w3.data = -np.ones((4, 2))
     module.b3.data = np.zeros(2)
     module.b4.data = np.array([0.25, -0.5])
-    out = module(Tensor([1.0, 1.0, 1.0, 1.0]))  # all pre-activations negative
-    assert np.array_equal(out.data, [0.25, -0.5])
+    out = module(Tensor([[1.0, 1.0, 1.0, 1.0]]))  # all pre-activations negative
+    assert np.array_equal(out.data, [[0.25, -0.5]])
 
 
 def test_integrate_context_rejects_wrong_width(world, agent):
+    d = world.config.embed_dim
     with pytest.raises(ShapeError):
-        agent.integrate_context(Tensor(np.zeros(world.config.embed_dim)))
+        agent.fusion(Tensor(np.zeros((1, d))))
+    with pytest.raises(ShapeError):
+        agent.fusion(Tensor(np.zeros(2 * d)))  # rows only, not a bare vector
 
 
-def prompt_message(namer, tokens, target, label="prompt|0|test|native"):
-    block = FeatureBlock(embed(namer, tokens, target), label)
-    return Message(AgentId.NAME, AgentId.TEXT, block)
+def prompt_message(rows):
+    return Message(AgentId.NAME, AgentId.TEXT, FeatureBlock(rows, "prompts"))
 
 
 def test_contextual_lambda_one_equals_standard(world, namer):
     agent = make_agent(world, lambda_mix=1.0)
-    tokens, target = seen_prompt(world)
-    std = standard(agent, namer, tokens, target)
-    c = Tensor(np.random.default_rng(1).normal(size=world.config.embed_dim))
-    assert np.array_equal(agent.contextual_from_standard(std, c).data, std.data)
+    rows = pooled(world, namer, world.seen_ids[0])
+    std = standard(world, rows)
+    assert np.array_equal(agent.encode(rows, context(world, 1)).data, std.data)
     # At the endpoint the round needs no visual context at all.
-    out, _ = agent.step([prompt_message(namer, tokens, target)], None, AgentMemory())
+    out, _ = agent.step([prompt_message(rows)], None, AgentMemory())
+    assert out[0].content.label == "text_features"
     assert np.array_equal(out[0].content.tensor.data, std.data)
 
 
 def test_contextual_lambda_zero_equals_fusion(world, namer):
     agent = make_agent(world, lambda_mix=0.0)
-    tokens, target = seen_prompt(world)
-    c = Tensor(np.random.default_rng(2).normal(size=world.config.embed_dim))
-    std = standard(agent, namer, tokens, target)
-    out = agent.contextual_from_standard(std, c)
-    fused = agent.integrate_context(ad.concat_cols(std, c))
+    rows = pooled(world, namer, world.seen_ids[0])
+    c = context(world, 2)
+    out = agent.encode(rows, c)
+    fused = agent.fusion(ad.concat_cols(standard(world, rows), Tensor(c.data[None, :])))
     assert np.allclose(out.data, fused.data, atol=1e-12)
 
 
 def test_contextual_missing_context_is_error(world, namer):
     agent = make_agent(world, lambda_mix=0.5)
-    tokens, target = seen_prompt(world)
+    rows = pooled(world, namer, world.seen_ids[0])
     with pytest.raises(MissingContextError, match="lambda_mix=1"):
-        agent.step([prompt_message(namer, tokens, target)], None, AgentMemory())
+        agent.step([prompt_message(rows)], None, AgentMemory())
 
 
 def test_contextual_halfway_with_constant_fusion(world, namer):
@@ -176,20 +204,18 @@ def test_contextual_halfway_with_constant_fusion(world, namer):
         p.data[...] = 0.0
     b = np.random.default_rng(3).normal(size=world.config.embed_dim)
     agent.fusion.b4.data = b.copy()
-    tokens, target = seen_prompt(world, 1)
-    c = Tensor(np.random.default_rng(4).normal(size=world.config.embed_dim))
-    std = standard(agent, namer, tokens, target)
-    out = agent.contextual_from_standard(std, c)
-    assert np.allclose(out.data, 0.5 * std.data + 0.5 * b, atol=1e-12)
+    rows = pooled(world, namer, world.seen_ids[1])
+    out = agent.encode(rows, context(world, 4))
+    assert np.allclose(out.data, 0.5 * standard(world, rows).data + 0.5 * b, atol=1e-12)
 
 
 def test_contextual_is_affine_in_lambda(world, namer):
-    tokens, target = seen_prompt(world)
-    c = Tensor(np.random.default_rng(5).normal(size=world.config.embed_dim))
+    rows = pooled(world, namer, world.seen_ids[0])
+    c = context(world, 5)
 
     def contextual(lam):
         agent = make_agent(world, lambda_mix=lam)  # same seed: same fusion weights
-        return agent.contextual_from_standard(standard(agent, namer, tokens, target), c).data
+        return agent.encode(rows, c).data
 
     endpoint_a, endpoint_b = contextual(1.0), contextual(0.0)
     for lam in (0.25, 0.5, 0.7):
@@ -197,16 +223,16 @@ def test_contextual_is_affine_in_lambda(world, namer):
         assert np.allclose(out, lam * endpoint_a + (1 - lam) * endpoint_b, atol=1e-12)
 
 
-def test_gradients_reach_name_embeddings_and_fusion(world, agent, namer, ood_target):
-    tokens = world.canonical_template.tokens
-    c = Tensor(np.random.default_rng(6).normal(size=world.config.embed_dim))
-    params = list(ood_target) + agent.fusion.parameters()
+def test_gradients_reach_name_embeddings_and_fusion(world, agent, namer):
+    c = context(world, 6)
+    params = [namer.table.weight] + agent.fusion.parameters()
 
     def f(*ps):
-        out = agent.contextual_from_standard(standard(agent, namer, tokens, ood_target), c)
+        out = agent.encode(pooled(world, namer, world.ood_ids[0]), c)
         return ad.sum_all(ad.mul(out, out))
 
     assert grad_check(f, params, eps=1e-5) < 1e-4
+    assert np.all(np.abs(namer.table.weight.grad).max(axis=1) > 0.0)
 
 
 def test_zero_context_zero_fusion_contributes_bias_only(world, agent, namer):
@@ -214,11 +240,9 @@ def test_zero_context_zero_fusion_contributes_bias_only(world, agent, namer):
         p.data[...] = 0.0
     b = np.random.default_rng(7).normal(size=world.config.embed_dim)
     agent.fusion.b4.data = b.copy()
-    tokens, target = seen_prompt(world)
-    zero_c = Tensor(np.zeros(world.config.embed_dim))
-    std = standard(agent, namer, tokens, target)
-    out = agent.contextual_from_standard(std, zero_c)
-    assert np.allclose(out.data, 0.7 * std.data + 0.3 * b, atol=1e-12)
+    rows = pooled(world, namer, world.seen_ids[0])
+    out = agent.encode(rows, Tensor(np.zeros(world.config.embed_dim)))
+    assert np.allclose(out.data, 0.7 * standard(world, rows).data + 0.3 * b, atol=1e-12)
 
 
 def test_linear_fusion_shape_and_params(world):
@@ -226,8 +250,8 @@ def test_linear_fusion_shape_and_params(world):
     assert isinstance(agent.fusion, LinearFusion)
     assert len(agent.parameters()) == 2
     d = world.config.embed_dim
-    out = agent.integrate_context(Tensor(np.zeros(2 * d)))
-    assert out.shape == (d,)
+    out = agent.fusion(Tensor(np.zeros((3, 2 * d))))
+    assert out.shape == (3, d)
 
 
 def test_learnable_lambda_reparameterization(world):
@@ -235,19 +259,25 @@ def test_learnable_lambda_reparameterization(world):
     assert agent.lambda_param is not None
     lam = 1.0 / (1.0 + np.exp(-float(agent.lambda_param.data)))
     assert lam == pytest.approx(0.7, abs=1e-9)
-    std = Tensor(np.random.default_rng(8).normal(size=world.config.embed_dim))
-    c = Tensor(np.random.default_rng(9).normal(size=world.config.embed_dim))
-    out = agent.contextual_from_standard(std, c)
-    assert out.shape == (world.config.embed_dim,)
+    rows = Tensor(np.random.default_rng(8).normal(size=(2, world.config.embed_dim)))
+    c = context(world, 9)
+    out = agent.encode(rows, c)
+    assert out.shape == (2, world.config.embed_dim)
     # The mixing ratio itself must receive gradient.
     with Tape() as tape:
-        loss = ad.sum_all(agent.contextual_from_standard(std, c))
+        loss = ad.sum_all(agent.encode(rows, c))
     backward(tape, loss)
     assert agent.lambda_param.grad is not None
     assert float(agent.lambda_param.grad) != 0.0
 
 
-def test_embed_sequence_splice_length(world, namer, ood_target):
+def test_embed_sequence_splice_length(world, namer):
+    # The pooled prompt is the mean over the spliced sequence: the template's
+    # frozen rows plus both learnable name vectors.
+    cid = world.ood_ids[0]
     tokens = world.canonical_template.tokens
-    mat = embed(namer, tokens, ood_target)
-    assert mat.shape == (len(tokens) - 1 + len(ood_target), world.config.embed_dim)
+    frozen = [t for t in tokens if t != NAME_SLOT]
+    names = namer.table.weight.data[namer.table.rows(cid)]
+    spliced = np.concatenate([world.vocab[frozen], names])
+    assert len(spliced) == len(tokens) - 1 + 2
+    assert np.allclose(pooled(world, namer, cid).data, [spliced.mean(axis=0)], atol=1e-15)
