@@ -39,7 +39,10 @@ print("seen-concept accuracy is untouched: the frozen encoders never moved,")
 print("only the name embeddings (plus fusion and coordinator scalars) did.")
 
 # The message log is a compact protocol trace: who sent what, each feature
-# payload summarized by its shape and first four values.
+# payload summarized by its shape and first four values.  A round is five
+# messages: visual context, image features and {difficulty, strategy}
+# metadata from the image agent, pooled prompts from the name agent, and
+# text features from the text agent.
 print(f"\nbus log: {len(session.bus.log)} messages over {session.bus.round_index} rounds")
-for record in session.bus.log[:6]:
+for record in session.bus.log[:5]:
     print("  ", record.summary())

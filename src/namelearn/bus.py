@@ -1,10 +1,13 @@
 """Structured message passing between the four cooperating agents.
 
-One bus per training session, single-threaded within a round.  Messages carry
-feature tensors, strategy tags, or string metadata; delivery is FIFO per
-(sender, receiver) pair.  Every send is appended to a log that keeps, per
-message, what ``serialize_log`` writes: a feature payload's shape and first
-four values, a strategy tag, or the metadata keys.
+One bus per training session, single-threaded within a round.  A round is
+five messages, each with a reader: the image agent's visual context (to the
+text agent), its batch features and ``{difficulty, strategy}`` metadata (to
+the coordinator), the name agent's pooled prompts (to the text agent) and the
+text agent's features (to the coordinator).  Delivery is FIFO per (sender,
+receiver) pair.  Every send is appended to a log that keeps, per message,
+what ``serialize_log`` writes: a feature payload's shape and first four
+values, or the metadata keys.
 """
 
 from __future__ import annotations
@@ -62,23 +65,16 @@ class FeatureBlock:
 
 
 @dataclass(frozen=True)
-class StrategyTag:
-    name: str
-
-
-@dataclass(frozen=True)
 class Metadata:
     entries: dict
 
 
-Content = FeatureBlock | StrategyTag | Metadata
+Content = FeatureBlock | Metadata
 
 
 def content_tag(content: Content) -> str:
     if isinstance(content, FeatureBlock):
         return "feature"
-    if isinstance(content, StrategyTag):
-        return "strategy"
     if isinstance(content, Metadata):
         return "metadata"
     raise MailboxError(f"unknown content type {type(content).__name__}")
@@ -93,17 +89,6 @@ class Message:
     def __post_init__(self):
         if self.sender == self.receiver:
             raise SelfSendError(f"{self.sender.value} cannot message itself")
-
-
-@dataclass(frozen=True)
-class AgentMemory:
-    """State carried by an agent across rounds."""
-
-    step_count: int = 0
-
-    def __post_init__(self):
-        if self.step_count < 0:
-            raise ValueError("step_count must be nonnegative")
 
 
 # Values kept per feature payload in the log: the shape and this many leading
@@ -123,7 +108,6 @@ class LogRecord:
     shape: tuple[int, ...] | None = None
     values: np.ndarray | None = None  # the first LOG_VALUES values
     metadata: dict | None = None
-    strategy: str | None = None
 
     def summary(self) -> dict:
         if self.tag == "feature":
@@ -131,8 +115,6 @@ class LogRecord:
                 "shape": list(self.shape),
                 "first": [float(v) for v in self.values],
             }
-        elif self.tag == "strategy":
-            payload = {"tag": self.strategy}
         else:
             payload = {"keys": sorted(self.metadata)}
         return {
@@ -148,10 +130,7 @@ class LogRecord:
 class Agent(Protocol):
     agent_id: AgentId
 
-    def open_round(self, memory: AgentMemory) -> list[Message]:
-        ...
-
-    def step(self, messages: list[Message], batch, memory: AgentMemory):
+    def step(self, messages: list[Message], batch) -> list[Message]:
         ...
 
 
@@ -161,15 +140,13 @@ class MessageBus:
     def __init__(self):
         self.mailboxes: dict[AgentId, list[Message]] = {a: [] for a in AgentId}
         self.agents: dict[AgentId, Agent] = {}
-        self.memories: dict[AgentId, AgentMemory] = {}
         self.log: list[LogRecord] = []
         self.round_index = 0
         self.sent_count = 0
         self.drained_count = 0
 
-    def register(self, agent: Agent, memory: AgentMemory | None = None) -> None:
+    def register(self, agent: Agent) -> None:
         self.agents[agent.agent_id] = agent
-        self.memories[agent.agent_id] = memory or AgentMemory()
 
     def send(self, msg: Message) -> None:
         if msg.sender == msg.receiver:
@@ -197,7 +174,6 @@ class MessageBus:
             shape=c.tensor.shape if feature else None,
             values=c.tensor.data.reshape(-1)[:LOG_VALUES].copy() if feature else None,
             metadata=dict(c.entries) if tag == "metadata" else None,
-            strategy=c.name if tag == "strategy" else None,
         )
 
     def serialize_log(self, path) -> None:
@@ -207,17 +183,11 @@ class MessageBus:
                 fh.write(json.dumps(rec.summary(), sort_keys=True) + "\n")
 
 
-@dataclass
-class RoundResult:
-    outputs: dict[AgentId, list[Message]]
-    coordinator_round: object | None  # set by the coordinator agent when training
-
-
-def run_round(bus: MessageBus, batch) -> RoundResult:
+def run_round(bus: MessageBus, batch):
     """One fixed-schedule round: Image, Name, Text, then Coordinator.
 
-    The coordinator's strategy directives go out before the first step; every
-    mailbox must be empty when the round ends.
+    Returns the coordinator's ``CoordinatorRound``; every mailbox must be
+    empty when the round ends.
     """
     missing = [a.value for a in AgentId if a not in bus.agents]
     if missing:
@@ -225,22 +195,10 @@ def run_round(bus: MessageBus, batch) -> RoundResult:
     if batch.size == 0:
         raise EmptyBatchError("round started on an empty batch")
     bus.round_index += 1
-    coordinator = bus.agents[AgentId.COORDINATOR]
-    for msg in coordinator.open_round(bus.memories[AgentId.COORDINATOR]):
-        bus.send(msg)
-    outputs: dict[AgentId, list[Message]] = {}
     for agent_id in ROUND_ORDER:
-        agent = bus.agents[agent_id]
-        inbox = bus.drain(agent_id)
-        out, memory = agent.step(inbox, batch, bus.memories[agent_id])
-        if memory.step_count != bus.memories[agent_id].step_count + 1:
-            raise ProtocolError(f"{agent_id.value} did not advance step_count by 1")
-        bus.memories[agent_id] = memory
-        outputs[agent_id] = out
-        for msg in out:
+        for msg in bus.agents[agent_id].step(bus.drain(agent_id), batch):
             bus.send(msg)
     stuck = {a.value: len(m) for a, m in bus.mailboxes.items() if m}
     if stuck:
         raise ProtocolError(f"mailboxes not empty at round end: {stuck}")
-    return RoundResult(outputs, getattr(coordinator, "last_round", None))
-
+    return bus.agents[AgentId.COORDINATOR].last_round

@@ -20,6 +20,8 @@ from .autodiff import DomainError, ShapeError, Tensor
 TAU_BAND = (0.5, 2.0)
 CON_NUM_BAND = (0.5, 2.0)
 CLS_NUM_BAND = (0.1, 1.0)
+# Contrastive and classification weights when dynamic balancing is off.
+FIXED_WEIGHTS = (0.5, 0.5)
 
 
 class DegenerateWeightsError(ValueError):
@@ -35,8 +37,6 @@ class CoordinatorConfig:
     dynamic_temperature: bool = True
     dynamic_balancing: bool = True
     literal_tau_cancellation: bool = False
-    use_classification: bool = True
-    fixed_weights: tuple[float, float] = (0.5, 0.5)
 
 
 class CoordinatorParams:
@@ -56,8 +56,7 @@ class CoordinatorParams:
             params.append(self.tau_param)
         if config.dynamic_balancing:
             params += [self.w_con_param, self.w_cls_param]
-        if config.use_classification:
-            params.append(self.w_cls_head)
+        params.append(self.w_cls_head)
         return params
 
 
@@ -179,24 +178,16 @@ def total_loss(
         num_con = float(np.clip(params.w_con_param.data, *CON_NUM_BAND))
         num_cls = float(np.clip(params.w_cls_param.data, *CLS_NUM_BAND))
     else:
-        w_con = Tensor(np.asarray(config.fixed_weights[0]))
-        w_cls = Tensor(np.asarray(config.fixed_weights[1]))
-        num_con, num_cls = config.fixed_weights
-    if config.use_classification:
-        l_cls = classification_loss(img_features, params.w_cls_head, class_labels)
-        total = ad.add(ad.mul(w_con, l_con), ad.mul(w_cls, l_cls))
-        l_cls_value = l_cls.item()
-        w_cls_value = w_cls.item()
-    else:
-        total = ad.mul(w_con, l_con)
-        l_cls_value = 0.0
-        w_cls_value = 0.0
-        num_cls = CLS_NUM_BAND[0]
+        w_con = Tensor(np.asarray(FIXED_WEIGHTS[0]))
+        w_cls = Tensor(np.asarray(FIXED_WEIGHTS[1]))
+        num_con, num_cls = FIXED_WEIGHTS
+    l_cls = classification_loss(img_features, params.w_cls_head, class_labels)
+    total = ad.add(ad.mul(w_con, l_con), ad.mul(w_cls, l_cls))
     breakdown = LossBreakdown(
         l_con=l_con.item(),
-        l_cls=l_cls_value,
+        l_cls=l_cls.item(),
         w_con=w_con.item(),
-        w_cls=w_cls_value,
+        w_cls=w_cls.item(),
         tau=tau.item(),
         total=total.item(),
         w_con_num=num_con,

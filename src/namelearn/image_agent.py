@@ -4,13 +4,14 @@ Two encoding strategies over the frozen visual encoder — plain features, or
 unit-normalized features plus a small gradient-blocked residual copy — routed
 by a difficulty score that a fixed, seeded scorer estimates from the batch
 feature distribution.  ``ImageAgent.encode`` is the one routing path, for
-training rounds and evaluation alike.  Emits the batch features to the
-coordinator and a pooled visual context vector to the text agent.
+training rounds and evaluation alike.  Emits the batch features and their
+``{difficulty, strategy}`` metadata to the coordinator and a pooled visual
+context vector to the text agent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,12 +19,10 @@ from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 from .bus import (
     AgentId,
-    AgentMemory,
     FeatureBlock,
     MailboxError,
     Message,
     Metadata,
-    StrategyTag,
 )
 
 STANDARD = "standard"
@@ -140,16 +139,12 @@ class ImageAgent:
 
     # -- round protocol ---------------------------------------------------------
 
-    def open_round(self, memory: AgentMemory) -> list[Message]:
-        return []
-
-    def step(self, messages, batch, memory: AgentMemory):
-        for msg in messages:
-            if not isinstance(msg.content, Metadata):
-                raise MailboxError(f"image agent cannot handle {msg}")
+    def step(self, messages, batch) -> list[Message]:
+        if messages:
+            raise MailboxError(f"image agent cannot handle {messages[0]}")
         features, difficulty, strategy = self.encode(batch.images)
         context = self.emit_visual_context(features)
-        outputs = [
+        return [
             Message(AgentId.IMAGE, AgentId.TEXT, FeatureBlock(context, "visual_context")),
             Message(
                 AgentId.IMAGE, AgentId.COORDINATOR, FeatureBlock(features, "image_features")
@@ -159,6 +154,4 @@ class ImageAgent:
                 AgentId.COORDINATOR,
                 Metadata({"difficulty": repr(difficulty), "strategy": strategy}),
             ),
-            Message(AgentId.IMAGE, AgentId.COORDINATOR, StrategyTag(strategy)),
         ]
-        return outputs, replace(memory, step_count=memory.step_count + 1)

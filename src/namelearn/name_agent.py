@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .bus import AgentId, AgentMemory, FeatureBlock, MailboxError, Message, Metadata
+from .bus import AgentId, FeatureBlock, MailboxError, Message
 
 NAME_SLOT = -1
 SHARED_AFFINITY = "shared"
@@ -172,7 +172,6 @@ class RenderedPrompt:
 
     concept_id: int
     template_id: str
-    origin: str
     prompt_tokens: tuple[int, ...]
     name_tokens: tuple[int, ...]
     name_rows: tuple[int, ...]
@@ -189,7 +188,7 @@ class RenderedPrompt:
 def render_prompt(
     template: PromptTemplate,
     concept,
-    table: NameEmbeddingTable | None,
+    table: NameEmbeddingTable,
     frozen_names: bool = False,
 ) -> RenderedPrompt:
     """Fill the template's name slot for one concept.
@@ -198,43 +197,19 @@ def render_prompt(
     use their rows of the name table, unless ``frozen_names`` forces the
     frozen (blind) token, e.g. for the no-name-learning baseline.
     """
-    origin = (
-        "native"
-        if template.category_affinity in (concept.family, SHARED_AFFINITY)
-        else "exchanged"
-    )
     name_tokens, name_rows = (concept.name_token,), ()
     if concept.split == "ood" and not frozen_names:
-        if table is None:
-            raise MissingNameEmbeddingError(f"no table for concept {concept.id}")
         name_tokens, name_rows = (), tuple(table.rows(concept.id))
     return RenderedPrompt(
-        concept.id, template.template_id, origin, template.tokens, name_tokens, name_rows
+        concept.id, template.template_id, template.tokens, name_tokens, name_rows
     )
-
-
-@dataclass(frozen=True)
-class AugmentedPromptSet:
-    """One native rendering plus K renderings borrowed from other families."""
-
-    concept_id: int
-    entries: tuple[tuple[str, RenderedPrompt, str], ...]  # (template_id, prompt, origin)
-    family: str = field(default="")
-
-    def __post_init__(self):
-        if not any(origin == "native" for _, _, origin in self.entries):
-            raise ValueError("augmented set needs at least one native rendering")
 
 
 def context_exchange_augment(
-    concept,
-    templates: list[PromptTemplate],
-    k: int,
-    seed: int,
-    table: NameEmbeddingTable | None = None,
-    frozen_names: bool = False,
-) -> AugmentedPromptSet:
-    """One native rendering plus ``k`` foreign-family renderings, seeded.
+    concept, templates: list[PromptTemplate], k: int, seed: int
+) -> list[tuple[str, str]]:
+    """One native template plus ``k`` foreign-family ones, seeded, as
+    ``(template_id, origin)`` pairs with the native pair first.
 
     Foreign templates are drawn without replacement from templates whose
     affinity is neither the concept's family nor shared.
@@ -255,15 +230,10 @@ def context_exchange_augment(
         )
     rng = np.random.default_rng(np.random.SeedSequence([seed, concept.id]))
     native = native_pool[int(rng.integers(len(native_pool)))]
-    entries = [
-        (native.template_id, render_prompt(native, concept, table, frozen_names), "native")
-    ]
+    pairs = [(native.template_id, "native")]
     for idx in rng.choice(len(foreign_pool), size=k, replace=False):
-        t = foreign_pool[int(idx)]
-        entries.append(
-            (t.template_id, render_prompt(t, concept, table, frozen_names), "exchanged")
-        )
-    return AugmentedPromptSet(concept.id, tuple(entries), family=concept.family)
+        pairs.append((foreign_pool[int(idx)].template_id, "exchanged"))
+    return pairs
 
 
 class NameAgent:
@@ -294,42 +264,47 @@ class NameAgent:
         self.table = table
         self.vocab = vocab
         self.frozen_names = frozen_names
+        self._pooled_rows: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
 
     def render(self, concept_id: int, template_id: str) -> RenderedPrompt:
         template = self.templates[template_id]
         concept = self.concepts[concept_id]
         return render_prompt(template, concept, self.table, self.frozen_names)
 
-    def pool(self, pairs: list[tuple[int, str]]) -> Tensor:
-        """Pooled prompt embeddings ``(N, D)``, one row per (concept id,
-        template id) pair; each distinct pair is rendered once."""
-        distinct = {pair: i for i, pair in enumerate(dict.fromkeys(pairs))}
-        frozen = np.zeros((len(distinct), self.vocab.shape[1]))
-        selection = np.zeros((len(distinct), self.table.weight.shape[0]))
-        for (concept_id, template_id), i in distinct.items():
-            rendered = self.render(concept_id, template_id)
+    def _pooled_row(self, pair: tuple[int, str]) -> tuple[np.ndarray, np.ndarray]:
+        """One prompt's frozen pooled row and its weights over the table rows.
+
+        Rendered and validated on first use only: templates, names and the
+        table's row layout are fixed for the agent's lifetime (the values in
+        the table are not, which is why the selection is kept, not applied).
+        """
+        if pair not in self._pooled_rows:
+            rendered = self.render(*pair)
             ids = list(rendered.frozen_token_ids)
             for tok in ids:
                 if not 0 <= tok < len(self.vocab):
                     raise UnknownTokenError(f"token id {tok!r} outside vocabulary")
-            frozen[i] = self.vocab[ids].sum(axis=0) / rendered.spliced_length
-            selection[i, list(rendered.name_rows)] = 1.0 / rendered.spliced_length
-        index = [distinct[pair] for pair in pairs]
-        pooled = Tensor(frozen[index])
+            selection = np.zeros(self.table.weight.shape[0])
+            selection[list(rendered.name_rows)] = 1.0 / rendered.spliced_length
+            frozen = self.vocab[ids].sum(axis=0) / rendered.spliced_length
+            self._pooled_rows[pair] = frozen, selection
+        return self._pooled_rows[pair]
+
+    def pool(self, pairs: list[tuple[int, str]]) -> Tensor:
+        """Pooled prompt embeddings ``(N, D)``, one row per (concept id,
+        template id) pair."""
+        rows = [self._pooled_row(pair) for pair in pairs]
+        pooled = Tensor(np.stack([frozen for frozen, _ in rows]))
+        selection = np.stack([weights for _, weights in rows])
         if selection.any():
-            pooled = ad.add(pooled, ad.matmul(Tensor(selection[index]), self.table.weight))
+            pooled = ad.add(pooled, ad.matmul(Tensor(selection), self.table.weight))
         return pooled
 
-    def open_round(self, memory: AgentMemory) -> list[Message]:
-        return []
-
-    def step(self, messages, batch, memory: AgentMemory):
-        for msg in messages:
-            if not isinstance(msg.content, Metadata):
-                raise MailboxError(f"name agent cannot handle {msg}")
+    def step(self, messages, batch) -> list[Message]:
+        if messages:
+            raise MailboxError(f"name agent cannot handle {messages[0]}")
         block = FeatureBlock(self.pool(batch.prompt_plan), "prompts")
-        outputs = [Message(AgentId.NAME, AgentId.TEXT, block)]
-        return outputs, replace(memory, step_count=memory.step_count + 1)
+        return [Message(AgentId.NAME, AgentId.TEXT, block)]
 
 
 # ---------------------------------------------------------------------------

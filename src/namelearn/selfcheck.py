@@ -86,9 +86,9 @@ def full_loss_grad_checks(n_batches: int = 20, eps: float = 1e-5) -> SuiteReport
         def f(*_params):
             from .bus import run_round
 
-            result = run_round(session.bus, batch)
+            total = run_round(session.bus, batch).total
             session.bus.log.clear()  # keep repeated evaluation cheap
-            return result.coordinator_round.total
+            return total
 
         worst = max(worst, grad_check(f, params, eps=eps))
     return SuiteReport("full training-loss gradient check", worst, 1e-4)

@@ -4,29 +4,29 @@ The session owns everything learnable (name embeddings, context fusion,
 coordinator scalars and head), builds per-epoch batches of image-prompt pairs
 with template rotation, runs fixed-schedule bus rounds under a gradient tape,
 and evaluates by cosine retrieval against per-class text features.  The
-image agent's difficulty scorer is fixed: the loss has no path back to it.
+coordinator agent ends each round: it requires the image features, the
+``{difficulty, strategy}`` metadata and the text features, computes the loss,
+and sends nothing.  The image agent's difficulty scorer is fixed: the loss
+has no path back to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tape, Tensor, backward
 from .bus import (
     AgentId,
-    AgentMemory,
     FeatureBlock,
     MailboxError,
     Message,
     MessageBus,
     Metadata,
-    StrategyTag,
     run_round,
 )
 from .coordinator import (
-    TAU_BAND,
     Adam,
     CoordinatorConfig,
     CoordinatorParams,
@@ -74,7 +74,6 @@ class Batch:
     concept_ids: np.ndarray  # (N,) world concept ids
     class_labels: np.ndarray  # (N,) classification-head indices
     prompt_plan: list[tuple[int, str]]  # per pair: (concept_id, template_id)
-    training: bool = True
 
     @property
     def size(self) -> int:
@@ -93,8 +92,8 @@ class CoordinatorRound:
     text_features: Tensor  # (N, D), one row per pair in prompt_plan order
     difficulty: float
     strategy: str
-    total: Tensor | None
-    breakdown: LossBreakdown | None
+    total: Tensor
+    breakdown: LossBreakdown
 
 
 class CoordinatorAgent:
@@ -105,58 +104,41 @@ class CoordinatorAgent:
         self.config = config
         self.last_round: CoordinatorRound | None = None
 
-    def open_round(self, memory: AgentMemory) -> list[Message]:
-        if self.config.dynamic_temperature:
-            tau = float(np.clip(self.params.tau_param.data, *TAU_BAND))
-        else:
-            tau = 1.0
-        directives = Metadata(
-            {
-                "tau": repr(tau),
-                "w_con": repr(float(self.params.w_con_param.data)),
-                "w_cls": repr(float(self.params.w_cls_param.data)),
-            }
-        )
-        return [
-            Message(AgentId.COORDINATOR, target, directives)
-            for target in (AgentId.IMAGE, AgentId.NAME, AgentId.TEXT)
-        ]
-
-    def step(self, messages, batch: Batch, memory: AgentMemory):
+    def step(self, messages, batch: Batch) -> list[Message]:
         image_features: Tensor | None = None
         text_features: Tensor | None = None
-        difficulty = 0.5
-        strategy = "standard"
+        metadata: dict | None = None
         for msg in messages:
             c = msg.content
-            if isinstance(c, StrategyTag):
-                strategy = c.name
-            elif isinstance(c, Metadata):
-                if "difficulty" in c.entries:
-                    difficulty = float(c.entries["difficulty"])
+            if isinstance(c, Metadata):
+                metadata = c.entries
             elif isinstance(c, FeatureBlock) and c.label == "image_features":
                 image_features = c.tensor
             elif isinstance(c, FeatureBlock) and c.label == "text_features":
                 text_features = c.tensor
             else:
                 raise MailboxError(f"coordinator cannot handle {msg}")
-        if image_features is None or text_features is None:
-            raise MailboxError("coordinator round ended without image or text features")
-        total = None
-        breakdown = None
-        if batch.training:
-            total, breakdown = total_loss(
-                image_features,
-                text_features,
-                batch.match_index,
-                batch.class_labels,
-                self.params,
-                self.config,
+        if image_features is None or text_features is None or metadata is None:
+            raise MailboxError(
+                "coordinator round ended without image features, text features or metadata"
             )
-        self.last_round = CoordinatorRound(
-            image_features, text_features, difficulty, strategy, total, breakdown
+        total, breakdown = total_loss(
+            image_features,
+            text_features,
+            batch.match_index,
+            batch.class_labels,
+            self.params,
+            self.config,
         )
-        return [], replace(memory, step_count=memory.step_count + 1)
+        self.last_round = CoordinatorRound(
+            image_features,
+            text_features,
+            float(metadata["difficulty"]),
+            metadata["strategy"],
+            total,
+            breakdown,
+        )
+        return []
 
 
 @dataclass
@@ -249,16 +231,11 @@ class TrainingSession:
         exchange_seed = int(exchange_ss.generate_state(1)[0])
         pools: dict[int, list[str]] = {}
         for cid in self.world.ood_ids:
-            aug = context_exchange_augment(
-                self.world.concept(cid),
-                self.world.templates,
-                k,
-                seed=exchange_seed,
-                table=None if self.settings.disable_name_agent else self.table,
-                frozen_names=self.settings.disable_name_agent,
+            pairs = context_exchange_augment(
+                self.world.concept(cid), self.world.templates, k, seed=exchange_seed
             )
-            pool = [tid for tid, _, origin in aug.entries if origin == "native"]
-            for tid, _, origin in aug.entries:
+            pool = [tid for tid, origin in pairs if origin == "native"]
+            for tid, origin in pairs:
                 if origin == "exchanged":
                     pool += [tid] * repeats
             pools[cid] = pool
@@ -293,8 +270,7 @@ class TrainingSession:
 
     def train_step(self, batch: Batch, optimizer: Adam, lr: float) -> LossBreakdown:
         with Tape() as tape:
-            result = run_round(self.bus, batch)
-        round_info = result.coordinator_round
+            round_info = run_round(self.bus, batch)
         total = round_info.total
         if not np.isfinite(total.data):
             raise TrainingDivergedError(f"loss became {float(total.data)!r}")

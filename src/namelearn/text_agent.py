@@ -12,7 +12,7 @@ the text agent into the image agent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,11 +20,9 @@ from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 from .bus import (
     AgentId,
-    AgentMemory,
     FeatureBlock,
     MailboxError,
     Message,
-    Metadata,
 )
 
 
@@ -169,16 +167,11 @@ class TextAgent:
 
     # -- round protocol ---------------------------------------------------------
 
-    def open_round(self, memory: AgentMemory) -> list[Message]:
-        return []
-
-    def step(self, messages, batch, memory: AgentMemory):
+    def step(self, messages, batch) -> list[Message]:
         context: Tensor | None = None
         pooled: Tensor | None = None
         for msg in messages:
             c = msg.content
-            if isinstance(c, Metadata):
-                continue  # coordinator directives are informational
             if isinstance(c, FeatureBlock) and c.label == "visual_context":
                 context = c.tensor
             elif isinstance(c, FeatureBlock) and c.label == "prompts":
@@ -188,5 +181,4 @@ class TextAgent:
         if pooled is None:
             raise MailboxError("text agent round ended without prompts")
         block = FeatureBlock(self.encode(pooled, context), "text_features")
-        outputs = [Message(AgentId.TEXT, AgentId.COORDINATOR, block)]
-        return outputs, replace(memory, step_count=memory.step_count + 1)
+        return [Message(AgentId.TEXT, AgentId.COORDINATOR, block)]

@@ -5,7 +5,6 @@ import pytest
 from namelearn.autodiff import Tensor
 from namelearn.bus import (
     AgentId,
-    AgentMemory,
     EmptyBatchError,
     FeatureBlock,
     MailboxError,
@@ -13,7 +12,6 @@ from namelearn.bus import (
     MessageBus,
     Metadata,
     SelfSendError,
-    StrategyTag,
     UnregisteredAgentError,
     content_tag,
     run_round,
@@ -67,18 +65,12 @@ def test_fifo_order_per_pair():
 
 def test_content_tags():
     assert content_tag(fb()) == "feature"
-    assert content_tag(StrategyTag("robust")) == "strategy"
     assert content_tag(Metadata({"k": "v"})) == "metadata"
 
 
 def test_feature_block_reports_feature_dim():
     block = FeatureBlock(Tensor(np.zeros((3, 7))), "image_features")
     assert block.feature_dim == 7
-
-
-def test_agent_memory_invariants():
-    with pytest.raises(ValueError):
-        AgentMemory(step_count=-1)
 
 
 def test_log_records_payload_summary():
@@ -93,8 +85,9 @@ def test_log_records_payload_summary():
 def test_serialize_log_jsonl(tmp_path):
     bus = MessageBus()
     bus.round_index = 3
-    bus.send(Message(AgentId.IMAGE, AgentId.COORDINATOR, Metadata({"difficulty": "0.5"})))
-    bus.send(Message(AgentId.IMAGE, AgentId.COORDINATOR, StrategyTag("standard")))
+    entries = {"difficulty": "0.5", "strategy": "standard"}
+    bus.send(Message(AgentId.IMAGE, AgentId.COORDINATOR, Metadata(entries)))
+    bus.send(Message(AgentId.IMAGE, AgentId.COORDINATOR, fb(label="image_features")))
     path = tmp_path / "log.jsonl"
     bus.serialize_log(path)
     lines = [json.loads(line) for line in path.read_text().splitlines()]
@@ -103,9 +96,10 @@ def test_serialize_log_jsonl(tmp_path):
         "sender": "Image",
         "receiver": "Coordinator",
         "content_tag": "metadata",
-        "payload_summary": {"keys": ["difficulty"]},
+        "payload_summary": {"keys": ["difficulty", "strategy"]},
     }
-    assert lines[1]["payload_summary"] == {"tag": "standard"}
+    assert lines[1]["content_tag"] == "feature"
+    assert lines[1]["payload_summary"] == {"shape": [2], "first": [1.0, 2.0]}
 
 
 def test_log_keeps_only_summary_values_over_default_rounds(tmp_path):
@@ -128,7 +122,7 @@ def test_log_keeps_only_summary_values_over_default_rounds(tmp_path):
         for line in lines
     )
     # The last round's image features, summarized by shape and first four values.
-    image = rounds[-1].coordinator_round.image_features.data
+    image = rounds[-1].image_features.data
     last = [
         line
         for line, rec in zip(lines, session.bus.log)
@@ -174,8 +168,7 @@ def test_run_round_rejects_empty_batch(world):
 def test_run_round_coordinator_collects_artifacts(world):
     session = make_session(world)
     batch = make_batch(world, session, k=2)
-    result = run_round(session.bus, batch)
-    info = result.coordinator_round
+    info = run_round(session.bus, batch)
     assert info.image_features.shape == (batch.size, world.config.embed_dim)
     assert info.text_features.shape == (batch.size, world.config.embed_dim)
     assert 0.0 < info.difficulty < 1.0
@@ -196,14 +189,6 @@ def test_run_round_lossless_delivery(world):
     assert session.bus.sent_count == len(session.bus.log)
 
 
-def test_step_counts_advance_once_per_round(world):
-    session = make_session(world)
-    for expected in (1, 2):
-        run_round(session.bus, make_batch(world, session, epoch=expected - 1))
-        for agent_id in AgentId:
-            assert session.bus.memories[agent_id].step_count == expected
-
-
 def test_round_determinism_same_seed(world):
     triples = []
     for _ in range(2):
@@ -219,9 +204,8 @@ def test_step_agent_deterministic_given_inputs_and_memory(world):
     session_a = make_session(world, seed=4)
     session_b = make_session(world, seed=4)
     batch = make_batch(world, session_a)
-    out_a, mem_a = session_a.image_agent.step([], batch, AgentMemory())
-    out_b, mem_b = session_b.image_agent.step([], batch, AgentMemory())
-    assert mem_a == mem_b
+    out_a = session_a.image_agent.step([], batch)
+    out_b = session_b.image_agent.step([], batch)
     assert len(out_a) == len(out_b)
     for ma, mb in zip(out_a, out_b):
         if isinstance(ma.content, FeatureBlock):
@@ -235,4 +219,28 @@ def test_malformed_mailbox_content_raises_typed_error(world):
     batch = make_batch(world, session)
     bad = Message(AgentId.NAME, AgentId.IMAGE, fb(label="image_features"))
     with pytest.raises(MailboxError):
-        session.image_agent.step([bad], batch, AgentMemory())
+        session.image_agent.step([bad], batch)
+
+
+def test_round_sends_only_messages_with_a_reader():
+    world = build_world(WorldConfig())
+    session = make_session(world)
+    batch = make_batch(world, session, k=16)
+    run_round(session.bus, batch)
+    assert [(r.sender, r.receiver, r.tag, r.label) for r in session.bus.log] == [
+        (AgentId.IMAGE, AgentId.TEXT, "feature", "visual_context"),
+        (AgentId.IMAGE, AgentId.COORDINATOR, "feature", "image_features"),
+        (AgentId.IMAGE, AgentId.COORDINATOR, "metadata", None),
+        (AgentId.NAME, AgentId.TEXT, "feature", "prompts"),
+        (AgentId.TEXT, AgentId.COORDINATOR, "feature", "text_features"),
+    ]
+    metadata = Metadata({"difficulty": "0.5", "strategy": "standard"})
+    for agent in (session.image_agent, session.name_agent, session.text_agent):
+        with pytest.raises(MailboxError):
+            agent.step([Message(AgentId.COORDINATOR, agent.agent_id, metadata)], batch)
+    to_text, image_features, image_metadata = session.image_agent.step([], batch)
+    (prompts,) = session.name_agent.step([], batch)
+    (text_features,) = session.text_agent.step([to_text, prompts], batch)
+    with pytest.raises(MailboxError, match="metadata"):
+        session.coordinator.step([image_features, text_features], batch)
+    assert session.coordinator.step([image_features, image_metadata, text_features], batch) == []

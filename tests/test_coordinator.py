@@ -265,19 +265,10 @@ def test_total_loss_weighted_sum():
     assert total.item() == bd.total
 
 
-def test_total_loss_classification_switched_off():
-    rng = np.random.default_rng(1)
-    img, txt, y, labels, params = _synthetic_round(rng)
-    cfg = CoordinatorConfig(use_classification=False)
-    total, bd = total_loss(img, txt, y, labels, params, cfg)
-    assert bd.l_cls == 0.0 and bd.w_cls == 0.0
-    assert total.item() == pytest.approx(bd.w_con * bd.l_con, abs=1e-15)
-
-
 def test_total_loss_literal_tau_cancellation_makes_tau_inert():
     rng = np.random.default_rng(2)
     img, txt, y, labels, params = _synthetic_round(rng)
-    cfg = CoordinatorConfig(literal_tau_cancellation=True, use_classification=False)
+    cfg = CoordinatorConfig(literal_tau_cancellation=True)
     params.tau_param.data = np.asarray(0.7)
     _, bd_a = total_loss(img, txt, y, labels, params, cfg)
     params.tau_param.data = np.asarray(1.9)

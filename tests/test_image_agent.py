@@ -5,7 +5,7 @@ import pytest
 
 from namelearn import autodiff as ad
 from namelearn.autodiff import DomainError, ShapeError, Tape, Tensor, backward, grad_check
-from namelearn.bus import AgentMemory, Metadata
+from namelearn.bus import Metadata
 from namelearn.image_agent import (
     DifficultyEstimator,
     ImageAgent,
@@ -134,7 +134,7 @@ def test_encode_is_the_round_routing(agent, threshold):
     assert strategy == select_strategy(difficulty, threshold)
     encoder = agent.encode_standard if strategy == "standard" else agent.encode_robust
     assert np.array_equal(features.data, encoder(Tensor(images)).data)
-    out, _ = agent.step([], SimpleNamespace(images=images), AgentMemory())
+    out = agent.step([], SimpleNamespace(images=images))
     (sent,) = [m.content for m in out if getattr(m.content, "label", "") == "image_features"]
     assert np.array_equal(sent.tensor.data, features.data)
     assert Metadata({"difficulty": repr(difficulty), "strategy": strategy}) in [

@@ -7,7 +7,6 @@ import pytest
 
 from namelearn.name_agent import (
     NAME_SLOT,
-    AugmentedPromptSet,
     FrozenNameError,
     InsufficientTemplatesError,
     MissingNameEmbeddingError,
@@ -167,46 +166,42 @@ def test_training_rejects_negative_template_token():
         session.train(shots, epochs=1, lr=1e-3)
 
 
-def test_exchange_k0_native_only(world, table):
+def test_exchange_k0_native_only(world):
     concept = world.concept(world.ood_ids[0])
-    aug = context_exchange_augment(concept, world.templates, 0, seed=7, table=table)
-    assert len(aug.entries) == 1
-    assert aug.entries[0][2] == "native"
+    by_id = {t.template_id: t for t in world.templates}
+    pairs = context_exchange_augment(concept, world.templates, 0, seed=7)
+    assert len(pairs) == 1
+    ((tid, origin),) = pairs
+    assert origin == "native"
+    assert by_id[tid].category_affinity == concept.family
 
 
-def test_exchange_deterministic_under_seed(world, table):
+def test_exchange_deterministic_under_seed(world):
     concept = world.concept(world.ood_ids[1])
-    a = context_exchange_augment(concept, world.templates, 2, seed=3, table=table)
-    b = context_exchange_augment(concept, world.templates, 2, seed=3, table=table)
-    assert [e[0] for e in a.entries] == [e[0] for e in b.entries]
+    a = context_exchange_augment(concept, world.templates, 2, seed=3)
+    b = context_exchange_augment(concept, world.templates, 2, seed=3)
+    assert a == b
 
 
-def test_exchange_entries_have_foreign_affinity(world, table):
+def test_exchange_entries_have_foreign_affinity(world):
     concept = world.concept(world.ood_ids[2])
     by_id = {t.template_id: t for t in world.templates}
-    aug = context_exchange_augment(concept, world.templates, 4, seed=5, table=table)
-    exchanged = [e for e in aug.entries if e[2] == "exchanged"]
+    pairs = context_exchange_augment(concept, world.templates, 4, seed=5)
+    assert pairs[0][1] == "native"
+    exchanged = [tid for tid, origin in pairs if origin == "exchanged"]
     assert len(exchanged) == 4
-    for tid, _, _ in exchanged:
-        assert by_id[tid].category_affinity != concept.family
+    assert len(set(exchanged)) == 4  # drawn without replacement
+    for tid in exchanged:
+        assert by_id[tid].category_affinity not in (concept.family, "shared")
 
 
-def test_exchange_insufficient_foreign_templates(world, table):
+def test_exchange_insufficient_foreign_templates(world):
     concept = world.concept(world.ood_ids[0])
-    native_only = [t for t in world.templates if t.category_affinity == concept.family]
-    with pytest.raises(InsufficientTemplatesError) as exc:
-        context_exchange_augment(concept, native_only, 2, seed=0, table=table)
-    assert "0" in str(exc.value)
-
-
-def test_augmented_set_requires_native():
-    rp = render_prompt(
-        PromptTemplate("x_0", (5, NAME_SLOT), "x"),
-        type("C", (), {"id": 9, "split": "seen", "name_token": 6, "family": "y"})(),
-        None,
-    )
-    with pytest.raises(ValueError):
-        AugmentedPromptSet(9, ((("x_0"), rp, "exchanged"),))
+    native = [t for t in world.templates if t.category_affinity == concept.family]
+    foreign = [t for t in world.templates if t.category_affinity != concept.family]
+    for kept, message in ((native, "only 0 available"), (foreign, "no native templates")):
+        with pytest.raises(InsufficientTemplatesError, match=message):
+            context_exchange_augment(concept, kept, 2, seed=0)
 
 
 def test_template_bank_shape():

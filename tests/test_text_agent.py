@@ -5,7 +5,7 @@ import pytest
 
 from namelearn import autodiff as ad
 from namelearn.autodiff import ShapeError, Tape, Tensor, backward, grad_check
-from namelearn.bus import AgentId, AgentMemory, FeatureBlock, Message
+from namelearn.bus import AgentId, FeatureBlock, Message
 from namelearn.name_agent import (
     NAME_SLOT,
     NameAgent,
@@ -177,7 +177,7 @@ def test_contextual_lambda_one_equals_standard(world, namer):
     std = standard(world, rows)
     assert np.array_equal(agent.encode(rows, context(world, 1)).data, std.data)
     # At the endpoint the round needs no visual context at all.
-    out, _ = agent.step([prompt_message(rows)], None, AgentMemory())
+    out = agent.step([prompt_message(rows)], None)
     assert out[0].content.label == "text_features"
     assert np.array_equal(out[0].content.tensor.data, std.data)
 
@@ -195,7 +195,7 @@ def test_contextual_missing_context_is_error(world, namer):
     agent = make_agent(world, lambda_mix=0.5)
     rows = pooled(world, namer, world.seen_ids[0])
     with pytest.raises(MissingContextError, match="lambda_mix=1"):
-        agent.step([prompt_message(rows)], None, AgentMemory())
+        agent.step([prompt_message(rows)], None)
 
 
 def test_contextual_halfway_with_constant_fusion(world, namer):
