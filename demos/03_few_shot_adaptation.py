@@ -38,11 +38,11 @@ print("Held-out accuracy rises from collapsed to near the visual ceiling while")
 print("seen-concept accuracy is untouched: the frozen encoders never moved,")
 print("only the name embeddings (plus fusion and coordinator scalars) did.")
 
-# The message log is a compact protocol trace: who sent what, each feature
-# payload summarized by its shape and first four values.  A round is five
-# messages: visual context, image features and {difficulty, strategy}
-# metadata from the image agent, pooled prompts from the name agent, and
-# text features from the text agent.
-print(f"\nbus log: {len(session.bus.log)} messages over {session.bus.round_index} rounds")
-for record in session.bus.log[:5]:
+# The message log is a compact protocol trace of the last round: who sent
+# what, each feature payload summarized by its shape and first four values.
+# A round is five messages: visual context, image features and {difficulty,
+# strategy} metadata from the image agent, pooled prompts from the name agent,
+# and text features from the text agent.
+print(f"\nbus log of round {session.bus.round_index}: {len(session.bus.log)} messages")
+for record in session.bus.log:
     print("  ", record.summary())

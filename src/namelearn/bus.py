@@ -7,7 +7,8 @@ the coordinator), the name agent's pooled prompts (to the text agent) and the
 text agent's features (to the coordinator).  Delivery is FIFO per (sender,
 receiver) pair.  Every send is appended to a log that keeps, per message,
 what ``serialize_log`` writes: a feature payload's shape and first four
-values, or the metadata keys.
+values, or the metadata keys.  ``run_round`` empties the log when a round
+starts, so it holds the current round only.
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ def run_round(bus: MessageBus, batch):
     """One fixed-schedule round: Image, Name, Text, then Coordinator.
 
     Returns the coordinator's ``CoordinatorRound``; every mailbox must be
-    empty when the round ends.
+    empty when the round ends.  The bus log keeps this round's messages only.
     """
     missing = [a.value for a in AgentId if a not in bus.agents]
     if missing:
@@ -195,6 +196,7 @@ def run_round(bus: MessageBus, batch):
     if batch.size == 0:
         raise EmptyBatchError("round started on an empty batch")
     bus.round_index += 1
+    bus.log.clear()
     for agent_id in ROUND_ORDER:
         for msg in bus.agents[agent_id].step(bus.drain(agent_id), batch):
             bus.send(msg)

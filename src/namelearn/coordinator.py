@@ -22,6 +22,8 @@ CON_NUM_BAND = (0.5, 2.0)
 CLS_NUM_BAND = (0.1, 1.0)
 # Contrastive and classification weights when dynamic balancing is off.
 FIXED_WEIGHTS = (0.5, 0.5)
+# Learning rates Adam accepts.
+LR_BAND = (1e-6, 1e-1)
 
 
 class DegenerateWeightsError(ValueError):
@@ -211,8 +213,8 @@ class Adam:
         beta2: float = 0.999,
         eps: float = 1e-8,
     ):
-        if not 1e-6 <= lr <= 1e-1:
-            raise ValueError(f"lr {lr} outside [1e-6, 1e-1]")
+        if not LR_BAND[0] <= lr <= LR_BAND[1]:
+            raise ValueError(f"lr {lr} outside [{LR_BAND[0]:g}, {LR_BAND[1]:g}]")
         self.params = list(params)
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import DomainError
-from .coordinator import LossBreakdown, NanGradientError
+from .coordinator import LR_BAND, LossBreakdown, NanGradientError
 from .session import SessionSettings, TrainingDivergedError, TrainingSession
 from .world import World, WorldConfig, build_world
 
@@ -56,32 +56,15 @@ class AblationError(ValueError):
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(SessionSettings):
+    """The session settings plus the grid and the world they run on."""
+
     world: WorldConfig = WorldConfig()
     shots: tuple[int, ...] = (0, 1, 2, 4, 8, 16)
     seeds: tuple[int, ...] = (0, 1, 2)
     lrs: tuple[float, ...] = (1e-5, 1e-4, 1e-3)
     epochs: int = 200
-    alpha: float = 0.1
-    lambda_mix: float = 0.7
-    n_name_vectors: int = 1
-    name_init: str = "vocab_mean"
-    exchange_k: int = 2
-    exchange_weight: float = 1.0
-    difficulty_threshold: float = 0.5
-    difficulty_mode: str = "batch_mean"
     n_test_per_class: int = 200
-    eval_label_space: str = "joint"  # or "ood_only"
-    literal_tau_cancellation: bool = False
-    learnable_lambda: bool = False
-    disable_image_agent_robust: bool = False
-    disable_text_context: bool = False
-    disable_name_agent: bool = False
-    disable_coordinator_dynamics: bool = False
-    disable_context_exchange: bool = False
-    simple_concat_fusion: bool = False
-    disable_difficulty: bool = False
-    disable_dynamic_balancing: bool = False
 
     def __post_init__(self):
         for name in ("shots", "seeds", "lrs"):
@@ -95,33 +78,17 @@ class ExperimentConfig:
             raise ConfigError("shots must be nonnegative")
         if list(self.shots) != sorted(self.shots):
             raise ConfigError("shots must be ascending")
-        if self.eval_label_space not in ("joint", "ood_only"):
-            raise ConfigError(f"unknown eval_label_space {self.eval_label_space!r}")
+        if any(s < 0 for s in self.seeds):
+            raise ConfigError("seeds must be nonnegative")
+        for lr in self.lrs:
+            if not LR_BAND[0] <= lr <= LR_BAND[1]:
+                raise ConfigError(f"lr {lr} outside [{LR_BAND[0]:g}, {LR_BAND[1]:g}]")
 
     def active_ablations(self) -> list[str]:
         return [name for name in ABLATION_FLAGS if getattr(self, name)]
 
     def settings(self) -> SessionSettings:
-        return SessionSettings(
-            alpha=self.alpha,
-            difficulty_threshold=self.difficulty_threshold,
-            difficulty_mode=self.difficulty_mode,
-            lambda_mix=self.lambda_mix,
-            learnable_lambda=self.learnable_lambda,
-            n_name_vectors=self.n_name_vectors,
-            name_init=self.name_init,
-            exchange_k=self.exchange_k,
-            exchange_weight=self.exchange_weight,
-            literal_tau_cancellation=self.literal_tau_cancellation,
-            disable_image_agent_robust=self.disable_image_agent_robust,
-            disable_text_context=self.disable_text_context,
-            disable_name_agent=self.disable_name_agent,
-            disable_coordinator_dynamics=self.disable_coordinator_dynamics,
-            disable_context_exchange=self.disable_context_exchange,
-            simple_concat_fusion=self.simple_concat_fusion,
-            disable_difficulty=self.disable_difficulty,
-            disable_dynamic_balancing=self.disable_dynamic_balancing,
-        )
+        return SessionSettings(**{f.name: getattr(self, f.name) for f in fields(SessionSettings)})
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -179,15 +146,15 @@ def _test_split(world: World, ids: list[int], per_class: int):
     return world.sample_split(ids, per_class, seed=TEST_STREAM)
 
 
-def run_cell(config: ExperimentConfig, shot: int, seed: int, lr: float) -> CellResult:
-    """One grid cell: build, optionally train, evaluate.  Never raises on
-    training divergence; the failure is recorded on the cell."""
+def _train_and_score(
+    config: ExperimentConfig, world: World, shot: int, seed: int, lr: float, split: str, score
+) -> CellResult:
+    """Build a session, train it on ``shot`` images per held-out class (0:
+    untrained), then ``score(session)`` gives the (seen, held-out) accuracies.
+    Never raises on training divergence; the failure is recorded on the cell."""
     start = time.perf_counter()
-    world = build_world(config.world)
     session = TrainingSession(world, config.settings(), seed=seed)
-    joint = config.eval_label_space == "joint"
-    label_ids = world.seen_ids + world.ood_ids if joint else world.ood_ids
-    cell = CellResult(shot=shot, seed=seed, lr=lr, split=config.eval_label_space)
+    cell = CellResult(shot=shot, seed=seed, lr=lr, split=split)
     try:
         if shot > 0:
             shots = {
@@ -195,10 +162,7 @@ def run_cell(config: ExperimentConfig, shot: int, seed: int, lr: float) -> CellR
                 for cid in world.ood_ids
             }
             session.train(shots, epochs=config.epochs, lr=lr)
-        images, labels = _test_split(world, label_ids, config.n_test_per_class)
-        scores = session.evaluate(images, labels, label_ids)
-        cell.ood_acc = scores.get("ood")
-        cell.sc_acc = scores.get("seen")
+        cell.sc_acc, cell.ood_acc = score(session)
         if cell.sc_acc is not None and cell.ood_acc is not None:
             cell.harm_acc = harmonic_accuracy(cell.sc_acc, cell.ood_acc)
         cell.breakdown = (
@@ -211,6 +175,20 @@ def run_cell(config: ExperimentConfig, shot: int, seed: int, lr: float) -> CellR
         cell.error = f"{type(exc).__name__}: {exc}"
     cell.wall_time = time.perf_counter() - start
     return cell
+
+
+def run_cell(config: ExperimentConfig, shot: int, seed: int, lr: float) -> CellResult:
+    """One grid cell: build, optionally train, evaluate in the joint label
+    space of seen and held-out concepts."""
+    world = build_world(config.world)
+    label_ids = world.seen_ids + world.ood_ids
+
+    def score(session: TrainingSession) -> tuple[float | None, float | None]:
+        images, labels = _test_split(world, label_ids, config.n_test_per_class)
+        scores = session.evaluate(images, labels, label_ids)
+        return scores.get("seen"), scores.get("ood")
+
+    return _train_and_score(config, world, shot, seed, lr, "joint", score)
 
 
 def _map(fn, tasks, jobs: int) -> list:
@@ -242,41 +220,15 @@ def _zero_shot_split(config: ExperimentConfig, seed: int, lr: float) -> list[Cel
     seen_x, seen_y = _test_split(world, world.seen_ids, per_class)
     ood_x, ood_y = _test_split(world, world.ood_ids, per_class)
 
-    def split_eval(session: TrainingSession) -> tuple[float, float]:
+    def score(session: TrainingSession) -> tuple[float, float]:
         sc = session.evaluate(seen_x, seen_y, world.seen_ids)["seen"]
         ood = session.evaluate(ood_x, ood_y, world.ood_ids)["ood"]
         return sc, ood
 
-    start = time.perf_counter()
-    baseline = TrainingSession(world, config.settings(), seed=seed)
-    sc, ood = split_eval(baseline)
-    base_cell = CellResult(
-        shot=0, seed=seed, lr=0.0, split="per_split",
-        sc_acc=sc, ood_acc=ood, harm_acc=harmonic_accuracy(sc, ood),
-        wall_time=time.perf_counter() - start,
-    )
-
-    start = time.perf_counter()
-    trained_cell = CellResult(shot=16, seed=seed, lr=lr, split="per_split")
-    session = TrainingSession(world, config.settings(), seed=seed)
-    try:
-        shots = {
-            cid: world.sample_images(cid, 16, seed=SHOT_STREAM * seed + 16)
-            for cid in world.ood_ids
-        }
-        session.train(shots, epochs=config.epochs, lr=lr)
-        sc, ood = split_eval(session)
-        trained_cell.sc_acc = sc
-        trained_cell.ood_acc = ood
-        trained_cell.harm_acc = harmonic_accuracy(sc, ood)
-        trained_cell.breakdown = session.step_records[-1].breakdown
-        ood_tokens = {world.concept(cid).name_token for cid in world.ood_ids}
-        trained_cell.mask_ok = not (session.training_token_audit() & ood_tokens)
-    except RECOVERABLE as exc:
-        trained_cell.status = "failed"
-        trained_cell.error = f"{type(exc).__name__}: {exc}"
-    trained_cell.wall_time = time.perf_counter() - start
-    return [base_cell, trained_cell]
+    return [
+        _train_and_score(config, world, 0, seed, 0.0, "per_split", score),
+        _train_and_score(config, world, 16, seed, lr, "per_split", score),
+    ]
 
 
 def run_zero_shot(config: ExperimentConfig, jobs: int = 1) -> RunResult:

@@ -1,10 +1,11 @@
 """Learnable name embeddings and prompt generation for new concepts.
 
-Concepts whose names are missing from the frozen vocabulary get a small set
-of trainable vectors that are spliced into prompt templates in place of the
-name token.  Template banks are organized by concept family so that a
-concept's name can also be rendered inside templates authored for *other*
-families (context exchange), multiplying its training views.
+Concepts whose names are missing from the frozen vocabulary get trainable
+vectors (one per name when a session starts) that are spliced into prompt
+templates in place of the name token.  Template banks are organized by
+concept family so that a concept's name can also be rendered inside templates
+authored for *other* families (context exchange), multiplying its training
+views.
 """
 
 from __future__ import annotations
@@ -24,10 +25,6 @@ NAME_SLOT = -1
 SHARED_AFFINITY = "shared"
 
 CHECKPOINT_MAGIC = b"NLNAMES/1\n"
-
-
-class FrozenNameError(ValueError):
-    """Attempt to create learnable embeddings for an in-vocabulary name."""
 
 
 class MissingNameEmbeddingError(KeyError):
@@ -121,43 +118,6 @@ class NameEmbeddingTable:
 
     def parameters(self) -> list[Tensor]:
         return [self.weight] if self._rows else []
-
-
-def init_name_embeddings(
-    table: NameEmbeddingTable,
-    concept,
-    n_vectors: int,
-    policy: str,
-    vocab: np.ndarray,
-    oov_token: int,
-    rng: np.random.Generator | None = None,
-) -> None:
-    """Create and register ``n_vectors`` learnable vectors for an OOV concept.
-
-    Policies: ``zero``; ``random`` (small gaussian); ``vocab_mean`` (every
-    vector starts at the mean of the frozen vocabulary rows, the reserved
-    out-of-vocabulary row excluded).
-    """
-    if concept.split != "ood":
-        raise FrozenNameError(
-            f"concept {concept.id} is in-vocabulary; its name stays frozen"
-        )
-    if n_vectors < 1:
-        raise ValueError(f"n_vectors must be >= 1, got {n_vectors}")
-    dim = table.embed_dim
-    if policy == "zero":
-        make = lambda i: np.zeros(dim)
-    elif policy == "random":
-        if rng is None:
-            raise ValueError("policy 'random' needs an rng")
-        make = lambda i: rng.normal(scale=0.02, size=dim)
-    elif policy == "vocab_mean":
-        rows = np.delete(vocab, oov_token, axis=0)
-        mean = rows.mean(axis=0)
-        make = lambda i: mean.copy()
-    else:
-        raise ValueError(f"unknown init policy {policy!r}")
-    table.add(concept.id, np.stack([make(i) for i in range(n_vectors)]))
 
 
 @dataclass

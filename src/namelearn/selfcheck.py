@@ -84,11 +84,11 @@ def full_loss_grad_checks(n_batches: int = 20, eps: float = 1e-5) -> SuiteReport
         params = session.trainable_parameters()
 
         def f(*_params):
+            # Looked up per call, so instrumentation that patches
+            # ``namelearn.bus.run_round`` sees every evaluation.
             from .bus import run_round
 
-            total = run_round(session.bus, batch).total
-            session.bus.log.clear()  # keep repeated evaluation cheap
-            return total
+            return run_round(session.bus, batch).total
 
         worst = max(worst, grad_check(f, params, eps=eps))
     return SuiteReport("full training-loss gradient check", worst, 1e-4)

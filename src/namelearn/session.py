@@ -1,13 +1,14 @@
 """One training session: four agents, a bus, an optimizer, and a world.
 
 The session owns everything learnable (name embeddings, context fusion,
-coordinator scalars and head), builds per-epoch batches of image-prompt pairs
-with template rotation, runs fixed-schedule bus rounds under a gradient tape,
-and evaluates by cosine retrieval against per-class text features.  The
-coordinator agent ends each round: it requires the image features, the
-``{difficulty, strategy}`` metadata and the text features, computes the loss,
-and sends nothing.  The image agent's difficulty scorer is fixed: the loss
-has no path back to it.
+coordinator scalars and head; each held-out name starts as one vector at the
+mean of the frozen vocabulary rows, the reserved blind row excluded), builds
+per-epoch batches of image-prompt pairs with template rotation, runs
+fixed-schedule bus rounds under a gradient tape, and evaluates by cosine
+retrieval against per-class text features.  The coordinator agent ends each
+round: it requires the image features, the ``{difficulty, strategy}``
+metadata and the text features, computes the loss, and sends nothing.  The
+image agent's difficulty scorer is fixed: the loss has no path back to it.
 """
 
 from __future__ import annotations
@@ -34,9 +35,12 @@ from .coordinator import (
     total_loss,
 )
 from .image_agent import ImageAgent, ImageAgentConfig
-from .name_agent import NameAgent, NameEmbeddingTable, context_exchange_augment, init_name_embeddings
+from .name_agent import NameAgent, NameEmbeddingTable, context_exchange_augment
 from .text_agent import TextAgent, TextAgentConfig
 from .world import World
+
+# Foreign-family templates each held-out concept borrows (context exchange).
+EXCHANGE_K = 2
 
 
 class TrainingDivergedError(RuntimeError):
@@ -50,10 +54,6 @@ class SessionSettings:
     difficulty_mode: str = "batch_mean"
     lambda_mix: float = 0.7
     learnable_lambda: bool = False
-    n_name_vectors: int = 1
-    name_init: str = "vocab_mean"
-    exchange_k: int = 2
-    exchange_weight: float = 1.0
     literal_tau_cancellation: bool = False
     disable_image_agent_robust: bool = False
     disable_text_context: bool = False
@@ -156,21 +156,15 @@ class TrainingSession:
         self.settings = settings
         self.seed = seed
         ss = np.random.SeedSequence([seed, world.config.seed, 0xA6E57])
-        name_rng, difficulty_rng, fusion_rng, exchange_ss = ss.spawn(4)
+        # The first stream is unused; it stays spawned so the others keep
+        # their seeds.
+        _, difficulty_rng, fusion_rng, exchange_ss = ss.spawn(4)
 
         self.table = NameEmbeddingTable(world.config.embed_dim)
         if not settings.disable_name_agent:
-            rng = np.random.default_rng(name_rng)
+            mean = np.delete(world.vocab, world.oov_token, axis=0).mean(axis=0)
             for cid in world.ood_ids:
-                init_name_embeddings(
-                    self.table,
-                    world.concept(cid),
-                    settings.n_name_vectors,
-                    settings.name_init,
-                    world.vocab,
-                    world.oov_token,
-                    rng,
-                )
+                self.table.add(cid, mean[None, :])
 
         self.image_agent = ImageAgent(
             world.gen_map,
@@ -224,21 +218,16 @@ class TrainingSession:
     # -- setup ----------------------------------------------------------------
 
     def _build_prompt_pools(self, exchange_ss) -> dict[int, list[str]]:
-        """Per-concept rotation of template ids: one native plus K exchanged,
-        exchanged entries repeated per the configured weight."""
-        k = 0 if self.settings.disable_context_exchange else self.settings.exchange_k
-        repeats = max(0, int(round(self.settings.exchange_weight)))
+        """Per-concept rotation of template ids: the native template, then the
+        ``EXCHANGE_K`` exchanged ones (none with context exchange disabled)."""
+        k = 0 if self.settings.disable_context_exchange else EXCHANGE_K
         exchange_seed = int(exchange_ss.generate_state(1)[0])
         pools: dict[int, list[str]] = {}
         for cid in self.world.ood_ids:
             pairs = context_exchange_augment(
                 self.world.concept(cid), self.world.templates, k, seed=exchange_seed
             )
-            pool = [tid for tid, origin in pairs if origin == "native"]
-            for tid, origin in pairs:
-                if origin == "exchanged":
-                    pool += [tid] * repeats
-            pools[cid] = pool
+            pools[cid] = [tid for tid, _ in pairs]
         return pools
 
     def trainable_parameters(self) -> list[Tensor]:

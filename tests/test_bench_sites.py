@@ -1,25 +1,36 @@
-"""Every function the benchmark's recorders patch is where they look for it.
+"""Everything the benchmark calls in the package is where it looks for it.
 
 ``bench/spans.py`` wraps each ``SPAN_SITES`` entry by reading
-``vars(owner)[attribute]``, so a refactor that moves or renames one of those
-functions would otherwise only fail when the benchmark runs.
+``vars(owner)[attribute]``, and ``bench/run_bench.py`` builds each workload's
+``ExperimentConfig`` and first session through ``settings()``.  A refactor
+that moves or renames one of those would otherwise only fail when the
+benchmark runs.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+import pytest
+
+from namelearn.session import TrainingSession
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
+RUN_BENCH = load("run_bench")
+
+
 def test_every_span_site_is_an_own_attribute_of_its_owner():
-    spans = load_spans()
+    spans = load("spans")
     missing = []
     for name, sites in spans.SPAN_SITES.items():
         for module, cls, attr in sites:
@@ -31,3 +42,9 @@ def test_every_span_site_is_an_own_attribute_of_its_owner():
                 missing.append(f"{name}: {module}.{cls or ''}{'.' if cls else ''}{attr}")
     assert spans.SPAN_SITES
     assert not missing, missing
+
+
+@pytest.mark.parametrize("workload", RUN_BENCH.WORKLOADS)
+def test_every_workload_config_sets_up_a_session(workload):
+    config = RUN_BENCH.experiment(workload, 0, tiny=True)
+    assert isinstance(RUN_BENCH.set_up(config), TrainingSession)

@@ -109,6 +109,9 @@ def test_log_keeps_only_summary_values_over_default_rounds(tmp_path):
         run_round(session.bus, make_batch(world, session, k=16, epoch=e))
         for e in range(3)
     ]
+    # The log holds the current round only.
+    assert len(session.bus.log) == 5
+    assert all(rec.round_index == 3 for rec in session.bus.log)
     features = [rec for rec in session.bus.log if rec.tag == "feature"]
     assert features
     assert all(rec.values.size <= 4 for rec in features)

@@ -52,6 +52,8 @@ def test_config_validates_shots_and_seeds():
         dict(lrs=()),
         dict(epochs=0),
         dict(n_test_per_class=0),
+        dict(lrs=(0.5,)),
+        dict(seeds=(-1,)),
     ):
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
@@ -85,11 +87,27 @@ def test_config_file_roundtrip(tmp_path):
     assert cfg.world.embed_dim == 16
 
 
-def test_config_file_unknown_key(tmp_path):
+@pytest.mark.parametrize(
+    "line",
+    [
+        "not_a_field = 3",
+        # Deleted knobs: one name vector, vocabulary-mean start, two exchanged
+        # templates and joint evaluation are fixed.
+        "n_name_vectors = 1",
+        "name_init = vocab_mean",
+        "exchange_k = 2",
+        "exchange_weight = 1.0",
+        "eval_label_space = joint",
+    ],
+    ids=lambda line: line.split(" ")[0],
+)
+def test_config_file_unknown_key(tmp_path, line):
     path = tmp_path / "bad.cfg"
-    path.write_text("not_a_field = 3\n")
+    path.write_text(line + "\n")
     with pytest.raises(ConfigError):
         parse_config_file(path)
+    assert main(["few-shot", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_bad_bool():

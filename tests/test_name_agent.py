@@ -7,7 +7,6 @@ import pytest
 
 from namelearn.name_agent import (
     NAME_SLOT,
-    FrozenNameError,
     InsufficientTemplatesError,
     MissingNameEmbeddingError,
     NameAgent,
@@ -16,7 +15,6 @@ from namelearn.name_agent import (
     UnknownTokenError,
     build_template_bank,
     context_exchange_augment,
-    init_name_embeddings,
     load_name_table,
     render_prompt,
     save_name_table,
@@ -36,12 +34,11 @@ def world():
 
 @pytest.fixture()
 def table(world):
+    # Two vectors per held-out name, both at the vocabulary mean.
     t = NameEmbeddingTable(world.config.embed_dim)
-    rng = np.random.default_rng(0)
+    mean = np.delete(world.vocab, world.oov_token, axis=0).mean(axis=0)
     for cid in world.ood_ids:
-        init_name_embeddings(
-            t, world.concept(cid), 2, "vocab_mean", world.vocab, world.oov_token, rng
-        )
+        t.add(cid, np.stack([mean, mean]))
     return t
 
 
@@ -52,38 +49,16 @@ def test_template_requires_exactly_one_slot():
         PromptTemplate("bad", (NAME_SLOT, 2, NAME_SLOT), "family_0")
 
 
-def test_init_zero_policy(world):
-    t = NameEmbeddingTable(world.config.embed_dim)
-    cid = world.ood_ids[0]
-    init_name_embeddings(t, world.concept(cid), 3, "zero", world.vocab, world.oov_token)
-    assert t.rows(cid) == range(3)
-    assert np.array_equal(t.weight.data, np.zeros((3, world.config.embed_dim)))
-    assert t.weight.requires_grad
-
-
 def test_init_vocab_mean_matches_mean_oracle(world):
-    t = NameEmbeddingTable(world.config.embed_dim)
-    cid = world.ood_ids[0]
-    init_name_embeddings(t, world.concept(cid), 2, "vocab_mean", world.vocab, world.oov_token)
+    # A session starts each held-out name as one vector at the mean of the
+    # frozen vocabulary rows, the reserved blind row excluded.
+    table = TrainingSession(world, SessionSettings(), seed=0).table
     expected = np.delete(world.vocab, world.oov_token, axis=0).mean(axis=0)
-    for v in t.weight.data[t.rows(cid)]:
-        assert np.allclose(v, expected, atol=0)
-
-
-def test_init_rejects_seen_concept(world):
-    t = NameEmbeddingTable(world.config.embed_dim)
-    with pytest.raises(FrozenNameError):
-        init_name_embeddings(
-            t, world.concept(world.seen_ids[0]), 1, "zero", world.vocab, world.oov_token
-        )
-
-
-def test_init_rejects_zero_vectors(world):
-    t = NameEmbeddingTable(world.config.embed_dim)
-    with pytest.raises(ValueError):
-        init_name_embeddings(
-            t, world.concept(world.ood_ids[0]), 0, "zero", world.vocab, world.oov_token
-        )
+    assert table.concept_ids() == sorted(world.ood_ids)
+    assert table.weight.requires_grad
+    for cid in world.ood_ids:
+        (row,) = table.rows(cid)
+        assert np.array_equal(table.weight.data[row], expected)
 
 
 def test_render_seen_concept_uses_frozen_token(world, table):
@@ -228,11 +203,9 @@ def test_checkpoint_byte_layout(tmp_path):
     # Magic, uint32-LE header length, JSON header, then row-major '<f8' values
     # in (concept id, vector) order, whatever order the concepts were added in.
     table = NameEmbeddingTable(3)
-    rng = np.random.default_rng(4)
-    for cid in (7, 3):
-        concept = SimpleNamespace(id=cid, split="ood")
-        init_name_embeddings(table, concept, 2, "random", None, 0, rng)
     drawn = np.random.default_rng(4).normal(scale=0.02, size=(4, 3))  # 7's rows, then 3's
+    table.add(7, drawn[:2])
+    table.add(3, drawn[2:])
     path = tmp_path / "names.bin"
     save_name_table(table, path, world_seed=11)
     raw = path.read_bytes()

@@ -11,7 +11,6 @@ from namelearn.name_agent import (
     NameAgent,
     NameEmbeddingTable,
     UnknownTokenError,
-    init_name_embeddings,
 )
 from namelearn.text_agent import (
     ContextIntegrationModule,
@@ -47,15 +46,8 @@ def make_namer(world, extra_concepts=(), frozen_names=False):
     """Name agent whose table holds two random vectors for the first held-out
     concept."""
     table = NameEmbeddingTable(world.config.embed_dim)
-    init_name_embeddings(
-        table,
-        world.concept(world.ood_ids[0]),
-        2,
-        "random",
-        world.vocab,
-        world.oov_token,
-        np.random.default_rng(1),
-    )
+    vectors = np.random.default_rng(1).normal(scale=0.02, size=(2, world.config.embed_dim))
+    table.add(world.ood_ids[0], vectors)
     concepts = {c.id: c for c in list(world.concepts) + list(extra_concepts)}
     return NameAgent(
         concepts,
