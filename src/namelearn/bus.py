@@ -60,10 +60,6 @@ class FeatureBlock:
     tensor: Tensor
     label: str
 
-    @property
-    def feature_dim(self) -> int:
-        return self.tensor.shape[-1]
-
 
 @dataclass(frozen=True)
 class Metadata:
@@ -136,15 +132,13 @@ class Agent(Protocol):
 
 
 class MessageBus:
-    """FIFO mailboxes, registration, delivery accounting, and the log."""
+    """FIFO mailboxes, registration, and the log."""
 
     def __init__(self):
         self.mailboxes: dict[AgentId, list[Message]] = {a: [] for a in AgentId}
         self.agents: dict[AgentId, Agent] = {}
         self.log: list[LogRecord] = []
         self.round_index = 0
-        self.sent_count = 0
-        self.drained_count = 0
 
     def register(self, agent: Agent) -> None:
         self.agents[agent.agent_id] = agent
@@ -153,13 +147,11 @@ class MessageBus:
         if msg.sender == msg.receiver:
             raise SelfSendError(f"{msg.sender.value} cannot message itself")
         self.mailboxes[msg.receiver].append(msg)
-        self.sent_count += 1
         self.log.append(self._record(msg))
 
     def drain(self, agent_id: AgentId) -> list[Message]:
         out = self.mailboxes[agent_id]
         self.mailboxes[agent_id] = []
-        self.drained_count += len(out)
         return out
 
     def _record(self, msg: Message) -> LogRecord:

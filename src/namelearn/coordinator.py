@@ -4,8 +4,10 @@ Clipped dynamic temperature, symmetric image-text contrastive loss, auxiliary
 classification loss, and learnable clipped loss weights, combined into one
 differentiable total.  The similarity matrix stores raw cosine products; the
 temperature divides inside the loss so it actually controls softmax sharpness
-(a literal variant that premultiplies similarities by the temperature — which
-then cancels — is available behind a flag for fidelity checks).
+(the ``literal_tau_cancellation`` setting premultiplies similarities by the
+temperature, which then cancels, for fidelity checks).  The loss reads
+``disable_coordinator_dynamics``, ``disable_dynamic_balancing`` and
+``literal_tau_cancellation`` from the session's ``SessionSettings``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DomainError, ShapeError, Tensor
+from .settings import SessionSettings
 
 TAU_BAND = (0.5, 2.0)
 CON_NUM_BAND = (0.5, 2.0)
@@ -34,13 +37,6 @@ class NanGradientError(RuntimeError):
     """A gradient turned non-finite; names the offending tensor."""
 
 
-@dataclass(frozen=True)
-class CoordinatorConfig:
-    dynamic_temperature: bool = True
-    dynamic_balancing: bool = True
-    literal_tau_cancellation: bool = False
-
-
 class CoordinatorParams:
     """Learnable scalars plus the auxiliary classification head."""
 
@@ -52,12 +48,14 @@ class CoordinatorParams:
             np.zeros((embed_dim, n_classes)), requires_grad=True, name="w_cls_head"
         )
 
-    def parameters(self, config: CoordinatorConfig) -> list[Tensor]:
+    def parameters(self, settings: SessionSettings) -> list[Tensor]:
+        """The learnables ``settings`` lets train: without coordinator dynamics,
+        neither the temperature nor the loss weights."""
         params: list[Tensor] = []
-        if config.dynamic_temperature:
+        if not settings.disable_coordinator_dynamics:
             params.append(self.tau_param)
-        if config.dynamic_balancing:
-            params += [self.w_con_param, self.w_cls_param]
+            if not settings.disable_dynamic_balancing:
+                params += [self.w_con_param, self.w_cls_param]
         params.append(self.w_cls_head)
         return params
 
@@ -160,29 +158,29 @@ def total_loss(
     match_index,
     class_labels,
     params: CoordinatorParams,
-    config: CoordinatorConfig = CoordinatorConfig(),
+    settings: SessionSettings = SessionSettings(),
 ) -> tuple[Tensor, LossBreakdown]:
     """Weighted sum of the contrastive and classification losses.
 
     Returns the differentiable total plus a float breakdown whose invariants
     (band clips, exact recombination) are checked on construction.
     """
-    if config.dynamic_temperature:
-        tau = effective_temperature(params.tau_param)
-    else:
+    if settings.disable_coordinator_dynamics:
         tau = Tensor(np.asarray(1.0))
+    else:
+        tau = effective_temperature(params.tau_param)
     s = similarity_matrix(img_features, txt_features)
-    if config.literal_tau_cancellation:
+    if settings.literal_tau_cancellation:
         s = ad.mul(s, tau)  # the in-loss division then cancels it
     l_con = contrastive_loss(s, match_index, tau)
-    if config.dynamic_balancing:
-        w_con, w_cls = loss_weights(params.w_con_param, params.w_cls_param)
-        num_con = float(np.clip(params.w_con_param.data, *CON_NUM_BAND))
-        num_cls = float(np.clip(params.w_cls_param.data, *CLS_NUM_BAND))
-    else:
+    if settings.disable_coordinator_dynamics or settings.disable_dynamic_balancing:
         w_con = Tensor(np.asarray(FIXED_WEIGHTS[0]))
         w_cls = Tensor(np.asarray(FIXED_WEIGHTS[1]))
         num_con, num_cls = FIXED_WEIGHTS
+    else:
+        w_con, w_cls = loss_weights(params.w_con_param, params.w_cls_param)
+        num_con = float(np.clip(params.w_con_param.data, *CON_NUM_BAND))
+        num_cls = float(np.clip(params.w_cls_param.data, *CLS_NUM_BAND))
     l_cls = classification_loss(img_features, params.w_cls_head, class_labels)
     total = ad.add(ad.mul(w_con, l_con), ad.mul(w_cls, l_cls))
     breakdown = LossBreakdown(

@@ -20,7 +20,8 @@ import numpy as np
 
 from .autodiff import DomainError
 from .coordinator import LR_BAND, LossBreakdown, NanGradientError
-from .session import SessionSettings, TrainingDivergedError, TrainingSession
+from .session import TrainingDivergedError, TrainingSession
+from .settings import ConfigError, SessionSettings
 from .world import World, WorldConfig, build_world
 
 ABLATION_FLAGS = (
@@ -47,10 +48,6 @@ RESULTS_COLUMNS = (
 )
 
 
-class ConfigError(ValueError):
-    """Bad experiment configuration or config file."""
-
-
 class AblationError(ValueError):
     """Ablation preconditions violated (e.g. several flags at once)."""
 
@@ -67,6 +64,7 @@ class ExperimentConfig(SessionSettings):
     n_test_per_class: int = 200
 
     def __post_init__(self):
+        super().__post_init__()
         for name in ("shots", "seeds", "lrs"):
             if len(getattr(self, name)) == 0:
                 raise ConfigError(f"{name} must be nonempty")
@@ -192,7 +190,9 @@ def run_cell(config: ExperimentConfig, shot: int, seed: int, lr: float) -> CellR
 
 
 def _map(fn, tasks, jobs: int) -> list:
-    """``fn(*task)`` for every task, in task order; ``jobs`` worker processes."""
+    """``fn(*task)`` for every task, in task order; at most ``jobs`` worker
+    processes, and never more than there are tasks."""
+    jobs = min(jobs, len(tasks))
     if jobs <= 1:
         return [fn(*t) for t in tasks]
     with get_context("fork").Pool(jobs) as pool:

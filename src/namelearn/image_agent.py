@@ -6,12 +6,12 @@ by a difficulty score that a fixed, seeded scorer estimates from the batch
 feature distribution.  ``ImageAgent.encode`` is the one routing path, for
 training rounds and evaluation alike.  Emits the batch features and their
 ``{difficulty, strategy}`` metadata to the coordinator and a pooled visual
-context vector to the text agent.
+context vector to the text agent.  It reads ``alpha``, ``difficulty_mode``,
+``difficulty_threshold``, ``disable_difficulty`` and
+``disable_image_agent_robust`` from the session's ``SessionSettings``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,26 +24,10 @@ from .bus import (
     Message,
     Metadata,
 )
+from .settings import SessionSettings
 
 STANDARD = "standard"
 ROBUST = "robust"
-
-
-@dataclass(frozen=True)
-class ImageAgentConfig:
-    alpha: float = 0.1  # residual coefficient in the robust encoding
-    difficulty_threshold: float = 0.5
-    difficulty_mode: str = "batch_mean"  # or "per_sample"
-    disable_robust: bool = False  # ablation: never route to the robust path
-    disable_difficulty: bool = False  # ablation: skip estimation entirely
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha {self.alpha} outside [0, 1]")
-        if not 0.0 < self.difficulty_threshold < 1.0:
-            raise ValueError(f"threshold {self.difficulty_threshold} outside (0, 1)")
-        if self.difficulty_mode not in ("batch_mean", "per_sample"):
-            raise ValueError(f"unknown difficulty_mode {self.difficulty_mode!r}")
 
 
 class DifficultyEstimator:
@@ -89,10 +73,10 @@ class ImageAgent:
     def __init__(
         self,
         frozen_visual: np.ndarray,  # (P, D) encoder matrix
-        config: ImageAgentConfig,
+        settings: SessionSettings,
         rng: np.random.Generator,
     ):
-        self.config = config
+        self.settings = settings
         self.frozen_visual = Tensor(frozen_visual, name="frozen_visual")
         d = frozen_visual.shape[1]
         self.estimator = DifficultyEstimator(d, max(1, d // 2), rng)
@@ -114,21 +98,21 @@ class ImageAgent:
         return self._robust(self.encode_standard(images), alpha)
 
     def _robust(self, feats: Tensor, alpha: float | None = None) -> Tensor:
-        a = self.config.alpha if alpha is None else alpha
+        a = self.settings.alpha if alpha is None else alpha
         return ad.add(ad.l2_normalize_rows(feats), ad.scale(ad.detach(feats), a))
 
     def encode(self, images: np.ndarray) -> tuple[Tensor, float, str]:
         """Route a raw batch: its features, difficulty score and strategy."""
         standard = self.encode_standard(Tensor(images))
-        if self.config.disable_difficulty:
+        if self.settings.disable_difficulty:
             difficulty = 0.5  # neutral score when estimation is ablated
         else:
-            scores = self.estimator.estimate(standard, self.config.difficulty_mode)
+            scores = self.estimator.estimate(standard, self.settings.difficulty_mode)
             difficulty = float(scores.data.mean())
-        if self.config.disable_robust:
+        if self.settings.disable_image_agent_robust:
             strategy = STANDARD
         else:
-            strategy = select_strategy(difficulty, self.config.difficulty_threshold)
+            strategy = select_strategy(difficulty, self.settings.difficulty_threshold)
         features = standard if strategy == STANDARD else self._robust(standard)
         return features, difficulty, strategy
 

@@ -167,9 +167,9 @@ def render_prompt(
 
 def context_exchange_augment(
     concept, templates: list[PromptTemplate], k: int, seed: int
-) -> list[tuple[str, str]]:
-    """One native template plus ``k`` foreign-family ones, seeded, as
-    ``(template_id, origin)`` pairs with the native pair first.
+) -> list[str]:
+    """The ids of one native template plus ``k`` foreign-family ones, seeded,
+    native first.
 
     Foreign templates are drawn without replacement from templates whose
     affinity is neither the concept's family nor shared.
@@ -190,10 +190,8 @@ def context_exchange_augment(
         )
     rng = np.random.default_rng(np.random.SeedSequence([seed, concept.id]))
     native = native_pool[int(rng.integers(len(native_pool)))]
-    pairs = [(native.template_id, "native")]
-    for idx in rng.choice(len(foreign_pool), size=k, replace=False):
-        pairs.append((foreign_pool[int(idx)].template_id, "exchanged"))
-    return pairs
+    foreign = rng.choice(len(foreign_pool), size=k, replace=False)
+    return [native.template_id] + [foreign_pool[int(i)].template_id for i in foreign]
 
 
 class NameAgent:

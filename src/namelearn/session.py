@@ -9,6 +9,8 @@ retrieval against per-class text features.  The coordinator agent ends each
 round: it requires the image features, the ``{difficulty, strategy}``
 metadata and the text features, computes the loss, and sends nothing.  The
 image agent's difficulty scorer is fixed: the loss has no path back to it.
+The image and text agents and the coordinator read the session's
+``SessionSettings`` record as it is.
 """
 
 from __future__ import annotations
@@ -27,16 +29,11 @@ from .bus import (
     Metadata,
     run_round,
 )
-from .coordinator import (
-    Adam,
-    CoordinatorConfig,
-    CoordinatorParams,
-    LossBreakdown,
-    total_loss,
-)
-from .image_agent import ImageAgent, ImageAgentConfig
+from .coordinator import Adam, CoordinatorParams, LossBreakdown, total_loss
+from .image_agent import ImageAgent
 from .name_agent import NameAgent, NameEmbeddingTable, context_exchange_augment
-from .text_agent import TextAgent, TextAgentConfig
+from .settings import SessionSettings
+from .text_agent import TextAgent
 from .world import World
 
 # Foreign-family templates each held-out concept borrows (context exchange).
@@ -45,24 +42,6 @@ EXCHANGE_K = 2
 
 class TrainingDivergedError(RuntimeError):
     """The loss left the finite range; the cell should be marked failed."""
-
-
-@dataclass(frozen=True)
-class SessionSettings:
-    alpha: float = 0.1
-    difficulty_threshold: float = 0.5
-    difficulty_mode: str = "batch_mean"
-    lambda_mix: float = 0.7
-    learnable_lambda: bool = False
-    literal_tau_cancellation: bool = False
-    disable_image_agent_robust: bool = False
-    disable_text_context: bool = False
-    disable_name_agent: bool = False
-    disable_coordinator_dynamics: bool = False
-    disable_context_exchange: bool = False
-    simple_concat_fusion: bool = False
-    disable_difficulty: bool = False
-    disable_dynamic_balancing: bool = False
 
 
 @dataclass
@@ -99,9 +78,9 @@ class CoordinatorRound:
 class CoordinatorAgent:
     agent_id = AgentId.COORDINATOR
 
-    def __init__(self, params: CoordinatorParams, config: CoordinatorConfig):
+    def __init__(self, params: CoordinatorParams, settings: SessionSettings):
         self.params = params
-        self.config = config
+        self.settings = settings
         self.last_round: CoordinatorRound | None = None
 
     def step(self, messages, batch: Batch) -> list[Message]:
@@ -128,7 +107,7 @@ class CoordinatorAgent:
             batch.match_index,
             batch.class_labels,
             self.params,
-            self.config,
+            self.settings,
         )
         self.last_round = CoordinatorRound(
             image_features,
@@ -167,24 +146,11 @@ class TrainingSession:
                 self.table.add(cid, mean[None, :])
 
         self.image_agent = ImageAgent(
-            world.gen_map,
-            ImageAgentConfig(
-                alpha=settings.alpha,
-                difficulty_threshold=settings.difficulty_threshold,
-                difficulty_mode=settings.difficulty_mode,
-                disable_robust=settings.disable_image_agent_robust,
-                disable_difficulty=settings.disable_difficulty,
-            ),
-            np.random.default_rng(difficulty_rng),
+            world.gen_map, settings, np.random.default_rng(difficulty_rng)
         )
         self.text_agent = TextAgent(
             (world.mixer_in, world.mixer_in_bias, world.mixer_out, world.mixer_out_bias),
-            TextAgentConfig(
-                lambda_mix=settings.lambda_mix,
-                fusion="linear" if settings.simple_concat_fusion else "two_layer",
-                learnable_lambda=settings.learnable_lambda,
-                disable_context=settings.disable_text_context,
-            ),
+            settings,
             np.random.default_rng(fusion_rng),
         )
         self.name_agent = NameAgent(
@@ -198,14 +164,7 @@ class TrainingSession:
         self.coordinator_params = CoordinatorParams(
             world.config.embed_dim, len(world.ood_ids)
         )
-        self.coordinator_config = CoordinatorConfig(
-            dynamic_temperature=not settings.disable_coordinator_dynamics,
-            dynamic_balancing=not (
-                settings.disable_coordinator_dynamics or settings.disable_dynamic_balancing
-            ),
-            literal_tau_cancellation=settings.literal_tau_cancellation,
-        )
-        self.coordinator = CoordinatorAgent(self.coordinator_params, self.coordinator_config)
+        self.coordinator = CoordinatorAgent(self.coordinator_params, settings)
 
         self.bus = MessageBus()
         for agent in (self.image_agent, self.name_agent, self.text_agent, self.coordinator):
@@ -222,13 +181,12 @@ class TrainingSession:
         ``EXCHANGE_K`` exchanged ones (none with context exchange disabled)."""
         k = 0 if self.settings.disable_context_exchange else EXCHANGE_K
         exchange_seed = int(exchange_ss.generate_state(1)[0])
-        pools: dict[int, list[str]] = {}
-        for cid in self.world.ood_ids:
-            pairs = context_exchange_augment(
+        return {
+            cid: context_exchange_augment(
                 self.world.concept(cid), self.world.templates, k, seed=exchange_seed
             )
-            pools[cid] = [tid for tid, _ in pairs]
-        return pools
+            for cid in self.world.ood_ids
+        }
 
     def trainable_parameters(self) -> list[Tensor]:
         params: list[Tensor] = []
@@ -236,7 +194,7 @@ class TrainingSession:
             params += self.table.parameters()
         if not self.settings.disable_text_context:
             params += self.text_agent.parameters()
-        params += self.coordinator_params.parameters(self.coordinator_config)
+        params += self.coordinator_params.parameters(self.settings)
         return params
 
     # -- training ----------------------------------------------------------------

@@ -7,12 +7,12 @@ pooled in), then mixes that standard feature with a learned transform of the
 feature concatenated with the visual context vector received from the image
 agent, weighted by a fixed (or optionally learnable) mixing ratio.  The
 context is a value snapshot broadcast to every row: no gradient crosses from
-the text agent into the image agent.
+the text agent into the image agent.  It reads ``disable_text_context``,
+``lambda_mix``, ``learnable_lambda`` and ``simple_concat_fusion`` from the
+session's ``SessionSettings``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,24 +24,11 @@ from .bus import (
     MailboxError,
     Message,
 )
+from .settings import SessionSettings
 
 
 class MissingContextError(RuntimeError):
     """Contextual encoding requested before any visual context arrived."""
-
-
-@dataclass(frozen=True)
-class TextAgentConfig:
-    lambda_mix: float = 0.7  # weight of the plain text feature in the fusion
-    fusion: str = "two_layer"  # or "linear" (simple concatenation arm)
-    learnable_lambda: bool = False  # sigmoid-reparameterized mixing ratio
-    disable_context: bool = False  # ablation: standard encoding only
-
-    def __post_init__(self):
-        if not 0.0 <= self.lambda_mix <= 1.0:
-            raise ValueError(f"lambda_mix {self.lambda_mix} outside [0, 1]")
-        if self.fusion not in ("two_layer", "linear"):
-            raise ValueError(f"unknown fusion {self.fusion!r}")
 
 
 class ContextIntegrationModule:
@@ -105,23 +92,23 @@ class TextAgent:
     def __init__(
         self,
         mixer: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        config: TextAgentConfig,
+        settings: SessionSettings,
         rng: np.random.Generator,
     ):
-        self.config = config
+        self.settings = settings
         mi, mib, mo, mob = mixer
         self._mixer_in = Tensor(mi, name="frozen_text_in")
         self._mixer_in_bias = Tensor(mib, name="frozen_text_in_bias")
         self._mixer_out = Tensor(mo, name="frozen_text_out")
         self._mixer_out_bias = Tensor(mob, name="frozen_text_out_bias")
         d = mi.shape[0]
-        if config.fusion == "two_layer":
-            self.fusion = ContextIntegrationModule(d, d, rng)
-        else:
+        if settings.simple_concat_fusion:
             self.fusion = LinearFusion(d, rng)
+        else:
+            self.fusion = ContextIntegrationModule(d, d, rng)
         self.lambda_param: Tensor | None = None
-        if config.learnable_lambda:
-            lam = min(max(config.lambda_mix, 1e-6), 1 - 1e-6)
+        if settings.learnable_lambda:
+            lam = min(max(settings.lambda_mix, 1e-6), 1 - 1e-6)
             self.lambda_param = Tensor(
                 np.asarray(np.log(lam / (1 - lam))), requires_grad=True, name="lambda_param"
             )
@@ -139,23 +126,23 @@ class TextAgent:
             lam = ad.sigmoid(self.lambda_param)
             one_minus = ad.add(ad.scale(lam, -1.0), Tensor(np.asarray(1.0)))
             return lam, one_minus
-        return self.config.lambda_mix, 1.0 - self.config.lambda_mix
+        return self.settings.lambda_mix, 1.0 - self.settings.lambda_mix
 
     def encode(self, pooled: Tensor, context: Tensor | None) -> Tensor:
         """Text features ``(N, D)`` for pooled prompt embeddings ``(N, D)``.
 
-        The frozen mixer gives the standard feature; unless the context is
-        disabled or ``lambda_mix`` is 1, the result is
+        The frozen mixer gives the standard feature; unless
+        ``disable_text_context`` is set or ``lambda_mix`` is 1, the result is
         ``lam * standard + (1 - lam) * fusion(standard | context)``.
         """
         h = ad.relu(ad.add(ad.matmul(pooled, self._mixer_in), self._mixer_in_bias))
         standard = ad.add(ad.matmul(h, self._mixer_out), self._mixer_out_bias)
-        if self.config.disable_context or self.config.lambda_mix >= 1.0:
+        if self.settings.disable_text_context or self.settings.lambda_mix >= 1.0:
             return standard
         if context is None:
             raise MissingContextError(
                 "no visual context received; set lambda_mix=1 or "
-                "disable_context for standard encoding"
+                "disable_text_context for standard encoding"
             )
         # A constant copy per row: the value snapshot carries no gradient.
         rows = Tensor(np.tile(context.data, (standard.shape[0], 1)))

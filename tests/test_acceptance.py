@@ -22,7 +22,7 @@ from namelearn.harness import (
     run_ablation_suite,
     run_few_shot,
 )
-from namelearn.image_agent import ImageAgent, ImageAgentConfig
+from namelearn.image_agent import ImageAgent
 from namelearn.selfcheck import (
     classification_oracle_suite,
     contrastive_oracle_suite,
@@ -245,7 +245,7 @@ def test_criterion_8_determinism(tmp_path):
 def test_criterion_9_residual_detach_semantics(default_world):
     rng = np.random.default_rng(0)
     agent = ImageAgent(
-        default_world.gen_map, ImageAgentConfig(alpha=0.1), np.random.default_rng(1)
+        default_world.gen_map, SessionSettings(alpha=0.1), np.random.default_rng(1)
     )
     x = Tensor(rng.normal(size=(6, default_world.config.image_dim)), requires_grad=True)
     with Tape() as tape:

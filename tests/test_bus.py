@@ -68,11 +68,6 @@ def test_content_tags():
     assert content_tag(Metadata({"k": "v"})) == "metadata"
 
 
-def test_feature_block_reports_feature_dim():
-    block = FeatureBlock(Tensor(np.zeros((3, 7))), "image_features")
-    assert block.feature_dim == 7
-
-
 def test_log_records_payload_summary():
     bus = MessageBus()
     bus.send(Message(AgentId.IMAGE, AgentId.TEXT, fb((1.0, 2.0, 3.0, 4.0, 5.0))))
@@ -183,13 +178,6 @@ def test_run_round_empties_all_mailboxes(world):
     session = make_session(world)
     run_round(session.bus, make_batch(world, session))
     assert all(len(m) == 0 for m in session.bus.mailboxes.values())
-
-
-def test_run_round_lossless_delivery(world):
-    session = make_session(world)
-    run_round(session.bus, make_batch(world, session))
-    assert session.bus.sent_count == session.bus.drained_count
-    assert session.bus.sent_count == len(session.bus.log)
 
 
 def test_round_determinism_same_seed(world):

@@ -6,7 +6,6 @@ import pytest
 from namelearn.autodiff import DomainError, ShapeError, Tape, Tensor, backward, grad_check
 from namelearn.coordinator import (
     Adam,
-    CoordinatorConfig,
     CoordinatorParams,
     DegenerateWeightsError,
     LossBreakdown,
@@ -18,6 +17,7 @@ from namelearn.coordinator import (
     similarity_matrix,
     total_loss,
 )
+from namelearn.settings import SessionSettings
 
 
 # ---------------------------------------------------------------------------
@@ -268,20 +268,36 @@ def test_total_loss_weighted_sum():
 def test_total_loss_literal_tau_cancellation_makes_tau_inert():
     rng = np.random.default_rng(2)
     img, txt, y, labels, params = _synthetic_round(rng)
-    cfg = CoordinatorConfig(literal_tau_cancellation=True)
+    settings = SessionSettings(literal_tau_cancellation=True)
     params.tau_param.data = np.asarray(0.7)
-    _, bd_a = total_loss(img, txt, y, labels, params, cfg)
+    _, bd_a = total_loss(img, txt, y, labels, params, settings)
     params.tau_param.data = np.asarray(1.9)
-    _, bd_b = total_loss(img, txt, y, labels, params, cfg)
+    _, bd_b = total_loss(img, txt, y, labels, params, settings)
     assert bd_a.l_con == pytest.approx(bd_b.l_con, abs=1e-12)
 
 
 def test_total_loss_fixed_weights_when_balancing_disabled():
     rng = np.random.default_rng(3)
     img, txt, y, labels, params = _synthetic_round(rng)
-    cfg = CoordinatorConfig(dynamic_balancing=False)
-    _, bd = total_loss(img, txt, y, labels, params, cfg)
+    settings = SessionSettings(disable_dynamic_balancing=True)
+    _, bd = total_loss(img, txt, y, labels, params, settings)
     assert (bd.w_con, bd.w_cls) == (0.5, 0.5)
+
+
+def test_coordinator_dynamics_off_fixes_tau_and_weights():
+    rng = np.random.default_rng(6)
+    img, txt, y, labels, params = _synthetic_round(rng)
+    full = [params.tau_param, params.w_con_param, params.w_cls_param, params.w_cls_head]
+    assert [id(p) for p in params.parameters(SessionSettings())] == [id(p) for p in full]
+    settings = SessionSettings(disable_coordinator_dynamics=True)
+    assert [id(p) for p in params.parameters(settings)] == [id(params.w_cls_head)]
+    # Values the learnables would give if they were read: tau 1.7, weights
+    # 1.5 / 0.3 over 1.8.
+    params.tau_param.data = np.asarray(1.7)
+    params.w_con_param.data = np.asarray(1.5)
+    params.w_cls_param.data = np.asarray(0.3)
+    _, bd = total_loss(img, txt, y, labels, params, settings)
+    assert (bd.w_con, bd.w_cls, bd.tau) == (0.5, 0.5, 1.0)
 
 
 def test_total_loss_grad_check_on_synthetic_batch():
@@ -309,7 +325,7 @@ def test_training_sanity_loss_strictly_decreases():
     txt = Tensor(rng.normal(scale=0.3, size=(n, n)), requires_grad=True, name="txt")
     labels = np.arange(n)
     params = CoordinatorParams(n, n)
-    opt = Adam([txt] + params.parameters(CoordinatorConfig()), lr=1e-3)
+    opt = Adam([txt] + params.parameters(SessionSettings()), lr=1e-3)
     totals = []
     for _ in range(50):
         with Tape() as tape:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = ("01_build_a_world.py", "02_alignment_breakdown.py", "03_few_shot_adaptation.py")
+DEMOS = sorted(path.name for path in (ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS)

@@ -54,6 +54,10 @@ def test_config_validates_shots_and_seeds():
         dict(n_test_per_class=0),
         dict(lrs=(0.5,)),
         dict(seeds=(-1,)),
+        dict(alpha=1.5),
+        dict(difficulty_threshold=0.0),
+        dict(difficulty_mode="adaptive"),
+        dict(lambda_mix=1.5),
     ):
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
@@ -343,13 +347,18 @@ def test_cli_bad_config_is_hard_error(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["few-shot", "zero-shot"])
-@pytest.mark.parametrize("setting", [{"lrs": ""}, {"epochs": "0"}])
-def test_cli_empty_or_zero_setting_is_hard_error(tmp_path, capsys, command, setting):
+@pytest.mark.parametrize("setting", [{"lrs": ""}, {"epochs": "0"}, {"alpha": "1.5"}])
+def test_cli_empty_or_zero_setting_is_hard_error(
+    tmp_path, capsys, monkeypatch, command, setting
+):
+    built = []
+    monkeypatch.setattr(harness, "build_world", lambda *a, **k: built.append(a))
     cfg = write_tiny_config(tmp_path / "exp.cfg", **setting)
     rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+    assert built == []  # the config failed before any world was built
 
 
 def test_cli_usage_error_returns_one():
@@ -364,6 +373,32 @@ def test_cli_partial_failure_exit_code(monkeypatch, tmp_path):
     cfg = write_tiny_config(tmp_path / "exp.cfg")
     rc = main(["few-shot", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 2
+
+
+def test_map_starts_no_more_workers_than_tasks(monkeypatch):
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            pools.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks):
+            return [fn(*t) for t in tasks]
+
+    class Context:
+        Pool = InProcessPool
+
+    monkeypatch.setattr(harness, "get_context", lambda method: Context)
+    assert harness._map(pow, [(2, 3), (3, 2)], jobs=8) == [8, 9]
+    assert pools == [2]
+    assert harness._map(pow, [(2, 5)], jobs=8) == [32]
+    assert pools == [2]  # one task runs in this process
 
 
 def test_parallel_jobs_match_serial(tmp_path):

@@ -6,28 +6,29 @@ import pytest
 from namelearn import autodiff as ad
 from namelearn.autodiff import DomainError, ShapeError, Tape, Tensor, backward, grad_check
 from namelearn.bus import Metadata
+from namelearn.coordinator import contrastive_loss, similarity_matrix
 from namelearn.image_agent import (
     DifficultyEstimator,
     ImageAgent,
-    ImageAgentConfig,
     select_strategy,
 )
+from namelearn.settings import SessionSettings
 
 
 @pytest.fixture()
 def agent():
     rng = np.random.default_rng(0)
     frozen, _ = np.linalg.qr(rng.normal(size=(12, 8)))
-    return ImageAgent(np.ascontiguousarray(frozen), ImageAgentConfig(), np.random.default_rng(1))
+    return ImageAgent(np.ascontiguousarray(frozen), SessionSettings(), np.random.default_rng(1))
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ImageAgentConfig(alpha=1.5)
+        SessionSettings(alpha=1.5)
     with pytest.raises(ValueError):
-        ImageAgentConfig(difficulty_threshold=0.0)
+        SessionSettings(difficulty_threshold=0.0)
     with pytest.raises(ValueError):
-        ImageAgentConfig(difficulty_mode="adaptive")
+        SessionSettings(difficulty_mode="adaptive")
 
 
 def test_encode_standard_is_frozen_output(agent):
@@ -50,7 +51,7 @@ def test_encode_standard_rejects_dim_mismatch(agent):
 
 def test_encode_robust_hand_case():
     # Identity encoder: features [[3, 4]] -> [[0.6, 0.8]] + 0.1 * [[3, 4]].
-    agent = ImageAgent(np.eye(2), ImageAgentConfig(alpha=0.1), np.random.default_rng(0))
+    agent = ImageAgent(np.eye(2), SessionSettings(alpha=0.1), np.random.default_rng(0))
     out = agent.encode_robust(Tensor([[3.0, 4.0]]))
     assert np.allclose(out.data, [[0.9, 1.2]], atol=1e-12)
 
@@ -64,7 +65,7 @@ def test_encode_robust_alpha_zero_reduces_to_normalization(agent):
 
 
 def test_encode_robust_rejects_zero_norm_feature():
-    agent = ImageAgent(np.eye(2), ImageAgentConfig(), np.random.default_rng(0))
+    agent = ImageAgent(np.eye(2), SessionSettings(), np.random.default_rng(0))
     with pytest.raises(DomainError):
         agent.encode_robust(Tensor([[0.0, 0.0]]))
 
@@ -128,7 +129,7 @@ def test_difficulty_per_sample_shape():
 
 @pytest.mark.parametrize("threshold", [0.05, 0.95])
 def test_encode_is_the_round_routing(agent, threshold):
-    agent.config = ImageAgentConfig(difficulty_threshold=threshold)
+    agent.settings = SessionSettings(difficulty_threshold=threshold)
     images = np.random.default_rng(6).normal(size=(5, 12))
     features, difficulty, strategy = agent.encode(images)
     assert strategy == select_strategy(difficulty, threshold)
@@ -142,8 +143,24 @@ def test_encode_is_the_round_routing(agent, threshold):
     ]
 
 
+@pytest.mark.parametrize("alpha", [0.1, 1.0])
+def test_route_is_invisible_to_cosine_scores(agent, alpha):
+    # The robust encoding is a positive per-row rescale of the standard one,
+    # so the similarity matrix and the contrastive loss cannot tell them apart.
+    rng = np.random.default_rng(8)
+    images = Tensor(rng.normal(size=(6, 12)))
+    text = Tensor(rng.normal(size=(6, 8)))
+    s_standard = similarity_matrix(agent.encode_standard(images), text)
+    s_robust = similarity_matrix(agent.encode_robust(images, alpha), text)
+    assert np.max(np.abs(s_standard.data - s_robust.data)) <= 1e-12
+    for tau in (0.5, 1.0, 2.0):
+        l_standard = contrastive_loss(s_standard, np.arange(6), tau).item()
+        l_robust = contrastive_loss(s_robust, np.arange(6), tau).item()
+        assert abs(l_standard - l_robust) <= 1e-12
+
+
 def test_robust_encode_runs_the_frozen_encoder_once(agent, monkeypatch):
-    agent.config = ImageAgentConfig(difficulty_threshold=0.05)  # always robust
+    agent.settings = SessionSettings(difficulty_threshold=0.05)  # always robust
     calls = []
     matmul = ad.matmul
 

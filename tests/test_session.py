@@ -189,3 +189,22 @@ def test_render_audit_never_uses_ood_frozen_tokens(world):
     session.train(shots_for(world), epochs=10, lr=1e-3)
     ood_tokens = {world.concept(cid).name_token for cid in world.ood_ids}
     assert session.training_token_audit() & ood_tokens == set()
+
+
+def test_disable_difficulty_equals_full_model_where_scorer_routes_robust():
+    # The neutral score 0.5 routes robust (the threshold is inclusive), so the
+    # arm changes nothing on a world whose scorer already routes robust.
+    world = build_world(WorldConfig(seed=0))
+    shots = shots_for(world, k=16, seed=16)
+    full = TrainingSession(world, SessionSettings(), seed=0)
+    ablated = TrainingSession(world, SessionSettings(disable_difficulty=True), seed=0)
+    _, difficulty, strategy = full.image_agent.encode(full.build_batch(shots, 0).images)
+    assert strategy == "robust"
+    assert difficulty == pytest.approx(0.5229, abs=1e-4)
+    assert ablated.image_agent.encode(ablated.build_batch(shots, 0).images)[2] == "robust"
+    full_totals = [b.total for b in full.train(shots, epochs=5, lr=1e-3)]
+    ablated_totals = [b.total for b in ablated.train(shots, epochs=5, lr=1e-3)]
+    assert full_totals == ablated_totals
+    assert [p.data.tobytes() for p in full.trainable_parameters()] == [
+        p.data.tobytes() for p in ablated.trainable_parameters()
+    ]

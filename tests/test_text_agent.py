@@ -17,8 +17,8 @@ from namelearn.text_agent import (
     LinearFusion,
     MissingContextError,
     TextAgent,
-    TextAgentConfig,
 )
+from namelearn.settings import SessionSettings
 from namelearn.world import WorldConfig, build_world
 
 SMALL = WorldConfig(embed_dim=16, image_dim=24, n_seen=4, n_ood=3, vocab_size=64, seed=2)
@@ -29,10 +29,10 @@ def world():
     return build_world(SMALL)
 
 
-def make_agent(world, **cfg_kwargs):
+def make_agent(world, **settings):
     return TextAgent(
         (world.mixer_in, world.mixer_in_bias, world.mixer_out, world.mixer_out_bias),
-        TextAgentConfig(**cfg_kwargs),
+        SessionSettings(**settings),
         np.random.default_rng(0),
     )
 
@@ -238,7 +238,7 @@ def test_zero_context_zero_fusion_contributes_bias_only(world, agent, namer):
 
 
 def test_linear_fusion_shape_and_params(world):
-    agent = make_agent(world, fusion="linear")
+    agent = make_agent(world, simple_concat_fusion=True)
     assert isinstance(agent.fusion, LinearFusion)
     assert len(agent.parameters()) == 2
     d = world.config.embed_dim
