@@ -144,8 +144,6 @@ class MessageBus:
         self.agents[agent.agent_id] = agent
 
     def send(self, msg: Message) -> None:
-        if msg.sender == msg.receiver:
-            raise SelfSendError(f"{msg.sender.value} cannot message itself")
         self.mailboxes[msg.receiver].append(msg)
         self.log.append(self._record(msg))
 

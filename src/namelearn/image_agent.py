@@ -45,19 +45,11 @@ class DifficultyEstimator:
         self.w2 = Tensor(u((hidden_dim, 1)), name="difficulty.w2")
         self.b2 = Tensor(u(1), name="difficulty.b2")
 
-    def estimate(self, features: Tensor, mode: str = "batch_mean") -> Tensor:
-        """Difficulty in (0, 1): one scalar for the batch-mean feature, or one
-        value per sample when applied row-wise."""
-        if mode == "batch_mean":
-            m = ad.mean_rows(features)
-            h = ad.relu(ad.add(ad.matmul(m, self.w1), self.b1))
-            return ad.sigmoid(ad.add(ad.matmul(h, self.w2), self.b2))
-        if mode == "per_sample":
-            h = ad.relu(ad.add(ad.matmul(features, self.w1), self.b1))
-            scores = ad.sigmoid(ad.add(ad.matmul(h, self.w2), self.b2))  # (N, 1)
-            n = scores.shape[0]
-            return ad.pick_per_row(scores, np.zeros(n, dtype=int))
-        raise ValueError(f"unknown difficulty mode {mode!r}")
+    def estimate(self, features: Tensor) -> Tensor:
+        """Difficulty in (0, 1): a ``(D,)`` feature vector scores to ``(1,)``,
+        each row of an ``(N, D)`` batch to one row of ``(N, 1)``."""
+        h = ad.relu(ad.add(ad.matmul(features, self.w1), self.b1))
+        return ad.sigmoid(ad.add(ad.matmul(h, self.w2), self.b2))
 
 
 def select_strategy(difficulty: float, threshold: float) -> str:
@@ -107,7 +99,8 @@ class ImageAgent:
         if self.settings.disable_difficulty:
             difficulty = 0.5  # neutral score when estimation is ablated
         else:
-            scores = self.estimator.estimate(standard, self.settings.difficulty_mode)
+            per_sample = self.settings.difficulty_mode == "per_sample"
+            scores = self.estimator.estimate(standard if per_sample else ad.mean_rows(standard))
             difficulty = float(scores.data.mean())
         if self.settings.disable_image_agent_robust:
             strategy = STANDARD

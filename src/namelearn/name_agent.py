@@ -1,7 +1,7 @@
 """Learnable name embeddings and prompt generation for new concepts.
 
-Concepts whose names are missing from the frozen vocabulary get trainable
-vectors (one per name when a session starts) that are spliced into prompt
+Each concept whose name is missing from the frozen vocabulary gets one
+trainable vector, a row of a fixed name table, that is spliced into prompt
 templates in place of the name token.  Template banks are organized by
 concept family so that a concept's name can also be rendered inside templates
 authored for *other* families (context exchange), multiplying its training
@@ -81,68 +81,56 @@ def build_template_bank(
 
 
 class NameEmbeddingTable:
-    """Learnable name vectors of the out-of-vocabulary concepts, as one
-    ``(R, D)`` tensor.
+    """Learnable name vectors of the held-out concepts, as one ``(n, D)``
+    tensor: one row per concept, rows in ascending concept id.
 
-    Each concept owns a contiguous block of rows, blocks in ascending concept
-    id, so the flattened tensor lists the coordinates in (concept id, vector)
-    order.  In-vocabulary names stay on the frozen token table.
+    A concept's row is also its column in the classification head.
+    In-vocabulary names stay on the frozen token table.
     """
 
-    def __init__(self, embed_dim: int):
-        self.embed_dim = embed_dim
-        self.weight = Tensor(np.zeros((0, embed_dim)), requires_grad=True, name="name_embed")
-        self._rows: dict[int, range] = {}  # concept id -> its rows, ascending id
+    def __init__(self, concept_ids, values: np.ndarray):
+        self.concept_ids = [int(cid) for cid in concept_ids]
+        if any(a >= b for a, b in zip(self.concept_ids, self.concept_ids[1:])):
+            raise ValueError(f"concept ids must be strictly ascending, got {self.concept_ids}")
+        values = np.array(values, dtype=np.float64)
+        if values.ndim != 2 or len(values) != len(self.concept_ids):
+            raise ValueError(
+                f"need ({len(self.concept_ids)}, D) name vectors, got shape {values.shape}"
+            )
+        self.index = {cid: row for row, cid in enumerate(self.concept_ids)}
+        self.weight = Tensor(values, requires_grad=True, name="name_embed")
 
-    def concept_ids(self) -> list[int]:
-        return list(self._rows)
-
-    def rows(self, concept_id: int) -> range:
-        """The table rows holding one concept's name vectors."""
+    def row(self, concept_id: int) -> int:
+        """The table row holding one concept's name vector."""
         try:
-            return self._rows[concept_id]
+            return self.index[concept_id]
         except KeyError:
             raise MissingNameEmbeddingError(
-                f"no name embeddings for concept {concept_id}"
+                f"no name embedding for concept {concept_id}"
             ) from None
-
-    def add(self, concept_id: int, values: np.ndarray) -> None:
-        """Register (or replace) one concept's block of ``(n, D)`` vectors."""
-        blocks = {cid: self.weight.data[r.start : r.stop] for cid, r in self._rows.items()}
-        blocks[concept_id] = np.asarray(values, dtype=np.float64)
-        self._rows, start = {}, 0
-        for cid in sorted(blocks):
-            self._rows[cid] = range(start, start + len(blocks[cid]))
-            start += len(blocks[cid])
-        self.weight.data = np.concatenate([blocks[cid] for cid in self._rows])
-
-    def parameters(self) -> list[Tensor]:
-        return [self.weight] if self._rows else []
 
 
 @dataclass
 class RenderedPrompt:
     """A template with the name slot filled, ready for pooling.
 
-    The slot holds either frozen ``name_tokens`` (in-vocabulary names, or the
-    blind token) or learnable ``name_rows`` of the name table (OOV names).
-    ``frozen_token_ids`` lists every vocabulary id the rendering embeds (used
-    to audit name masking); table rows are never among them.
+    The slot holds either a frozen ``name_token`` (in-vocabulary names, or the
+    blind token) or the learnable ``name_row`` of the name table (held-out
+    names); exactly one of the two is set.  ``frozen_token_ids`` lists every
+    vocabulary id the rendering embeds (used to audit name masking); table
+    rows are never among them.
     """
 
     concept_id: int
     template_id: str
     prompt_tokens: tuple[int, ...]
-    name_tokens: tuple[int, ...]
-    name_rows: tuple[int, ...]
-
-    @property
-    def spliced_length(self) -> int:
-        return len(self.prompt_tokens) - 1 + len(self.name_tokens) + len(self.name_rows)
+    name_token: int | None
+    name_row: int | None
 
     @property
     def frozen_token_ids(self) -> tuple[int, ...]:
-        return tuple(t for t in self.prompt_tokens if t != NAME_SLOT) + self.name_tokens
+        body = tuple(t for t in self.prompt_tokens if t != NAME_SLOT)
+        return body if self.name_token is None else body + (self.name_token,)
 
 
 def render_prompt(
@@ -154,14 +142,14 @@ def render_prompt(
     """Fill the template's name slot for one concept.
 
     In-vocabulary concepts always use their frozen name token.  OOV concepts
-    use their rows of the name table, unless ``frozen_names`` forces the
+    use their row of the name table, unless ``frozen_names`` forces the
     frozen (blind) token, e.g. for the no-name-learning baseline.
     """
-    name_tokens, name_rows = (concept.name_token,), ()
+    name_token, name_row = concept.name_token, None
     if concept.split == "ood" and not frozen_names:
-        name_tokens, name_rows = (), tuple(table.rows(concept.id))
+        name_token, name_row = None, table.row(concept.id)
     return RenderedPrompt(
-        concept.id, template.template_id, template.tokens, name_tokens, name_rows
+        concept.id, template.template_id, template.tokens, name_token, name_row
     )
 
 
@@ -200,9 +188,10 @@ class NameAgent:
 
     The frozen text encoder mean-pools token embeddings before anything else,
     so a prompt's pooled embedding is a frozen part (its vocabulary rows) plus
-    a fixed selection of name-table rows, each weighted by one over the
-    spliced length.  With ``frozen_names`` set (baseline / no-name-learning
-    arm) every rendering uses the concept's frozen token instead.
+    at most one name-table row, each weighted by one over the template length
+    (the slot holds one token or one row).  With ``frozen_names`` set
+    (baseline / no-name-learning arm) every rendering uses the concept's
+    frozen token instead.
     """
 
     agent_id = AgentId.NAME
@@ -242,9 +231,11 @@ class NameAgent:
             for tok in ids:
                 if not 0 <= tok < len(self.vocab):
                     raise UnknownTokenError(f"token id {tok!r} outside vocabulary")
+            length = len(rendered.prompt_tokens)
             selection = np.zeros(self.table.weight.shape[0])
-            selection[list(rendered.name_rows)] = 1.0 / rendered.spliced_length
-            frozen = self.vocab[ids].sum(axis=0) / rendered.spliced_length
+            if rendered.name_row is not None:
+                selection[rendered.name_row] = 1.0 / length
+            frozen = self.vocab[ids].sum(axis=0) / length
             self._pooled_rows[pair] = frozen, selection
         return self._pooled_rows[pair]
 
@@ -267,15 +258,14 @@ class NameAgent:
 
 # ---------------------------------------------------------------------------
 # Checkpoint format: magic, uint32-LE header length, JSON header, then the
-# table's rows as raw little-endian float64, row-major, in header order.
+# table's rows as raw little-endian float64, row-major, in header order.  The
+# header lists each concept with its vector count, which is always 1.
 
 def save_name_table(table: NameEmbeddingTable, path, world_seed: int) -> None:
     header = {
-        "embed_dim": table.embed_dim,
+        "embed_dim": table.weight.shape[1],
         "world_seed": int(world_seed),
-        "concepts": [
-            {"id": cid, "n_vectors": len(table.rows(cid))} for cid in table.concept_ids()
-        ],
+        "concepts": [{"id": cid, "n_vectors": 1} for cid in table.concept_ids],
     }
     blob = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
@@ -294,11 +284,9 @@ def load_name_table(path) -> tuple[NameEmbeddingTable, int]:
     off += 4
     header = json.loads(raw[off : off + hlen])
     off += hlen
+    if any(entry["n_vectors"] != 1 for entry in header["concepts"]):
+        raise ValueError(f"{path}: every concept must have exactly one name vector")
+    ids = [entry["id"] for entry in header["concepts"]]
     dim = header["embed_dim"]
-    table = NameEmbeddingTable(dim)
-    for entry in header["concepts"]:
-        count = entry["n_vectors"] * dim
-        data = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
-        off += count * 8
-        table.add(entry["id"], data.reshape(entry["n_vectors"], dim))
-    return table, header["world_seed"]
+    values = np.frombuffer(raw, dtype="<f8", count=len(ids) * dim, offset=off)
+    return NameEmbeddingTable(ids, values.reshape(len(ids), dim)), header["world_seed"]

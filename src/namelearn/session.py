@@ -1,16 +1,18 @@
 """One training session: four agents, a bus, an optimizer, and a world.
 
 The session owns everything learnable (name embeddings, context fusion,
-coordinator scalars and head; each held-out name starts as one vector at the
-mean of the frozen vocabulary rows, the reserved blind row excluded), builds
-per-epoch batches of image-prompt pairs with template rotation, runs
-fixed-schedule bus rounds under a gradient tape, and evaluates by cosine
-retrieval against per-class text features.  The coordinator agent ends each
-round: it requires the image features, the ``{difficulty, strategy}``
-metadata and the text features, computes the loss, and sends nothing.  The
-image agent's difficulty scorer is fixed: the loss has no path back to it.
-The image and text agents and the coordinator read the session's
-``SessionSettings`` record as it is.
+coordinator scalars and head).  The name table has one row per held-out
+concept, in ascending id, and that row is also the concept's class index; each
+row starts at the mean of the frozen vocabulary rows, the reserved blind row
+excluded (under ``disable_name_agent`` no prompt selects a row and the
+optimizer never sees the table).  The session builds per-epoch batches of
+image-prompt pairs with template rotation, runs fixed-schedule bus rounds
+under a gradient tape, and evaluates by cosine retrieval against per-class
+text features.  The coordinator agent ends each round: it requires the image
+features, the ``{difficulty, strategy}`` metadata and the text features,
+computes the loss, and sends nothing.  The image agent's difficulty scorer is
+fixed: the loss has no path back to it.  The image and text agents and the
+coordinator read the session's ``SessionSettings`` record as it is.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ class Batch:
     mapping each pair to its rendered prompt."""
 
     images: np.ndarray  # (N, P)
-    concept_ids: np.ndarray  # (N,) world concept ids
     class_labels: np.ndarray  # (N,) classification-head indices
     prompt_plan: list[tuple[int, str]]  # per pair: (concept_id, template_id)
 
@@ -133,17 +134,13 @@ class TrainingSession:
     def __init__(self, world: World, settings: SessionSettings = SessionSettings(), seed: int = 0):
         self.world = world
         self.settings = settings
-        self.seed = seed
         ss = np.random.SeedSequence([seed, world.config.seed, 0xA6E57])
         # The first stream is unused; it stays spawned so the others keep
         # their seeds.
         _, difficulty_rng, fusion_rng, exchange_ss = ss.spawn(4)
 
-        self.table = NameEmbeddingTable(world.config.embed_dim)
-        if not settings.disable_name_agent:
-            mean = np.delete(world.vocab, world.oov_token, axis=0).mean(axis=0)
-            for cid in world.ood_ids:
-                self.table.add(cid, mean[None, :])
+        mean = np.delete(world.vocab, world.oov_token, axis=0).mean(axis=0)
+        self.table = NameEmbeddingTable(world.ood_ids, np.tile(mean, (len(world.ood_ids), 1)))
 
         self.image_agent = ImageAgent(
             world.gen_map, settings, np.random.default_rng(difficulty_rng)
@@ -170,7 +167,6 @@ class TrainingSession:
         for agent in (self.image_agent, self.name_agent, self.text_agent, self.coordinator):
             self.bus.register(agent)
 
-        self.ood_index = {cid: i for i, cid in enumerate(world.ood_ids)}
         self.prompt_pools = self._build_prompt_pools(exchange_ss)
         self.step_records: list[StepRecord] = []
 
@@ -191,7 +187,7 @@ class TrainingSession:
     def trainable_parameters(self) -> list[Tensor]:
         params: list[Tensor] = []
         if not self.settings.disable_name_agent:
-            params += self.table.parameters()
+            params.append(self.table.weight)
         if not self.settings.disable_text_context:
             params += self.text_agent.parameters()
         params += self.coordinator_params.parameters(self.settings)
@@ -200,17 +196,15 @@ class TrainingSession:
     # -- training ----------------------------------------------------------------
 
     def build_batch(self, shots_by_class: dict[int, np.ndarray], epoch: int) -> Batch:
-        images, concept_ids, labels, plan = [], [], [], []
+        images, labels, plan = [], [], []
         for cid in sorted(shots_by_class):
             pool = self.prompt_pools[cid]
             for j, image in enumerate(shots_by_class[cid]):
                 images.append(image)
-                concept_ids.append(cid)
-                labels.append(self.ood_index[cid])
+                labels.append(self.table.index[cid])
                 plan.append((cid, pool[(j + epoch) % len(pool)]))
         return Batch(
             images=np.stack(images),
-            concept_ids=np.asarray(concept_ids),
             class_labels=np.asarray(labels),
             prompt_plan=plan,
         )

@@ -4,10 +4,12 @@
 ``vars(owner)[attribute]``, and ``bench/run_bench.py`` builds each workload's
 ``ExperimentConfig`` and first session through ``settings()``.  A refactor
 that moves or renames one of those would otherwise only fail when the
-benchmark runs.
+benchmark runs.  One traced tiny pass also covers what the tracer reads
+inside the package (``bus.log``, ``LogRecord.values``, tape entries).
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -48,3 +50,14 @@ def test_every_span_site_is_an_own_attribute_of_its_owner():
 def test_every_workload_config_sets_up_a_session(workload):
     config = RUN_BENCH.experiment(workload, 0, tiny=True)
     assert isinstance(RUN_BENCH.set_up(config), TrainingSession)
+
+
+def test_traced_tiny_bench_pass(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(str(BENCH))  # run_bench imports spans by name
+    monkeypatch.setattr(RUN_BENCH, "OUT", tmp_path)
+    argv = ["--workload", "default16", "--seed", "0", "--seconds", "1", "--trace", "1", "--tiny"]
+    code = RUN_BENCH.main(argv)
+    last = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert code == 0
+    assert last["correct"] is True
+    assert last["failed"] == 0

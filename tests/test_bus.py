@@ -155,7 +155,6 @@ def test_run_round_rejects_empty_batch(world):
     session = make_session(world)
     empty = Batch(
         images=np.zeros((0, world.config.image_dim)),
-        concept_ids=np.zeros(0, dtype=int),
         class_labels=np.zeros(0, dtype=int),
         prompt_plan=[],
     )

@@ -282,6 +282,9 @@ def test_total_loss_fixed_weights_when_balancing_disabled():
     settings = SessionSettings(disable_dynamic_balancing=True)
     _, bd = total_loss(img, txt, y, labels, params, settings)
     assert (bd.w_con, bd.w_cls) == (0.5, 0.5)
+    # The temperature still trains; the two weights do not.
+    trained = [params.tau_param, params.w_cls_head]
+    assert [id(p) for p in params.parameters(settings)] == [id(p) for p in trained]
 
 
 def test_coordinator_dynamics_off_fixes_tau_and_weights():

@@ -97,7 +97,7 @@ def test_difficulty_zero_parameters_give_half():
     est = DifficultyEstimator(4, 2, np.random.default_rng(0))
     for p in (est.w1, est.b1, est.w2, est.b2):
         p.data[...] = 0.0
-    out = est.estimate(Tensor(np.random.default_rng(1).normal(size=(5, 4))))
+    out = est.estimate(ad.mean_rows(Tensor(np.random.default_rng(1).normal(size=(5, 4)))))
     assert out.data == pytest.approx([0.5])
 
 
@@ -106,8 +106,8 @@ def test_difficulty_always_strictly_inside_unit_interval():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         batch = Tensor(rng.normal(scale=10.0, size=(4, 6)))
-        for mode in ("batch_mean", "per_sample"):
-            d = est.estimate(batch, mode)
+        for features in (ad.mean_rows(batch), batch):
+            d = est.estimate(features)
             assert np.all(d.data > 0.0) and np.all(d.data < 1.0)
 
 
@@ -117,14 +117,14 @@ def test_difficulty_hand_case():
     est.b1.data = np.array([0.0])
     est.w2.data = np.array([[2.0]])
     est.b2.data = np.array([0.0])
-    out = est.estimate(Tensor([[1.0, 5.0]]), "batch_mean")
+    out = est.estimate(Tensor([1.0, 5.0]))
     assert out.data == pytest.approx([1.0 / (1.0 + np.exp(-2.0))], abs=1e-12)
 
 
 def test_difficulty_per_sample_shape():
     est = DifficultyEstimator(6, 3, np.random.default_rng(2))
-    d = est.estimate(Tensor(np.random.default_rng(3).normal(size=(7, 6))), "per_sample")
-    assert d.shape == (7,)
+    d = est.estimate(Tensor(np.random.default_rng(3).normal(size=(7, 6))))
+    assert d.shape == (7, 1)
 
 
 @pytest.mark.parametrize("threshold", [0.05, 0.95])

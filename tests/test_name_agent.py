@@ -34,12 +34,9 @@ def world():
 
 @pytest.fixture()
 def table(world):
-    # Two vectors per held-out name, both at the vocabulary mean.
-    t = NameEmbeddingTable(world.config.embed_dim)
-    mean = np.delete(world.vocab, world.oov_token, axis=0).mean(axis=0)
-    for cid in world.ood_ids:
-        t.add(cid, np.stack([mean, mean]))
-    return t
+    # One random vector per held-out name.
+    shape = (len(world.ood_ids), world.config.embed_dim)
+    return NameEmbeddingTable(world.ood_ids, np.random.default_rng(0).normal(size=shape))
 
 
 def test_template_requires_exactly_one_slot():
@@ -54,28 +51,35 @@ def test_init_vocab_mean_matches_mean_oracle(world):
     # frozen vocabulary rows, the reserved blind row excluded.
     table = TrainingSession(world, SessionSettings(), seed=0).table
     expected = np.delete(world.vocab, world.oov_token, axis=0).mean(axis=0)
-    assert table.concept_ids() == sorted(world.ood_ids)
+    assert table.concept_ids == sorted(world.ood_ids)
     assert table.weight.requires_grad
+    assert table.weight.shape == (len(world.ood_ids), world.config.embed_dim)
     for cid in world.ood_ids:
-        (row,) = table.rows(cid)
-        assert np.array_equal(table.weight.data[row], expected)
+        assert np.array_equal(table.weight.data[table.row(cid)], expected)
+
+
+@pytest.mark.parametrize(
+    "ids, shape", [([3, 7, 5], (3, 2)), ([3, 3], (2, 2)), ([3, 7], (3, 2)), ([3, 7], (2,))]
+)
+def test_table_needs_ascending_ids_and_one_row_each(ids, shape):
+    with pytest.raises(ValueError):
+        NameEmbeddingTable(ids, np.zeros(shape))
 
 
 def test_render_seen_concept_uses_frozen_token(world, table):
     concept = world.concept(world.seen_ids[0])
     rp = render_prompt(world.canonical_template, concept, table)
-    assert rp.name_tokens == (concept.name_token,)
-    assert rp.name_rows == ()
+    assert rp.name_token == concept.name_token
+    assert rp.name_row is None
     assert concept.name_token in rp.frozen_token_ids
-    assert rp.spliced_length == len(world.canonical_template.tokens)
+    assert len(rp.frozen_token_ids) == len(world.canonical_template.tokens)
 
 
 def test_render_ood_splice_arithmetic(world, table):
     concept = world.concept(world.ood_ids[0])
     rp = render_prompt(world.canonical_template, concept, table)
-    assert rp.spliced_length == len(world.canonical_template.tokens) - 1 + 2
-    assert rp.name_tokens == ()
-    assert rp.name_rows == tuple(table.rows(concept.id))
+    assert rp.name_token is None
+    assert rp.name_row == table.row(concept.id) == 0
     # Table rows are never mistaken for vocabulary ids.
     assert rp.frozen_token_ids == tuple(
         t for t in world.canonical_template.tokens if t != NAME_SLOT
@@ -85,7 +89,7 @@ def test_render_ood_splice_arithmetic(world, table):
 
 
 def test_render_ood_missing_from_table(world):
-    empty = NameEmbeddingTable(world.config.embed_dim)
+    empty = NameEmbeddingTable([], np.zeros((0, world.config.embed_dim)))
     with pytest.raises(MissingNameEmbeddingError):
         render_prompt(world.canonical_template, world.concept(world.ood_ids[0]), empty)
 
@@ -97,7 +101,7 @@ def test_render_reflects_parameter_updates(world, table):
     )
     pair = [(concept.id, world.canonical_template.template_id)]
     before = agent.pool(pair).data.copy()
-    table.weight.data[table.rows(concept.id)[0]] += 0.25  # simulated optimizer step
+    table.weight.data[table.row(concept.id)] += 0.25  # simulated optimizer step
     assert not np.array_equal(agent.pool(pair).data, before)
 
 
@@ -188,20 +192,17 @@ def test_checkpoint_roundtrip(world, table, tmp_path):
     save_name_table(table, path, world_seed=world.config.seed)
     loaded, seed = load_name_table(path)
     assert seed == world.config.seed
-    assert loaded.concept_ids() == table.concept_ids()
-    for cid in table.concept_ids():
-        assert loaded.rows(cid) == table.rows(cid)
+    assert loaded.concept_ids == table.concept_ids
+    assert loaded.index == table.index
     assert loaded.weight.data.tobytes() == table.weight.data.tobytes()
     assert loaded.weight.requires_grad
 
 
 def test_checkpoint_byte_layout(tmp_path):
     # Magic, uint32-LE header length, JSON header, then row-major '<f8' values
-    # in (concept id, vector) order, whatever order the concepts were added in.
-    table = NameEmbeddingTable(3)
-    drawn = np.random.default_rng(4).normal(scale=0.02, size=(4, 3))  # 7's rows, then 3's
-    table.add(7, drawn[:2])
-    table.add(3, drawn[2:])
+    # in ascending concept id order, one vector per concept.
+    drawn = np.random.default_rng(4).normal(scale=0.02, size=(2, 3))  # 3's row, then 7's
+    table = NameEmbeddingTable([3, 7], drawn)
     path = tmp_path / "names.bin"
     save_name_table(table, path, world_seed=11)
     raw = path.read_bytes()
@@ -211,17 +212,35 @@ def test_checkpoint_byte_layout(tmp_path):
     start = len(magic) + 4
     header = json.loads(raw[start : start + hlen])
     assert header == {
-        "concepts": [{"id": 3, "n_vectors": 2}, {"id": 7, "n_vectors": 2}],
+        "concepts": [{"id": 3, "n_vectors": 1}, {"id": 7, "n_vectors": 1}],
         "embed_dim": 3,
         "world_seed": 11,
     }
     assert raw[start : start + hlen] == json.dumps(header, sort_keys=True).encode()
-    body = np.concatenate([drawn[2:], drawn[:2]]).astype("<f8").tobytes()
+    body = drawn.astype("<f8").tobytes()
     assert raw[start + hlen :] == body
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"not a checkpoint")
+    with pytest.raises(ValueError):
+        load_name_table(path)
+
+
+@pytest.mark.parametrize(
+    "concepts",
+    [
+        [{"id": 3, "n_vectors": 2}],  # a block of two rows for one concept
+        [{"id": 7, "n_vectors": 1}, {"id": 3, "n_vectors": 1}],  # ids not ascending
+    ],
+)
+def test_checkpoint_rejects_blocks_and_unordered_ids(tmp_path, concepts):
+    # Written by hand: the header says what the test needs, the body holds
+    # two rows of three values either way.
+    blob = json.dumps({"concepts": concepts, "embed_dim": 3, "world_seed": 0}).encode()
+    body = np.random.default_rng(5).normal(size=(2, 3)).astype("<f8").tobytes()
+    path = tmp_path / "names.bin"
+    path.write_bytes(b"NLNAMES/1\n" + struct.pack("<I", len(blob)) + blob + body)
     with pytest.raises(ValueError):
         load_name_table(path)

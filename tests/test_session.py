@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from namelearn import selfcheck
+from namelearn.name_agent import load_name_table, save_name_table
 from namelearn.session import SessionSettings, TrainingSession
 from namelearn.world import WorldConfig, build_world
 
@@ -43,9 +44,8 @@ def test_name_embeddings_receive_nonzero_gradient(world):
         total = run_round(session.bus, batch).total
     backward(tape, total)
     grads = [
-        np.abs(session.table.weight.grad[row]).max()
+        np.abs(session.table.weight.grad[session.table.row(cid)]).max()
         for cid in world.ood_ids
-        for row in session.table.rows(cid)
     ]
     assert len(grads) == len(world.ood_ids)
     assert all(g > 0.0 for g in grads)
@@ -76,7 +76,7 @@ def test_training_moves_only_declared_learnables(world):
     ]
     # Every name vector must move; the fixed difficulty scorer has no loss
     # path and is not handed to the optimizer.
-    (names,) = session.table.parameters()
+    names = session.table.weight
     assert np.all(np.any(names.data != before[id(names)], axis=1))
     assert all(np.array_equal(w.data, scorer[w.name]) for w in scorer_weights(session))
     assert any(moved)
@@ -170,10 +170,30 @@ def test_adaptation_learns_held_out_concepts(world):
 
 def test_disable_name_agent_blocks_ood_learning(world):
     session = TrainingSession(world, SessionSettings(disable_name_agent=True), seed=0)
+    names_before = session.table.weight.data.copy()
     session.train(shots_for(world, k=8, seed=44), epochs=100, lr=1e-3)
+    # The table is built, but no prompt selects a row and Adam never sees it.
+    assert all(p is not session.table.weight for p in session.trainable_parameters())
+    assert np.array_equal(session.table.weight.data, names_before)
     images, labels = world.sample_split(world.ood_ids, per_class=40, seed=45)
     out = session.evaluate(images, labels, world.ood_ids)
     assert abs(out["ood"] - 1.0 / len(world.ood_ids)) <= 0.05
+
+
+def test_disable_text_context_leaves_fusion_out_of_training(world):
+    session = TrainingSession(world, SessionSettings(disable_text_context=True), seed=0)
+    fusion = {id(p) for p in session.text_agent.parameters()}
+    assert fusion
+    assert not fusion & {id(p) for p in session.trainable_parameters()}
+
+
+def test_disable_context_exchange_keeps_native_templates_only(world):
+    session = TrainingSession(world, SessionSettings(disable_context_exchange=True), seed=0)
+    by_id = {t.template_id: t for t in world.templates}
+    assert sorted(session.prompt_pools) == world.ood_ids
+    for cid, pool in session.prompt_pools.items():
+        (tid,) = pool
+        assert by_id[tid].category_affinity == world.concept(cid).family
 
 
 def test_learnable_lambda_changes_during_training(world):
@@ -208,3 +228,25 @@ def test_disable_difficulty_equals_full_model_where_scorer_routes_robust():
     assert [p.data.tobytes() for p in full.trainable_parameters()] == [
         p.data.tobytes() for p in ablated.trainable_parameters()
     ]
+
+
+def test_name_table_rows_are_the_class_labels(world):
+    # One row per held-out concept, in ascending id; a pair's label is its
+    # concept's row.
+    session = TrainingSession(world, SessionSettings(), seed=0)
+    assert session.table.concept_ids == world.ood_ids
+    batch = session.build_batch(shots_for(world), epoch=1)
+    assert len(batch.class_labels) == batch.size
+    for label, (cid, _) in zip(batch.class_labels, batch.prompt_plan):
+        assert label == session.table.row(cid)
+
+
+def test_trained_name_table_checkpoint_roundtrip(world, tmp_path):
+    session = TrainingSession(world, SessionSettings(), seed=0)
+    session.train(shots_for(world), epochs=5, lr=1e-3)
+    path = tmp_path / "names.bin"
+    save_name_table(session.table, path, world_seed=world.config.seed)
+    loaded, seed = load_name_table(path)
+    assert seed == world.config.seed
+    assert loaded.concept_ids == session.table.concept_ids
+    assert loaded.weight.data.tobytes() == session.table.weight.data.tobytes()

@@ -43,11 +43,10 @@ def agent(world):
 
 
 def make_namer(world, extra_concepts=(), frozen_names=False):
-    """Name agent whose table holds two random vectors for the first held-out
-    concept."""
-    table = NameEmbeddingTable(world.config.embed_dim)
-    vectors = np.random.default_rng(1).normal(scale=0.02, size=(2, world.config.embed_dim))
-    table.add(world.ood_ids[0], vectors)
+    """Name agent whose table holds one random vector, for the first held-out
+    concept only."""
+    vectors = np.random.default_rng(1).normal(scale=0.02, size=(1, world.config.embed_dim))
+    table = NameEmbeddingTable(world.ood_ids[:1], vectors)
     concepts = {c.id: c for c in list(world.concepts) + list(extra_concepts)}
     return NameAgent(
         concepts,
@@ -108,7 +107,8 @@ def test_encode_standard_accepts_blind_token(world):
     namer = make_namer(world, frozen_names=True)
     cid = world.ood_ids[0]
     rendered = namer.render(cid, world.canonical_template.template_id)
-    assert rendered.name_tokens == (world.oov_token,)
+    assert rendered.name_token == world.oov_token
+    assert rendered.name_row is None
     out = standard(world, pooled(world, namer, cid))
     assert out.shape == (1, world.config.embed_dim)
 
@@ -116,7 +116,7 @@ def test_encode_standard_accepts_blind_token(world):
 def test_encode_standard_sensitive_to_name_embeddings(world, namer):
     cid = world.ood_ids[0]
     a = standard(world, pooled(world, namer, cid))
-    namer.table.weight.data[namer.table.rows(cid)] += 0.5
+    namer.table.weight.data[namer.table.row(cid)] += 0.5
     b = standard(world, pooled(world, namer, cid))
     assert not np.allclose(a.data, b.data)
 
@@ -172,6 +172,12 @@ def test_contextual_lambda_one_equals_standard(world, namer):
     out = agent.step([prompt_message(rows)], None)
     assert out[0].content.label == "text_features"
     assert np.array_equal(out[0].content.tensor.data, std.data)
+
+
+def test_disable_text_context_is_the_standard_encoding(world, namer):
+    agent = make_agent(world, disable_text_context=True)
+    rows = pooled(world, namer, world.ood_ids[0])
+    assert np.array_equal(agent.encode(rows, context(world, 3)).data, standard(world, rows).data)
 
 
 def test_contextual_lambda_zero_equals_fusion(world, namer):
@@ -265,11 +271,11 @@ def test_learnable_lambda_reparameterization(world):
 
 def test_embed_sequence_splice_length(world, namer):
     # The pooled prompt is the mean over the spliced sequence: the template's
-    # frozen rows plus both learnable name vectors.
+    # frozen rows plus the one learnable name vector in the slot.
     cid = world.ood_ids[0]
     tokens = world.canonical_template.tokens
     frozen = [t for t in tokens if t != NAME_SLOT]
-    names = namer.table.weight.data[namer.table.rows(cid)]
+    names = namer.table.weight.data[[namer.table.row(cid)]]
     spliced = np.concatenate([world.vocab[frozen], names])
-    assert len(spliced) == len(tokens) - 1 + 2
+    assert len(spliced) == len(tokens)
     assert np.allclose(pooled(world, namer, cid).data, [spliced.mean(axis=0)], atol=1e-15)
