@@ -99,21 +99,14 @@ def _make(data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn: Callable) -
 # Operations
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product: (N,K)@(K,M), (K,)@(K,M) or (N,K)@(K,)."""
+    """Matrix product: (N,K)@(K,M) or (K,)@(K,M)."""
     ad, bd = a.data, b.data
-    ok = (
-        (ad.ndim == 2 and bd.ndim == 2 and ad.shape[1] == bd.shape[0])
-        or (ad.ndim == 1 and bd.ndim == 2 and ad.shape[0] == bd.shape[0])
-        or (ad.ndim == 2 and bd.ndim == 1 and ad.shape[1] == bd.shape[0])
-    )
-    if not ok:
+    if not (ad.ndim in (1, 2) and bd.ndim == 2 and ad.shape[-1] == bd.shape[0]):
         raise ShapeError(f"matmul: incompatible shapes {ad.shape} @ {bd.shape}")
 
     def backward(g):
         if ad.ndim == 1:  # (K,)@(K,M) -> (M,)
             return bd @ g, np.outer(ad, g)
-        if bd.ndim == 1:  # (N,K)@(K,) -> (N,)
-            return np.outer(g, bd), ad.T @ g
         return g @ bd.T, ad.T @ g
 
     return _make(ad @ bd, (a, b), backward)
@@ -128,9 +121,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     elif ad.ndim == 2 and bd.ndim == 1 and ad.shape[1] == bd.shape[0]:
         def backward(g):
             return g, g.sum(axis=0)
-    elif ad.ndim == 1 and bd.ndim == 2 and bd.shape[1] == ad.shape[0]:
-        def backward(g):
-            return g.sum(axis=0), g
     else:
         raise ShapeError(f"add: incompatible shapes {ad.shape} + {bd.shape}")
     return _make(ad + bd, (a, b), backward)
@@ -147,19 +137,13 @@ def scale(a: Tensor, factor: float) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; either side may be a scalar (size-1) tensor."""
+    """Elementwise product of two same-shape tensors."""
     ad, bd = a.data, b.data
-    if ad.shape == bd.shape:
-        def backward(g):
-            return g * bd, g * ad
-    elif ad.size == 1:
-        def backward(g):
-            return np.sum(g * bd).reshape(ad.shape), g * ad.reshape(())
-    elif bd.size == 1:
-        def backward(g):
-            return g * bd.reshape(()), np.sum(g * ad).reshape(bd.shape)
-    else:
+    if ad.shape != bd.shape:
         raise ShapeError(f"mul: incompatible shapes {ad.shape} * {bd.shape}")
+
+    def backward(g):
+        return g * bd, g * ad
     return _make(ad * bd, (a, b), backward)
 
 

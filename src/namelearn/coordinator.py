@@ -2,12 +2,11 @@
 
 Clipped dynamic temperature, symmetric image-text contrastive loss, auxiliary
 classification loss, and learnable clipped loss weights, combined into one
-differentiable total.  The similarity matrix stores raw cosine products; the
-temperature divides inside the loss so it actually controls softmax sharpness
-(the ``literal_tau_cancellation`` setting premultiplies similarities by the
-temperature, which then cancels, for fidelity checks).  The loss reads
-``disable_coordinator_dynamics``, ``disable_dynamic_balancing`` and
-``literal_tau_cancellation`` from the session's ``SessionSettings``.
+differentiable total.  The similarity matrix stores raw cosine products and
+the temperature divides inside the loss, because in the paper's formula the
+similarities are first multiplied by the temperature, which cancels it.  The
+loss reads ``disable_coordinator_dynamics`` and ``disable_dynamic_balancing``
+from the session's ``SessionSettings``.
 """
 
 from __future__ import annotations
@@ -170,8 +169,6 @@ def total_loss(
     else:
         tau = effective_temperature(params.tau_param)
     s = similarity_matrix(img_features, txt_features)
-    if settings.literal_tau_cancellation:
-        s = ad.mul(s, tau)  # the in-loss division then cancels it
     l_con = contrastive_loss(s, match_index, tau)
     if settings.disable_coordinator_dynamics or settings.disable_dynamic_balancing:
         w_con = Tensor(np.asarray(FIXED_WEIGHTS[0]))

@@ -422,6 +422,4 @@ def _parse_scalar(value: str, template):
         return lowered == "true"
     if isinstance(template, int):
         return int(value)
-    if isinstance(template, float):
-        return float(value)
-    return value
+    return float(value)

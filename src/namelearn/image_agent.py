@@ -6,9 +6,10 @@ by a difficulty score that a fixed, seeded scorer estimates from the batch
 feature distribution.  ``ImageAgent.encode`` is the one routing path, for
 training rounds and evaluation alike.  Emits the batch features and their
 ``{difficulty, strategy}`` metadata to the coordinator and a pooled visual
-context vector to the text agent.  It reads ``alpha``, ``difficulty_mode``,
-``difficulty_threshold``, ``disable_difficulty`` and
-``disable_image_agent_robust`` from the session's ``SessionSettings``.
+context vector to the text agent.  The score is one number per batch, taken
+from the batch's mean feature.  It reads ``alpha``, ``difficulty_threshold``,
+``disable_difficulty`` and ``disable_image_agent_robust`` from the session's
+``SessionSettings``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ ROBUST = "robust"
 
 
 class DifficultyEstimator:
-    """Two-layer sigmoid scorer of batch (or per-sample) processing difficulty.
+    """Two-layer sigmoid scorer of batch processing difficulty.
 
     The weights are a fixed seeded draw, not learnables: the score reaches the
     loss only through the routing threshold, so no gradient could move them.
@@ -99,9 +100,7 @@ class ImageAgent:
         if self.settings.disable_difficulty:
             difficulty = 0.5  # neutral score when estimation is ablated
         else:
-            per_sample = self.settings.difficulty_mode == "per_sample"
-            scores = self.estimator.estimate(standard if per_sample else ad.mean_rows(standard))
-            difficulty = float(scores.data.mean())
+            difficulty = self.estimator.estimate(ad.mean_rows(standard)).item()
         if self.settings.disable_image_agent_robust:
             strategy = STANDARD
         else:

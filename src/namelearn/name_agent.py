@@ -258,8 +258,9 @@ class NameAgent:
 
 # ---------------------------------------------------------------------------
 # Checkpoint format: magic, uint32-LE header length, JSON header, then the
-# table's rows as raw little-endian float64, row-major, in header order.  The
-# header lists each concept with its vector count, which is always 1.
+# table's rows as raw little-endian float64, row-major, in header order, and
+# nothing after them.  The header lists each concept with its vector count,
+# which is always 1.
 
 def save_name_table(table: NameEmbeddingTable, path, world_seed: int) -> None:
     header = {
@@ -276,17 +277,36 @@ def save_name_table(table: NameEmbeddingTable, path, world_seed: int) -> None:
 
 
 def load_name_table(path) -> tuple[NameEmbeddingTable, int]:
-    raw = Path(path).read_bytes()
-    if not raw.startswith(CHECKPOINT_MAGIC):
-        raise ValueError(f"{path}: not a name-embedding checkpoint")
-    off = len(CHECKPOINT_MAGIC)
-    (hlen,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    header = json.loads(raw[off : off + hlen])
-    off += hlen
+    header, values = read_framed(
+        path,
+        CHECKPOINT_MAGIC,
+        "name-embedding checkpoint",
+        lambda h: len(h["concepts"]) * h["embed_dim"],
+    )
     if any(entry["n_vectors"] != 1 for entry in header["concepts"]):
         raise ValueError(f"{path}: every concept must have exactly one name vector")
     ids = [entry["id"] for entry in header["concepts"]]
-    dim = header["embed_dim"]
-    values = np.frombuffer(raw, dtype="<f8", count=len(ids) * dim, offset=off)
-    return NameEmbeddingTable(ids, values.reshape(len(ids), dim)), header["world_seed"]
+    table = NameEmbeddingTable(ids, values.reshape(len(ids), header["embed_dim"]))
+    return table, header["world_seed"]
+
+
+def read_framed(path, magic: bytes, kind: str, n_floats) -> tuple[dict, np.ndarray]:
+    """Header and float64 payload of a magic, uint32-LE length, JSON header file.
+
+    ``n_floats(header)`` is the payload's length in floats; a file of any other
+    length, cut in its header or not, raises ``ValueError`` naming ``path``.
+    """
+    raw = Path(path).read_bytes()
+    if not raw.startswith(magic):
+        raise ValueError(f"{path}: not a {kind}")
+    off = len(magic) + 4
+    # A file cut inside the length field is shorter than ``off``: caught below.
+    hlen = int.from_bytes(raw[len(magic) : off], "little")
+    if len(raw) < off + hlen:
+        raise ValueError(f"{path}: file ends inside its header ({len(raw)} bytes)")
+    header = json.loads(raw[off : off + hlen])
+    off += hlen
+    expected = off + 8 * n_floats(header)
+    if len(raw) != expected:
+        raise ValueError(f"{path}: {len(raw)} bytes, header and arrays need {expected}")
+    return header, np.frombuffer(raw, dtype="<f8", offset=off).copy()

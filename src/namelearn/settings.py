@@ -1,9 +1,10 @@
 """The one record of session settings, from config file to the agents.
 
-``SessionSettings`` holds every knob a training session reads; the image and
-text agents and the coordinator's loss read it directly.  Its values are
-checked once, when the record is built, so a bad config fails before any
-world exists.  ``harness.ExperimentConfig`` extends it with the grid.
+``SessionSettings`` holds every knob a training session reads: the three
+hyperparameters ``alpha``, ``difficulty_threshold`` and ``lambda_mix``, and
+the eight ablation flags.  The image and text agents and the coordinator's
+loss read it directly.  Its values are checked once, when the record is
+built, so a bad config fails before any world exists.  ``harness.ExperimentConfig`` extends it with the grid.
 """
 
 from __future__ import annotations
@@ -19,10 +20,7 @@ class ConfigError(ValueError):
 class SessionSettings:
     alpha: float = 0.1  # residual coefficient in the robust image encoding
     difficulty_threshold: float = 0.5  # robust at or above this score
-    difficulty_mode: str = "batch_mean"  # or "per_sample"
     lambda_mix: float = 0.7  # weight of the plain text feature in the fusion
-    learnable_lambda: bool = False  # sigmoid-reparameterized mixing ratio
-    literal_tau_cancellation: bool = False  # premultiply similarities by tau
     disable_image_agent_robust: bool = False  # never route to the robust path
     disable_text_context: bool = False  # standard text encoding only
     disable_name_agent: bool = False
@@ -37,7 +35,5 @@ class SessionSettings:
             raise ConfigError(f"alpha {self.alpha} outside [0, 1]")
         if not 0.0 < self.difficulty_threshold < 1.0:
             raise ConfigError(f"difficulty_threshold {self.difficulty_threshold} outside (0, 1)")
-        if self.difficulty_mode not in ("batch_mean", "per_sample"):
-            raise ConfigError(f"unknown difficulty_mode {self.difficulty_mode!r}")
         if not 0.0 <= self.lambda_mix <= 1.0:
             raise ConfigError(f"lambda_mix {self.lambda_mix} outside [0, 1]")

@@ -5,11 +5,10 @@ evaluation alike.  It runs the frozen text encoder's mixer over pooled prompt
 embeddings (the name agent's ``(N, D)`` block, learnable name vectors already
 pooled in), then mixes that standard feature with a learned transform of the
 feature concatenated with the visual context vector received from the image
-agent, weighted by a fixed (or optionally learnable) mixing ratio.  The
-context is a value snapshot broadcast to every row: no gradient crosses from
-the text agent into the image agent.  It reads ``disable_text_context``,
-``lambda_mix``, ``learnable_lambda`` and ``simple_concat_fusion`` from the
-session's ``SessionSettings``.
+agent, weighted by the fixed ratio ``lambda_mix``.  The context is a value
+snapshot broadcast to every row: no gradient crosses from the text agent into
+the image agent.  It reads ``disable_text_context``, ``lambda_mix`` and
+``simple_concat_fusion`` from the session's ``SessionSettings``.
 """
 
 from __future__ import annotations
@@ -106,27 +105,11 @@ class TextAgent:
             self.fusion = LinearFusion(d, rng)
         else:
             self.fusion = ContextIntegrationModule(d, d, rng)
-        self.lambda_param: Tensor | None = None
-        if settings.learnable_lambda:
-            lam = min(max(settings.lambda_mix, 1e-6), 1 - 1e-6)
-            self.lambda_param = Tensor(
-                np.asarray(np.log(lam / (1 - lam))), requires_grad=True, name="lambda_param"
-            )
 
     def parameters(self) -> list[Tensor]:
-        params = list(self.fusion.parameters())
-        if self.lambda_param is not None:
-            params.append(self.lambda_param)
-        return params
+        return list(self.fusion.parameters())
 
     # -- encoding -------------------------------------------------------------
-
-    def _mixing_weights(self) -> tuple:
-        if self.lambda_param is not None:
-            lam = ad.sigmoid(self.lambda_param)
-            one_minus = ad.add(ad.scale(lam, -1.0), Tensor(np.asarray(1.0)))
-            return lam, one_minus
-        return self.settings.lambda_mix, 1.0 - self.settings.lambda_mix
 
     def encode(self, pooled: Tensor, context: Tensor | None) -> Tensor:
         """Text features ``(N, D)`` for pooled prompt embeddings ``(N, D)``.
@@ -147,10 +130,8 @@ class TextAgent:
         # A constant copy per row: the value snapshot carries no gradient.
         rows = Tensor(np.tile(context.data, (standard.shape[0], 1)))
         fused = self.fusion(ad.concat_cols(standard, rows))
-        lam, one_minus = self._mixing_weights()
-        if isinstance(lam, Tensor):
-            return ad.add(ad.mul(lam, standard), ad.mul(one_minus, fused))
-        return ad.add(ad.scale(standard, lam), ad.scale(fused, one_minus))
+        lam = self.settings.lambda_mix
+        return ad.add(ad.scale(standard, lam), ad.scale(fused, 1.0 - lam))
 
     # -- round protocol ---------------------------------------------------------
 

@@ -7,14 +7,17 @@ prototypes.  The frozen text side only aligns with prototypes of concepts
 whose names exist in its vocabulary: names of held-out concepts map to a
 single reserved out-of-vocabulary token, so their prompts all encode to the
 same uninformative vector.  Alignment breakdown for the held-out split is
-therefore a construction-time fact with measurable ground truth.
+therefore a construction-time fact with measurable ground truth.  The frozen
+model's zero-shot classifier is a softmax at the fixed temperature
+``ZERO_SHOT_GAMMA``.  A snapshot loads only if its length is exactly header
+plus arrays and every key of its config is a ``WorldConfig`` field.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +35,8 @@ MIXER_SHIFT = 10.0
 # Std-dev per coordinate of filler-word embeddings, scaled so a filler token
 # has norm ~0.2 regardless of dimension.
 FILLER_NORM = 0.2
+# Softmax temperature of the frozen model's zero-shot classifier.
+ZERO_SHOT_GAMMA = 0.07
 
 
 class WorldBuildError(RuntimeError):
@@ -46,18 +51,16 @@ class WorldConfig:
     n_ood: int = 10
     noise_sigma: float = 0.05
     min_separation: float = 0.3
-    gamma: float = 0.07
     vocab_size: int = 128
     seed: int = 0
-    ood_token_mode: str = "shared"  # "shared": one blind token; "per_name": untrained per-concept tokens
 
     def validate(self) -> None:
         if self.n_seen < 2 or self.n_ood < 2:
             raise WorldBuildError("need at least 2 seen and 2 held-out concepts")
         if self.image_dim < self.embed_dim:
             raise WorldBuildError("image_dim must be >= embed_dim")
-        if self.ood_token_mode not in ("shared", "per_name"):
-            raise WorldBuildError(f"unknown ood_token_mode {self.ood_token_mode!r}")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise WorldBuildError(f"noise_sigma {self.noise_sigma} must be finite and >= 0")
         needed = FILLER_POOL + self.n_seen + self.n_ood + 1
         if self.vocab_size < needed:
             raise WorldBuildError(f"vocab_size must be >= {needed}")
@@ -188,18 +191,16 @@ class World:
 
     # -- frozen-model inference ----------------------------------------------
 
-    def zero_shot_probs(
-        self, images: np.ndarray, class_ids: list[int], gamma: float | None = None
-    ) -> np.ndarray:
-        """Open-vocabulary probabilities: softmax of cosine / gamma per image."""
+    def zero_shot_probs(self, images: np.ndarray, class_ids: list[int]) -> np.ndarray:
+        """Open-vocabulary probabilities: softmax of cosine / ZERO_SHOT_GAMMA
+        per image."""
         if len(class_ids) == 0:
             raise ValueError("empty class set")
-        g = self.config.gamma if gamma is None else gamma
         feats = self.encode_images(np.atleast_2d(images))
         feats = feats / np.linalg.norm(feats, axis=1, keepdims=True)
         text = np.stack([self.frozen_prompt_feature(cid) for cid in class_ids])
         text = text / np.linalg.norm(text, axis=1, keepdims=True)
-        logits = (feats @ text.T) / g
+        logits = (feats @ text.T) / ZERO_SHOT_GAMMA
         logits -= logits.max(axis=1, keepdims=True)
         p = np.exp(logits)
         p /= p.sum(axis=1, keepdims=True)
@@ -264,8 +265,6 @@ def build_world(config: WorldConfig = WorldConfig()) -> World:
             # Constructed so the canonical prompt's mean embedding equals the
             # latent exactly: token = T*u - sum(filler embeddings).
             vocab[token] = canonical_len * latents[i] - vocab[canonical_fillers].sum(axis=0)
-        elif config.ood_token_mode == "per_name":
-            token = FILLER_POOL + i  # untrained random row: mild blindness
         else:
             token = oov_token  # shared blind token: total blindness
         name = f"{split}_{i if split == 'seen' else i - config.n_seen:02d}"
@@ -306,7 +305,7 @@ def build_world(config: WorldConfig = WorldConfig()) -> World:
         raise WorldBuildError(
             f"seen-prompt alignment check failed: {world.report['sc_min_prompt_cosine']}"
         )
-    if config.ood_token_mode == "shared" and blindness_spread != 0.0:
+    if blindness_spread != 0.0:
         raise WorldBuildError("blind-token check failed: features differ")
     return world
 
@@ -314,7 +313,7 @@ def build_world(config: WorldConfig = WorldConfig()) -> World:
 # ---------------------------------------------------------------------------
 # Snapshot format: magic, uint32-LE header length, JSON header (config,
 # concept metadata, templates, array manifest), then the arrays as raw
-# little-endian float64 in manifest order.
+# little-endian float64 in manifest order, and nothing after them.
 
 def save_world(world: World, path) -> None:
     arrays = {
@@ -354,23 +353,23 @@ def save_world(world: World, path) -> None:
 
 
 def load_world(path) -> World:
-    raw = Path(path).read_bytes()
-    if not raw.startswith(SNAPSHOT_MAGIC):
-        raise ValueError(f"{path}: not a world snapshot")
-    off = len(SNAPSHOT_MAGIC)
-    (hlen,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    header = json.loads(raw[off : off + hlen])
-    off += hlen
-    arrays = {}
+    header, flat = name_agent.read_framed(
+        path,
+        SNAPSHOT_MAGIC,
+        "world snapshot",
+        lambda h: sum(int(np.prod(shape)) for _, shape in h["manifest"]),
+    )
+    arrays, off = {}, 0
     for key, shape in header["manifest"]:
         count = int(np.prod(shape))
-        arrays[key] = (
-            np.frombuffer(raw, dtype="<f8", count=count, offset=off)
-            .reshape(shape)
-            .copy()
+        arrays[key] = flat[off : off + count].reshape(shape)
+        off += count
+    extra = sorted(set(header["config"]) - {f.name for f in fields(WorldConfig)})
+    if extra:
+        raise ValueError(
+            f"{path}: config keys {extra} are not WorldConfig fields; "
+            "rebuild the snapshot with 'namelearn world build'"
         )
-        off += count * 8
     config = WorldConfig(**header["config"])
     concepts = [
         ConceptSpec(

@@ -265,17 +265,6 @@ def test_total_loss_weighted_sum():
     assert total.item() == bd.total
 
 
-def test_total_loss_literal_tau_cancellation_makes_tau_inert():
-    rng = np.random.default_rng(2)
-    img, txt, y, labels, params = _synthetic_round(rng)
-    settings = SessionSettings(literal_tau_cancellation=True)
-    params.tau_param.data = np.asarray(0.7)
-    _, bd_a = total_loss(img, txt, y, labels, params, settings)
-    params.tau_param.data = np.asarray(1.9)
-    _, bd_b = total_loss(img, txt, y, labels, params, settings)
-    assert bd_a.l_con == pytest.approx(bd_b.l_con, abs=1e-12)
-
-
 def test_total_loss_fixed_weights_when_balancing_disabled():
     rng = np.random.default_rng(3)
     img, txt, y, labels, params = _synthetic_round(rng)

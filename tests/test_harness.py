@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -56,7 +59,6 @@ def test_config_validates_shots_and_seeds():
         dict(seeds=(-1,)),
         dict(alpha=1.5),
         dict(difficulty_threshold=0.0),
-        dict(difficulty_mode="adaptive"),
         dict(lambda_mix=1.5),
     ):
         with pytest.raises(ConfigError):
@@ -102,6 +104,14 @@ def test_config_file_roundtrip(tmp_path):
         "exchange_k = 2",
         "exchange_weight = 1.0",
         "eval_label_space = joint",
+        # Deleted variant switches: a fixed mixing ratio, the temperature
+        # dividing inside the loss, one batch-mean difficulty score, one shared
+        # blind token and a fixed zero-shot temperature.
+        "learnable_lambda = true",
+        "literal_tau_cancellation = true",
+        "difficulty_mode = per_sample",
+        "world.ood_token_mode = per_name",
+        "world.gamma = 0.07",
     ],
     ids=lambda line: line.split(" ")[0],
 )
@@ -363,6 +373,29 @@ def test_cli_empty_or_zero_setting_is_hard_error(
 
 def test_cli_usage_error_returns_one():
     assert main(["unknown-subcommand"]) == 1
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-0.05"])
+def test_cli_noise_sigma_not_finite_and_nonnegative_is_hard_error(tmp_path, capsys, sigma):
+    cfg = write_tiny_config(tmp_path / "exp.cfg", **{"world.noise_sigma": sigma})
+    rc = main(["few-shot", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "noise_sigma" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def run(*args):
+        command = [sys.executable, "-m", "namelearn", *args]
+        return subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+
+    built = run("world", "build", "--out", str(tmp_path))
+    assert built.returncode == 0, built.stderr
+    assert (tmp_path / "world.bin").exists()
+    assert run("bogus").returncode == 1
 
 
 def test_cli_partial_failure_exit_code(monkeypatch, tmp_path):

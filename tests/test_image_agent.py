@@ -27,8 +27,6 @@ def test_config_validation():
         SessionSettings(alpha=1.5)
     with pytest.raises(ValueError):
         SessionSettings(difficulty_threshold=0.0)
-    with pytest.raises(ValueError):
-        SessionSettings(difficulty_mode="adaptive")
 
 
 def test_encode_standard_is_frozen_output(agent):

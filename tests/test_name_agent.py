@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 from types import SimpleNamespace
 
@@ -225,6 +226,24 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(ValueError):
+        load_name_table(path)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda raw: raw + bytes(16),  # once loaded as a (2, 3) table
+        lambda raw: raw[:-40],
+        lambda raw: raw[:20],  # inside the JSON header
+        lambda raw: raw[:12],  # inside the header length
+    ],
+    ids=["16_bytes_appended", "40_bytes_cut", "cut_in_header", "cut_in_header_length"],
+)
+def test_checkpoint_of_wrong_length_names_the_file(tmp_path, damage):
+    path = tmp_path / "names.bin"
+    save_name_table(NameEmbeddingTable([3, 7], np.ones((2, 3))), path, world_seed=0)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
         load_name_table(path)
 
 

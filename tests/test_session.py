@@ -196,13 +196,6 @@ def test_disable_context_exchange_keeps_native_templates_only(world):
         assert by_id[tid].category_affinity == world.concept(cid).family
 
 
-def test_learnable_lambda_changes_during_training(world):
-    session = TrainingSession(world, SessionSettings(learnable_lambda=True), seed=0)
-    lam0 = float(session.text_agent.lambda_param.data)
-    session.train(shots_for(world), epochs=40, lr=1e-3)
-    assert float(session.text_agent.lambda_param.data) != lam0
-
-
 def test_render_audit_never_uses_ood_frozen_tokens(world):
     session = TrainingSession(world, SessionSettings(), seed=0)
     assert session.training_token_audit() == set()  # nothing rendered yet

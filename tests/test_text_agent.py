@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from namelearn import autodiff as ad
-from namelearn.autodiff import ShapeError, Tape, Tensor, backward, grad_check
+from namelearn.autodiff import ShapeError, Tensor, grad_check
 from namelearn.bus import AgentId, FeatureBlock, Message
 from namelearn.name_agent import (
     NAME_SLOT,
@@ -250,23 +250,6 @@ def test_linear_fusion_shape_and_params(world):
     d = world.config.embed_dim
     out = agent.fusion(Tensor(np.zeros((3, 2 * d))))
     assert out.shape == (3, d)
-
-
-def test_learnable_lambda_reparameterization(world):
-    agent = make_agent(world, learnable_lambda=True)
-    assert agent.lambda_param is not None
-    lam = 1.0 / (1.0 + np.exp(-float(agent.lambda_param.data)))
-    assert lam == pytest.approx(0.7, abs=1e-9)
-    rows = Tensor(np.random.default_rng(8).normal(size=(2, world.config.embed_dim)))
-    c = context(world, 9)
-    out = agent.encode(rows, c)
-    assert out.shape == (2, world.config.embed_dim)
-    # The mixing ratio itself must receive gradient.
-    with Tape() as tape:
-        loss = ad.sum_all(agent.encode(rows, c))
-    backward(tape, loss)
-    assert agent.lambda_param.grad is not None
-    assert float(agent.lambda_param.grad) != 0.0
 
 
 def test_embed_sequence_splice_length(world, namer):

@@ -1,3 +1,7 @@
+import json
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -177,17 +181,6 @@ def test_alignment_breakdown_reproduced(default_world):
     assert w.bayes_oracle_accuracy(ood_images, ood_labels, w.ood_ids) >= 0.99
 
 
-def test_per_name_token_mode_builds(world):
-    cfg = WorldConfig(
-        embed_dim=16, image_dim=24, n_seen=4, n_ood=3, vocab_size=64,
-        seed=3, ood_token_mode="per_name",
-    )
-    w = build_world(cfg)
-    tokens = {w.concept(cid).name_token for cid in w.ood_ids}
-    assert len(tokens) == len(w.ood_ids)  # distinct untrained tokens
-    assert w.report["ood_blindness_spread"] > 0.0
-
-
 def test_snapshot_roundtrip_bit_identical(world, tmp_path):
     path = tmp_path / "world.bin"
     save_world(world, path)
@@ -206,6 +199,40 @@ def test_snapshot_roundtrip_bit_identical(world, tmp_path):
     assert np.array_equal(
         world.zero_shot_probs(x, world.seen_ids), loaded.zero_shot_probs(x, world.seen_ids)
     )
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda raw: raw + bytes(16),
+        lambda raw: raw[:-40],
+        lambda raw: raw[:40],  # inside the JSON header
+        lambda raw: raw[:12],  # inside the header length
+    ],
+    ids=["16_bytes_appended", "40_bytes_cut", "cut_in_header", "cut_in_header_length"],
+)
+def test_snapshot_of_wrong_length_names_the_file(world, tmp_path, damage):
+    path = tmp_path / "world.bin"
+    save_world(world, path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_world(path)
+
+
+def test_snapshot_with_unknown_config_key_names_path_and_key(world, tmp_path):
+    # The header a snapshot had while `gamma` was still a WorldConfig field.
+    path = tmp_path / "world.bin"
+    save_world(world, path)
+    raw = path.read_bytes()
+    magic = b"NLWORLD/1\n"
+    start = len(magic) + 4
+    end = start + struct.unpack_from("<I", raw, len(magic))[0]
+    header = json.loads(raw[start:end])
+    header["config"]["gamma"] = 0.07
+    blob = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(magic + struct.pack("<I", len(blob)) + blob + raw[end:])
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*'gamma'.*world build"):
+        load_world(path)
 
 
 def test_snapshot_rejects_bad_magic(tmp_path):
