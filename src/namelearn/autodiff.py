@@ -150,7 +150,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def div(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise quotient; the divisor may be a scalar (size-1) tensor."""
     ad, bd = a.data, b.data
-    if np.any(bd == 0.0):
+    if not bd.all():  # false exactly when some entry is (+/-) zero
         raise DomainError("div: zero divisor")
     if ad.shape == bd.shape:
         def backward(g):
@@ -193,7 +193,7 @@ def l2_normalize_rows(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"l2_normalize_rows: need a matrix, got shape {a.shape}")
     norms = np.linalg.norm(a.data, axis=1, keepdims=True)
-    if np.any(norms <= 1e-12):
+    if (norms <= 1e-12).any():
         raise DomainError("l2_normalize_rows: row with norm <= 1e-12")
     y = a.data / norms
 
@@ -291,7 +291,7 @@ def pick_per_row(a: Tensor, indices) -> Tensor:
     n, m = a.data.shape
     if idx.shape != (n,):
         raise ShapeError(f"pick_per_row: need {n} indices, got shape {idx.shape}")
-    if np.any(idx < 0) or np.any(idx >= m):
+    if n and (idx.min() < 0 or idx.max() >= m):
         raise DomainError(f"pick_per_row: index out of range for {m} columns")
 
     def backward(g):

@@ -4,9 +4,12 @@ Clipped dynamic temperature, symmetric image-text contrastive loss, auxiliary
 classification loss, and learnable clipped loss weights, combined into one
 differentiable total.  The similarity matrix stores raw cosine products and
 the temperature divides inside the loss, because in the paper's formula the
-similarities are first multiplied by the temperature, which cancels it.  The
-loss reads ``disable_coordinator_dynamics`` and ``disable_dynamic_balancing``
-from the session's ``SessionSettings``.
+similarities are first multiplied by the temperature, which cancels it.  A
+round's text side has one row per distinct prompt, so the loss scores N images
+against U texts; that grouped form equals the square loss over one text row
+per image-prompt pair (see ``contrastive_loss``).  The loss reads
+``disable_coordinator_dynamics`` and ``disable_dynamic_balancing`` from the
+session's ``SessionSettings``.
 """
 
 from __future__ import annotations
@@ -75,28 +78,53 @@ def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(np.asarray(float(value)))
 
 
-def contrastive_loss(s: Tensor, y, tau) -> Tensor:
+def contrastive_loss(s: Tensor, y, tau, counts=None) -> Tensor:
     """Symmetric cross-entropy over rows and columns of s divided by tau.
 
-    ``y[i]`` is the matching text index for image i; the column direction
-    uses the transposed matrix so each text is scored against all images.
+    Square form (no ``counts``): ``y[i]`` is the matching text index for image
+    i; the column direction uses the transposed matrix so each text is scored
+    against all images.
+
+    Grouped form: s is ``(N, U)``, one column per distinct text, ``y[i]`` is
+    image i's column and ``counts`` must be ``bincount(y)``, with no column
+    unused.  The value is the square loss of the ``(N, N)`` matrix whose
+    column j is s's column ``y[j]``: a row term weights column u by
+    ``counts[u]`` (a ``log counts`` row bias, taken back off the picked
+    entry), and a column term is the log-softmax over images of column
+    ``y[i]``, picked at row i.
+
     Averaged with a 1/(2N) factor; always nonnegative.
     """
-    if s.data.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ShapeError(f"contrastive_loss: need a square matrix, got {s.shape}")
-    n = s.shape[0]
+    if s.data.ndim != 2 or (counts is None and s.shape[0] != s.shape[1]):
+        kind = "a square matrix" if counts is None else "a matrix"
+        raise ShapeError(f"contrastive_loss: need {kind}, got {s.shape}")
+    n, u = s.shape
     if n == 0:
         raise ShapeError("contrastive_loss: empty batch")
     y = np.asarray(y, dtype=np.intp)
-    if y.shape != (n,) or np.any(y < 0) or np.any(y >= n):
-        raise DomainError(f"contrastive_loss: bad match indices for batch of {n}")
+    if y.shape != (n,) or y.min() < 0 or y.max() >= u:
+        raise DomainError(f"contrastive_loss: bad match indices for {n} rows, {u} columns")
+    if counts is not None:
+        counts = np.asarray(counts)
+        if counts.shape != (u,) or (counts != np.bincount(y, minlength=u)).any():
+            raise DomainError("contrastive_loss: counts must be bincount of the match indices")
+        if counts.min() == 0:
+            raise DomainError(f"contrastive_loss: column {int(counts.argmin())} has no pair")
     tau_t = _as_tensor(tau)
     tau_value = float(tau_t.data.reshape(()))
     if not TAU_BAND[0] <= tau_value <= TAU_BAND[1]:
         raise DomainError(f"contrastive_loss: tau {tau_value} outside {TAU_BAND}")
     st = ad.div(s, tau_t)
-    per_image = ad.pick_per_row(ad.log_softmax_rows(st), y)
-    per_text = ad.pick_per_row(ad.log_softmax_rows(ad.transpose(st)), y)
+    if counts is None:
+        per_image = ad.pick_per_row(ad.log_softmax_rows(st), y)
+        per_text = ad.pick_per_row(ad.log_softmax_rows(ad.transpose(st)), y)
+    else:
+        log_m = np.log(counts)
+        per_image = ad.add(
+            ad.pick_per_row(ad.log_softmax_rows(ad.add(st, Tensor(log_m))), y),
+            Tensor(-log_m[y]),
+        )
+        per_text = ad.pick_per_row(ad.transpose(ad.log_softmax_rows(ad.transpose(st))), y)
     return ad.scale(ad.sum_all(ad.add(per_image, per_text)), -1.0 / (2.0 * n))
 
 
@@ -107,7 +135,7 @@ def classification_loss(img_features: Tensor, w_cls: Tensor, labels) -> Tensor:
     labels = np.asarray(labels, dtype=np.intp)
     if labels.shape != (n,):
         raise ShapeError(f"classification_loss: need {n} labels, got {labels.shape}")
-    if np.any(labels < 0) or np.any(labels >= n_classes):
+    if n and (labels.min() < 0 or labels.max() >= n_classes):
         raise DomainError(f"classification_loss: label outside [0, {n_classes})")
     picked = ad.pick_per_row(ad.log_softmax_rows(logits), labels)
     return ad.scale(ad.sum_all(picked), -1.0 / n)
@@ -154,22 +182,27 @@ class LossBreakdown:
 def total_loss(
     img_features: Tensor,
     txt_features: Tensor,
-    match_index,
+    prompt_index,
     class_labels,
     params: CoordinatorParams,
     settings: SessionSettings = SessionSettings(),
 ) -> tuple[Tensor, LossBreakdown]:
     """Weighted sum of the contrastive and classification losses.
 
-    Returns the differentiable total plus a float breakdown whose invariants
-    (band clips, exact recombination) are checked on construction.
+    ``txt_features`` has one row per distinct prompt and ``prompt_index[i]``
+    is image i's row; the contrastive loss takes the grouped ``(N, U)`` form,
+    equal to the square loss over one text row per image.  Returns the
+    differentiable total plus a float breakdown whose invariants (band clips,
+    exact recombination) are checked on construction.
     """
     if settings.disable_coordinator_dynamics:
         tau = Tensor(np.asarray(1.0))
     else:
         tau = effective_temperature(params.tau_param)
     s = similarity_matrix(img_features, txt_features)
-    l_con = contrastive_loss(s, match_index, tau)
+    prompt_index = np.asarray(prompt_index, dtype=np.intp)
+    counts = np.bincount(prompt_index, minlength=s.shape[1])
+    l_con = contrastive_loss(s, prompt_index, tau, counts)
     if settings.disable_coordinator_dynamics or settings.disable_dynamic_balancing:
         w_con = Tensor(np.asarray(FIXED_WEIGHTS[0]))
         w_cls = Tensor(np.asarray(FIXED_WEIGHTS[1]))
@@ -224,7 +257,7 @@ class Adam:
             g = p.grad
             if g is None:
                 continue
-            if not np.all(np.isfinite(g)):
+            if not np.isfinite(g).all():
                 raise NanGradientError(
                     f"non-finite gradient on {p.name or 'unnamed tensor'}"
                 )

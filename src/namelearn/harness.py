@@ -376,7 +376,9 @@ def emit_metrics(result: RunResult, out_dir) -> dict[str, Path]:
 # world fields, comma-separated lists for shots/seeds/lrs.
 
 def parse_config_file(path) -> ExperimentConfig:
-    mapping: dict[str, str] = {}
+    """An ``ExperimentConfig`` from a config file; a line that does not parse
+    raises ``ConfigError`` naming ``path:line`` and its key."""
+    entries: dict[str, object] = {}
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -384,41 +386,55 @@ def parse_config_file(path) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        mapping[key] = value
-    return config_from_mapping(mapping)
+        try:
+            entries[key] = _parse_entry(key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{line_no}: {exc}") from None
+    return _config_from_entries(entries)
 
 
 def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
-    world_fields = {f.name: f.type for f in fields(WorldConfig)}
-    exp_fields = {f.name: f for f in fields(ExperimentConfig)}
-    world_kwargs = {}
-    exp_kwargs = {}
-    defaults = ExperimentConfig()
-    for key, value in mapping.items():
-        if key.startswith("world."):
-            name = key[len("world.") :]
-            if name not in world_fields:
-                raise ConfigError(f"unknown world field {name!r}")
-            current = getattr(WorldConfig(), name)
-            world_kwargs[name] = _parse_scalar(value, current)
-        elif key in ("shots", "seeds"):
-            exp_kwargs[key] = tuple(int(v) for v in value.split(",") if v.strip())
-        elif key == "lrs":
-            exp_kwargs[key] = tuple(float(v) for v in value.split(",") if v.strip())
-        elif key in exp_fields and key != "world":
-            exp_kwargs[key] = _parse_scalar(value, getattr(defaults, key))
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
-    if world_kwargs:
-        exp_kwargs["world"] = replace(WorldConfig(), **world_kwargs)
-    return replace(defaults, **exp_kwargs)
+    return _config_from_entries({key: _parse_entry(key, v) for key, v in mapping.items()})
+
+
+def _parse_entry(key: str, value: str):
+    """One value, typed like the field its key sets; ``ConfigError`` names the
+    key when the key is unknown or the value does not parse."""
+    many = key in ("shots", "seeds", "lrs")
+    if key.startswith("world."):
+        name = key[len("world.") :]
+        if name not in {f.name for f in fields(WorldConfig)}:
+            raise ConfigError(f"unknown world field {name!r}")
+        template = getattr(WorldConfig(), name)
+    elif many:
+        template = getattr(ExperimentConfig(), key)[0]
+    elif key in {f.name for f in fields(ExperimentConfig)} and key != "world":
+        template = getattr(ExperimentConfig(), key)
+    else:
+        raise ConfigError(f"unknown config key {key!r}")
+    try:
+        if many:
+            return tuple(_parse_scalar(v.strip(), template) for v in value.split(",") if v.strip())
+        return _parse_scalar(value, template)
+    except ValueError:
+        kind = {bool: "true or false", int: "an integer"}.get(type(template), "a number")
+        kind += " (comma-separated)" if many else ""
+        raise ConfigError(f"{key}: expected {kind}, got {value!r}") from None
+
+
+def _config_from_entries(entries: dict[str, object]) -> ExperimentConfig:
+    world = {key[len("world.") :]: v for key, v in entries.items() if key.startswith("world.")}
+    exp = {key: v for key, v in entries.items() if not key.startswith("world.")}
+    if world:
+        exp["world"] = replace(WorldConfig(), **world)
+    return replace(ExperimentConfig(), **exp)
 
 
 def _parse_scalar(value: str, template):
     if isinstance(template, bool):
         lowered = value.lower()
         if lowered not in ("true", "false"):
-            raise ConfigError(f"expected true/false, got {value!r}")
+            raise ValueError(value)
         return lowered == "true"
     if isinstance(template, int):
         return int(value)

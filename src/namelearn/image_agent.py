@@ -9,7 +9,9 @@ training rounds and evaluation alike.  Emits the batch features and their
 context vector to the text agent.  The score is one number per batch, taken
 from the batch's mean feature.  It reads ``alpha``, ``difficulty_threshold``,
 ``disable_difficulty`` and ``disable_image_agent_robust`` from the session's
-``SessionSettings``.
+``SessionSettings``.  ``step`` keeps its last round's output and reuses it
+while the batch's images stay equal in value, as they do across the epochs of
+one training run; ``encode``, and so evaluation, neither reads nor fills it.
 """
 
 from __future__ import annotations
@@ -73,6 +75,9 @@ class ImageAgent:
         self.frozen_visual = Tensor(frozen_visual, name="frozen_visual")
         d = frozen_visual.shape[1]
         self.estimator = DifficultyEstimator(d, max(1, d // 2), rng)
+        # The last training round's images (a private copy) and what ``step``
+        # made of them: (images, features, difficulty, strategy, context).
+        self._last_round: tuple | None = None
 
     # -- encodings ------------------------------------------------------------
 
@@ -116,10 +121,18 @@ class ImageAgent:
     # -- round protocol ---------------------------------------------------------
 
     def step(self, messages, batch) -> list[Message]:
+        """Encode the batch, or reuse the last round's output when its images
+        are equal in value: nothing on the image side learns and the settings
+        record is frozen, so the output is a function of the images alone."""
         if messages:
             raise MailboxError(f"image agent cannot handle {messages[0]}")
-        features, difficulty, strategy = self.encode(batch.images)
-        context = self.emit_visual_context(features)
+        last = self._last_round
+        if last is None or not np.array_equal(last[0], batch.images):
+            features, difficulty, strategy = self.encode(batch.images)
+            context = self.emit_visual_context(features)
+            last = (batch.images.copy(), features, difficulty, strategy, context)
+            self._last_round = last
+        _, features, difficulty, strategy, context = last
         return [
             Message(AgentId.IMAGE, AgentId.TEXT, FeatureBlock(context, "visual_context")),
             Message(

@@ -184,7 +184,8 @@ def context_exchange_augment(
 
 class NameAgent:
     """Bus-facing wrapper: renders the batch's prompts and ships their pooled
-    embeddings, one row per image-prompt pair, to the text agent.
+    embeddings, one row per distinct prompt (``batch.prompts``, not one per
+    image-prompt pair), to the text agent.
 
     The frozen text encoder mean-pools token embeddings before anything else,
     so a prompt's pooled embedding is a frozen part (its vocabulary rows) plus
@@ -252,7 +253,7 @@ class NameAgent:
     def step(self, messages, batch) -> list[Message]:
         if messages:
             raise MailboxError(f"name agent cannot handle {messages[0]}")
-        block = FeatureBlock(self.pool(batch.prompt_plan), "prompts")
+        block = FeatureBlock(self.pool(batch.prompts), "prompts")
         return [Message(AgentId.NAME, AgentId.TEXT, block)]
 
 

@@ -6,18 +6,19 @@ concept, in ascending id, and that row is also the concept's class index; each
 row starts at the mean of the frozen vocabulary rows, the reserved blind row
 excluded (under ``disable_name_agent`` no prompt selects a row and the
 optimizer never sees the table).  The session builds per-epoch batches of
-image-prompt pairs with template rotation, runs fixed-schedule bus rounds
-under a gradient tape, and evaluates by cosine retrieval against per-class
-text features.  The coordinator agent ends each round: it requires the image
-features, the ``{difficulty, strategy}`` metadata and the text features,
-computes the loss, and sends nothing.  The image agent's difficulty scorer is
+image-prompt pairs with template rotation, each listing its distinct prompts
+once, runs fixed-schedule bus rounds under a gradient tape, and evaluates by
+cosine retrieval against per-class text features.  The coordinator agent ends
+each round: it requires the image features, the ``{difficulty, strategy}``
+metadata and the text features (one row per distinct prompt), computes the
+loss over images against distinct prompts, and sends nothing.  The image agent's difficulty scorer is
 fixed: the loss has no path back to it.  The image and text agents and the
 coordinator read the session's ``SessionSettings`` record as it is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,19 +50,27 @@ class TrainingDivergedError(RuntimeError):
 @dataclass
 class Batch:
     """One full-batch training round: image-prompt pairs plus the plan
-    mapping each pair to its rendered prompt."""
+    mapping each pair to its rendered prompt.
+
+    ``prompts`` holds the plan's distinct pairs in first-use order, and
+    ``prompt_index[i]`` is pair i's row in it: a round encodes and scores each
+    distinct prompt once."""
 
     images: np.ndarray  # (N, P)
     class_labels: np.ndarray  # (N,) classification-head indices
     prompt_plan: list[tuple[int, str]]  # per pair: (concept_id, template_id)
+    prompts: list[tuple[int, str]] = field(init=False)  # (U,) distinct pairs
+    prompt_index: np.ndarray = field(init=False)  # (N,) pair -> row of prompts
+
+    def __post_init__(self):
+        rows: dict[tuple[int, str], int] = {}
+        index = [rows.setdefault(pair, len(rows)) for pair in self.prompt_plan]
+        self.prompts = list(rows)
+        self.prompt_index = np.asarray(index, dtype=np.intp)
 
     @property
     def size(self) -> int:
         return len(self.images)
-
-    @property
-    def match_index(self) -> np.ndarray:
-        return np.arange(self.size)
 
 
 @dataclass
@@ -69,7 +78,7 @@ class CoordinatorRound:
     """What the coordinator collected and computed in one round."""
 
     image_features: Tensor
-    text_features: Tensor  # (N, D), one row per pair in prompt_plan order
+    text_features: Tensor  # (U, D), one row per distinct prompt in batch.prompts
     difficulty: float
     strategy: str
     total: Tensor
@@ -105,7 +114,7 @@ class CoordinatorAgent:
         total, breakdown = total_loss(
             image_features,
             text_features,
-            batch.match_index,
+            batch.prompt_index,
             batch.class_labels,
             self.params,
             self.settings,

@@ -31,6 +31,20 @@ def test_l2_normalize_rows_zero_norm_row_rejected():
         ad.l2_normalize_rows(Tensor([[0.0, 0.0], [1.0, 0.0]]))
 
 
+@pytest.mark.parametrize(
+    "divisor", [np.asarray(0.0), np.asarray(-0.0), np.asarray([[2.0, 0.0]])]
+)
+def test_div_rejects_zero_divisor(divisor):
+    with pytest.raises(DomainError, match="zero divisor"):
+        ad.div(Tensor([[1.0, 2.0]]), Tensor(divisor))
+
+
+@pytest.mark.parametrize("indices", [[-1, 0], [0, 2]])
+def test_pick_per_row_rejects_out_of_range_index(indices):
+    with pytest.raises(DomainError, match="out of range"):
+        ad.pick_per_row(Tensor(np.eye(2)), indices)
+
+
 def test_shape_mismatch_names_op_and_shapes():
     with pytest.raises(ShapeError) as exc:
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))

@@ -5,6 +5,7 @@ import pytest
 
 from namelearn.autodiff import DomainError, ShapeError, Tape, Tensor, backward, grad_check
 from namelearn.coordinator import (
+    TAU_BAND,
     Adam,
     CoordinatorParams,
     DegenerateWeightsError,
@@ -171,6 +172,70 @@ def test_contrastive_invariant_under_batch_permutation():
     assert permuted == pytest.approx(base, abs=1e-12)
 
 
+def test_contrastive_rejects_negative_or_misshaped_indices():
+    for y in ([-1, 1], [0, 1, 1], [[0, 1]]):
+        with pytest.raises(DomainError):
+            contrastive_loss(Tensor(np.eye(2)), y, 1.0)
+
+
+# Grouped form: (N, U) scores against distinct texts, shared by counts[u] rows.
+
+def _grouped_case(seed):
+    rng = np.random.default_rng(seed)
+    u = int(rng.integers(1, 9))
+    n = u + int(rng.integers(0, 3 * u + 1))
+    idx = np.concatenate([rng.permutation(u), rng.integers(0, u, size=n - u)])
+    rng.shuffle(idx)  # every column used, most of them repeated
+    g = rng.normal(scale=2.0, size=(n, u))
+    tau = (TAU_BAND[0], TAU_BAND[1], 1.0, float(rng.uniform(*TAU_BAND)))[seed % 4]
+    return g, idx, tau
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_grouped_contrastive_equals_expanded_square(seed):
+    g, idx, tau = _grouped_case(seed)
+    n, u = g.shape
+    grouped = Tensor(g, requires_grad=True)
+    tau_g = Tensor(np.asarray(tau), requires_grad=True)
+    with Tape() as tape:
+        loss_g = contrastive_loss(grouped, idx, tau_g, np.bincount(idx, minlength=u))
+    backward(tape, loss_g)
+    # Expanded: column j is pair j's text, so pair i matches column i.
+    square = Tensor(g[:, idx], requires_grad=True)
+    tau_s = Tensor(np.asarray(tau), requires_grad=True)
+    with Tape() as tape:
+        loss_s = contrastive_loss(square, np.arange(n), tau_s)
+    backward(tape, loss_s)
+    assert abs(loss_g.item() - loss_s.item()) <= 1e-12
+    assert abs(loss_g.item() - naive_contrastive(g[:, idx], np.arange(n), tau)) <= 1e-9
+    # dL/dG[:, v] sums dL/dS over the square columns that repeat G's column v.
+    grad_from_square = np.zeros((n, u))
+    np.add.at(grad_from_square.T, idx, square.grad.T)
+    assert np.max(np.abs(grouped.grad - grad_from_square)) <= 1e-12
+    assert abs(float(tau_g.grad) - float(tau_s.grad)) <= 1e-12
+
+
+def test_grouped_contrastive_keeps_the_square_checks():
+    s = Tensor(np.random.default_rng(0).normal(size=(3, 2)))
+    with pytest.raises(ShapeError):
+        contrastive_loss(Tensor(np.ones(3)), [0, 1, 1], 1.0, [1, 2])
+    with pytest.raises(ShapeError):
+        contrastive_loss(Tensor(np.zeros((0, 2))), [], 1.0, [0, 0])
+    for y in ([0, 1, 2], [-1, 0, 1], [0, 1]):
+        with pytest.raises(DomainError, match="match indices"):
+            contrastive_loss(s, y, 1.0, [1, 2])
+    with pytest.raises(DomainError, match="tau"):
+        contrastive_loss(s, [0, 1, 1], 0.1, [1, 2])
+    with pytest.raises(DomainError, match="bincount"):
+        contrastive_loss(s, [0, 1, 1], 1.0, [2, 1])
+
+
+def test_grouped_contrastive_rejects_unused_column():
+    s = Tensor(np.random.default_rng(1).normal(size=(3, 3)))
+    with pytest.raises(DomainError, match="column 1 has no pair"):
+        contrastive_loss(s, [0, 2, 2], 1.0, np.bincount([0, 2, 2], minlength=3))
+
+
 # ---------------------------------------------------------------------------
 # Classification loss
 
@@ -198,6 +263,11 @@ def test_classification_margin_limit_goes_to_zero():
 def test_classification_rejects_label_out_of_range():
     with pytest.raises(DomainError):
         classification_loss(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), [0, 4])
+
+
+def test_classification_rejects_negative_label():
+    with pytest.raises(DomainError):
+        classification_loss(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), [-1, 0])
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -367,3 +437,12 @@ def test_adam_aborts_on_nan_gradient_naming_tensor():
     p.grad = np.asarray(np.nan)
     with pytest.raises(NanGradientError, match="culprit"):
         opt.step()
+
+
+def test_adam_aborts_on_infinite_gradient_entry():
+    p = Tensor(np.zeros(3), requires_grad=True, name="culprit")
+    opt = Adam([p], lr=1e-3)
+    p.grad = np.asarray([0.1, -np.inf, 0.2])
+    with pytest.raises(NanGradientError, match="culprit"):
+        opt.step()
+    assert np.array_equal(p.data, np.zeros(3))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -382,6 +383,21 @@ def test_cli_noise_sigma_not_finite_and_nonnegative_is_hard_error(tmp_path, caps
     assert rc == 1
     assert "noise_sigma" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("epochs", "x"), ("world.noise_sigma", "abc"), ("shots", "1,a"), ("lrs", "1e-3,foo")],
+)
+def test_cli_unparsable_value_names_key_and_line(tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# one bad line\n{key} = {value}\n")
+    rc = main(["few-shot", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"{cfg}:2: {key}: expected " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ConfigError, match="^" + re.escape(f"{key}: expected ")):
+        config_from_mapping({key: value})
 
 
 def test_module_entry_point_exit_codes(tmp_path):

@@ -66,6 +66,69 @@ def test_default_step_is_batched():
     assert len(session.bus.log) == 5
 
 
+def test_default_round_scores_each_distinct_prompt_once():
+    from namelearn.bus import run_round
+
+    world = build_world(WorldConfig())
+    session = TrainingSession(world, SessionSettings(), seed=0)
+    batch = session.build_batch(shots_for(world, k=16), epoch=0)
+    info = run_round(session.bus, batch)
+    d = world.config.embed_dim
+    blocks = {r.label: r.shape for r in session.bus.log if r.tag == "feature"}
+    assert batch.size == 160
+    assert blocks["prompts"] == blocks["text_features"] == (30, d)
+    assert info.text_features.shape == (30, d)
+    assert len(set(batch.prompts)) == len(batch.prompts) == 30
+    assert all(batch.prompts[batch.prompt_index[i]] == batch.prompt_plan[i] for i in range(160))
+
+
+def test_hard_world_step_stays_batched():
+    from namelearn.autodiff import Tape
+    from namelearn.bus import run_round
+
+    hard = WorldConfig(
+        embed_dim=16, image_dim=32, n_seen=20, n_ood=20, noise_sigma=0.1, min_separation=0.2
+    )
+    world = build_world(hard)
+    session = TrainingSession(world, SessionSettings(), seed=0)
+    batch = session.build_batch(shots_for(world, k=16), epoch=0)
+    with Tape() as tape:
+        run_round(session.bus, batch)
+    assert (batch.size, len(batch.prompts)) == (320, 60)
+    assert len(tape) <= 60
+
+
+def test_image_side_is_encoded_once_per_distinct_image_batch(world, monkeypatch):
+    from namelearn import autodiff as ad
+    from namelearn.bus import run_round
+
+    session = TrainingSession(world, SessionSettings(), seed=0)
+    calls = []
+    matmul = ad.matmul
+
+    def counting(a, b):
+        calls.append(b is session.image_agent.frozen_visual)
+        return matmul(a, b)
+
+    monkeypatch.setattr(ad, "matmul", counting)
+    shots = shots_for(world)
+    first = run_round(session.bus, session.build_batch(shots, epoch=0))
+    # A new batch object holding equal images: the image side is reused.
+    second = run_round(session.bus, session.build_batch(shots, epoch=1))
+    assert sum(calls) == 1
+    assert second.image_features is first.image_features
+    assert len(session.bus.log) == 5
+    # Evaluation encodes its own images and leaves the training cache alone.
+    images = np.concatenate([world.sample_images(cid, 3, seed=5) for cid in world.ood_ids])
+    labels = np.repeat(world.ood_ids, 3)
+    session.evaluate(images, labels, world.ood_ids)
+    assert sum(calls) == 2
+    run_round(session.bus, session.build_batch(shots, epoch=2))
+    assert sum(calls) == 2
+    run_round(session.bus, session.build_batch(shots_for(world, seed=32), epoch=0))
+    assert sum(calls) == 3
+
+
 def test_training_moves_only_declared_learnables(world):
     session = TrainingSession(world, SessionSettings(), seed=1)
     before = {id(p): p.data.copy() for p in session.trainable_parameters()}
