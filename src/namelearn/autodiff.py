@@ -4,7 +4,9 @@ Define-by-run: while a :class:`Tape` is active, every operation whose inputs
 are connected to a gradient-requiring leaf is recorded.  ``backward`` replays
 the tape once, in reverse, and assigns ``.grad`` on every gradient-requiring
 leaf.  ``grad_check`` compares those gradients against central finite
-differences.
+differences.  Loss terms are single ops with closed-form backwards
+(``softmax_cross_entropy`` here, the contrastive loss in ``coordinator``), so
+each costs one tape entry.
 
 Shapes are deliberately restricted to what the model needs: scalars (0-d),
 vectors (1-d) and matrices (2-d).  No broadcasting beyond a row-vector bias
@@ -250,12 +252,18 @@ def detach(a: Tensor) -> Tensor:
     return out
 
 
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of a matrix array with max-subtraction
+    stabilization; no tape entry."""
+    z = x - x.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
 def log_softmax_rows(a: Tensor) -> Tensor:
     """Row-wise log-softmax with max-subtraction stabilization."""
     if a.data.ndim != 2:
         raise ShapeError(f"log_softmax_rows: need a matrix, got shape {a.shape}")
-    z = a.data - a.data.max(axis=1, keepdims=True)
-    y = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    y = log_softmax(a.data)
 
     def backward(g):
         return (g - np.exp(y) * g.sum(axis=1, keepdims=True),)
@@ -302,6 +310,30 @@ def pick_per_row(a: Tensor, indices) -> Tensor:
     return _make(a.data[np.arange(n), idx], (a,), backward)
 
 
+def softmax_cross_entropy(a: Tensor, labels) -> Tensor:
+    """Mean over rows of ``-log softmax(a)[i, labels[i]]``, as a 0-d tensor.
+
+    One op with the closed-form backward ``(softmax(a) - onehot) * g / N``.
+    """
+    if a.data.ndim != 2 or a.data.shape[0] == 0:
+        raise ShapeError(f"softmax_cross_entropy: need a nonempty matrix, got shape {a.shape}")
+    idx = np.asarray(labels, dtype=np.intp)
+    n, m = a.data.shape
+    if idx.shape != (n,):
+        raise ShapeError(f"softmax_cross_entropy: need {n} labels, got shape {idx.shape}")
+    if idx.min() < 0 or idx.max() >= m:
+        raise DomainError(f"softmax_cross_entropy: label out of range for {m} columns")
+    rows = np.arange(n)
+    log_p = log_softmax(a.data)
+
+    def backward(g):
+        d = np.exp(log_p)
+        d[rows, idx] -= 1.0
+        return (d * (g / n),)
+
+    return _make(np.asarray(log_p[rows, idx].sum() * (-1.0 / n)), (a,), backward)
+
+
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp to [lo, hi]; gradient passes inside the band, zero outside."""
     mask = (a.data >= lo) & (a.data <= hi)
@@ -320,10 +352,17 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
     Leaves connected only through ``detach`` receive exact zeros.  Raises
     ``ShapeError`` if the loss is not a scalar.
+
+    A node's first gradient is kept by reference, since op backwards may hand
+    one array to several inputs (``add`` returns ``g`` twice).  The first
+    accumulation into a node copies it into a buffer of its own, and later
+    ones add in place there.  Each leaf's ``.grad`` is a fresh float64 array
+    that no other leaf shares.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    owned: set[int] = set()  # nodes whose gradient buffer this pass allocated
     produced = {id(out) for out, _, _ in tape.entries}
     for out, inputs, backward_fn in reversed(tape.entries):
         g = grads.get(id(out))
@@ -332,15 +371,28 @@ def backward(tape: Tape, loss: Tensor) -> None:
         for inp, ig in zip(inputs, backward_fn(g)):
             if not inp.requires_grad:
                 continue
-            acc = grads.get(id(inp))
+            key = id(inp)
+            acc = grads.get(key)
             if acc is None:
-                grads[id(inp)] = np.array(ig, dtype=np.float64)
-            else:
+                grads[key] = ig
+            elif key in owned:
                 acc += ig
+            else:
+                acc = grads[key] = np.array(acc, dtype=np.float64)
+                acc += ig
+                owned.add(key)
     for _, inputs, _ in tape.entries:
         for inp in inputs:
-            if inp.requires_grad and id(inp) not in produced:
-                inp.grad = grads.get(id(inp), np.zeros_like(inp.data))
+            key = id(inp)
+            if not inp.requires_grad or key in produced:
+                continue
+            produced.add(key)  # so a leaf read by several ops is assigned once
+            if key not in grads:
+                inp.grad = np.zeros_like(inp.data)
+            elif key in owned:
+                inp.grad = grads[key]
+            else:
+                inp.grad = np.array(grads[key], dtype=np.float64)
     if loss.requires_grad and id(loss) not in produced:
         loss.grad = np.ones_like(loss.data)
 

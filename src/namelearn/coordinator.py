@@ -7,7 +7,9 @@ the temperature divides inside the loss, because in the paper's formula the
 similarities are first multiplied by the temperature, which cancels it.  A
 round's text side has one row per distinct prompt, so the loss scores N images
 against U texts; that grouped form equals the square loss over one text row
-per image-prompt pair (see ``contrastive_loss``).  The loss reads
+per image-prompt pair (see ``contrastive_loss``).  Each loss term is one
+tape entry with a closed-form backward: the contrastive loss here, the
+classification loss through ``autodiff.softmax_cross_entropy``.  The loss reads
 ``disable_coordinator_dynamics`` and ``disable_dynamic_balancing`` from the
 session's ``SessionSettings``.
 """
@@ -82,8 +84,8 @@ def contrastive_loss(s: Tensor, y, tau, counts=None) -> Tensor:
     """Symmetric cross-entropy over rows and columns of s divided by tau.
 
     Square form (no ``counts``): ``y[i]`` is the matching text index for image
-    i; the column direction uses the transposed matrix so each text is scored
-    against all images.
+    i; the column direction scores each text against all images, so text j's
+    target is image ``y[j]``, at ``(y[j], j)``.
 
     Grouped form: s is ``(N, U)``, one column per distinct text, ``y[i]`` is
     image i's column and ``counts`` must be ``bincount(y)``, with no column
@@ -93,7 +95,13 @@ def contrastive_loss(s: Tensor, y, tau, counts=None) -> Tensor:
     entry), and a column term is the log-softmax over images of column
     ``y[i]``, picked at row i.
 
-    Averaged with a 1/(2N) factor; always nonnegative.
+    Averaged with a 1/(2N) factor; always nonnegative.  One tape entry, whose
+    backward is the closed form (Radford et al., 2021): on ``st = s / tau``,
+    with ``Y`` the one-hot targets, ``P`` the row softmax of ``st + log m``
+    and ``Q`` the column softmax of ``st``, the gradient is
+    ``G = -(2Y - P - m*Q) / (2N)`` (``m = 1`` in the square form, whose column
+    targets sit at ``(y[j], j)``); then ``ds = G / tau`` and
+    ``dtau = -sum(G * s) / tau**2``.
     """
     if s.data.ndim != 2 or (counts is None and s.shape[0] != s.shape[1]):
         kind = "a square matrix" if counts is None else "a matrix"
@@ -114,18 +122,34 @@ def contrastive_loss(s: Tensor, y, tau, counts=None) -> Tensor:
     tau_value = float(tau_t.data.reshape(()))
     if not TAU_BAND[0] <= tau_value <= TAU_BAND[1]:
         raise DomainError(f"contrastive_loss: tau {tau_value} outside {TAU_BAND}")
-    st = ad.div(s, tau_t)
+    sd = s.data
+    st = sd / tau_value
+    rows = np.arange(n)
+    log_q = ad.log_softmax(st.T.copy())  # row u: column u of st, over images
     if counts is None:
-        per_image = ad.pick_per_row(ad.log_softmax_rows(st), y)
-        per_text = ad.pick_per_row(ad.log_softmax_rows(ad.transpose(st)), y)
+        log_p = ad.log_softmax(st)
+        picked = log_p[rows, y] + log_q[rows, y]
     else:
         log_m = np.log(counts)
-        per_image = ad.add(
-            ad.pick_per_row(ad.log_softmax_rows(ad.add(st, Tensor(log_m))), y),
-            Tensor(-log_m[y]),
+        log_p = ad.log_softmax(st + log_m)
+        picked = (log_p[rows, y] - log_m[y]) + log_q[y, rows]
+    value = np.asarray(picked.sum() * (-1.0 / (2.0 * n)))
+
+    def backward(g):
+        grad = np.exp(log_p)
+        if counts is None:
+            grad += np.exp(log_q).T
+            grad[rows, y] -= 1.0
+            grad[y, rows] -= 1.0
+        else:
+            grad += np.exp(log_q).T * counts
+            grad[rows, y] -= 2.0
+        grad *= g / (2.0 * n)
+        return grad / tau_value, np.sum(-grad * sd / (tau_value * tau_value)).reshape(
+            tau_t.data.shape
         )
-        per_text = ad.pick_per_row(ad.transpose(ad.log_softmax_rows(ad.transpose(st))), y)
-    return ad.scale(ad.sum_all(ad.add(per_image, per_text)), -1.0 / (2.0 * n))
+
+    return ad._make(value, (s, tau_t), backward)
 
 
 def classification_loss(img_features: Tensor, w_cls: Tensor, labels) -> Tensor:
@@ -137,8 +161,7 @@ def classification_loss(img_features: Tensor, w_cls: Tensor, labels) -> Tensor:
         raise ShapeError(f"classification_loss: need {n} labels, got {labels.shape}")
     if n and (labels.min() < 0 or labels.max() >= n_classes):
         raise DomainError(f"classification_loss: label outside [0, {n_classes})")
-    picked = ad.pick_per_row(ad.log_softmax_rows(logits), labels)
-    return ad.scale(ad.sum_all(picked), -1.0 / n)
+    return ad.softmax_cross_entropy(logits, labels)
 
 
 def loss_weights(w_con_param: Tensor, w_cls_param: Tensor) -> tuple[Tensor, Tensor]:

@@ -2,8 +2,9 @@
 
 Grid cells are pure functions of (config, shot, seed, lr) and may run in
 parallel processes; results aggregate in grid order so output files are
-byte-reproducible apart from wall time.  Failed cells (training divergence)
-are first-class rows, never aborting the grid.
+byte-reproducible apart from wall time.  A few-shot sweep builds its world
+and test split once and shares them with every cell.  Failed cells (training
+divergence) are first-class rows, never aborting the grid.
 """
 
 from __future__ import annotations
@@ -175,32 +176,65 @@ def _train_and_score(
     return cell
 
 
-def run_cell(config: ExperimentConfig, shot: int, seed: int, lr: float) -> CellResult:
+def run_cell(
+    config: ExperimentConfig,
+    shot: int,
+    seed: int,
+    lr: float,
+    world: World | None = None,
+    test: tuple[np.ndarray, np.ndarray] | None = None,
+) -> CellResult:
     """One grid cell: build, optionally train, evaluate in the joint label
-    space of seen and held-out concepts."""
-    world = build_world(config.world)
+    space of seen and held-out concepts.  ``run_few_shot`` passes the world
+    and its joint test split, shared by every cell; alone, the cell builds
+    both."""
+    if world is None:
+        world = build_world(config.world)
     label_ids = world.seen_ids + world.ood_ids
+    if test is None:
+        test = _test_split(world, label_ids, config.n_test_per_class)
 
     def score(session: TrainingSession) -> tuple[float | None, float | None]:
-        images, labels = _test_split(world, label_ids, config.n_test_per_class)
-        scores = session.evaluate(images, labels, label_ids)
+        scores = session.evaluate(*test, label_ids)
         return scores.get("seen"), scores.get("ood")
 
     return _train_and_score(config, world, shot, seed, lr, "joint", score)
 
 
-def _map(fn, tasks, jobs: int) -> list:
-    """``fn(*task)`` for every task, in task order; at most ``jobs`` worker
-    processes, and never more than there are tasks."""
+# What forked ``_map`` workers call: (fn, shared arguments).  Set only while
+# ``_map`` runs, so the workers inherit it and nothing is pickled per task.
+_FORKED: tuple | None = None
+
+
+def _call_forked(*task):
+    fn, shared = _FORKED
+    return fn(*task, *shared)
+
+
+def _map(fn, tasks, jobs: int, shared: tuple = ()) -> list:
+    """``fn(*task, *shared)`` for every task, in task order; at most ``jobs``
+    worker processes, and never more than there are tasks.  Workers are
+    forked, so they inherit ``shared`` rather than receive it per task."""
+    global _FORKED
     jobs = min(jobs, len(tasks))
     if jobs <= 1:
-        return [fn(*t) for t in tasks]
-    with get_context("fork").Pool(jobs) as pool:
-        return pool.starmap(fn, tasks)
+        return [fn(*t, *shared) for t in tasks]
+    _FORKED = (fn, shared)
+    try:
+        with get_context("fork").Pool(jobs) as pool:
+            return pool.starmap(_call_forked, tasks)
+    finally:
+        _FORKED = None
 
 
 def run_few_shot(config: ExperimentConfig, jobs: int = 1) -> RunResult:
-    """The shot x seed x lr grid on one world; 0-shot cells skip training."""
+    """The shot x seed x lr grid on one world; 0-shot cells skip training.
+
+    The world and its joint test split are built once per call and shared
+    by every cell (the world's arrays are read-only); nothing outlives the
+    call."""
+    world = build_world(config.world)
+    test = _test_split(world, world.seen_ids + world.ood_ids, config.n_test_per_class)
     tasks = [
         (config, shot, seed, lr)
         for shot in config.shots
@@ -208,7 +242,7 @@ def run_few_shot(config: ExperimentConfig, jobs: int = 1) -> RunResult:
         for lr in config.lrs
     ]
     result = RunResult("few_shot", config_hash(config))
-    result.cells = _map(run_cell, tasks, jobs)
+    result.cells = _map(run_cell, tasks, jobs, (world, test))
     return result
 
 

@@ -7,17 +7,20 @@ row starts at the mean of the frozen vocabulary rows, the reserved blind row
 excluded (under ``disable_name_agent`` no prompt selects a row and the
 optimizer never sees the table).  The session builds per-epoch batches of
 image-prompt pairs with template rotation, each listing its distinct prompts
-once, runs fixed-schedule bus rounds under a gradient tape, and evaluates by
-cosine retrieval against per-class text features.  The coordinator agent ends
-each round: it requires the image features, the ``{difficulty, strategy}``
-metadata and the text features (one row per distinct prompt), computes the
-loss over images against distinct prompts, and sends nothing.  The image agent's difficulty scorer is
-fixed: the loss has no path back to it.  The image and text agents and the
+once; a training run builds each distinct batch once, since the rotation
+repeats every few epochs.  It runs fixed-schedule bus rounds under a gradient
+tape, and evaluates by cosine retrieval against per-class text features.  The
+coordinator agent ends each round: it requires the image features, the
+``{difficulty, strategy}`` metadata and the text features (one row per
+distinct prompt), computes the loss over images against distinct prompts, and
+sends nothing.  The image agent's difficulty scorer is fixed: the loss has no
+path back to it.  The image and text agents and the
 coordinator read the session's ``SessionSettings`` record as it is.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -234,12 +237,14 @@ class TrainingSession:
     def train(
         self, shots_by_class: dict[int, np.ndarray], epochs: int, lr: float
     ) -> list[LossBreakdown]:
+        """``epochs`` full-batch steps; epoch e trains on ``build_batch(shots,
+        e)``.  The template rotation repeats after ``lcm`` of the prompt-pool
+        lengths (3 with context exchange, 1 without), so only that many
+        distinct batches are built, and epoch e reuses batch ``e % period``."""
         optimizer = Adam(self.trainable_parameters(), lr)
-        history = []
-        for epoch in range(epochs):
-            batch = self.build_batch(shots_by_class, epoch)
-            history.append(self.train_step(batch, optimizer, lr))
-        return history
+        period = math.lcm(*(len(self.prompt_pools[cid]) for cid in shots_by_class))
+        batches = [self.build_batch(shots_by_class, e) for e in range(min(period, epochs))]
+        return [self.train_step(batches[e % period], optimizer, lr) for e in range(epochs)]
 
     def training_token_audit(self) -> set[int]:
         """Every frozen vocabulary id the training prompts embed; empty before

@@ -104,7 +104,12 @@ def _sample_separated_latents(
 
 
 class World:
-    """Immutable frozen-encoder universe; safe for concurrent reads."""
+    """Immutable frozen-encoder universe; safe for concurrent reads.
+
+    Construction makes every array read-only (the encoder, vocabulary and
+    mixer arrays and each concept's latent), so the cells of a sweep can
+    share one world: an in-place write raises ``ValueError``.
+    """
 
     def __init__(
         self,
@@ -132,6 +137,10 @@ class World:
         self.templates = templates
         self.oov_token = config.vocab_size - 1
         self.report: dict = {}
+        for arr in (gen_map, vocab, mixer_in, mixer_in_bias, mixer_out, mixer_out_bias):
+            arr.flags.writeable = False
+        for c in concepts:
+            c.latent.flags.writeable = False
 
     # -- lookups ------------------------------------------------------------
 

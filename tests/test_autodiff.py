@@ -185,3 +185,91 @@ def test_gradients_through_shared_subexpression():
     backward(tape, loss)
     # d/dx [2x + 4x^2] = 2 + 8x
     assert np.allclose(x.grad, [10.0, 18.0])
+
+
+# ---------------------------------------------------------------------------
+# Softmax cross-entropy: one op against the composed form it replaced
+
+
+def _xent_cases():
+    rng = np.random.default_rng(3)
+    yield np.asarray([[0.4, -1.0]]), [1]
+    yield rng.normal(scale=5.0, size=(6, 4)), [0, 3, 3, 1, 2, 0]
+    yield rng.normal(size=(5, 1)), [0] * 5
+
+
+@pytest.mark.parametrize("case", list(_xent_cases()), ids=["N=1", "repeated", "one class"])
+def test_softmax_cross_entropy_matches_composed_form(case):
+    logits, labels = case
+    a = Tensor(logits, requires_grad=True)
+    with Tape() as tape:
+        loss = ad.softmax_cross_entropy(a, labels)
+    assert len(tape) == 1
+    backward(tape, loss)
+    b = Tensor(logits, requires_grad=True)
+    with Tape() as tape:
+        picked = ad.pick_per_row(ad.log_softmax_rows(b), labels)
+        ref = ad.scale(ad.sum_all(picked), -1.0 / len(labels))
+    backward(tape, ref)
+    assert loss.shape == ()
+    assert abs(loss.item() - ref.item()) <= 1e-12
+    assert np.max(np.abs(a.grad - b.grad)) <= 1e-12
+
+
+def test_softmax_cross_entropy_rejects_bad_input():
+    with pytest.raises(ShapeError):
+        ad.softmax_cross_entropy(Tensor(np.ones(3)), [0])
+    with pytest.raises(ShapeError):
+        ad.softmax_cross_entropy(Tensor(np.ones((0, 3))), [])
+    with pytest.raises(ShapeError):
+        ad.softmax_cross_entropy(Tensor(np.ones((2, 3))), [0])
+    for labels in ([0, 3], [-1, 0]):
+        with pytest.raises(DomainError, match="out of range"):
+            ad.softmax_cross_entropy(Tensor(np.ones((2, 3))), labels)
+
+
+# ---------------------------------------------------------------------------
+# Gradient buffers: shared by reference inside a pass, never between leaves
+
+
+def test_leaf_added_to_itself_gets_the_summed_gradient():
+    a = Tensor([1.0, -2.0], requires_grad=True)
+    with Tape() as tape:
+        loss = ad.sum_all(ad.mul(ad.add(a, a), Tensor([3.0, 5.0])))
+    backward(tape, loss)
+    assert np.array_equal(a.grad, [6.0, 10.0])
+
+
+def test_leaf_feeding_two_matmuls_gets_the_summed_gradient():
+    rng = np.random.default_rng(0)
+    a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    u, v = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    with Tape() as tape:
+        loss = ad.add(ad.sum_all(ad.matmul(a, Tensor(u))), ad.sum_all(ad.matmul(a, Tensor(v))))
+    backward(tape, loss)
+    expected = np.ones((2, 4)) @ u.T + np.ones((2, 4)) @ v.T
+    assert np.allclose(a.grad, expected, atol=1e-12)
+
+
+def test_leaves_never_share_a_gradient_buffer():
+    a = Tensor([[1.0, 2.0]], requires_grad=True)
+    b = Tensor([[3.0, 4.0]], requires_grad=True)
+    with Tape() as tape:
+        loss = ad.sum_all(ad.add(a, b))
+    backward(tape, loss)
+    assert a.grad is not b.grad
+    assert a.grad.dtype == np.float64 and a.grad.shape == a.shape
+    a.grad[0, 0] = 99.0
+    assert np.array_equal(b.grad, [[1.0, 1.0]])
+    backward(tape, loss)
+    assert np.array_equal(a.grad, [[1.0, 1.0]])
+    assert np.array_equal(b.grad, [[1.0, 1.0]])
+
+
+def test_scalar_leaf_gradient_is_a_writable_array():
+    t = Tensor(np.asarray(1.5), requires_grad=True)
+    with Tape() as tape:
+        loss = ad.add(ad.clip(t, 0.5, 2.0), ad.clip(t, 0.5, 2.0))
+    backward(tape, loss)
+    assert isinstance(t.grad, np.ndarray) and t.grad.shape == ()
+    assert float(t.grad) == 2.0

@@ -236,6 +236,75 @@ def test_grouped_contrastive_rejects_unused_column():
         contrastive_loss(s, [0, 2, 2], 1.0, np.bincount([0, 2, 2], minlength=3))
 
 
+# The closed-form op against the composed form it replaced, rebuilt here from
+# per-row log-softmax, gathers and transposes on the tape.
+
+def composed_contrastive(s, y, tau, counts=None):
+    from namelearn import autodiff as ad
+
+    n = s.shape[0]
+    st = ad.div(s, tau)
+    if counts is None:
+        per_image = ad.pick_per_row(ad.log_softmax_rows(st), y)
+        per_text = ad.pick_per_row(ad.log_softmax_rows(ad.transpose(st)), y)
+    else:
+        log_m = np.log(counts)
+        per_image = ad.add(
+            ad.pick_per_row(ad.log_softmax_rows(ad.add(st, Tensor(log_m))), y),
+            Tensor(-log_m[y]),
+        )
+        per_text = ad.pick_per_row(ad.transpose(ad.log_softmax_rows(ad.transpose(st))), y)
+    return ad.scale(ad.sum_all(ad.add(per_image, per_text)), -1.0 / (2.0 * n))
+
+
+def _loss_and_grads(fn, s, y, tau, counts):
+    s_t = Tensor(s, requires_grad=True)
+    tau_t = Tensor(np.asarray(tau), requires_grad=True)
+    with Tape() as tape:
+        loss = fn(s_t, y, tau_t) if counts is None else fn(s_t, y, tau_t, counts)
+    backward(tape, loss)
+    return loss.item(), s_t.grad, tau_t.grad, len(tape)
+
+
+def _closed_form_cases():
+    rng = np.random.default_rng(11)
+    cases = [
+        ("square N=1", np.asarray([[0.3]]), [0], 1.0, None),
+        ("grouped N=1", np.asarray([[-0.7]]), [0], 2.0, [1]),
+        ("grouped one text", rng.normal(size=(5, 1)), [0] * 5, 0.5, [5]),
+    ]
+    for k, tau in enumerate((TAU_BAND[0], TAU_BAND[1], 1.3)):
+        n = 6 + k
+        y = rng.permutation(n)
+        cases.append((f"square tau={tau}", rng.normal(scale=2.0, size=(n, n)), y, tau, None))
+        idx = np.concatenate([np.arange(3), rng.integers(0, 3, size=n - 3)])
+        rng.shuffle(idx)  # repeated prompts: several images share a column
+        g = rng.normal(scale=2.0, size=(n, 3))
+        cases.append((f"grouped tau={tau}", g, idx, tau, np.bincount(idx, minlength=3)))
+    return cases
+
+
+@pytest.mark.parametrize("case", _closed_form_cases(), ids=lambda c: c[0])
+def test_contrastive_closed_form_matches_composed_form(case):
+    _, s, y, tau, counts = case
+    value, ds, dtau, entries = _loss_and_grads(contrastive_loss, s, y, tau, counts)
+    ref_value, ref_ds, ref_dtau, _ = _loss_and_grads(composed_contrastive, s, y, tau, counts)
+    assert abs(value - ref_value) <= 1e-12
+    assert np.max(np.abs(ds - ref_ds)) <= 1e-12
+    assert dtau.shape == () and abs(float(dtau) - float(ref_dtau)) <= 1e-12
+    assert entries == 1
+
+
+def test_contrastive_records_one_entry_and_passes_tau_gradient_through_clip():
+    s = Tensor(np.random.default_rng(2).normal(size=(4, 4)), requires_grad=True)
+    raw = Tensor(np.asarray(1.2), requires_grad=True)
+    with Tape() as tape:
+        loss = contrastive_loss(s, np.arange(4), effective_temperature(raw))
+    assert len(tape) == 2  # the clip and the loss
+    backward(tape, loss)
+    assert raw.grad.shape == () and float(raw.grad) != 0.0
+
+
 # ---------------------------------------------------------------------------
 # Classification loss
 
@@ -279,6 +348,14 @@ def test_classification_matches_naive_oracle(seed):
     y = rng.integers(0, c, size=n)
     ours = classification_loss(Tensor(feats), Tensor(w), y).item()
     assert ours == pytest.approx(naive_cross_entropy(feats @ w, y), abs=1e-9)
+
+
+def test_classification_records_matmul_and_one_loss_entry():
+    feats = Tensor(np.ones((3, 2)))
+    w = Tensor(np.zeros((2, 4)), requires_grad=True)
+    with Tape() as tape:
+        classification_loss(feats, w, [0, 1, 3])
+    assert len(tape) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -456,3 +456,40 @@ def test_parallel_jobs_match_serial(tmp_path):
     a = emit_metrics(serial, tmp_path / "s")["results"].read_text()
     b = emit_metrics(parallel, tmp_path / "p")["results"].read_text()
     assert strip_wall_time(a) == strip_wall_time(b)
+
+
+def test_sweep_builds_its_world_and_test_split_once(monkeypatch):
+    builds, splits = [], []
+    build_world, sample_split = harness.build_world, harness.World.sample_split
+
+    def counting_build(config):
+        builds.append(config)
+        return build_world(config)
+
+    def counting_split(self, *args, **kwargs):
+        splits.append(args)
+        return sample_split(self, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_world", counting_build)
+    monkeypatch.setattr(harness.World, "sample_split", counting_split)
+    result = run_few_shot(replace(TINY, epochs=2))
+    assert len(result.cells) == 4
+    assert len(builds) == 1 and len(splits) == 1
+
+
+def test_sweep_cells_equal_standalone_cells(tiny_result):
+    for cell in tiny_result.cells:
+        alone = harness.run_cell(TINY, cell.shot, cell.seed, cell.lr)
+        assert replace(alone, wall_time=0.0) == replace(cell, wall_time=0.0)
+
+
+class Unpicklable:
+    def __reduce__(self):
+        raise AssertionError("pickled")
+
+
+def test_forked_workers_inherit_shared_arguments_unpickled():
+    shared = Unpicklable()
+    out = harness._map(lambda x, s: (x * 2, s is shared), [(1,), (2,), (3,)], 2, (shared,))
+    assert out == [(2, True), (4, True), (6, True)]
+    assert harness._FORKED is None  # nothing outlives the call

@@ -129,6 +129,39 @@ def test_image_side_is_encoded_once_per_distinct_image_batch(world, monkeypatch)
     assert sum(calls) == 3
 
 
+@pytest.mark.parametrize(
+    "exchange_off, epochs, period", [(False, 7, 3), (True, 7, 1), (False, 2, 3)],
+    ids=["exchange_period_3", "no_exchange_period_1", "fewer_epochs_than_period"],
+)
+def test_train_builds_each_distinct_batch_once(world, monkeypatch, exchange_off, epochs, period):
+    from namelearn.coordinator import Adam
+
+    settings = SessionSettings(disable_context_exchange=exchange_off)
+    shots = shots_for(world)
+    trained = TrainingSession(world, settings, seed=0)
+    assert {len(pool) for pool in trained.prompt_pools.values()} == {period}
+    built = []
+    build_batch = TrainingSession.build_batch
+
+    def counting(self, shots_by_class, epoch):
+        built.append(epoch)
+        return build_batch(self, shots_by_class, epoch)
+
+    monkeypatch.setattr(TrainingSession, "build_batch", counting)
+    trained.train(shots, epochs=epochs, lr=1e-3)
+    monkeypatch.undo()
+    assert built == list(range(min(period, epochs)))
+
+    by_hand = TrainingSession(world, settings, seed=0)
+    optimizer = Adam(by_hand.trainable_parameters(), 1e-3)
+    for epoch in range(epochs):
+        by_hand.train_step(by_hand.build_batch(shots, epoch), optimizer, 1e-3)
+    assert trained.step_records == by_hand.step_records
+    assert len(trained.step_records) == epochs
+    for a, b in zip(trained.trainable_parameters(), by_hand.trainable_parameters()):
+        assert a.data.tobytes() == b.data.tobytes(), a.name
+
+
 def test_training_moves_only_declared_learnables(world):
     session = TrainingSession(world, SessionSettings(), seed=1)
     before = {id(p): p.data.copy() for p in session.trainable_parameters()}

@@ -201,6 +201,45 @@ def test_snapshot_roundtrip_bit_identical(world, tmp_path):
     )
 
 
+def _world_arrays(w):
+    mixers = [w.mixer_in, w.mixer_in_bias, w.mixer_out, w.mixer_out_bias]
+    return [w.gen_map, w.vocab, *mixers] + [c.latent for c in w.concepts]
+
+
+@pytest.mark.parametrize("source", ["built", "loaded"])
+def test_world_arrays_are_read_only(world, tmp_path, source):
+    if source == "loaded":
+        save_world(world, tmp_path / "world.bin")
+        w = load_world(tmp_path / "world.bin")
+    else:
+        w = world
+    for arr in _world_arrays(w):
+        with pytest.raises(ValueError, match="read-only"):
+            arr += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 0.0
+    assert np.array_equal(w.vocab, world.vocab)
+
+
+def test_snapshot_bytes_survive_a_read_only_round_trip(world, tmp_path):
+    save_world(world, tmp_path / "a.bin")
+    save_world(load_world(tmp_path / "a.bin"), tmp_path / "b.bin")
+    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+def test_training_and_evaluation_run_on_a_read_only_world(world):
+    from namelearn.session import SessionSettings, TrainingSession
+
+    before = [arr.tobytes() for arr in _world_arrays(world)]
+    session = TrainingSession(world, SessionSettings(), seed=0)
+    shots = {cid: world.sample_images(cid, 2, seed=5) for cid in world.ood_ids}
+    session.train(shots, epochs=4, lr=1e-3)
+    ids = world.seen_ids + world.ood_ids
+    images, labels = world.sample_split(ids, per_class=5, seed=6)
+    assert set(session.evaluate(images, labels, ids)) == {"overall", "seen", "ood"}
+    assert [arr.tobytes() for arr in _world_arrays(world)] == before
+
+
 @pytest.mark.parametrize(
     "damage",
     [
