@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from namelearn import autodiff as ad
 from namelearn.autodiff import DomainError, ShapeError, Tape, Tensor, backward, grad_check
 from namelearn.coordinator import (
     TAU_BAND,
@@ -240,8 +241,6 @@ def test_grouped_contrastive_rejects_unused_column():
 # per-row log-softmax, gathers and transposes on the tape.
 
 def composed_contrastive(s, y, tau, counts=None):
-    from namelearn import autodiff as ad
-
     n = s.shape[0]
     st = ad.div(s, tau)
     if counts is None:

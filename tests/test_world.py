@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from namelearn.session import SessionSettings, TrainingSession
 from namelearn.world import (
     WorldBuildError,
     WorldConfig,
@@ -228,8 +229,6 @@ def test_snapshot_bytes_survive_a_read_only_round_trip(world, tmp_path):
 
 
 def test_training_and_evaluation_run_on_a_read_only_world(world):
-    from namelearn.session import SessionSettings, TrainingSession
-
     before = [arr.tobytes() for arr in _world_arrays(world)]
     session = TrainingSession(world, SessionSettings(), seed=0)
     shots = {cid: world.sample_images(cid, 2, seed=5) for cid in world.ood_ids}
