@@ -13,10 +13,18 @@ from pathlib import Path
 
 import numpy as np
 
+from namelearn.autodiff import Tensor
+from namelearn.image_agent import frozen_visual_features
+from namelearn.session import SessionSettings, TrainingSession
 from namelearn.world import WorldConfig, build_world, load_world, save_world
 
 config = WorldConfig()  # 32-dim embeddings, 20 seen + 10 held-out concepts
 world = build_world(config)
+# The frozen model: an untrained session whose held-out names render with the
+# blind token and whose text side has no fusion.
+frozen = TrainingSession(
+    world, SessionSettings(disable_name_agent=True, disable_text_context=True)
+)
 
 print("concepts:", len(world.concepts), "| seen:", len(world.seen_ids), "| held-out:", len(world.ood_ids))
 print("build self-checks:", world.report)
@@ -26,17 +34,18 @@ print("build self-checks:", world.report)
 cid = world.ood_ids[0]
 clean = build_world(WorldConfig(noise_sigma=0.0))
 x = clean.sample_images(cid, 1, seed=0)
-err = np.abs(clean.encode_images(x)[0] - clean.concept(cid).latent).max()
+feats = frozen_visual_features(Tensor(x), Tensor(clean.gen_map)).data
+err = np.abs(feats[0] - clean.concept(cid).latent).max()
 print(f"noiseless encode-back error for concept {cid}: {err:.2e}")
 
-# Seen-concept prompts encode right next to their prototypes...
-for cid in world.seen_ids[:3]:
-    f = world.frozen_prompt_feature(cid)
+# Seen-concept canonical prompts encode right next to their prototypes...
+seen = world.seen_ids[:3]
+for cid, f in zip(seen, frozen.class_text_features(seen, context=None)):
     cos = f @ world.concept(cid).latent / np.linalg.norm(f)
     print(f"seen concept {cid}: cosine(prompt feature, prototype) = {cos:.4f}")
 
 # ...while every held-out prompt encodes to the same uninformative vector.
-feats = np.stack([world.frozen_prompt_feature(cid) for cid in world.ood_ids])
+feats = frozen.class_text_features(world.ood_ids, context=None)
 print("held-out prompt feature spread:", np.abs(feats - feats[0]).max())
 
 # Snapshots round-trip bit-exactly.

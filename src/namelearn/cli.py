@@ -30,17 +30,26 @@ from .world import WorldBuildError, build_world, save_world
 HARD_ERRORS = (ConfigError, AblationError, WorldBuildError, OSError, ValueError)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_paths(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="key-value config file")
-    parser.add_argument("--seed", type=str, help="comma-separated seed list override")
     parser.add_argument("--out", type=Path, default=Path("results"), help="output directory")
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    _add_paths(parser)
+    parser.add_argument("--seed", type=str, help="comma-separated seed list override")
     parser.add_argument("--jobs", type=int, default=1, help="parallel grid workers")
 
 
 def _load_config(args) -> ExperimentConfig:
     config = parse_config_file(args.config) if args.config else ExperimentConfig()
     if args.seed:
-        seeds = tuple(int(s) for s in args.seed.split(",") if s.strip())
+        try:
+            seeds = tuple(int(s) for s in args.seed.split(",") if s.strip())
+        except ValueError:
+            raise ConfigError(
+                f"--seed: expected an integer (comma-separated), got {args.seed!r}"
+            ) from None
         config = replace(config, seeds=seeds)
     return config
 
@@ -88,7 +97,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_world_build(args) -> int:
-    config = _load_config(args)
+    config = parse_config_file(args.config) if args.config else ExperimentConfig()
     world = build_world(config.world)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -128,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     world_parser = sub.add_parser("world", help="world snapshot utilities")
     world_sub = world_parser.add_subparsers(dest="world_command", required=True)
     p = world_sub.add_parser("build", help="build and save a world snapshot")
-    _add_common(p)
+    _add_paths(p)
     p.set_defaults(func=cmd_world_build)
 
     p = sub.add_parser("selftest", help="gradient-check and loss-oracle suites")

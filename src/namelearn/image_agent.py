@@ -33,6 +33,18 @@ STANDARD = "standard"
 ROBUST = "robust"
 
 
+def frozen_visual_features(images: Tensor, encoder: Tensor) -> Tensor:
+    """The frozen visual encoder, the renderer's exact left inverse: a
+    nonempty ``(N, P)`` image batch times the ``(P, D)`` encoder matrix."""
+    if images.data.ndim != 2 or images.shape[0] < 1:
+        raise ShapeError(f"frozen visual encoder: need a nonempty batch, got {images.shape}")
+    if images.shape[1] != encoder.shape[0]:
+        raise ShapeError(
+            f"frozen visual encoder: raw dim {images.shape[1]} != {encoder.shape[0]}"
+        )
+    return ad.matmul(images, encoder)
+
+
 class DifficultyEstimator:
     """Two-layer sigmoid scorer of batch processing difficulty.
 
@@ -83,13 +95,7 @@ class ImageAgent:
 
     def encode_standard(self, images: Tensor) -> Tensor:
         """Frozen encoder output, unchanged."""
-        if images.data.ndim != 2 or images.shape[0] < 1:
-            raise ShapeError(f"encode_standard: need a nonempty batch, got {images.shape}")
-        if images.shape[1] != self.frozen_visual.shape[0]:
-            raise ShapeError(
-                f"encode_standard: raw dim {images.shape[1]} != {self.frozen_visual.shape[0]}"
-            )
-        return ad.matmul(images, self.frozen_visual)
+        return frozen_visual_features(images, self.frozen_visual)
 
     def encode_robust(self, images: Tensor, alpha: float | None = None) -> Tensor:
         """Unit-normalized features plus a gradient-blocked scaled residual."""

@@ -136,14 +136,15 @@ class RenderedPrompt:
 def render_prompt(
     template: PromptTemplate,
     concept,
-    table: NameEmbeddingTable,
+    table: NameEmbeddingTable | None,
     frozen_names: bool = False,
 ) -> RenderedPrompt:
     """Fill the template's name slot for one concept.
 
     In-vocabulary concepts always use their frozen name token.  OOV concepts
     use their row of the name table, unless ``frozen_names`` forces the
-    frozen (blind) token, e.g. for the no-name-learning baseline.
+    frozen (blind) token, e.g. for the no-name-learning baseline; with frozen
+    names ``table`` is never read and may be ``None``.
     """
     name_token, name_row = concept.name_token, None
     if concept.split == "ood" and not frozen_names:
@@ -151,6 +152,17 @@ def render_prompt(
     return RenderedPrompt(
         concept.id, template.template_id, template.tokens, name_token, name_row
     )
+
+
+def pool_frozen_tokens(rendered: RenderedPrompt, vocab: np.ndarray) -> np.ndarray:
+    """The frozen part of a rendering's mean-pooled embedding: its vocabulary
+    rows summed, over the template length.  With a frozen name this is the
+    whole pooled embedding; a name-table row adds its own share."""
+    ids = list(rendered.frozen_token_ids)
+    for tok in ids:
+        if not 0 <= tok < len(vocab):
+            raise UnknownTokenError(f"token id {tok!r} outside vocabulary")
+    return vocab[ids].sum(axis=0) / len(rendered.prompt_tokens)
 
 
 def context_exchange_augment(
@@ -228,16 +240,10 @@ class NameAgent:
         """
         if pair not in self._pooled_rows:
             rendered = self.render(*pair)
-            ids = list(rendered.frozen_token_ids)
-            for tok in ids:
-                if not 0 <= tok < len(self.vocab):
-                    raise UnknownTokenError(f"token id {tok!r} outside vocabulary")
-            length = len(rendered.prompt_tokens)
             selection = np.zeros(self.table.weight.shape[0])
             if rendered.name_row is not None:
-                selection[rendered.name_row] = 1.0 / length
-            frozen = self.vocab[ids].sum(axis=0) / length
-            self._pooled_rows[pair] = frozen, selection
+                selection[rendered.name_row] = 1.0 / len(rendered.prompt_tokens)
+            self._pooled_rows[pair] = pool_frozen_tokens(rendered, self.vocab), selection
         return self._pooled_rows[pair]
 
     def pool(self, pairs: list[tuple[int, str]]) -> Tensor:

@@ -270,10 +270,10 @@ class TrainingSession:
 
     # -- evaluation ----------------------------------------------------------------
 
-    def class_text_features(self, class_ids: list[int], context: Tensor) -> np.ndarray:
+    def class_text_features(self, class_ids: list[int], context: Tensor | None) -> np.ndarray:
         """Per-class text features from the canonical prompt, encoded the way
         training rounds encode: trained name embeddings, then the text agent
-        with this visual context."""
+        with this visual context (``None`` under ``disable_text_context``)."""
         template_id = self.world.canonical_template.template_id
         pooled = self.name_agent.pool([(cid, template_id) for cid in class_ids])
         return self.text_agent.encode(pooled, context).data
@@ -281,7 +281,13 @@ class TrainingSession:
     def evaluate(
         self, images: np.ndarray, labels: np.ndarray, class_ids: list[int]
     ) -> dict[str, float]:
-        """Cosine-retrieval accuracy over a label space, reported per split."""
+        """Cosine-retrieval accuracy over a label space, reported per split;
+        ``ValueError`` unless the label space is nonempty and holds every label."""
+        if len(class_ids) == 0:
+            raise ValueError("empty label space: no class to score against")
+        outside = sorted(set(np.asarray(labels).tolist()) - set(class_ids))
+        if outside:
+            raise ValueError(f"labels {outside} are outside the label space {class_ids}")
         feats = self.image_agent.encode(images)[0]
         text = self.class_text_features(class_ids, ImageAgent.emit_visual_context(feats))
         fn = feats.data / np.linalg.norm(feats.data, axis=1, keepdims=True)

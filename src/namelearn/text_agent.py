@@ -26,6 +26,15 @@ from .bus import (
 from .settings import SessionSettings
 
 
+def frozen_text_features(pooled: Tensor, mixer: tuple[Tensor, ...]) -> Tensor:
+    """The frozen text encoder's mixer over pooled prompt embeddings, ``(N, D)``
+    rows or one ``(D,)`` vector: rotation, shifted ReLU, inverse rotation, from
+    ``mixer = (in, in_bias, out, out_bias)``."""
+    mixer_in, mixer_in_bias, mixer_out, mixer_out_bias = mixer
+    h = ad.relu(ad.add(ad.matmul(pooled, mixer_in), mixer_in_bias))
+    return ad.add(ad.matmul(h, mixer_out), mixer_out_bias)
+
+
 class MissingContextError(RuntimeError):
     """Contextual encoding requested before any visual context arrived."""
 
@@ -95,12 +104,9 @@ class TextAgent:
         rng: np.random.Generator,
     ):
         self.settings = settings
-        mi, mib, mo, mob = mixer
-        self._mixer_in = Tensor(mi, name="frozen_text_in")
-        self._mixer_in_bias = Tensor(mib, name="frozen_text_in_bias")
-        self._mixer_out = Tensor(mo, name="frozen_text_out")
-        self._mixer_out_bias = Tensor(mob, name="frozen_text_out_bias")
-        d = mi.shape[0]
+        names = ("frozen_text_in", "frozen_text_in_bias", "frozen_text_out", "frozen_text_out_bias")
+        self.mixer = tuple(Tensor(a, name=n) for a, n in zip(mixer, names))
+        d = mixer[0].shape[0]
         if settings.simple_concat_fusion:
             self.fusion = LinearFusion(d, rng)
         else:
@@ -118,8 +124,7 @@ class TextAgent:
         ``disable_text_context`` is set or ``lambda_mix`` is 1, the result is
         ``lam * standard + (1 - lam) * fusion(standard | context)``.
         """
-        h = ad.relu(ad.add(ad.matmul(pooled, self._mixer_in), self._mixer_in_bias))
-        standard = ad.add(ad.matmul(h, self._mixer_out), self._mixer_out_bias)
+        standard = frozen_text_features(pooled, self.mixer)
         if self.settings.disable_text_context or self.settings.lambda_mix >= 1.0:
             return standard
         if context is None:

@@ -7,10 +7,12 @@ prototypes.  The frozen text side only aligns with prototypes of concepts
 whose names exist in its vocabulary: names of held-out concepts map to a
 single reserved out-of-vocabulary token, so their prompts all encode to the
 same uninformative vector.  Alignment breakdown for the held-out split is
-therefore a construction-time fact with measurable ground truth.  The frozen
-model's zero-shot classifier is a softmax at the fixed temperature
-``ZERO_SHOT_GAMMA``.  A snapshot loads only if its length is exactly header
-plus arrays and every key of its config is a ``WorldConfig`` field.
+therefore a construction-time fact with measurable ground truth.  The world
+is data only: the frozen encoders that read its arrays are the agents' own
+(``image_agent.frozen_visual_features``, ``text_agent.frozen_text_features``
+and ``name_agent.pool_frozen_tokens``), and ``build_world`` checks its
+invariants through them.  A snapshot loads only if its length is exactly
+header plus arrays and every key of its config is a ``WorldConfig`` field.
 """
 
 from __future__ import annotations
@@ -23,7 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from . import name_agent
+from .autodiff import Tensor
+from .image_agent import frozen_visual_features
 from .name_agent import NAME_SLOT, PromptTemplate
+from .text_agent import frozen_text_features
 
 SNAPSHOT_MAGIC = b"NLWORLD/1\n"
 
@@ -35,8 +40,6 @@ MIXER_SHIFT = 10.0
 # Std-dev per coordinate of filler-word embeddings, scaled so a filler token
 # has norm ~0.2 regardless of dimension.
 FILLER_NORM = 0.2
-# Softmax temperature of the frozen model's zero-shot classifier.
-ZERO_SHOT_GAMMA = 0.07
 
 
 class WorldBuildError(RuntimeError):
@@ -155,26 +158,6 @@ class World:
     def ood_ids(self) -> list[int]:
         return [c.id for c in self.concepts if c.split == "ood"]
 
-    # -- frozen encoders ----------------------------------------------------
-
-    def encode_images(self, images: np.ndarray) -> np.ndarray:
-        """Frozen visual encoder: exact left inverse of the renderer."""
-        return np.asarray(images) @ self.gen_map
-
-    def text_mixer(self, mean_embed: np.ndarray) -> np.ndarray:
-        """Frozen text encoder body applied to a mean token embedding."""
-        h = np.maximum(0.0, mean_embed @ self.mixer_in + self.mixer_in_bias)
-        return h @ self.mixer_out + self.mixer_out_bias
-
-    def frozen_prompt_feature(
-        self, concept_id: int, template: PromptTemplate | None = None
-    ) -> np.ndarray:
-        """Text feature of a template rendered with the concept's frozen name."""
-        t = template or self.canonical_template
-        concept = self.concept(concept_id)
-        ids = [concept.name_token if tok == NAME_SLOT else tok for tok in t.tokens]
-        return self.text_mixer(self.vocab[ids].mean(axis=0))
-
     # -- data generation ------------------------------------------------------
 
     def sample_images(self, concept_id: int, k: int, seed: int) -> np.ndarray:
@@ -198,36 +181,14 @@ class World:
         labels = np.repeat(concept_ids, per_class)
         return images, labels
 
-    # -- frozen-model inference ----------------------------------------------
-
-    def zero_shot_probs(self, images: np.ndarray, class_ids: list[int]) -> np.ndarray:
-        """Open-vocabulary probabilities: softmax of cosine / ZERO_SHOT_GAMMA
-        per image."""
-        if len(class_ids) == 0:
-            raise ValueError("empty class set")
-        feats = self.encode_images(np.atleast_2d(images))
-        feats = feats / np.linalg.norm(feats, axis=1, keepdims=True)
-        text = np.stack([self.frozen_prompt_feature(cid) for cid in class_ids])
-        text = text / np.linalg.norm(text, axis=1, keepdims=True)
-        logits = (feats @ text.T) / ZERO_SHOT_GAMMA
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
-        return p
-
-    def zero_shot_accuracy(
-        self, images: np.ndarray, labels: np.ndarray, class_ids: list[int]
-    ) -> float:
-        probs = self.zero_shot_probs(images, class_ids)
-        pred = np.asarray(class_ids)[np.argmax(probs, axis=1)]
-        return float(np.mean(pred == labels))
+    # -- adaptation ceiling ----------------------------------------------------
 
     def bayes_oracle_accuracy(
         self, images: np.ndarray, labels: np.ndarray, class_ids: list[int] | None = None
     ) -> float:
         """Nearest-latent accuracy on visual features: the adaptation ceiling."""
         ids = class_ids if class_ids is not None else sorted({int(y) for y in labels})
-        feats = self.encode_images(np.atleast_2d(images))
+        feats = frozen_visual_features(Tensor(np.atleast_2d(images)), Tensor(self.gen_map)).data
         feats = feats / np.linalg.norm(feats, axis=1, keepdims=True)
         protos = np.stack([self.concept(cid).latent for cid in ids])
         pred = np.asarray(ids)[np.argmax(feats @ protos.T, axis=1)]
@@ -292,16 +253,21 @@ def build_world(config: WorldConfig = WorldConfig()) -> World:
         templates,
     )
 
-    # Build-time verification of the frozen-encoder invariants.
-    sc_cos = []
+    # Build-time verification of the frozen-encoder invariants: each concept's
+    # canonical prompt with its frozen name, through the agents' frozen text
+    # encoder, one concept at a time.
+    mixer = tuple(Tensor(a) for a in (mixer_in, mixer_in_bias, mixer_out, mixer_out_bias))
+    feats = {}
     for c in concepts:
-        if c.split != "seen":
-            continue
-        f = world.frozen_prompt_feature(c.id)
-        sc_cos.append(float(f @ c.latent / np.linalg.norm(f)))
-    ood_feats = np.stack(
-        [world.frozen_prompt_feature(c.id) for c in concepts if c.split == "ood"]
-    )
+        rendered = name_agent.render_prompt(canonical, c, None, frozen_names=True)
+        pooled = Tensor(name_agent.pool_frozen_tokens(rendered, vocab))
+        feats[c.id] = frozen_text_features(pooled, mixer).data
+    sc_cos = [
+        float(feats[c.id] @ c.latent / np.linalg.norm(feats[c.id]))
+        for c in concepts
+        if c.split == "seen"
+    ]
+    ood_feats = np.stack([feats[c.id] for c in concepts if c.split == "ood"])
     blindness_spread = float(np.max(np.abs(ood_feats - ood_feats[0])))
     world.report = {
         "sc_min_prompt_cosine": min(sc_cos),

@@ -142,8 +142,12 @@ def test_criterion_4_alignment_breakdown(default_world):
     w = default_world
     ood_images, ood_labels = w.sample_split(w.ood_ids, per_class=1000, seed=501)
     seen_images, seen_labels = w.sample_split(w.seen_ids, per_class=200, seed=502)
-    ood_acc = w.zero_shot_accuracy(ood_images, ood_labels, w.ood_ids)
-    seen_acc = w.zero_shot_accuracy(seen_images, seen_labels, w.seen_ids)
+    # The frozen model: an untrained session with blind-token names, no fusion.
+    frozen = TrainingSession(
+        w, SessionSettings(disable_name_agent=True, disable_text_context=True)
+    )
+    ood_acc = frozen.evaluate(ood_images, ood_labels, w.ood_ids)["ood"]
+    seen_acc = frozen.evaluate(seen_images, seen_labels, w.seen_ids)["seen"]
     bayes = w.bayes_oracle_accuracy(ood_images, ood_labels, w.ood_ids)
     elapsed = time.perf_counter() - start
     chance = 1.0 / len(w.ood_ids)

@@ -306,6 +306,16 @@ def test_cli_seed_override(tmp_path):
     assert seeds == {"5", "6"}
 
 
+def test_cli_unparsable_seed_names_the_flag(tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path / "exp.cfg")
+    rc = main(["few-shot", "--config", str(cfg), "--seed", "abc", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: --seed: expected an integer (comma-separated), got 'abc'\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_zero_shot(tmp_path):
     cfg = write_tiny_config(tmp_path / "exp.cfg", epochs=60)
     rc = main(["zero-shot", "--config", str(cfg), "--out", str(tmp_path / "zs")])
@@ -348,6 +358,15 @@ def test_cli_world_build(tmp_path):
     assert (tmp_path / "w" / "world.bin").exists()
     report = json.loads((tmp_path / "w" / "world_report.json").read_text())
     assert report["sc_min_prompt_cosine"] >= 0.9
+
+
+@pytest.mark.parametrize("flag", [["--seed", "3"], ["--jobs", "4"]])
+def test_cli_world_build_rejects_seed_and_jobs(tmp_path, flag):
+    # A world is fixed by its config alone; neither flag would change it.
+    cfg = write_tiny_config(tmp_path / "exp.cfg")
+    out = tmp_path / "w"
+    assert main(["world", "build", "--config", str(cfg), *flag, "--out", str(out)]) == 1
+    assert not (out / "world.bin").exists()
 
 
 def test_cli_bad_config_is_hard_error(tmp_path):

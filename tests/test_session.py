@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,15 @@ def test_evaluate_reports_per_split_accuracy(world):
     assert set(out) == {"overall", "seen", "ood"}
     assert out["seen"] >= 0.95  # frozen alignment intact before training
     assert out["ood"] <= 0.35  # broken alignment for held-out names
+
+
+def test_evaluate_rejects_a_label_outside_the_label_space(world):
+    # Scoring held-out images against the seen classes would read 0.0.
+    session = TrainingSession(world, SessionSettings(), seed=0)
+    images, labels = world.sample_split(world.ood_ids, per_class=2, seed=42)
+    expected = f"labels {world.ood_ids} are outside the label space {world.seen_ids}"
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        session.evaluate(images, labels, world.seen_ids)
 
 
 def test_untrained_ood_only_eval_is_chance(world):

@@ -5,7 +5,11 @@ import struct
 import numpy as np
 import pytest
 
+from namelearn.autodiff import Tensor
+from namelearn.image_agent import frozen_visual_features
+from namelearn.name_agent import pool_frozen_tokens, render_prompt
 from namelearn.session import SessionSettings, TrainingSession
+from namelearn.text_agent import frozen_text_features
 from namelearn.world import (
     WorldBuildError,
     WorldConfig,
@@ -17,6 +21,9 @@ from namelearn.world import (
 SMALL = WorldConfig(
     embed_dim=16, image_dim=24, n_seen=4, n_ood=3, vocab_size=64, seed=3
 )
+HARD = WorldConfig(
+    embed_dim=16, image_dim=32, n_seen=20, n_ood=20, noise_sigma=0.1, min_separation=0.2
+)
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +34,32 @@ def world():
 @pytest.fixture(scope="module")
 def default_world():
     return build_world(WorldConfig())
+
+
+@pytest.fixture(scope="module", params=[WorldConfig(), HARD], ids=["default", "hard"])
+def paired_world(request):
+    return build_world(request.param)
+
+
+def frozen_model(w):
+    """The frozen dual encoder: an untrained session whose held-out names
+    render with the blind token and whose text side has no fusion."""
+    settings = SessionSettings(disable_name_agent=True, disable_text_context=True)
+    return TrainingSession(w, settings)
+
+
+def visual_features(w, images):
+    return frozen_visual_features(Tensor(images), Tensor(w.gen_map)).data
+
+
+def text_mixer(w):
+    return tuple(Tensor(a) for a in (w.mixer_in, w.mixer_in_bias, w.mixer_out, w.mixer_out_bias))
+
+
+def prompt_feature(w, cid):
+    """Frozen text feature of the canonical prompt with the concept's frozen name."""
+    rendered = render_prompt(w.canonical_template, w.concept(cid), None, frozen_names=True)
+    return frozen_text_features(Tensor(pool_frozen_tokens(rendered, w.vocab)), text_mixer(w)).data
 
 
 def test_build_is_deterministic():
@@ -74,7 +107,7 @@ def test_mixer_is_identity_in_operating_region(world):
     rng = np.random.default_rng(0)
     m = rng.normal(size=world.config.embed_dim)
     m *= 2.0 / np.linalg.norm(m)
-    assert np.allclose(world.text_mixer(m), m, atol=1e-10)
+    assert np.allclose(frozen_text_features(Tensor(m), text_mixer(world)).data, m, atol=1e-10)
 
 
 def test_noiseless_images_encode_to_latent_exactly():
@@ -86,7 +119,7 @@ def test_noiseless_images_encode_to_latent_exactly():
     )
     cid = w.ood_ids[0]
     x = w.sample_images(cid, 4, seed=0)
-    feats = w.encode_images(x)
+    feats = visual_features(w, x)
     assert np.allclose(feats, np.tile(w.concept(cid).latent, (4, 1)), atol=1e-12)
 
 
@@ -109,7 +142,7 @@ def test_nearest_latent_oracle_perfect_at_low_noise(world):
     # Brute-force oracle: classify by explicit cosine loop over prototypes.
     ids = world.seen_ids + world.ood_ids
     images, labels = world.sample_split(ids, per_class=20, seed=11)
-    feats = world.encode_images(images)
+    feats = visual_features(world, images)
     correct = 0
     for f, y in zip(feats, labels):
         sims = [f @ world.concept(c).latent / np.linalg.norm(f) for c in ids]
@@ -134,51 +167,40 @@ def test_default_world_bayes_ceiling(default_world):
     assert default_world.bayes_oracle_accuracy(images, labels, ids) >= 0.99
 
 
-def test_zero_shot_single_class_probability_one(world):
-    cid = world.seen_ids[0]
-    x = world.sample_images(cid, 3, seed=1)
-    probs = world.zero_shot_probs(x, [cid])
-    assert np.allclose(probs, 1.0, atol=1e-10)
-
-
-def test_zero_shot_probs_sum_to_one(world):
-    ids = world.seen_ids + world.ood_ids
-    x = world.sample_images(ids[0], 5, seed=2)
-    probs = world.zero_shot_probs(x, ids)
-    assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-10)
-
-
 def test_zero_shot_rejects_empty_class_set(world):
-    x = world.sample_images(world.seen_ids[0], 1, seed=0)
-    with pytest.raises(ValueError):
-        world.zero_shot_probs(x, [])
+    x, y = world.sample_split(world.seen_ids[:1], per_class=1, seed=0)
+    with pytest.raises(ValueError, match="empty label space"):
+        frozen_model(world).evaluate(x, y, [])
 
 
-def test_blind_ood_zero_shot_is_uniform(world):
-    # All blind-token prompts encode identically, so probabilities are exactly
-    # uniform and accuracy equals first-class chance on a balanced set.
-    ids = world.ood_ids
-    images, labels = world.sample_split(ids, per_class=50, seed=4)
-    probs = world.zero_shot_probs(images, ids)
-    assert np.allclose(probs, 1.0 / len(ids), atol=1e-10)
-    acc = world.zero_shot_accuracy(images, labels, ids)
-    assert abs(acc - 1.0 / len(ids)) <= 0.03
+def test_blind_ood_zero_shot_is_uniform(paired_world):
+    # All blind-token prompts encode identically, so every held-out class
+    # scores the same, the first one wins every image, and accuracy on a
+    # balanced set is exactly chance.
+    w = paired_world
+    session = frozen_model(w)
+    text = session.class_text_features(w.ood_ids, context=None)
+    assert np.array_equal(text, np.tile(text[0], (len(w.ood_ids), 1)))
+    images, labels = w.sample_split(w.ood_ids, per_class=50, seed=4)
+    chance = 1.0 / len(w.ood_ids)
+    assert session.evaluate(images, labels, w.ood_ids) == {"overall": chance, "ood": chance}
 
 
-def test_seen_zero_shot_separable_case(world):
-    ids = world.seen_ids
-    images, labels = world.sample_split(ids, per_class=50, seed=5)
-    assert world.zero_shot_accuracy(images, labels, ids) >= 0.95
+def test_seen_zero_shot_separable_case(paired_world):
+    w = paired_world
+    images, labels = w.sample_split(w.seen_ids, per_class=50, seed=5)
+    assert frozen_model(w).evaluate(images, labels, w.seen_ids)["seen"] >= 0.95
 
 
-def test_alignment_breakdown_reproduced(default_world):
+def test_alignment_breakdown_reproduced(paired_world):
     # Discriminative visual features, uninformative held-out text features.
-    w = default_world
+    w = paired_world
+    session = frozen_model(w)
     ood_images, ood_labels = w.sample_split(w.ood_ids, per_class=100, seed=21)
     seen_images, seen_labels = w.sample_split(w.seen_ids, per_class=50, seed=22)
     chance = 1.0 / len(w.ood_ids)
-    assert abs(w.zero_shot_accuracy(ood_images, ood_labels, w.ood_ids) - chance) <= 0.03
-    assert w.zero_shot_accuracy(seen_images, seen_labels, w.seen_ids) >= 0.95
+    assert abs(session.evaluate(ood_images, ood_labels, w.ood_ids)["ood"] - chance) <= 0.03
+    assert session.evaluate(seen_images, seen_labels, w.seen_ids)["seen"] >= 0.95
     assert w.bayes_oracle_accuracy(ood_images, ood_labels, w.ood_ids) >= 0.99
 
 
@@ -195,11 +217,11 @@ def test_snapshot_roundtrip_bit_identical(world, tmp_path):
     assert [t.template_id for t in loaded.templates] == [
         t.template_id for t in world.templates
     ]
-    # Loaded world behaves identically.
+    # The frozen encoders compute identically on the loaded world.
     x = world.sample_images(world.seen_ids[0], 3, seed=9)
-    assert np.array_equal(
-        world.zero_shot_probs(x, world.seen_ids), loaded.zero_shot_probs(x, world.seen_ids)
-    )
+    assert np.array_equal(visual_features(world, x), visual_features(loaded, x))
+    for cid in world.seen_ids + world.ood_ids:
+        assert np.array_equal(prompt_feature(world, cid), prompt_feature(loaded, cid))
 
 
 def _world_arrays(w):
