@@ -101,15 +101,22 @@ def _make(data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn: Callable) -
 # Operations
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product: (N,K)@(K,M) or (K,)@(K,M)."""
+    """Matrix product: (N,K)@(K,M) or (K,)@(K,M).
+
+    The backward returns ``None`` for an operand that does not require a
+    gradient (a frozen weight, a selection matrix, fixed features), which
+    ``backward`` skips, so no product is formed that nobody reads.
+    """
     ad, bd = a.data, b.data
     if not (ad.ndim in (1, 2) and bd.ndim == 2 and ad.shape[-1] == bd.shape[0]):
         raise ShapeError(f"matmul: incompatible shapes {ad.shape} @ {bd.shape}")
 
     def backward(g):
         if ad.ndim == 1:  # (K,)@(K,M) -> (M,)
-            return bd @ g, np.outer(ad, g)
-        return g @ bd.T, ad.T @ g
+            ga = bd @ g if a.requires_grad else None
+            return ga, np.outer(ad, g) if b.requires_grad else None
+        ga = g @ bd.T if a.requires_grad else None
+        return ga, ad.T @ g if b.requires_grad else None
 
     return _make(ad @ bd, (a, b), backward)
 

@@ -38,10 +38,12 @@ def _add_paths(parser: argparse.ArgumentParser) -> None:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     _add_paths(parser)
     parser.add_argument("--seed", type=str, help="comma-separated seed list override")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel grid workers")
+    parser.add_argument("--jobs", type=int, default=1, help="parallel grid workers (>= 1)")
 
 
 def _load_config(args) -> ExperimentConfig:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs: must be at least 1, got {args.jobs}")
     config = parse_config_file(args.config) if args.config else ExperimentConfig()
     if args.seed:
         try:

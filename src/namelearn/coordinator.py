@@ -8,14 +8,17 @@ similarities are first multiplied by the temperature, which cancels it.  A
 round's text side has one row per distinct prompt, so the loss scores N images
 against U texts; that grouped form equals the square loss over one text row
 per image-prompt pair (see ``contrastive_loss``).  Each loss term is one
-tape entry with a closed-form backward: the contrastive loss here, the
-classification loss through ``autodiff.softmax_cross_entropy``.  The loss reads
+tape entry with a closed-form backward: the contrastive loss here, whose
+value and backward share one exponential pass, the classification loss
+through ``autodiff.softmax_cross_entropy``.  Adam updates every parameter in
+one pass over flat moment vectors.  The loss reads
 ``disable_coordinator_dynamics`` and ``disable_dynamic_balancing`` from the
 session's ``SessionSettings``.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +34,9 @@ CLS_NUM_BAND = (0.1, 1.0)
 FIXED_WEIGHTS = (0.5, 0.5)
 # Learning rates Adam accepts.
 LR_BAND = (1e-6, 1e-1)
+# Smallest normal float64: a softmax sum below it has underflowed, and its
+# reciprocal in the contrastive backward would overflow.
+_TINY = sys.float_info.min
 
 
 class DegenerateWeightsError(ValueError):
@@ -102,6 +108,13 @@ def contrastive_loss(s: Tensor, y, tau, counts=None) -> Tensor:
     ``G = -(2Y - P - m*Q) / (2N)`` (``m = 1`` in the square form, whose column
     targets sit at ``(y[j], j)``); then ``ds = G / tau`` and
     ``dtau = -sum(G * s) / tau**2``.
+
+    Both directions share one exponential pass: ``E = exp(st - max st)``
+    gives the column sums ``c``, is scaled in place by ``m``, and then gives
+    the row sums ``r``.  So ``P + m*Q = E * (1/r + 1/c)``, and the same
+    ``(N, U)`` buffer serves the value and the backward.  A row or column sum
+    that underflows (``st`` spanning more than about 700) raises
+    ``DomainError``; cosines over a tau in the band span at most 4.
     """
     if s.data.ndim != 2 or (counts is None and s.shape[0] != s.shape[1]):
         kind = "a square matrix" if counts is None else "a matrix"
@@ -123,26 +136,35 @@ def contrastive_loss(s: Tensor, y, tau, counts=None) -> Tensor:
     if not TAU_BAND[0] <= tau_value <= TAU_BAND[1]:
         raise DomainError(f"contrastive_loss: tau {tau_value} outside {TAU_BAND}")
     sd = s.data
-    st = sd / tau_value
+    z = sd / tau_value
+    z -= z.max()
+    e = np.exp(z)
+    col = e.sum(axis=0)
+    if counts is not None:
+        e *= counts
+    row = e.sum(axis=1)
+    if min(row.min(), col.min()) < _TINY:
+        raise DomainError(
+            "contrastive_loss: a row or column sum underflows: s / tau spans too far"
+        )
     rows = np.arange(n)
-    log_q = ad.log_softmax(st.T.copy())  # row u: column u of st, over images
+    # Each direction's picked log-probability is z at the target minus the
+    # log of its sum; the grouped form's row bias log m cancels at the target.
     if counts is None:
-        log_p = ad.log_softmax(st)
-        picked = log_p[rows, y] + log_q[rows, y]
+        picked = z[rows, y].sum() + z[y, rows].sum()
+        log_col = np.log(col).sum()
     else:
-        log_m = np.log(counts)
-        log_p = ad.log_softmax(st + log_m)
-        picked = (log_p[rows, y] - log_m[y]) + log_q[y, rows]
-    value = np.asarray(picked.sum() * (-1.0 / (2.0 * n)))
+        picked = 2.0 * z[rows, y].sum()
+        log_col = counts @ np.log(col)
+    value = np.asarray((np.log(row).sum() + log_col - picked) / (2.0 * n))
 
     def backward(g):
-        grad = np.exp(log_p)
+        grad = (1.0 / row)[:, None] + 1.0 / col
+        grad *= e
         if counts is None:
-            grad += np.exp(log_q).T
             grad[rows, y] -= 1.0
             grad[y, rows] -= 1.0
         else:
-            grad += np.exp(log_q).T * counts
             grad[rows, y] -= 2.0
         grad *= g / (2.0 * n)
         return grad / tau_value, np.sum(-grad * sd / (tau_value * tau_value)).reshape(
@@ -252,8 +274,12 @@ def total_loss(
 class Adam:
     """Adaptive-moment optimizer over the session's learnable tensors.
 
-    Parameters with no gradient are left untouched; a non-finite gradient
-    aborts with a diagnostic naming the tensor.
+    The moments are two flat vectors over all parameters, in their given
+    order, and a step is one vector update over the gradients concatenated
+    (Kingma & Ba, 2015, is elementwise, so this gives the same bits as one
+    update per tensor); each parameter is then updated in place from its
+    segment.  Parameters with no gradient keep their values and moments; a
+    non-finite gradient aborts with a diagnostic naming the tensor.
     """
 
     def __init__(
@@ -270,25 +296,38 @@ class Adam:
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        # Parameter i's moments are entries offsets[i]:offsets[i + 1].
+        self._offsets = np.cumsum([0] + [p.data.size for p in self.params])
+        self._m = np.zeros(int(self._offsets[-1]))
+        self._v = np.zeros_like(self._m)
 
     def step(self) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                continue
-            if not np.isfinite(g).all():
-                raise NanGradientError(
-                    f"non-finite gradient on {p.name or 'unnamed tensor'}"
-                )
-            self._m[i] = b1 * self._m[i] + (1 - b1) * g
-            self._v[i] = b2 * self._v[i] + (1 - b2) * g * g
-            m_hat = self._m[i] / (1 - b1**self.t)
-            v_hat = self._v[i] / (1 - b2**self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        live = [i for i, p in enumerate(self.params) if p.grad is not None]
+        if not live:
+            return
+        g = np.concatenate([self.params[i].grad for i in live], axis=None)
+        if not np.isfinite(g).all():
+            bad = next(i for i in live if not np.isfinite(self.params[i].grad).all())
+            raise NanGradientError(
+                f"non-finite gradient on {self.params[bad].name or 'unnamed tensor'}"
+            )
+        if len(live) == len(self.params):
+            idx = slice(None)
+        else:
+            off = self._offsets
+            idx = np.concatenate([np.arange(off[i], off[i + 1]) for i in live])
+        m = self._m[idx] = b1 * self._m[idx] + (1 - b1) * g
+        v = self._v[idx] = b2 * self._v[idx] + (1 - b2) * g * g
+        m_hat = m / (1 - b1**self.t)
+        v_hat = v / (1 - b2**self.t)
+        update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        start = 0
+        for i in live:
+            p = self.params[i]
+            p.data -= update[start : start + p.data.size].reshape(p.data.shape)
+            start += p.data.size
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -214,8 +214,11 @@ def _call_forked(*task):
 def _map(fn, tasks, jobs: int, shared: tuple = ()) -> list:
     """``fn(*task, *shared)`` for every task, in task order; at most ``jobs``
     worker processes, and never more than there are tasks.  Workers are
-    forked, so they inherit ``shared`` rather than receive it per task."""
+    forked, so they inherit ``shared`` rather than receive it per task.
+    ``ValueError`` unless ``jobs`` is at least 1."""
     global _FORKED
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, len(tasks))
     if jobs <= 1:
         return [fn(*t, *shared) for t in tasks]

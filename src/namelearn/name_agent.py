@@ -202,9 +202,11 @@ class NameAgent:
     The frozen text encoder mean-pools token embeddings before anything else,
     so a prompt's pooled embedding is a frozen part (its vocabulary rows) plus
     at most one name-table row, each weighted by one over the template length
-    (the slot holds one token or one row).  With ``frozen_names`` set
-    (baseline / no-name-learning arm) every rendering uses the concept's
-    frozen token instead.
+    (the slot holds one token or one row).  The frozen parts of a prompt
+    list and its selection of table rows are stacked once per distinct list,
+    so a round costs one ``matmul`` and one ``add`` against the live table.
+    With ``frozen_names`` set (baseline / no-name-learning arm) every
+    rendering uses the concept's frozen token instead.
     """
 
     agent_id = AgentId.NAME
@@ -224,37 +226,49 @@ class NameAgent:
         self.table = table
         self.vocab = vocab
         self.frozen_names = frozen_names
-        self._pooled_rows: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
+        self._blocks: dict[tuple, tuple[Tensor, Tensor | None]] = {}
 
     def render(self, concept_id: int, template_id: str) -> RenderedPrompt:
         template = self.templates[template_id]
         concept = self.concepts[concept_id]
         return render_prompt(template, concept, self.table, self.frozen_names)
 
-    def _pooled_row(self, pair: tuple[int, str]) -> tuple[np.ndarray, np.ndarray]:
-        """One prompt's frozen pooled row and its weights over the table rows.
+    def _block(self, pairs: list[tuple[int, str]]) -> tuple[Tensor, Tensor | None]:
+        """The frozen pooled rows ``(U, D)`` of one prompt list and their
+        weights ``(U, n_ood)`` over the table rows (``None`` when no prompt
+        selects a row).
 
-        Rendered and validated on first use only: templates, names and the
-        table's row layout are fixed for the agent's lifetime (the values in
-        the table are not, which is why the selection is kept, not applied).
+        Built, rendered and validated when a list is first seen: templates,
+        names and the table's row layout are fixed for the agent's lifetime.
+        The values in the table are not, which is why the selection is kept,
+        not applied.  A session sees a few distinct lists (one per distinct
+        training batch, plus the evaluation prompts), so the cache stays
+        small however many rounds run.
         """
-        if pair not in self._pooled_rows:
-            rendered = self.render(*pair)
-            selection = np.zeros(self.table.weight.shape[0])
-            if rendered.name_row is not None:
-                selection[rendered.name_row] = 1.0 / len(rendered.prompt_tokens)
-            self._pooled_rows[pair] = pool_frozen_tokens(rendered, self.vocab), selection
-        return self._pooled_rows[pair]
+        key = tuple(pairs)
+        block = self._blocks.get(key)
+        if block is None:
+            frozen = np.zeros((len(pairs), self.vocab.shape[1]))
+            selection = np.zeros((len(pairs), self.table.weight.shape[0]))
+            for i, pair in enumerate(pairs):
+                rendered = self.render(*pair)
+                frozen[i] = pool_frozen_tokens(rendered, self.vocab)
+                if rendered.name_row is not None:
+                    selection[i, rendered.name_row] = 1.0 / len(rendered.prompt_tokens)
+            frozen.flags.writeable = False
+            selection.flags.writeable = False
+            block = Tensor(frozen), Tensor(selection) if selection.any() else None
+            self._blocks[key] = block
+        return block
 
     def pool(self, pairs: list[tuple[int, str]]) -> Tensor:
         """Pooled prompt embeddings ``(N, D)``, one row per (concept id,
-        template id) pair."""
-        rows = [self._pooled_row(pair) for pair in pairs]
-        pooled = Tensor(np.stack([frozen for frozen, _ in rows]))
-        selection = np.stack([weights for _, weights in rows])
-        if selection.any():
-            pooled = ad.add(pooled, ad.matmul(Tensor(selection), self.table.weight))
-        return pooled
+        template id) pair: the list's cached frozen block plus its selection
+        of the live name table, one ``matmul`` and one ``add``."""
+        frozen, selection = self._block(pairs)
+        if selection is None:
+            return frozen
+        return ad.add(frozen, ad.matmul(selection, self.table.weight))
 
     def step(self, messages, batch) -> list[Message]:
         if messages:

@@ -273,3 +273,51 @@ def test_scalar_leaf_gradient_is_a_writable_array():
     backward(tape, loss)
     assert isinstance(t.grad, np.ndarray) and t.grad.shape == ()
     assert float(t.grad) == 2.0
+
+
+@pytest.mark.parametrize("a_shape", [(2, 3), (3,)])
+def test_matmul_backward_skips_operands_without_gradient(a_shape):
+    rng = np.random.default_rng(1)
+    g = rng.normal(size=(2, 4) if len(a_shape) == 2 else (4,))
+    for a_grad, b_grad in [(True, False), (False, True), (False, False), (True, True)]:
+        a = Tensor(rng.normal(size=a_shape), requires_grad=a_grad)
+        b = Tensor(rng.normal(size=(3, 4)), requires_grad=b_grad)
+        with Tape() as tape:
+            ad.matmul(a, b)
+        if not (a_grad or b_grad):
+            assert len(tape) == 0
+            continue
+        (_, _, backward_fn), = tape.entries
+        ga, gb = backward_fn(g)
+        assert (ga is None) == (not a_grad) and (gb is None) == (not b_grad)
+
+
+def test_mixed_graph_leaf_gradients_do_not_depend_on_frozen_operands():
+    # A frozen weight, a fixed selection matrix and fixed features sit beside
+    # learnable leaves; each learnable gradient equals the one computed with
+    # every operand learnable.
+    rng = np.random.default_rng(2)
+    values = {
+        "x": rng.normal(size=(5, 3)),  # fixed features
+        "w": rng.normal(size=(3, 4)),  # frozen weight
+        "sel": rng.normal(size=(5, 2)),  # selection matrix
+        "table": rng.normal(size=(2, 4)),  # learnable
+        "head": rng.normal(size=(4, 3)),  # learnable
+        "v": rng.normal(size=4),  # learnable vector operand
+    }
+
+    def grads(learnable):
+        t = {k: Tensor(v.copy(), requires_grad=k in learnable) for k, v in values.items()}
+        with Tape() as tape:
+            h = ad.add(ad.matmul(t["x"], t["w"]), ad.matmul(t["sel"], t["table"]))
+            loss = ad.add(
+                ad.sum_all(ad.relu(ad.matmul(h, t["head"]))),
+                ad.sum_all(ad.matmul(t["v"], ad.transpose(h))),
+            )
+        backward(tape, loss)
+        return {k: t[k].grad for k in learnable}
+
+    mixed = grads({"table", "head", "v"})
+    full = grads(set(values))
+    for k, grad in mixed.items():
+        assert np.array_equal(grad, full[k])

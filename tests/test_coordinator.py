@@ -271,7 +271,12 @@ def _closed_form_cases():
         ("square N=1", np.asarray([[0.3]]), [0], 1.0, None),
         ("grouped N=1", np.asarray([[-0.7]]), [0], 2.0, [1]),
         ("grouped one text", rng.normal(size=(5, 1)), [0] * 5, 0.5, [5]),
+        # Square form with repeated targets: texts 1 and 3 both name image 0.
+        ("square repeated targets", rng.normal(size=(4, 4)), [0, 0, 2, 0], 2.0, None),
     ]
+    for tau in TAU_BAND:
+        cases.append((f"square N=1 tau={tau}", np.asarray([[-0.4]]), [0], tau, None))
+        cases.append((f"grouped N=1 tau={tau}", np.asarray([[0.9]]), [0], tau, [1]))
     for k, tau in enumerate((TAU_BAND[0], TAU_BAND[1], 1.3)):
         n = 6 + k
         y = rng.permutation(n)
@@ -292,6 +297,21 @@ def test_contrastive_closed_form_matches_composed_form(case):
     assert np.max(np.abs(ds - ref_ds)) <= 1e-12
     assert dtau.shape == () and abs(float(dtau) - float(ref_dtau)) <= 1e-12
     assert entries == 1
+
+
+@pytest.mark.parametrize("counts", [None, [1, 1]], ids=["square", "grouped"])
+@pytest.mark.parametrize("far", ["row", "column"])
+def test_contrastive_rejects_an_underflowing_softmax_sum(counts, far):
+    # s / tau spanning more than about 700 drives every exponential of one
+    # row (or column) below the smallest normal float.
+    s = np.zeros((2, 2))
+    if far == "row":
+        s[1] = -800.0
+    else:
+        s[:, 1] = -800.0
+    with pytest.raises(DomainError, match="underflows"):
+        contrastive_loss(Tensor(s), [0, 1], 1.0, counts)
+    contrastive_loss(Tensor(s / 4.0), [0, 1], 1.0, counts)  # a span of 200 is fine
 
 
 def test_contrastive_records_one_entry_and_passes_tau_gradient_through_clip():
@@ -522,3 +542,86 @@ def test_adam_aborts_on_infinite_gradient_entry():
     with pytest.raises(NanGradientError, match="culprit"):
         opt.step()
     assert np.array_equal(p.data, np.zeros(3))
+
+
+class ReferenceAdam:
+    """One update per tensor, in the textbook order: the loop the flat
+    update replaced."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr = params, lr
+        self.b1, self.b2, self.eps, self.t = beta1, beta2, eps, 0
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.b1, self.b2
+        for i, p in enumerate(self.params):
+            g = p.grad
+            if g is None:
+                continue
+            self.m[i] = b1 * self.m[i] + (1 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
+            m_hat = self.m[i] / (1 - b1**self.t)
+            v_hat = self.v[i] / (1 - b2**self.t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def _adam_params(shapes):
+    rng = np.random.default_rng(5)
+    return [
+        Tensor(rng.normal(size=shape), requires_grad=True, name=f"p{i}")
+        for i, shape in enumerate(shapes)
+    ]
+
+
+def test_flat_adam_is_bit_identical_to_a_per_tensor_loop():
+    shapes = [(), (4, 3), (7,), (), (2, 5)]
+    flat, ref = _adam_params(shapes), _adam_params(shapes)
+    opt, ref_opt = Adam(flat, lr=3e-3), ReferenceAdam(ref, lr=3e-3)
+    rng = np.random.default_rng(6)
+    for step in range(50):
+        # Every fifth step one parameter (a different one each time) has no
+        # gradient; every seventh step none of the first two has.
+        skipped = {step % len(shapes)} if step % 5 == 0 else set()
+        if step % 7 == 0:
+            skipped |= {0, 1}
+        for i, (a, b) in enumerate(zip(flat, ref)):
+            scale = 10.0 ** rng.integers(-4, 2)
+            g = None if i in skipped else rng.normal(scale=scale, size=a.shape)
+            a.grad = None if g is None else np.array(g)
+            b.grad = g
+        opt.step()
+        ref_opt.step()
+        for a, b in zip(flat, ref):
+            assert np.array_equal(a.data, b.data)
+    off = opt._offsets
+    for i in range(len(shapes)):
+        assert np.array_equal(opt._m[off[i] : off[i + 1]], ref_opt.m[i].reshape(-1))
+        assert np.array_equal(opt._v[off[i] : off[i + 1]], ref_opt.v[i].reshape(-1))
+
+
+def test_flat_adam_updates_parameters_in_place():
+    params = _adam_params([(3,), ()])
+    arrays = [p.data for p in params]
+    opt = Adam(params, lr=1e-3)
+    for p in params:
+        p.grad = np.ones_like(p.data)
+    opt.step()
+    assert all(p.data is a for p, a in zip(params, arrays))
+
+
+def test_flat_adam_names_the_tensor_with_a_non_finite_entry():
+    params = _adam_params([(2,), (3, 2), ()])
+    before = [p.data.copy() for p in params]
+    opt = Adam(params, lr=1e-3)
+    for p in params:
+        p.grad = np.zeros_like(p.data)
+    params[1].grad[2, 1] = np.inf
+    params[2].grad = np.asarray(np.nan)
+    with pytest.raises(NanGradientError, match="on p1$"):
+        opt.step()
+    # The scan runs before any update: nothing moved.
+    assert all(np.array_equal(p.data, b) for p, b in zip(params, before))
+    assert not opt._m.any() and not opt._v.any()

@@ -343,6 +343,25 @@ def test_cli_ablate(tmp_path):
     assert (tmp_path / "ab" / "ablated" / "results.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["few-shot", "zero-shot", "ablate"])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_jobs_below_one_is_hard_error(tmp_path, capsys, command, jobs):
+    cfg = write_tiny_config(tmp_path / "exp.cfg")
+    extra = ["--ablation", "disable_difficulty"] if command == "ablate" else []
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), *extra, "--jobs", jobs, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: --jobs: must be at least 1, got {jobs}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("run", [run_few_shot, run_zero_shot, run_ablation])
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_runs_reject_jobs_below_one(run, jobs):
+    with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+        run(replace(TINY, epochs=1), jobs=jobs)
+
+
 def test_cli_ablate_unknown_flag(tmp_path):
     cfg = write_tiny_config(tmp_path / "exp.cfg")
     rc = main(

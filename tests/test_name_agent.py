@@ -132,6 +132,51 @@ def test_pool_rows_follow_the_plan(world, table):
     assert np.array_equal(rows[1], agent.pool([(b, canonical)]).data[0])
 
 
+def _agent(world, table):
+    return NameAgent(
+        {c.id: c for c in world.concepts}, world.templates, world.canonical_template,
+        table, world.vocab,
+    )
+
+
+def test_two_rounds_on_one_batch_reuse_the_frozen_block(world, table, monkeypatch):
+    agent = _agent(world, table)
+    canonical = world.canonical_template.template_id
+    pairs = [(cid, canonical) for cid in world.ood_ids + world.seen_ids]
+    rendered = []
+    render = agent.render
+    monkeypatch.setattr(agent, "render", lambda *pair: rendered.append(pair) or render(*pair))
+    first = agent.pool(pairs).data.copy()
+    assert len(rendered) == len(pairs)
+    second = agent.pool(list(pairs)).data  # an equal list, not the same object
+    assert len(rendered) == len(pairs)  # nothing rendered again
+    assert np.array_equal(first, second)
+    assert len(agent._blocks) == 1
+    frozen, selection = agent._blocks[tuple(pairs)]
+    assert not frozen.data.flags.writeable and not selection.data.flags.writeable
+
+
+def test_a_table_update_shows_in_the_next_pool(world, table):
+    agent = _agent(world, table)
+    canonical = world.canonical_template.template_id
+    a, b = world.ood_ids[0], world.seen_ids[0]
+    pairs = [(a, canonical), (b, canonical)]
+    before = agent.pool(pairs).data.copy()
+    table.weight.data[table.row(a)] += 0.25  # simulated optimizer step
+    after = agent.pool(pairs).data
+    weight = 1.0 / len(world.canonical_template.tokens)
+    assert np.allclose(after[0] - before[0], 0.25 * weight, rtol=0, atol=1e-15)
+    assert np.array_equal(after[1], before[1])  # a frozen name: no table row
+
+
+def test_prompt_cache_is_bounded_by_distinct_batches(world):
+    session = TrainingSession(world, SessionSettings(), seed=0)
+    shots = {cid: world.sample_images(cid, 2, seed=3) for cid in world.ood_ids}
+    session.train(shots, epochs=30, lr=1e-3)
+    distinct = {tuple(session.build_batch(shots, e).prompts) for e in range(30)}
+    assert 1 < len(session.name_agent._blocks) <= len(distinct)
+
+
 def test_training_rejects_negative_template_token():
     # A template token of -2 (say, from a hand-edited world snapshot) must not
     # silently embed vocab[-2] during training.
