@@ -279,13 +279,15 @@ def log_softmax_rows(a: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
+    """A view of the transposed matrix, not a copy: a product with it makes
+    the same BLAS call as numpy's ``x @ y.T``."""
     if a.data.ndim != 2:
         raise ShapeError(f"transpose: need a matrix, got shape {a.shape}")
 
     def backward(g):
         return (g.T,)
 
-    return _make(a.data.T.copy(), (a,), backward)
+    return _make(a.data.T, (a,), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:

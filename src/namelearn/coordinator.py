@@ -4,10 +4,12 @@ Clipped dynamic temperature, symmetric image-text contrastive loss, auxiliary
 classification loss, and learnable clipped loss weights, combined into one
 differentiable total.  The similarity matrix stores raw cosine products and
 the temperature divides inside the loss, because in the paper's formula the
-similarities are first multiplied by the temperature, which cancels it.  A
-round's text side has one row per distinct prompt, so the loss scores N images
-against U texts; that grouped form equals the square loss over one text row
-per image-prompt pair (see ``contrastive_loss``).  Each loss term is one
+similarities are first multiplied by the temperature, which cancels it.
+Training and evaluation both score through ``similarity_matrix``.  A round's
+text side has one row per distinct prompt, so the loss scores N images against
+U texts, with multiplicities taken from the match indices; that equals the
+square loss over one text row per image-prompt pair (see
+``contrastive_loss``).  Each loss term is one
 tape entry with a closed-form backward: the contrastive loss here, whose
 value and backward share one exponential pass, the classification loss
 through ``autodiff.softmax_cross_entropy``.  Adam updates every parameter in
@@ -86,27 +88,22 @@ def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(np.asarray(float(value)))
 
 
-def contrastive_loss(s: Tensor, y, tau, counts=None) -> Tensor:
+def contrastive_loss(s: Tensor, y, tau) -> Tensor:
     """Symmetric cross-entropy over rows and columns of s divided by tau.
 
-    Square form (no ``counts``): ``y[i]`` is the matching text index for image
-    i; the column direction scores each text against all images, so text j's
-    target is image ``y[j]``, at ``(y[j], j)``.
-
-    Grouped form: s is ``(N, U)``, one column per distinct text, ``y[i]`` is
-    image i's column and ``counts`` must be ``bincount(y)``, with no column
-    unused.  The value is the square loss of the ``(N, N)`` matrix whose
-    column j is s's column ``y[j]``: a row term weights column u by
-    ``counts[u]`` (a ``log counts`` row bias, taken back off the picked
-    entry), and a column term is the log-softmax over images of column
-    ``y[i]``, picked at row i.
+    s is ``(N, U)``, one column per distinct text, and ``y[i]`` is image i's
+    column; every column must be used.  The multiplicities
+    ``m = bincount(y)`` give the value: it is the square loss of the
+    ``(N, N)`` matrix whose column j is s's column ``y[j]``, with the targets
+    on its diagonal.  A row term weights column u by ``m[u]`` (a ``log m``
+    row bias, taken back off the picked entry), and a column term is the
+    log-softmax over images of column ``y[i]``, picked at row i.
 
     Averaged with a 1/(2N) factor; always nonnegative.  One tape entry, whose
     backward is the closed form (Radford et al., 2021): on ``st = s / tau``,
     with ``Y`` the one-hot targets, ``P`` the row softmax of ``st + log m``
     and ``Q`` the column softmax of ``st``, the gradient is
-    ``G = -(2Y - P - m*Q) / (2N)`` (``m = 1`` in the square form, whose column
-    targets sit at ``(y[j], j)``); then ``ds = G / tau`` and
+    ``G = -(2Y - P - m*Q) / (2N)``; then ``ds = G / tau`` and
     ``dtau = -sum(G * s) / tau**2``.
 
     Both directions share one exponential pass: ``E = exp(st - max st)``
@@ -116,21 +113,17 @@ def contrastive_loss(s: Tensor, y, tau, counts=None) -> Tensor:
     that underflows (``st`` spanning more than about 700) raises
     ``DomainError``; cosines over a tau in the band span at most 4.
     """
-    if s.data.ndim != 2 or (counts is None and s.shape[0] != s.shape[1]):
-        kind = "a square matrix" if counts is None else "a matrix"
-        raise ShapeError(f"contrastive_loss: need {kind}, got {s.shape}")
+    if s.data.ndim != 2:
+        raise ShapeError(f"contrastive_loss: need a matrix, got {s.shape}")
     n, u = s.shape
     if n == 0:
         raise ShapeError("contrastive_loss: empty batch")
     y = np.asarray(y, dtype=np.intp)
     if y.shape != (n,) or y.min() < 0 or y.max() >= u:
         raise DomainError(f"contrastive_loss: bad match indices for {n} rows, {u} columns")
-    if counts is not None:
-        counts = np.asarray(counts)
-        if counts.shape != (u,) or (counts != np.bincount(y, minlength=u)).any():
-            raise DomainError("contrastive_loss: counts must be bincount of the match indices")
-        if counts.min() == 0:
-            raise DomainError(f"contrastive_loss: column {int(counts.argmin())} has no pair")
+    m = np.bincount(y, minlength=u)
+    if m.min() == 0:
+        raise DomainError(f"contrastive_loss: column {int(m.argmin())} has no pair")
     tau_t = _as_tensor(tau)
     tau_value = float(tau_t.data.reshape(()))
     if not TAU_BAND[0] <= tau_value <= TAU_BAND[1]:
@@ -140,8 +133,7 @@ def contrastive_loss(s: Tensor, y, tau, counts=None) -> Tensor:
     z -= z.max()
     e = np.exp(z)
     col = e.sum(axis=0)
-    if counts is not None:
-        e *= counts
+    e *= m
     row = e.sum(axis=1)
     if min(row.min(), col.min()) < _TINY:
         raise DomainError(
@@ -149,23 +141,14 @@ def contrastive_loss(s: Tensor, y, tau, counts=None) -> Tensor:
         )
     rows = np.arange(n)
     # Each direction's picked log-probability is z at the target minus the
-    # log of its sum; the grouped form's row bias log m cancels at the target.
-    if counts is None:
-        picked = z[rows, y].sum() + z[y, rows].sum()
-        log_col = np.log(col).sum()
-    else:
-        picked = 2.0 * z[rows, y].sum()
-        log_col = counts @ np.log(col)
-    value = np.asarray((np.log(row).sum() + log_col - picked) / (2.0 * n))
+    # log of its sum; the row bias log m cancels at the target.
+    picked = 2.0 * z[rows, y].sum()
+    value = np.asarray((np.log(row).sum() + m @ np.log(col) - picked) / (2.0 * n))
 
     def backward(g):
         grad = (1.0 / row)[:, None] + 1.0 / col
         grad *= e
-        if counts is None:
-            grad[rows, y] -= 1.0
-            grad[y, rows] -= 1.0
-        else:
-            grad[rows, y] -= 2.0
+        grad[rows, y] -= 2.0
         grad *= g / (2.0 * n)
         return grad / tau_value, np.sum(-grad * sd / (tau_value * tau_value)).reshape(
             tau_t.data.shape
@@ -186,17 +169,20 @@ def classification_loss(img_features: Tensor, w_cls: Tensor, labels) -> Tensor:
     return ad.softmax_cross_entropy(logits, labels)
 
 
-def loss_weights(w_con_param: Tensor, w_cls_param: Tensor) -> tuple[Tensor, Tensor]:
+def loss_weights(
+    w_con_param: Tensor, w_cls_param: Tensor
+) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """Clipped numerators over the unclipped parameter sum.
 
+    Returns the two weights, then the two clipped numerators they divide.
     The weights need not sum to 1; a near-zero denominator is rejected.
     """
     denom = ad.add(w_con_param, w_cls_param)
     if abs(float(denom.data.reshape(()))) < 1e-8:
         raise DegenerateWeightsError("weight parameters sum to ~0")
-    w_con = ad.div(ad.clip(w_con_param, *CON_NUM_BAND), denom)
-    w_cls = ad.div(ad.clip(w_cls_param, *CLS_NUM_BAND), denom)
-    return w_con, w_cls
+    num_con = ad.clip(w_con_param, *CON_NUM_BAND)
+    num_cls = ad.clip(w_cls_param, *CLS_NUM_BAND)
+    return ad.div(num_con, denom), ad.div(num_cls, denom), num_con, num_cls
 
 
 @dataclass(frozen=True)
@@ -235,7 +221,7 @@ def total_loss(
     """Weighted sum of the contrastive and classification losses.
 
     ``txt_features`` has one row per distinct prompt and ``prompt_index[i]``
-    is image i's row; the contrastive loss takes the grouped ``(N, U)`` form,
+    is image i's row; the contrastive loss scores the ``(N, U)`` cosines,
     equal to the square loss over one text row per image.  Returns the
     differentiable total plus a float breakdown whose invariants (band clips,
     exact recombination) are checked on construction.
@@ -245,17 +231,12 @@ def total_loss(
     else:
         tau = effective_temperature(params.tau_param)
     s = similarity_matrix(img_features, txt_features)
-    prompt_index = np.asarray(prompt_index, dtype=np.intp)
-    counts = np.bincount(prompt_index, minlength=s.shape[1])
-    l_con = contrastive_loss(s, prompt_index, tau, counts)
+    l_con = contrastive_loss(s, prompt_index, tau)
     if settings.disable_coordinator_dynamics or settings.disable_dynamic_balancing:
-        w_con = Tensor(np.asarray(FIXED_WEIGHTS[0]))
-        w_cls = Tensor(np.asarray(FIXED_WEIGHTS[1]))
-        num_con, num_cls = FIXED_WEIGHTS
+        w_con = num_con = Tensor(np.asarray(FIXED_WEIGHTS[0]))
+        w_cls = num_cls = Tensor(np.asarray(FIXED_WEIGHTS[1]))
     else:
-        w_con, w_cls = loss_weights(params.w_con_param, params.w_cls_param)
-        num_con = float(np.clip(params.w_con_param.data, *CON_NUM_BAND))
-        num_cls = float(np.clip(params.w_cls_param.data, *CLS_NUM_BAND))
+        w_con, w_cls, num_con, num_cls = loss_weights(params.w_con_param, params.w_cls_param)
     l_cls = classification_loss(img_features, params.w_cls_head, class_labels)
     total = ad.add(ad.mul(w_con, l_con), ad.mul(w_cls, l_cls))
     breakdown = LossBreakdown(
@@ -265,8 +246,8 @@ def total_loss(
         w_cls=w_cls.item(),
         tau=tau.item(),
         total=total.item(),
-        w_con_num=num_con,
-        w_cls_num=num_cls,
+        w_con_num=num_con.item(),
+        w_cls_num=num_cls.item(),
     )
     return total, breakdown
 

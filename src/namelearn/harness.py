@@ -154,21 +154,21 @@ def _train_and_score(
     start = time.perf_counter()
     session = TrainingSession(world, config.settings(), seed=seed)
     cell = CellResult(shot=shot, seed=seed, lr=lr, split=split)
+    history = []
     try:
         if shot > 0:
             shots = {
                 cid: world.sample_images(cid, shot, seed=SHOT_STREAM * seed + shot)
                 for cid in world.ood_ids
             }
-            session.train(shots, epochs=config.epochs, lr=lr)
+            history = session.train(shots, epochs=config.epochs, lr=lr)
         cell.sc_acc, cell.ood_acc = score(session)
         if cell.sc_acc is not None and cell.ood_acc is not None:
             cell.harm_acc = harmonic_accuracy(cell.sc_acc, cell.ood_acc)
-        cell.breakdown = (
-            session.step_records[-1].breakdown if session.step_records else None
-        )
-        ood_tokens = {world.concept(cid).name_token for cid in world.ood_ids}
-        cell.mask_ok = not (session.training_token_audit() & ood_tokens)
+        if history:
+            cell.breakdown = history[-1]
+            ood_tokens = {world.concept(cid).name_token for cid in world.ood_ids}
+            cell.mask_ok = not (session.training_token_audit() & ood_tokens)
     except RECOVERABLE as exc:
         cell.status = "failed"
         cell.error = f"{type(exc).__name__}: {exc}"

@@ -147,6 +147,6 @@ class ImageAgent:
             Message(
                 AgentId.IMAGE,
                 AgentId.COORDINATOR,
-                Metadata({"difficulty": repr(difficulty), "strategy": strategy}),
+                Metadata({"difficulty": difficulty, "strategy": strategy}),
             ),
         ]

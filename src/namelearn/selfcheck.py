@@ -95,24 +95,28 @@ def full_loss_grad_checks(n_batches: int = 20, eps: float = 1e-5) -> SuiteReport
 
 
 def contrastive_oracle_suite(n_batches: int = 100) -> SuiteReport:
-    """Batched symmetric contrastive loss vs a per-element double loop."""
+    """The grouped ``(N, U)`` contrastive loss vs a per-element double loop
+    over its expanded definition: the ``(N, N)`` matrix whose column j is
+    column ``y[j]`` of the scores, with the targets on its diagonal."""
     worst = 0.0
     for seed in range(n_batches):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 17))
-        s = rng.normal(scale=2.0, size=(n, n))
-        y = rng.permutation(n)
+        u = int(rng.integers(1, n + 1))
+        # Every column used, some of them by several images.
+        y = rng.permutation(np.concatenate([np.arange(u), rng.integers(0, u, size=n - u)]))
+        s = rng.normal(scale=2.0, size=(n, u))
         tau = float(rng.uniform(0.5, 2.0))
         ours = contrastive_loss(Tensor(s), y, tau).item()
         naive = 0.0
         for i in range(n):
-            den_row = sum(math.exp(s[i][j] / tau) for j in range(n))
-            naive += math.log(math.exp(s[i][y[i]] / tau) / den_row)
-            den_col = sum(math.exp(s[j][i] / tau) for j in range(n))
-            naive += math.log(math.exp(s[y[i]][i] / tau) / den_col)
+            den_row = sum(math.exp(s[i][y[j]] / tau) for j in range(n))
+            den_col = sum(math.exp(s[j][y[i]] / tau) for j in range(n))
+            target = math.exp(s[i][y[i]] / tau)
+            naive += math.log(target / den_row) + math.log(target / den_col)
         naive = -naive / (2 * n)
         worst = max(worst, abs(ours - naive))
-    return SuiteReport("contrastive loss vs double-loop oracle", worst, 1e-9)
+    return SuiteReport("grouped contrastive loss vs expanded double-loop oracle", worst, 1e-9)
 
 
 def classification_oracle_suite(n_batches: int = 100) -> SuiteReport:

@@ -9,12 +9,15 @@ optimizer never sees the table).  The session builds per-epoch batches of
 image-prompt pairs with template rotation, each listing its distinct prompts
 once; a training run builds each distinct batch once, since the rotation
 repeats every few epochs.  It runs fixed-schedule bus rounds under a gradient
-tape, and evaluates by cosine retrieval against per-class text features.  The
-coordinator agent ends each round: it requires the image features, the
-``{difficulty, strategy}`` metadata and the text features (one row per
-distinct prompt), computes the loss over images against distinct prompts, and
-sends nothing.  The image agent's difficulty scorer is fixed: the loss has no
-path back to it.  The image and text agents and the
+tape and returns each step's loss breakdown; it keeps no per-step history, so
+its memory does not grow with epochs (``write_step_log`` writes a returned
+history).  It evaluates by cosine retrieval against per-class text features,
+scored through the coordinator's ``similarity_matrix`` as training rounds are.
+The coordinator agent ends each round: it requires the image features, the
+``{difficulty, strategy}`` metadata (the score as a float) and the text
+features (one row per distinct prompt), computes the loss over images against
+distinct prompts, and sends nothing.  The image agent's difficulty scorer is
+fixed: the loss has no path back to it.  The image and text agents and the
 coordinator read the session's ``SessionSettings`` record as it is.
 """
 
@@ -35,7 +38,7 @@ from .bus import (
     Metadata,
     run_round,
 )
-from .coordinator import Adam, CoordinatorParams, LossBreakdown, total_loss
+from .coordinator import Adam, CoordinatorParams, LossBreakdown, similarity_matrix, total_loss
 from .image_agent import ImageAgent
 from .name_agent import NameAgent, NameEmbeddingTable, context_exchange_augment
 from .settings import SessionSettings
@@ -125,19 +128,12 @@ class CoordinatorAgent:
         self.last_round = CoordinatorRound(
             image_features,
             text_features,
-            float(metadata["difficulty"]),
+            metadata["difficulty"],
             metadata["strategy"],
             total,
             breakdown,
         )
         return []
-
-
-@dataclass
-class StepRecord:
-    step: int
-    breakdown: LossBreakdown
-    lr: float
 
 
 class TrainingSession:
@@ -180,7 +176,6 @@ class TrainingSession:
             self.bus.register(agent)
 
         self.prompt_pools = self._build_prompt_pools(exchange_ss)
-        self.step_records: list[StepRecord] = []
 
     # -- setup ----------------------------------------------------------------
 
@@ -221,7 +216,7 @@ class TrainingSession:
             prompt_plan=plan,
         )
 
-    def train_step(self, batch: Batch, optimizer: Adam, lr: float) -> LossBreakdown:
+    def train_step(self, batch: Batch, optimizer: Adam) -> LossBreakdown:
         with Tape() as tape:
             round_info = run_round(self.bus, batch)
         total = round_info.total
@@ -230,8 +225,6 @@ class TrainingSession:
         backward(tape, total)
         optimizer.step()
         optimizer.zero_grad()
-        record = StepRecord(len(self.step_records) + 1, round_info.breakdown, lr)
-        self.step_records.append(record)
         return round_info.breakdown
 
     def train(
@@ -240,33 +233,22 @@ class TrainingSession:
         """``epochs`` full-batch steps; epoch e trains on ``build_batch(shots,
         e)``.  The template rotation repeats after ``lcm`` of the prompt-pool
         lengths (3 with context exchange, 1 without), so only that many
-        distinct batches are built, and epoch e reuses batch ``e % period``."""
+        distinct batches are built, and epoch e reuses batch ``e % period``.
+        Returns one breakdown per step; the session keeps none of them."""
         optimizer = Adam(self.trainable_parameters(), lr)
         period = math.lcm(*(len(self.prompt_pools[cid]) for cid in shots_by_class))
         batches = [self.build_batch(shots_by_class, e) for e in range(min(period, epochs))]
-        return [self.train_step(batches[e % period], optimizer, lr) for e in range(epochs)]
+        return [self.train_step(batches[e % period], optimizer) for e in range(epochs)]
 
     def training_token_audit(self) -> set[int]:
-        """Every frozen vocabulary id the training prompts embed; empty before
-        the first training step.  Batches draw their prompts from the fixed
-        per-concept pools, so the pools bound what training can render."""
+        """Every frozen vocabulary id the training prompts can embed.  Batches
+        draw their prompts from the fixed per-concept pools, so the pools bound
+        what training renders."""
         ids: set[int] = set()
-        if not self.step_records:
-            return ids
         for cid, pool in self.prompt_pools.items():
             for tid in pool:
                 ids.update(self.name_agent.render(cid, tid).frozen_token_ids)
         return ids
-
-    def write_step_log(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("step,l_con,l_cls,w_con,w_cls,tau,total,lr\n")
-            for rec in self.step_records:
-                b = rec.breakdown
-                fh.write(
-                    f"{rec.step},{b.l_con:.9g},{b.l_cls:.9g},{b.w_con:.9g},"
-                    f"{b.w_cls:.9g},{b.tau:.9g},{b.total:.9g},{rec.lr:.9g}\n"
-                )
 
     # -- evaluation ----------------------------------------------------------------
 
@@ -290,9 +272,8 @@ class TrainingSession:
             raise ValueError(f"labels {outside} are outside the label space {class_ids}")
         feats = self.image_agent.encode(images)[0]
         text = self.class_text_features(class_ids, ImageAgent.emit_visual_context(feats))
-        fn = feats.data / np.linalg.norm(feats.data, axis=1, keepdims=True)
-        tn = text / np.linalg.norm(text, axis=1, keepdims=True)
-        pred = np.asarray(class_ids)[np.argmax(fn @ tn.T, axis=1)]
+        scores = similarity_matrix(feats, Tensor(text)).data
+        pred = np.asarray(class_ids)[np.argmax(scores, axis=1)]
         correct = pred == labels
         split_of = {c.id: c.split for c in self.world.concepts}
         is_seen = np.asarray([split_of[int(y)] == "seen" for y in labels])
@@ -302,3 +283,15 @@ class TrainingSession:
         if np.any(~is_seen):
             out["ood"] = float(np.mean(correct[~is_seen]))
         return out
+
+
+def write_step_log(path, history: list[LossBreakdown], lr: float) -> None:
+    """One CSV row per step of a history that ``TrainingSession.train``
+    returned, numbered from 1."""
+    with open(path, "w") as fh:
+        fh.write("step,l_con,l_cls,w_con,w_cls,tau,total,lr\n")
+        for step, b in enumerate(history, start=1):
+            fh.write(
+                f"{step},{b.l_con:.9g},{b.l_cls:.9g},{b.w_con:.9g},"
+                f"{b.w_cls:.9g},{b.tau:.9g},{b.total:.9g},{lr:.9g}\n"
+            )

@@ -28,7 +28,7 @@ from namelearn.selfcheck import (
     contrastive_oracle_suite,
     full_loss_grad_checks,
 )
-from namelearn.session import SessionSettings, TrainingSession
+from namelearn.session import SessionSettings, TrainingSession, write_step_log
 from namelearn.world import WorldConfig, build_world
 
 SWEEP_CONFIG = ExperimentConfig()  # default world, shots 0..16, 3 seeds, 3 lrs
@@ -113,11 +113,10 @@ def test_criterion_3_clip_band_invariants(default_world, tmp_path):
         cid: default_world.sample_images(cid, 16, seed=77)
         for cid in default_world.ood_ids
     }
-    session.train(shots, epochs=200, lr=1e-3)
-    session.write_step_log(tmp_path / "steps.csv")
+    history = session.train(shots, epochs=200, lr=1e-3)
+    write_step_log(tmp_path / "steps.csv", history, 1e-3)
     violations = 0
-    for rec in session.step_records:
-        b = rec.breakdown
+    for b in history:
         if not 0.5 <= b.tau <= 2.0:
             violations += 1
         if not 0.5 <= b.w_con_num <= 2.0:
@@ -128,12 +127,12 @@ def test_criterion_3_clip_band_invariants(default_world, tmp_path):
         tau = float(line.split(",")[5])
         if not 0.5 <= tau <= 2.0:
             violations += 1
-    ok = violations == 0 and len(session.step_records) == 200
+    ok = violations == 0 and len(history) == 200
     _criterion(
         3,
         "clip-band invariants",
         ok,
-        f"{violations} violations over {len(session.step_records)} logged steps",
+        f"{violations} violations over {len(history)} logged steps",
     )
 
 

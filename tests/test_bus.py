@@ -224,7 +224,7 @@ def test_round_sends_only_messages_with_a_reader():
         (AgentId.NAME, AgentId.TEXT, "feature", "prompts"),
         (AgentId.TEXT, AgentId.COORDINATOR, "feature", "text_features"),
     ]
-    metadata = Metadata({"difficulty": "0.5", "strategy": "standard"})
+    metadata = Metadata({"difficulty": 0.5, "strategy": "standard"})
     for agent in (session.image_agent, session.name_agent, session.text_agent):
         with pytest.raises(MailboxError):
             agent.step([Message(AgentId.COORDINATOR, agent.agent_id, metadata)], batch)

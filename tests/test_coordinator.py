@@ -26,14 +26,15 @@ from namelearn.settings import SessionSettings
 # Independent oracles
 
 def naive_contrastive(s: np.ndarray, y, tau: float) -> float:
-    """Per-element double loop over both softmax directions."""
+    """Per-element double loop over both softmax directions of the expanded
+    (N, N) matrix whose column j is s's column y[j], targets on the diagonal."""
     n = len(s)
     total = 0.0
     for i in range(n):
-        den_row = sum(math.exp(s[i][j] / tau) for j in range(n))
+        den_row = sum(math.exp(s[i][y[j]] / tau) for j in range(n))
         total += math.log(math.exp(s[i][y[i]] / tau) / den_row)
-        den_col = sum(math.exp(s[j][i] / tau) for j in range(n))
-        total += math.log(math.exp(s[y[i]][i] / tau) / den_col)
+        den_col = sum(math.exp(s[j][y[i]] / tau) for j in range(n))
+        total += math.log(math.exp(s[i][y[i]] / tau) / den_col)
     return -total / (2 * n)
 
 
@@ -179,7 +180,7 @@ def test_contrastive_rejects_negative_or_misshaped_indices():
             contrastive_loss(Tensor(np.eye(2)), y, 1.0)
 
 
-# Grouped form: (N, U) scores against distinct texts, shared by counts[u] rows.
+# (N, U) scores against distinct texts, column u shared by bincount(y)[u] rows.
 
 def _grouped_case(seed):
     rng = np.random.default_rng(seed)
@@ -199,7 +200,7 @@ def test_grouped_contrastive_equals_expanded_square(seed):
     grouped = Tensor(g, requires_grad=True)
     tau_g = Tensor(np.asarray(tau), requires_grad=True)
     with Tape() as tape:
-        loss_g = contrastive_loss(grouped, idx, tau_g, np.bincount(idx, minlength=u))
+        loss_g = contrastive_loss(grouped, idx, tau_g)
     backward(tape, loss_g)
     # Expanded: column j is pair j's text, so pair i matches column i.
     square = Tensor(g[:, idx], requires_grad=True)
@@ -219,99 +220,94 @@ def test_grouped_contrastive_equals_expanded_square(seed):
 def test_grouped_contrastive_keeps_the_square_checks():
     s = Tensor(np.random.default_rng(0).normal(size=(3, 2)))
     with pytest.raises(ShapeError):
-        contrastive_loss(Tensor(np.ones(3)), [0, 1, 1], 1.0, [1, 2])
+        contrastive_loss(Tensor(np.ones(3)), [0, 1, 1], 1.0)
     with pytest.raises(ShapeError):
-        contrastive_loss(Tensor(np.zeros((0, 2))), [], 1.0, [0, 0])
+        contrastive_loss(Tensor(np.zeros((0, 2))), [], 1.0)
     for y in ([0, 1, 2], [-1, 0, 1], [0, 1]):
         with pytest.raises(DomainError, match="match indices"):
-            contrastive_loss(s, y, 1.0, [1, 2])
+            contrastive_loss(s, y, 1.0)
     with pytest.raises(DomainError, match="tau"):
-        contrastive_loss(s, [0, 1, 1], 0.1, [1, 2])
-    with pytest.raises(DomainError, match="bincount"):
-        contrastive_loss(s, [0, 1, 1], 1.0, [2, 1])
+        contrastive_loss(s, [0, 1, 1], 0.1)
 
 
 def test_grouped_contrastive_rejects_unused_column():
     s = Tensor(np.random.default_rng(1).normal(size=(3, 3)))
     with pytest.raises(DomainError, match="column 1 has no pair"):
-        contrastive_loss(s, [0, 2, 2], 1.0, np.bincount([0, 2, 2], minlength=3))
+        contrastive_loss(s, [0, 2, 2], 1.0)
 
 
 # The closed-form op against the composed form it replaced, rebuilt here from
 # per-row log-softmax, gathers and transposes on the tape.
 
-def composed_contrastive(s, y, tau, counts=None):
-    n = s.shape[0]
+def composed_contrastive(s, y, tau):
+    n, u = s.shape
+    y = np.asarray(y)
+    log_m = np.log(np.bincount(y, minlength=u))
     st = ad.div(s, tau)
-    if counts is None:
-        per_image = ad.pick_per_row(ad.log_softmax_rows(st), y)
-        per_text = ad.pick_per_row(ad.log_softmax_rows(ad.transpose(st)), y)
-    else:
-        log_m = np.log(counts)
-        per_image = ad.add(
-            ad.pick_per_row(ad.log_softmax_rows(ad.add(st, Tensor(log_m))), y),
-            Tensor(-log_m[y]),
-        )
-        per_text = ad.pick_per_row(ad.transpose(ad.log_softmax_rows(ad.transpose(st))), y)
+    per_image = ad.add(
+        ad.pick_per_row(ad.log_softmax_rows(ad.add(st, Tensor(log_m))), y),
+        Tensor(-log_m[y]),
+    )
+    per_text = ad.pick_per_row(ad.transpose(ad.log_softmax_rows(ad.transpose(st))), y)
     return ad.scale(ad.sum_all(ad.add(per_image, per_text)), -1.0 / (2.0 * n))
 
 
-def _loss_and_grads(fn, s, y, tau, counts):
+def _loss_and_grads(fn, s, y, tau):
     s_t = Tensor(s, requires_grad=True)
     tau_t = Tensor(np.asarray(tau), requires_grad=True)
     with Tape() as tape:
-        loss = fn(s_t, y, tau_t) if counts is None else fn(s_t, y, tau_t, counts)
+        loss = fn(s_t, y, tau_t)
     backward(tape, loss)
     return loss.item(), s_t.grad, tau_t.grad, len(tape)
 
 
 def _closed_form_cases():
+    # "square": N = U, one image per column, matched by a permutation;
+    # "grouped": U < N, several images share a column.
     rng = np.random.default_rng(11)
     cases = [
-        ("square N=1", np.asarray([[0.3]]), [0], 1.0, None),
-        ("grouped N=1", np.asarray([[-0.7]]), [0], 2.0, [1]),
-        ("grouped one text", rng.normal(size=(5, 1)), [0] * 5, 0.5, [5]),
-        # Square form with repeated targets: texts 1 and 3 both name image 0.
-        ("square repeated targets", rng.normal(size=(4, 4)), [0, 0, 2, 0], 2.0, None),
+        ("square N=1", np.asarray([[0.3]]), [0], 1.0),
+        ("grouped N=1", np.asarray([[-0.7]]), [0], 2.0),
+        ("grouped one text", rng.normal(size=(5, 1)), [0] * 5, 0.5),
     ]
     for tau in TAU_BAND:
-        cases.append((f"square N=1 tau={tau}", np.asarray([[-0.4]]), [0], tau, None))
-        cases.append((f"grouped N=1 tau={tau}", np.asarray([[0.9]]), [0], tau, [1]))
+        cases.append((f"square N=1 tau={tau}", np.asarray([[-0.4]]), [0], tau))
+        cases.append((f"grouped N=1 tau={tau}", np.asarray([[0.9]]), [0], tau))
     for k, tau in enumerate((TAU_BAND[0], TAU_BAND[1], 1.3)):
         n = 6 + k
         y = rng.permutation(n)
-        cases.append((f"square tau={tau}", rng.normal(scale=2.0, size=(n, n)), y, tau, None))
+        cases.append((f"square tau={tau}", rng.normal(scale=2.0, size=(n, n)), y, tau))
         idx = np.concatenate([np.arange(3), rng.integers(0, 3, size=n - 3)])
-        rng.shuffle(idx)  # repeated prompts: several images share a column
+        rng.shuffle(idx)
         g = rng.normal(scale=2.0, size=(n, 3))
-        cases.append((f"grouped tau={tau}", g, idx, tau, np.bincount(idx, minlength=3)))
+        cases.append((f"grouped tau={tau}", g, idx, tau))
     return cases
 
 
 @pytest.mark.parametrize("case", _closed_form_cases(), ids=lambda c: c[0])
 def test_contrastive_closed_form_matches_composed_form(case):
-    _, s, y, tau, counts = case
-    value, ds, dtau, entries = _loss_and_grads(contrastive_loss, s, y, tau, counts)
-    ref_value, ref_ds, ref_dtau, _ = _loss_and_grads(composed_contrastive, s, y, tau, counts)
+    _, s, y, tau = case
+    value, ds, dtau, entries = _loss_and_grads(contrastive_loss, s, y, tau)
+    ref_value, ref_ds, ref_dtau, _ = _loss_and_grads(composed_contrastive, s, y, tau)
     assert abs(value - ref_value) <= 1e-12
     assert np.max(np.abs(ds - ref_ds)) <= 1e-12
     assert dtau.shape == () and abs(float(dtau) - float(ref_dtau)) <= 1e-12
     assert entries == 1
 
 
-@pytest.mark.parametrize("counts", [None, [1, 1]], ids=["square", "grouped"])
+@pytest.mark.parametrize("y", [[0, 1], [0, 1, 1]], ids=["square", "grouped"])
 @pytest.mark.parametrize("far", ["row", "column"])
-def test_contrastive_rejects_an_underflowing_softmax_sum(counts, far):
+def test_contrastive_rejects_an_underflowing_softmax_sum(y, far):
     # s / tau spanning more than about 700 drives every exponential of one
     # row (or column) below the smallest normal float.
-    s = np.zeros((2, 2))
+    s = np.zeros((len(y), 2))
     if far == "row":
         s[1] = -800.0
     else:
         s[:, 1] = -800.0
     with pytest.raises(DomainError, match="underflows"):
-        contrastive_loss(Tensor(s), [0, 1], 1.0, counts)
-    contrastive_loss(Tensor(s / 4.0), [0, 1], 1.0, counts)  # a span of 200 is fine
+        contrastive_loss(Tensor(s), y, 1.0)
+    contrastive_loss(Tensor(s / 4.0), y, 1.0)  # a span of 200 is fine
 
 
 def test_contrastive_records_one_entry_and_passes_tau_gradient_through_clip():
@@ -381,19 +377,22 @@ def test_classification_records_matmul_and_one_loss_entry():
 # Dynamic loss balancing
 
 def test_loss_weights_unit_params():
-    w_con, w_cls = loss_weights(Tensor(np.asarray(1.0)), Tensor(np.asarray(1.0)))
+    w_con, w_cls, _, _ = loss_weights(Tensor(np.asarray(1.0)), Tensor(np.asarray(1.0)))
     assert w_con.item() == pytest.approx(1.0 / 2.0)
     assert w_cls.item() == pytest.approx(1.0 / 2.0)
 
 
 def test_loss_weights_clipped_numerators():
-    w_con, w_cls = loss_weights(Tensor(np.asarray(3.0)), Tensor(np.asarray(0.05)))
+    w_con, w_cls, num_con, num_cls = loss_weights(
+        Tensor(np.asarray(3.0)), Tensor(np.asarray(0.05))
+    )
     assert w_con.item() == pytest.approx(2.0 / 3.05)
     assert w_cls.item() == pytest.approx(0.1 / 3.05)
+    assert (num_con.item(), num_cls.item()) == (2.0, 0.1)
 
 
 def test_loss_weights_boundary_params():
-    w_con, w_cls = loss_weights(Tensor(np.asarray(0.5)), Tensor(np.asarray(0.5)))
+    w_con, w_cls, _, _ = loss_weights(Tensor(np.asarray(0.5)), Tensor(np.asarray(0.5)))
     assert w_con.item() == pytest.approx(0.5)
     assert w_cls.item() == pytest.approx(0.5)
 

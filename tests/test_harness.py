@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import namelearn.harness as harness
+from namelearn.autodiff import DomainError
 from namelearn.cli import main
 from namelearn.harness import (
     AblationError,
@@ -211,6 +212,19 @@ def test_failed_cell_contract(monkeypatch, tmp_path):
         assert parts[4] == "" and parts[5] == ""  # accuracies empty
 
 
+def test_a_cell_whose_scoring_fails_keeps_empty_loss_columns(monkeypatch, tmp_path):
+    # The breakdown is taken from the returned history only after scoring.
+    def explode(self, images, labels, class_ids):
+        raise DomainError("zero-norm row")
+
+    monkeypatch.setattr("namelearn.harness.TrainingSession.evaluate", explode)
+    result = run_few_shot(replace(TINY, shots=(1,), seeds=(0,)))
+    (cell,) = result.cells
+    assert (cell.status, cell.breakdown) == ("failed", None)
+    row = emit_metrics(result, tmp_path)["results"].read_text().splitlines()[1]
+    assert row.split(",")[7:12] == [""] * 5
+
+
 # ---------------------------------------------------------------------------
 # Zero-shot
 
@@ -386,6 +400,18 @@ def test_cli_world_build_rejects_seed_and_jobs(tmp_path, flag):
     out = tmp_path / "w"
     assert main(["world", "build", "--config", str(cfg), *flag, "--out", str(out)]) == 1
     assert not (out / "world.bin").exists()
+
+
+def test_cli_selftest_passes_all_four_suites(monkeypatch, capsys):
+    # Criterion 1 runs the full-loss check on all 20 batches; two keep this fast.
+    from namelearn import selfcheck
+
+    full = selfcheck.full_loss_grad_checks
+    monkeypatch.setattr(selfcheck, "full_loss_grad_checks", lambda: full(n_batches=2))
+    assert main(["selftest"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and all(line.startswith("PASS ") for line in lines)
+    assert "grouped contrastive loss" in lines[2]
 
 
 def test_cli_bad_config_is_hard_error(tmp_path):

@@ -136,7 +136,7 @@ def test_encode_is_the_round_routing(agent, threshold):
     out = agent.step([], SimpleNamespace(images=images))
     (sent,) = [m.content for m in out if getattr(m.content, "label", "") == "image_features"]
     assert np.array_equal(sent.tensor.data, features.data)
-    assert Metadata({"difficulty": repr(difficulty), "strategy": strategy}) in [
+    assert Metadata({"difficulty": difficulty, "strategy": strategy}) in [
         m.content for m in out
     ]
 

@@ -1,11 +1,12 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from namelearn import selfcheck
 from namelearn.name_agent import load_name_table, save_name_table
-from namelearn.session import SessionSettings, TrainingSession
+from namelearn.session import SessionSettings, TrainingSession, write_step_log
 from namelearn.world import WorldConfig, build_world
 
 SMALL = WorldConfig(embed_dim=16, image_dim=24, n_seen=4, n_ood=3, vocab_size=64, seed=7)
@@ -66,6 +67,23 @@ def test_default_step_is_batched():
         run_round(session.bus, batch)
     assert len(tape) <= 60
     assert len(session.bus.log) == 5
+
+
+def test_transpose_is_a_view_and_a_default_step_records_31_entries():
+    # Training and evaluation make the same BLAS call only while transpose
+    # hands back a view; the tape count is the default step's.
+    from namelearn import autodiff as ad
+    from namelearn.autodiff import Tape, Tensor
+    from namelearn.bus import run_round
+
+    a = Tensor(np.arange(6.0).reshape(2, 3))
+    assert np.shares_memory(ad.transpose(a).data, a.data)
+    world = build_world(WorldConfig())
+    session = TrainingSession(world, SessionSettings(), seed=0)
+    batch = session.build_batch(shots_for(world, k=16), epoch=0)
+    with Tape() as tape:
+        run_round(session.bus, batch)
+    assert (batch.size, len(tape)) == (160, 31)
 
 
 def test_default_round_scores_each_distinct_prompt_once():
@@ -150,16 +168,18 @@ def test_train_builds_each_distinct_batch_once(world, monkeypatch, exchange_off,
         return build_batch(self, shots_by_class, epoch)
 
     monkeypatch.setattr(TrainingSession, "build_batch", counting)
-    trained.train(shots, epochs=epochs, lr=1e-3)
+    history = trained.train(shots, epochs=epochs, lr=1e-3)
     monkeypatch.undo()
     assert built == list(range(min(period, epochs)))
 
     by_hand = TrainingSession(world, settings, seed=0)
     optimizer = Adam(by_hand.trainable_parameters(), 1e-3)
-    for epoch in range(epochs):
-        by_hand.train_step(by_hand.build_batch(shots, epoch), optimizer, 1e-3)
-    assert trained.step_records == by_hand.step_records
-    assert len(trained.step_records) == epochs
+    by_hand_history = [
+        by_hand.train_step(by_hand.build_batch(shots, epoch), optimizer)
+        for epoch in range(epochs)
+    ]
+    assert history == by_hand_history
+    assert len(history) == epochs
     for a, b in zip(trained.trainable_parameters(), by_hand.trainable_parameters()):
         assert a.data.tobytes() == b.data.tobytes(), a.name
 
@@ -210,9 +230,9 @@ def test_training_is_deterministic(world):
 
 def test_step_log_format(world, tmp_path):
     session = TrainingSession(world, SessionSettings(), seed=0)
-    session.train(shots_for(world), epochs=5, lr=1e-3)
+    history = session.train(shots_for(world), epochs=5, lr=1e-3)
     path = tmp_path / "steps.csv"
-    session.write_step_log(path)
+    write_step_log(path, history, 1e-3)
     lines = path.read_text().splitlines()
     assert lines[0] == "step,l_con,l_cls,w_con,w_cls,tau,total,lr"
     assert len(lines) == 6
@@ -223,11 +243,31 @@ def test_step_log_format(world, tmp_path):
 
 def test_tau_stays_in_band_for_a_full_run(world):
     session = TrainingSession(world, SessionSettings(), seed=0)
-    session.train(shots_for(world), epochs=60, lr=1e-3)
-    for rec in session.step_records:
-        assert 0.5 <= rec.breakdown.tau <= 2.0
-        assert 0.5 <= rec.breakdown.w_con_num <= 2.0
-        assert 0.1 <= rec.breakdown.w_cls_num <= 1.0
+    for b in session.train(shots_for(world), epochs=60, lr=1e-3):
+        assert 0.5 <= b.tau <= 2.0
+        assert 0.5 <= b.w_con_num <= 2.0
+        assert 0.1 <= b.w_cls_num <= 1.0
+
+
+def test_session_memory_does_not_grow_with_epochs(world):
+    # The session keeps no per-step history: what a run leaves allocated
+    # after its returned history is dropped is the same at 200 and 2,000.
+    # A long run also fills CPython's bounded free lists (up to 2,000 spare
+    # 2-tuples, 0.1 MB), so they are filled before tracing starts.
+    def retained(epochs):
+        session = TrainingSession(world, SessionSettings(), seed=0)
+        shots = shots_for(world)
+        spare = [(i, i) for i in range(4000)]
+        del spare
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            session.train(shots, epochs=epochs, lr=1e-3)
+            return tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+
+    assert abs(retained(2000) - retained(200)) <= 0.05 * 2**20
 
 
 def test_evaluate_reports_per_split_accuracy(world):
@@ -305,10 +345,12 @@ def test_disable_context_exchange_keeps_native_templates_only(world):
 
 def test_render_audit_never_uses_ood_frozen_tokens(world):
     session = TrainingSession(world, SessionSettings(), seed=0)
-    assert session.training_token_audit() == set()  # nothing rendered yet
+    audit = session.training_token_audit()
+    assert audit  # the pools' prompts embed frozen template tokens
     session.train(shots_for(world), epochs=10, lr=1e-3)
+    assert session.training_token_audit() == audit  # bounded by the fixed pools
     ood_tokens = {world.concept(cid).name_token for cid in world.ood_ids}
-    assert session.training_token_audit() & ood_tokens == set()
+    assert audit & ood_tokens == set()
 
 
 def test_disable_difficulty_equals_full_model_where_scorer_routes_robust():
