@@ -13,9 +13,11 @@ square loss over one text row per image-prompt pair (see
 tape entry with a closed-form backward: the contrastive loss here, whose
 value and backward share one exponential pass, the classification loss
 through ``autodiff.softmax_cross_entropy``.  Adam updates every parameter in
-one pass over flat moment vectors.  The loss reads
-``disable_coordinator_dynamics`` and ``disable_dynamic_balancing`` from the
-session's ``SessionSettings``.
+one pass over flat moment vectors, and leaves one with no gradient as it is.
+Only ``total_loss`` reads ``disable_coordinator_dynamics`` and
+``disable_dynamic_balancing`` from the session's ``SessionSettings``: under
+them the temperature and the loss weights never reach the tape, so they get
+no gradient and do not train.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ CLS_NUM_BAND = (0.1, 1.0)
 FIXED_WEIGHTS = (0.5, 0.5)
 # Learning rates Adam accepts.
 LR_BAND = (1e-6, 1e-1)
+# Adam's moment decay rates and denominator guard: Kingma & Ba's defaults.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # Smallest normal float64: a softmax sum below it has underflowed, and its
 # reciprocal in the contrastive backward would overflow.
 _TINY = sys.float_info.min
@@ -60,16 +64,10 @@ class CoordinatorParams:
             np.zeros((embed_dim, n_classes)), requires_grad=True, name="w_cls_head"
         )
 
-    def parameters(self, settings: SessionSettings) -> list[Tensor]:
-        """The learnables ``settings`` lets train: without coordinator dynamics,
-        neither the temperature nor the loss weights."""
-        params: list[Tensor] = []
-        if not settings.disable_coordinator_dynamics:
-            params.append(self.tau_param)
-            if not settings.disable_dynamic_balancing:
-                params += [self.w_con_param, self.w_cls_param]
-        params.append(self.w_cls_head)
-        return params
+    def parameters(self) -> list[Tensor]:
+        """All four; ``total_loss`` leaves the temperature and the loss
+        weights off the tape where the settings fix them."""
+        return [self.tau_param, self.w_con_param, self.w_cls_param, self.w_cls_head]
 
 
 def effective_temperature(tau_param: Tensor) -> Tensor:
@@ -263,19 +261,11 @@ class Adam:
     non-finite gradient aborts with a diagnostic naming the tensor.
     """
 
-    def __init__(
-        self,
-        params: list[Tensor],
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: list[Tensor], lr: float):
         if not LR_BAND[0] <= lr <= LR_BAND[1]:
             raise ValueError(f"lr {lr} outside [{LR_BAND[0]:g}, {LR_BAND[1]:g}]")
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         # Parameter i's moments are entries offsets[i]:offsets[i + 1].
         self._offsets = np.cumsum([0] + [p.data.size for p in self.params])
@@ -284,7 +274,7 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         live = [i for i, p in enumerate(self.params) if p.grad is not None]
         if not live:
             return
@@ -303,7 +293,7 @@ class Adam:
         v = self._v[idx] = b2 * self._v[idx] + (1 - b2) * g * g
         m_hat = m / (1 - b1**self.t)
         v_hat = v / (1 - b2**self.t)
-        update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        update = self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         start = 0
         for i in live:
             p = self.params[i]

@@ -4,7 +4,8 @@ Grid cells are pure functions of (config, shot, seed, lr) and may run in
 parallel processes; results aggregate in grid order so output files are
 byte-reproducible apart from wall time.  A few-shot sweep builds its world
 and test split once and shares them with every cell.  Failed cells (training
-divergence) are first-class rows, never aborting the grid.
+divergence) are first-class rows, never aborting the grid.  The ablation arms,
+``ABLATION_FLAGS``, are read off the fields of ``SessionSettings``.
 """
 
 from __future__ import annotations
@@ -25,16 +26,8 @@ from .session import TrainingDivergedError, TrainingSession
 from .settings import ConfigError, SessionSettings
 from .world import World, WorldConfig, build_world
 
-ABLATION_FLAGS = (
-    "disable_image_agent_robust",
-    "disable_text_context",
-    "disable_name_agent",
-    "disable_coordinator_dynamics",
-    "disable_context_exchange",
-    "simple_concat_fusion",
-    "disable_difficulty",
-    "disable_dynamic_balancing",
-)
+# The paper's eight ablation arms: every session setting is one.
+ABLATION_FLAGS = tuple(f.name for f in fields(SessionSettings))
 
 # Fixed streams: the test split is a dataset-level artifact shared by every
 # cell; training shots vary with the cell seed.
@@ -65,7 +58,6 @@ class ExperimentConfig(SessionSettings):
     n_test_per_class: int = 200
 
     def __post_init__(self):
-        super().__post_init__()
         for name in ("shots", "seeds", "lrs"):
             if len(getattr(self, name)) == 0:
                 raise ConfigError(f"{name} must be nonempty")
@@ -428,10 +420,6 @@ def parse_config_file(path) -> ExperimentConfig:
         except ConfigError as exc:
             raise ConfigError(f"{path}:{line_no}: {exc}") from None
     return _config_from_entries(entries)
-
-
-def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
-    return _config_from_entries({key: _parse_entry(key, v) for key, v in mapping.items()})
 
 
 def _parse_entry(key: str, value: str):

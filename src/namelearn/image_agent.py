@@ -7,7 +7,8 @@ feature distribution.  ``ImageAgent.encode`` is the one routing path, for
 training rounds and evaluation alike.  Emits the batch features and their
 ``{difficulty, strategy}`` metadata to the coordinator and a pooled visual
 context vector to the text agent.  The score is one number per batch, taken
-from the batch's mean feature.  It reads ``alpha``, ``difficulty_threshold``,
+from the batch's mean feature; the residual coefficient ``ALPHA`` and the
+routing threshold ``DIFFICULTY_THRESHOLD`` are fixed.  ``encode`` reads
 ``disable_difficulty`` and ``disable_image_agent_robust`` from the session's
 ``SessionSettings``.  ``step`` keeps its last round's output and reuses it
 while the batch's images stay equal in value, as they do across the epochs of
@@ -31,6 +32,11 @@ from .settings import SessionSettings
 
 STANDARD = "standard"
 ROBUST = "robust"
+# Residual coefficient of the robust encoding: small, so the unit-normalized
+# part dominates.
+ALPHA = 0.1
+# Batches scoring at or above this route robust: the scorer's midpoint.
+DIFFICULTY_THRESHOLD = 0.5
 
 
 def frozen_visual_features(images: Tensor, encoder: Tensor) -> Tensor:
@@ -97,13 +103,13 @@ class ImageAgent:
         """Frozen encoder output, unchanged."""
         return frozen_visual_features(images, self.frozen_visual)
 
-    def encode_robust(self, images: Tensor, alpha: float | None = None) -> Tensor:
+    def encode_robust(self, images: Tensor, alpha: float = ALPHA) -> Tensor:
         """Unit-normalized features plus a gradient-blocked scaled residual."""
         return self._robust(self.encode_standard(images), alpha)
 
-    def _robust(self, feats: Tensor, alpha: float | None = None) -> Tensor:
-        a = self.settings.alpha if alpha is None else alpha
-        return ad.add(ad.l2_normalize_rows(feats), ad.scale(ad.detach(feats), a))
+    @staticmethod
+    def _robust(feats: Tensor, alpha: float = ALPHA) -> Tensor:
+        return ad.add(ad.l2_normalize_rows(feats), ad.scale(ad.detach(feats), alpha))
 
     def encode(self, images: np.ndarray) -> tuple[Tensor, float, str]:
         """Route a raw batch: its features, difficulty score and strategy."""
@@ -115,7 +121,7 @@ class ImageAgent:
         if self.settings.disable_image_agent_robust:
             strategy = STANDARD
         else:
-            strategy = select_strategy(difficulty, self.settings.difficulty_threshold)
+            strategy = select_strategy(difficulty, DIFFICULTY_THRESHOLD)
         features = standard if strategy == STANDARD else self._robust(standard)
         return features, difficulty, strategy
 

@@ -23,6 +23,10 @@ from .bus import AgentId, FeatureBlock, MailboxError, Message
 
 NAME_SLOT = -1
 SHARED_AFFINITY = "shared"
+# Native templates per family, and the canonical template's filler words
+# before its name slot: fixed, since no world varies them.
+TEMPLATES_PER_FAMILY = 8
+CANONICAL_TOKENS = (0, 1, 2, 3)
 
 CHECKPOINT_MAGIC = b"NLNAMES/1\n"
 
@@ -59,20 +63,19 @@ def build_template_bank(
     families: tuple[str, ...],
     filler_pool: int,
     rng: np.random.Generator,
-    per_family: int = 8,
-    canonical_tokens: tuple[int, ...] = (0, 1, 2, 3),
 ) -> tuple[PromptTemplate, list[PromptTemplate]]:
-    """Shared canonical template plus ``per_family`` native templates each.
+    """Shared canonical template plus ``TEMPLATES_PER_FAMILY`` native
+    templates for each family.
 
     Template bodies are sequences of filler-word ids below ``filler_pool``
     with the name slot at a random position.
     """
     canonical = PromptTemplate(
-        "shared_0", tuple(canonical_tokens) + (NAME_SLOT,), SHARED_AFFINITY
+        "shared_0", CANONICAL_TOKENS + (NAME_SLOT,), SHARED_AFFINITY
     )
     bank: list[PromptTemplate] = []
     for family in families:
-        for i in range(per_family):
+        for i in range(TEMPLATES_PER_FAMILY):
             length = int(rng.integers(3, 8))
             body = [int(t) for t in rng.integers(0, filler_pool, size=length)]
             body.insert(int(rng.integers(0, length + 1)), NAME_SLOT)

@@ -1,24 +1,27 @@
 """One training session: four agents, a bus, an optimizer, and a world.
 
 The session owns everything learnable (name embeddings, context fusion,
-coordinator scalars and head).  The name table has one row per held-out
-concept, in ascending id, and that row is also the concept's class index; each
-row starts at the mean of the frozen vocabulary rows, the reserved blind row
-excluded (under ``disable_name_agent`` no prompt selects a row and the
-optimizer never sees the table).  The session builds per-epoch batches of
-image-prompt pairs with template rotation, each listing its distinct prompts
-once; a training run builds each distinct batch once, since the rotation
-repeats every few epochs.  It runs fixed-schedule bus rounds under a gradient
-tape and returns each step's loss breakdown; it keeps no per-step history, so
-its memory does not grow with epochs (``write_step_log`` writes a returned
-history).  It evaluates by cosine retrieval against per-class text features,
+coordinator scalars and head) and hands all of it to the optimizer; the round
+alone decides what trains, since a learnable an ablation arm leaves unused
+gets no gradient.  The name table has one row per held-out concept, in
+ascending id, and that row is also the concept's class index; each row starts
+at the mean of the frozen vocabulary rows, the reserved blind row excluded
+(under ``disable_name_agent`` no prompt selects a row).  The session builds
+per-epoch batches of image-prompt pairs with template rotation, each listing
+its distinct prompts once; a training run builds each distinct batch once,
+since the rotation repeats every few epochs.  It runs fixed-schedule bus
+rounds under a gradient tape and returns each step's loss breakdown; it keeps
+no per-step history, so its memory does not grow with epochs
+(``write_step_log`` writes a returned history).  It evaluates by cosine retrieval against per-class text features,
 scored through the coordinator's ``similarity_matrix`` as training rounds are.
 The coordinator agent ends each round: it requires the image features, the
 ``{difficulty, strategy}`` metadata (the score as a float) and the text
 features (one row per distinct prompt), computes the loss over images against
 distinct prompts, and sends nothing.  The image agent's difficulty scorer is
 fixed: the loss has no path back to it.  The image and text agents and the
-coordinator read the session's ``SessionSettings`` record as it is.
+coordinator read the session's ``SessionSettings`` record as it is; the
+session itself reads only ``disable_name_agent`` (when built) and
+``disable_context_exchange`` (for the prompt pools).
 """
 
 from __future__ import annotations
@@ -192,13 +195,13 @@ class TrainingSession:
         }
 
     def trainable_parameters(self) -> list[Tensor]:
-        params: list[Tensor] = []
-        if not self.settings.disable_name_agent:
-            params.append(self.table.weight)
-        if not self.settings.disable_text_context:
-            params += self.text_agent.parameters()
-        params += self.coordinator_params.parameters(self.settings)
-        return params
+        """Every learnable, table, fusion, then the coordinator's; one an
+        ablation arm leaves unused gets no gradient, so Adam leaves it."""
+        return [
+            self.table.weight,
+            *self.text_agent.parameters(),
+            *self.coordinator_params.parameters(),
+        ]
 
     # -- training ----------------------------------------------------------------
 

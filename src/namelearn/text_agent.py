@@ -5,10 +5,10 @@ evaluation alike.  It runs the frozen text encoder's mixer over pooled prompt
 embeddings (the name agent's ``(N, D)`` block, learnable name vectors already
 pooled in), then mixes that standard feature with a learned transform of the
 feature concatenated with the visual context vector received from the image
-agent, weighted by the fixed ratio ``lambda_mix``.  The context is a value
+agent, weighted by the fixed ratio ``LAMBDA_MIX``.  The context is a value
 snapshot broadcast to every row: no gradient crosses from the text agent into
-the image agent.  It reads ``disable_text_context``, ``lambda_mix`` and
-``simple_concat_fusion`` from the session's ``SessionSettings``.
+the image agent.  It reads ``disable_text_context`` (in ``encode``) and
+``simple_concat_fusion`` (when built) from the session's ``SessionSettings``.
 """
 
 from __future__ import annotations
@@ -24,6 +24,10 @@ from .bus import (
     Message,
 )
 from .settings import SessionSettings
+
+# Weight of the plain text feature in the fusion: it dominates, so the
+# near-zero fusion starts as a small correction.
+LAMBDA_MIX = 0.7
 
 
 def frozen_text_features(pooled: Tensor, mixer: tuple[Tensor, ...]) -> Tensor:
@@ -121,22 +125,21 @@ class TextAgent:
         """Text features ``(N, D)`` for pooled prompt embeddings ``(N, D)``.
 
         The frozen mixer gives the standard feature; unless
-        ``disable_text_context`` is set or ``lambda_mix`` is 1, the result is
-        ``lam * standard + (1 - lam) * fusion(standard | context)``.
+        ``disable_text_context`` is set, the result is
+        ``LAMBDA_MIX * standard + (1 - LAMBDA_MIX) * fusion(standard | context)``.
         """
         standard = frozen_text_features(pooled, self.mixer)
-        if self.settings.disable_text_context or self.settings.lambda_mix >= 1.0:
+        if self.settings.disable_text_context:
             return standard
         if context is None:
             raise MissingContextError(
-                "no visual context received; set lambda_mix=1 or "
-                "disable_text_context for standard encoding"
+                "no visual context received; set disable_text_context for "
+                "standard encoding"
             )
         # A constant copy per row: the value snapshot carries no gradient.
         rows = Tensor(np.tile(context.data, (standard.shape[0], 1)))
         fused = self.fusion(ad.concat_cols(standard, rows))
-        lam = self.settings.lambda_mix
-        return ad.add(ad.scale(standard, lam), ad.scale(fused, 1.0 - lam))
+        return ad.add(ad.scale(standard, LAMBDA_MIX), ad.scale(fused, 1.0 - LAMBDA_MIX))
 
     # -- round protocol ---------------------------------------------------------
 

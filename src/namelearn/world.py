@@ -12,7 +12,9 @@ is data only: the frozen encoders that read its arrays are the agents' own
 (``image_agent.frozen_visual_features``, ``text_agent.frozen_text_features``
 and ``name_agent.pool_frozen_tokens``), and ``build_world`` checks its
 invariants through them.  A snapshot loads only if its length is exactly
-header plus arrays and every key of its config is a ``WorldConfig`` field.
+header plus arrays, every key of its config is a ``WorldConfig`` field, and
+its concepts are ids ``0..n-1`` in order, one per latent row, each split
+``seen`` or ``ood`` with a name token inside the vocabulary.
 """
 
 from __future__ import annotations
@@ -346,17 +348,25 @@ def load_world(path) -> World:
             "rebuild the snapshot with 'namelearn world build'"
         )
     config = WorldConfig(**header["config"])
-    concepts = [
-        ConceptSpec(
-            m["id"],
-            m["name"],
-            arrays["latents"][m["id"]],
-            m["split"],
-            m["name_token"],
-            m["family"],
+    latents = arrays["latents"]
+    if len(header["concepts"]) != len(latents):
+        raise ValueError(
+            f"{path}: {len(header['concepts'])} concepts for {len(latents)} latent rows"
         )
-        for m in header["concepts"]
-    ]
+    concepts = []
+    for i, m in enumerate(header["concepts"]):
+        where = f"{path}: concept {i} ({m['name']!r})"
+        if m["id"] != i:
+            raise ValueError(f"{where}: id {m['id']!r}, need ids 0..n-1 in order")
+        if m["split"] not in ("seen", "ood"):
+            raise ValueError(f"{where}: split {m['split']!r} is not 'seen' or 'ood'")
+        if not 0 <= m["name_token"] < config.vocab_size:
+            raise ValueError(
+                f"{where}: name_token {m['name_token']} outside [0, {config.vocab_size})"
+            )
+        concepts.append(
+            ConceptSpec(i, m["name"], latents[i], m["split"], m["name_token"], m["family"])
+        )
     return World(
         config,
         concepts,

@@ -247,9 +247,7 @@ def test_criterion_8_determinism(tmp_path):
 
 def test_criterion_9_residual_detach_semantics(default_world):
     rng = np.random.default_rng(0)
-    agent = ImageAgent(
-        default_world.gen_map, SessionSettings(alpha=0.1), np.random.default_rng(1)
-    )
+    agent = ImageAgent(default_world.gen_map, SessionSettings(), np.random.default_rng(1))
     x = Tensor(rng.normal(size=(6, default_world.config.image_dim)), requires_grad=True)
     with Tape() as tape:
         loss = ad.sum_all(agent.encode_robust(x))

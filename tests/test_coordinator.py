@@ -430,24 +430,45 @@ def test_total_loss_weighted_sum():
     assert total.item() == bd.total
 
 
+def _train_round(img, txt, y, labels, params, settings, steps=5):
+    """Adam steps on the total loss over txt and every coordinator learnable;
+    returns the names of those the last step's backward gave no gradient."""
+    opt = Adam([txt] + params.parameters(), lr=1e-2)
+    for _ in range(steps):
+        with Tape() as tape:
+            total, _ = total_loss(img, txt, y, labels, params, settings)
+        backward(tape, total)
+        ungraded = [p.name for p in opt.params if p.grad is None]
+        opt.step()
+        opt.zero_grad()
+    return ungraded
+
+
 def test_total_loss_fixed_weights_when_balancing_disabled():
     rng = np.random.default_rng(3)
     img, txt, y, labels, params = _synthetic_round(rng)
     settings = SessionSettings(disable_dynamic_balancing=True)
     _, bd = total_loss(img, txt, y, labels, params, settings)
     assert (bd.w_con, bd.w_cls) == (0.5, 0.5)
-    # The temperature still trains; the two weights do not.
-    trained = [params.tau_param, params.w_cls_head]
-    assert [id(p) for p in params.parameters(settings)] == [id(p) for p in trained]
+    # The temperature still trains; the two weights get no gradient.
+    before = [p.data.tobytes() for p in params.parameters()]
+    ungraded = _train_round(img, txt, y, labels, params, settings)
+    assert ungraded == ["w_con_param", "w_cls_param"]
+    after = [p.data.tobytes() for p in params.parameters()]
+    assert [a == b for a, b in zip(before, after)] == [False, True, True, False]
 
 
 def test_coordinator_dynamics_off_fixes_tau_and_weights():
     rng = np.random.default_rng(6)
     img, txt, y, labels, params = _synthetic_round(rng)
     full = [params.tau_param, params.w_con_param, params.w_cls_param, params.w_cls_head]
-    assert [id(p) for p in params.parameters(SessionSettings())] == [id(p) for p in full]
+    assert [id(p) for p in params.parameters()] == [id(p) for p in full]
     settings = SessionSettings(disable_coordinator_dynamics=True)
-    assert [id(p) for p in params.parameters(settings)] == [id(params.w_cls_head)]
+    # Only the head trains: the three scalars get no gradient.
+    before = [p.data.tobytes() for p in full]
+    ungraded = _train_round(img, txt, y, labels, params, settings)
+    assert ungraded == ["tau_param", "w_con_param", "w_cls_param"]
+    assert [p.data.tobytes() == b for p, b in zip(full, before)] == [True, True, True, False]
     # Values the learnables would give if they were read: tau 1.7, weights
     # 1.5 / 0.3 over 1.8.
     params.tau_param.data = np.asarray(1.7)
@@ -482,7 +503,7 @@ def test_training_sanity_loss_strictly_decreases():
     txt = Tensor(rng.normal(scale=0.3, size=(n, n)), requires_grad=True, name="txt")
     labels = np.arange(n)
     params = CoordinatorParams(n, n)
-    opt = Adam([txt] + params.parameters(SessionSettings()), lr=1e-3)
+    opt = Adam([txt] + params.parameters(), lr=1e-3)
     totals = []
     for _ in range(50):
         with Tape() as tape:

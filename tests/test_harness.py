@@ -12,10 +12,10 @@ import namelearn.harness as harness
 from namelearn.autodiff import DomainError
 from namelearn.cli import main
 from namelearn.harness import (
+    ABLATION_FLAGS,
     AblationError,
     ConfigError,
     ExperimentConfig,
-    config_from_mapping,
     config_hash,
     emit_metrics,
     harmonic_accuracy,
@@ -25,6 +25,7 @@ from namelearn.harness import (
     run_zero_shot,
 )
 from namelearn.session import TrainingDivergedError
+from namelearn.settings import SessionSettings
 from namelearn.world import WorldConfig
 
 TINY_WORLD = WorldConfig(
@@ -59,9 +60,6 @@ def test_config_validates_shots_and_seeds():
         dict(n_test_per_class=0),
         dict(lrs=(0.5,)),
         dict(seeds=(-1,)),
-        dict(alpha=1.5),
-        dict(difficulty_threshold=0.0),
-        dict(lambda_mix=1.5),
     ):
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
@@ -76,7 +74,7 @@ def test_config_file_roundtrip(tmp_path):
         seeds = 3,4
         lrs = 1e-4,1e-3
         epochs = 50          # trailing comment
-        alpha = 0.2
+        n_test_per_class = 40
         disable_name_agent = true
         world.embed_dim = 16
         world.image_dim = 24
@@ -90,7 +88,7 @@ def test_config_file_roundtrip(tmp_path):
     assert cfg.seeds == (3, 4)
     assert cfg.lrs == (1e-4, 1e-3)
     assert cfg.epochs == 50
-    assert cfg.alpha == 0.2
+    assert cfg.n_test_per_class == 40
     assert cfg.disable_name_agent is True
     assert cfg.world.embed_dim == 16
 
@@ -114,21 +112,44 @@ def test_config_file_roundtrip(tmp_path):
         "difficulty_mode = per_sample",
         "world.ood_token_mode = per_name",
         "world.gamma = 0.07",
+        # Fixed hyperparameters: the robust residual, the routing threshold
+        # and the mixing ratio are module constants.
+        "alpha = 0.1",
+        "difficulty_threshold = 0.5",
+        "lambda_mix = 0.7",
     ],
     ids=lambda line: line.split(" ")[0],
 )
 def test_config_file_unknown_key(tmp_path, line):
     path = tmp_path / "bad.cfg"
     path.write_text(line + "\n")
-    with pytest.raises(ConfigError):
+    name = line.split(" ")[0].split(".")[-1]
+    message = re.escape(f"{path}:1: unknown ") + f"(config key|world field) '{name}'$"
+    with pytest.raises(ConfigError, match=message):
         parse_config_file(path)
     assert main(["few-shot", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
 
 
-def test_config_file_bad_bool():
-    with pytest.raises(ConfigError):
-        config_from_mapping({"disable_name_agent": "yes"})
+def test_ablation_flags_are_the_settings_record():
+    assert ABLATION_FLAGS == (
+        "disable_image_agent_robust",
+        "disable_text_context",
+        "disable_name_agent",
+        "disable_coordinator_dynamics",
+        "disable_context_exchange",
+        "simple_concat_fusion",
+        "disable_difficulty",
+        "disable_dynamic_balancing",
+    )
+    assert all(type(value) is bool for value in vars(SessionSettings()).values())
+
+
+def test_config_file_bad_bool(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("disable_name_agent = yes\n")
+    with pytest.raises(ConfigError, match="disable_name_agent: expected true or false"):
+        parse_config_file(path)
 
 
 def test_config_hash_stable_and_sensitive():
@@ -422,7 +443,7 @@ def test_cli_bad_config_is_hard_error(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["few-shot", "zero-shot"])
-@pytest.mark.parametrize("setting", [{"lrs": ""}, {"epochs": "0"}, {"alpha": "1.5"}])
+@pytest.mark.parametrize("setting", [{"lrs": ""}, {"epochs": "0"}, {"n_test_per_class": "0"}])
 def test_cli_empty_or_zero_setting_is_hard_error(
     tmp_path, capsys, monkeypatch, command, setting
 ):
@@ -460,8 +481,6 @@ def test_cli_unparsable_value_names_key_and_line(tmp_path, capsys, key, value):
     assert rc == 1
     assert f"{cfg}:2: {key}: expected " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-    with pytest.raises(ConfigError, match="^" + re.escape(f"{key}: expected ")):
-        config_from_mapping({key: value})
 
 
 def test_module_entry_point_exit_codes(tmp_path):

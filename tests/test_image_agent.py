@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from namelearn import autodiff as ad
+from namelearn import image_agent
 from namelearn.autodiff import DomainError, ShapeError, Tape, Tensor, backward, grad_check
 from namelearn.bus import Metadata
 from namelearn.coordinator import contrastive_loss, similarity_matrix
@@ -20,13 +21,6 @@ def agent():
     rng = np.random.default_rng(0)
     frozen, _ = np.linalg.qr(rng.normal(size=(12, 8)))
     return ImageAgent(np.ascontiguousarray(frozen), SessionSettings(), np.random.default_rng(1))
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SessionSettings(alpha=1.5)
-    with pytest.raises(ValueError):
-        SessionSettings(difficulty_threshold=0.0)
 
 
 def test_encode_standard_is_frozen_output(agent):
@@ -49,7 +43,8 @@ def test_encode_standard_rejects_dim_mismatch(agent):
 
 def test_encode_robust_hand_case():
     # Identity encoder: features [[3, 4]] -> [[0.6, 0.8]] + 0.1 * [[3, 4]].
-    agent = ImageAgent(np.eye(2), SessionSettings(alpha=0.1), np.random.default_rng(0))
+    agent = ImageAgent(np.eye(2), SessionSettings(), np.random.default_rng(0))
+    assert image_agent.ALPHA == 0.1
     out = agent.encode_robust(Tensor([[3.0, 4.0]]))
     assert np.allclose(out.data, [[0.9, 1.2]], atol=1e-12)
 
@@ -126,8 +121,8 @@ def test_difficulty_per_sample_shape():
 
 
 @pytest.mark.parametrize("threshold", [0.05, 0.95])
-def test_encode_is_the_round_routing(agent, threshold):
-    agent.settings = SessionSettings(difficulty_threshold=threshold)
+def test_encode_is_the_round_routing(agent, threshold, monkeypatch):
+    monkeypatch.setattr(image_agent, "DIFFICULTY_THRESHOLD", threshold)
     images = np.random.default_rng(6).normal(size=(5, 12))
     features, difficulty, strategy = agent.encode(images)
     assert strategy == select_strategy(difficulty, threshold)
@@ -158,7 +153,7 @@ def test_route_is_invisible_to_cosine_scores(agent, alpha):
 
 
 def test_robust_encode_runs_the_frozen_encoder_once(agent, monkeypatch):
-    agent.settings = SessionSettings(difficulty_threshold=0.05)  # always robust
+    monkeypatch.setattr(image_agent, "DIFFICULTY_THRESHOLD", 0.05)  # always robust
     calls = []
     matmul = ad.matmul
 

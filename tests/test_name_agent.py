@@ -227,7 +227,7 @@ def test_exchange_insufficient_foreign_templates(world):
 
 def test_template_bank_shape():
     rng = np.random.default_rng(0)
-    canonical, bank = build_template_bank(("a", "b"), 10, rng, per_family=8)
+    canonical, bank = build_template_bank(("a", "b"), 10, rng)
     assert canonical.category_affinity == "shared"
     assert len(bank) == 16
     assert all(t.tokens.count(NAME_SLOT) == 1 for t in bank)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from namelearn import autodiff as ad
+from namelearn import text_agent
 from namelearn.autodiff import ShapeError, Tensor, grad_check
 from namelearn.bus import AgentId, FeatureBlock, Message
 from namelearn.name_agent import (
@@ -17,6 +18,7 @@ from namelearn.text_agent import (
     LinearFusion,
     MissingContextError,
     TextAgent,
+    frozen_text_features,
 )
 from namelearn.settings import SessionSettings
 from namelearn.world import WorldConfig, build_world
@@ -70,7 +72,7 @@ def pooled(world, namer, concept_id) -> Tensor:
 
 def standard(world, pooled_rows) -> Tensor:
     """The plain text feature: the frozen encoder alone, no context fusion."""
-    return make_agent(world, lambda_mix=1.0).encode(pooled_rows, None)
+    return frozen_text_features(pooled_rows, make_agent(world).mixer)
 
 
 def context(world, seed) -> Tensor:
@@ -163,25 +165,20 @@ def prompt_message(rows):
     return Message(AgentId.NAME, AgentId.TEXT, FeatureBlock(rows, "prompts"))
 
 
-def test_contextual_lambda_one_equals_standard(world, namer):
-    agent = make_agent(world, lambda_mix=1.0)
-    rows = pooled(world, namer, world.seen_ids[0])
+def test_disable_text_context_is_the_standard_encoding(world, namer):
+    agent = make_agent(world, disable_text_context=True)
+    rows = pooled(world, namer, world.ood_ids[0])
     std = standard(world, rows)
-    assert np.array_equal(agent.encode(rows, context(world, 1)).data, std.data)
-    # At the endpoint the round needs no visual context at all.
+    assert np.array_equal(agent.encode(rows, context(world, 3)).data, std.data)
+    # The round needs no visual context at all.
     out = agent.step([prompt_message(rows)], None)
     assert out[0].content.label == "text_features"
     assert np.array_equal(out[0].content.tensor.data, std.data)
 
 
-def test_disable_text_context_is_the_standard_encoding(world, namer):
-    agent = make_agent(world, disable_text_context=True)
-    rows = pooled(world, namer, world.ood_ids[0])
-    assert np.array_equal(agent.encode(rows, context(world, 3)).data, standard(world, rows).data)
-
-
-def test_contextual_lambda_zero_equals_fusion(world, namer):
-    agent = make_agent(world, lambda_mix=0.0)
+def test_contextual_lambda_zero_equals_fusion(world, namer, monkeypatch):
+    monkeypatch.setattr(text_agent, "LAMBDA_MIX", 0.0)
+    agent = make_agent(world)
     rows = pooled(world, namer, world.seen_ids[0])
     c = context(world, 2)
     out = agent.encode(rows, c)
@@ -190,14 +187,15 @@ def test_contextual_lambda_zero_equals_fusion(world, namer):
 
 
 def test_contextual_missing_context_is_error(world, namer):
-    agent = make_agent(world, lambda_mix=0.5)
+    agent = make_agent(world)
     rows = pooled(world, namer, world.seen_ids[0])
-    with pytest.raises(MissingContextError, match="lambda_mix=1"):
+    with pytest.raises(MissingContextError, match="disable_text_context"):
         agent.step([prompt_message(rows)], None)
 
 
-def test_contextual_halfway_with_constant_fusion(world, namer):
-    agent = make_agent(world, lambda_mix=0.5)
+def test_contextual_halfway_with_constant_fusion(world, namer, monkeypatch):
+    monkeypatch.setattr(text_agent, "LAMBDA_MIX", 0.5)
+    agent = make_agent(world)
     for p in agent.fusion.parameters():
         p.data[...] = 0.0
     b = np.random.default_rng(3).normal(size=world.config.embed_dim)
@@ -207,12 +205,13 @@ def test_contextual_halfway_with_constant_fusion(world, namer):
     assert np.allclose(out.data, 0.5 * standard(world, rows).data + 0.5 * b, atol=1e-12)
 
 
-def test_contextual_is_affine_in_lambda(world, namer):
+def test_contextual_is_affine_in_lambda(world, namer, monkeypatch):
     rows = pooled(world, namer, world.seen_ids[0])
     c = context(world, 5)
 
     def contextual(lam):
-        agent = make_agent(world, lambda_mix=lam)  # same seed: same fusion weights
+        monkeypatch.setattr(text_agent, "LAMBDA_MIX", lam)
+        agent = make_agent(world)  # same seed: same fusion weights
         return agent.encode(rows, c).data
 
     endpoint_a, endpoint_b = contextual(1.0), contextual(0.0)

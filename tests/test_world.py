@@ -279,19 +279,53 @@ def test_snapshot_of_wrong_length_names_the_file(world, tmp_path, damage):
         load_world(path)
 
 
-def test_snapshot_with_unknown_config_key_names_path_and_key(world, tmp_path):
-    # The header a snapshot had while `gamma` was still a WorldConfig field.
-    path = tmp_path / "world.bin"
-    save_world(world, path)
+def _edit_header(path, edit):
+    """Rewrite a snapshot's JSON header through ``edit``, keeping its arrays,
+    so the file length stays right for the new header."""
     raw = path.read_bytes()
     magic = b"NLWORLD/1\n"
     start = len(magic) + 4
     end = start + struct.unpack_from("<I", raw, len(magic))[0]
     header = json.loads(raw[start:end])
-    header["config"]["gamma"] = 0.07
+    edit(header)
     blob = json.dumps(header, sort_keys=True).encode()
     path.write_bytes(magic + struct.pack("<I", len(blob)) + blob + raw[end:])
+
+
+def test_snapshot_with_unknown_config_key_names_path_and_key(world, tmp_path):
+    # The header a snapshot had while `gamma` was still a WorldConfig field.
+    path = tmp_path / "world.bin"
+    save_world(world, path)
+    _edit_header(path, lambda header: header["config"].update(gamma=0.07))
     with pytest.raises(ValueError, match=re.escape(str(path)) + ".*'gamma'.*world build"):
+        load_world(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, detail",
+    [
+        ("id", -1, "id -1"),  # would index the last latent row
+        ("id", 2, "id 2"),  # a duplicate of concept 2's
+        ("split", "oops", "split 'oops'"),
+        ("name_token", 5000, "name_token 5000 outside [0, 64)"),
+    ],
+    ids=["negative_id", "duplicate_id", "unknown_split", "name_token_outside_vocab"],
+)
+def test_snapshot_with_bad_concept_names_path_and_concept(world, tmp_path, key, value, detail):
+    path = tmp_path / "world.bin"
+    save_world(world, path)
+    _edit_header(path, lambda header: header["concepts"][3].update({key: value}))
+    pattern = re.escape(f"{path}: concept 3 ") + ".*" + re.escape(detail)
+    with pytest.raises(ValueError, match=pattern):
+        load_world(path)
+
+
+def test_snapshot_with_a_concept_missing_names_path(world, tmp_path):
+    path = tmp_path / "world.bin"
+    save_world(world, path)
+    _edit_header(path, lambda header: header["concepts"].pop())
+    n = len(world.concepts)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {n - 1} concepts for {n} latent")):
         load_world(path)
 
 
