@@ -6,7 +6,12 @@ the tape once, in reverse, and assigns ``.grad`` on every gradient-requiring
 leaf.  ``grad_check`` compares those gradients against central finite
 differences.  Loss terms are single ops with closed-form backwards
 (``softmax_cross_entropy`` here, the contrastive loss in ``coordinator``), so
-each costs one tape entry.
+each costs one tape entry.  So do the layers every round runs: ``affine`` is
+a matmul plus bias, ``blend`` a fixed-weight sum of two tensors, and the
+coordinator's ``similarity_matrix`` and weighted total are single ops too.
+Each fused backward evaluates the numpy expressions its composed ops would, in
+the same order, so its gradients are bit-identical to theirs; the generic ops
+stay, and tests use them as the oracles.
 
 Shapes are deliberately restricted to what the model needs: scalars (0-d),
 vectors (1-d) and matrices (2-d).  No broadcasting beyond a row-vector bias
@@ -88,8 +93,14 @@ class Tape:
 
 
 def _make(data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
-    """Wrap an op result; record it on the active tape when grad-connected."""
-    out = Tensor(data)
+    """Wrap an op's float64 result; record it on the active tape when
+    grad-connected.  An array is wrapped as it is, without ``np.asarray``; a
+    numpy scalar (what a ufunc makes of 0-d arrays) becomes a 0-d array."""
+    out = Tensor.__new__(Tensor)
+    out.data = data if type(data) is np.ndarray else np.asarray(data)
+    out.requires_grad = False
+    out.grad = None
+    out.name = None
     if any(t.requires_grad for t in inputs):
         out.requires_grad = True
         if _TAPE_STACK:
@@ -119,6 +130,42 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, ad.T @ g if b.requires_grad else None
 
     return _make(ad @ bd, (a, b), backward)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``add(matmul(x, w), b)`` as one op: (N,K)@(K,M) plus a (M,) row bias,
+    or (K,)@(K,M) plus a (M,) vector.  Operands without a gradient get
+    ``None``, as in ``matmul``."""
+    xd, wd, bd = x.data, w.data, b.data
+    if not (xd.ndim in (1, 2) and wd.ndim == 2 and xd.shape[-1] == wd.shape[0]):
+        raise ShapeError(f"affine: incompatible shapes {xd.shape} @ {wd.shape}")
+    if bd.shape != (wd.shape[1],):
+        raise ShapeError(f"affine: bias shape {bd.shape} for {wd.shape[1]} outputs")
+
+    def backward(g):
+        if xd.ndim == 1:
+            gx = wd @ g if x.requires_grad else None
+            return gx, np.outer(xd, g) if w.requires_grad else None, g
+        gx = g @ wd.T if x.requires_grad else None
+        gw = xd.T @ g if w.requires_grad else None
+        return gx, gw, g.sum(axis=0) if b.requires_grad else None
+
+    return _make(xd @ wd + bd, (x, w, b), backward)
+
+
+def blend(a: Tensor, b: Tensor, weight: float) -> Tensor:
+    """``weight * a + (1 - weight) * b`` for two same-shape tensors and a
+    python constant; one op for ``add(scale(a, w), scale(b, 1 - w))``."""
+    ad, bd = a.data, b.data
+    if ad.shape != bd.shape:
+        raise ShapeError(f"blend: incompatible shapes {ad.shape} and {bd.shape}")
+    wa = float(weight)
+    wb = 1.0 - wa
+
+    def backward(g):
+        return g * wa, g * wb
+
+    return _make(ad * wa + bd * wb, (a, b), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -201,16 +248,27 @@ def l2_normalize_rows(a: Tensor) -> Tensor:
     """Scale each row of a matrix to unit Euclidean norm."""
     if a.data.ndim != 2:
         raise ShapeError(f"l2_normalize_rows: need a matrix, got shape {a.shape}")
-    norms = np.linalg.norm(a.data, axis=1, keepdims=True)
-    if (norms <= 1e-12).any():
-        raise DomainError("l2_normalize_rows: row with norm <= 1e-12")
-    y = a.data / norms
+    y, norms = unit_rows(a.data, "l2_normalize_rows")
 
     def backward(g):
-        dot = np.sum(g * y, axis=1, keepdims=True)
-        return ((g - dot * y) / norms,)
+        return (unit_rows_backward(g, y, norms),)
 
     return _make(y, (a,), backward)
+
+
+def unit_rows(x: np.ndarray, op: str) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of a matrix array scaled to unit norm, and the ``(N, 1)`` norms;
+    ``DomainError`` naming ``op`` for a row of norm <= 1e-12."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    if (norms <= 1e-12).any():
+        raise DomainError(f"{op}: row with norm <= 1e-12")
+    return x / norms, norms
+
+
+def unit_rows_backward(g: np.ndarray, y: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Gradient through ``unit_rows`` given its output ``y`` and ``norms``."""
+    dot = np.sum(g * y, axis=1, keepdims=True)
+    return (g - dot * y) / norms
 
 
 def mean_rows(a: Tensor) -> Tensor:

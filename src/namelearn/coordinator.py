@@ -12,12 +12,17 @@ square loss over one text row per image-prompt pair (see
 ``contrastive_loss``).  Each loss term is one
 tape entry with a closed-form backward: the contrastive loss here, whose
 value and backward share one exponential pass, the classification loss
-through ``autodiff.softmax_cross_entropy``.  Adam updates every parameter in
-one pass over flat moment vectors, and leaves one with no gradient as it is.
-Only ``total_loss`` reads ``disable_coordinator_dynamics`` and
-``disable_dynamic_balancing`` from the session's ``SessionSettings``: under
-them the temperature and the loss weights never reach the tape, so they get
-no gradient and do not train.
+through ``autodiff.softmax_cross_entropy``.  The layers around them are one
+entry each as well: ``similarity_matrix`` (both row normalizations and the
+product), and ``weighted_total``, which computes the clipped loss weights and
+the weighted sum on python floats and hands ``LossBreakdown`` those floats.
+A round records six coordinator entries: the temperature clip, the
+similarities, the two loss terms, the head's ``matmul`` and the total.  Adam
+updates every parameter in one pass over flat moment vectors, and leaves one
+with no gradient as it is.  Only ``total_loss`` reads
+``disable_coordinator_dynamics`` and ``disable_dynamic_balancing`` from the
+session's ``SessionSettings``: under them the temperature and the loss
+weights never reach the tape, so they get no gradient and do not train.
 """
 
 from __future__ import annotations
@@ -76,10 +81,23 @@ def effective_temperature(tau_param: Tensor) -> Tensor:
 
 
 def similarity_matrix(img: Tensor, txt: Tensor) -> Tensor:
-    """Raw pairwise cosines between row-normalized image and text features."""
+    """Raw pairwise cosines between row-normalized image and text features.
+
+    One op for ``matmul(l2_normalize_rows(img), transpose(l2_normalize_rows(txt)))``:
+    the product takes the normalized text rows as a transposed view, so it is
+    the same BLAS call as ``x @ y.T``, and the backward evaluates the composed
+    ops' expressions in their order."""
     if img.data.ndim != 2 or txt.data.ndim != 2 or img.shape[1] != txt.shape[1]:
         raise ShapeError(f"similarity_matrix: incompatible {img.shape} vs {txt.shape}")
-    return ad.matmul(ad.l2_normalize_rows(img), ad.transpose(ad.l2_normalize_rows(txt)))
+    yi, ni = ad.unit_rows(img.data, "similarity_matrix")
+    yt, nt = ad.unit_rows(txt.data, "similarity_matrix")
+
+    def backward(g):
+        gi = ad.unit_rows_backward(g @ yt, yi, ni) if img.requires_grad else None
+        gt = ad.unit_rows_backward((yi.T @ g).T, yt, nt) if txt.requires_grad else None
+        return gi, gt
+
+    return ad._make(yi @ yt.T, (img, txt), backward)
 
 
 def _as_tensor(value) -> Tensor:
@@ -156,31 +174,70 @@ def contrastive_loss(s: Tensor, y, tau) -> Tensor:
 
 
 def classification_loss(img_features: Tensor, w_cls: Tensor, labels) -> Tensor:
-    """Mean cross-entropy of the linear head's logits against the labels."""
-    logits = ad.matmul(img_features, w_cls)
-    n, n_classes = logits.shape
-    labels = np.asarray(labels, dtype=np.intp)
-    if labels.shape != (n,):
-        raise ShapeError(f"classification_loss: need {n} labels, got {labels.shape}")
-    if n and (labels.min() < 0 or labels.max() >= n_classes):
-        raise DomainError(f"classification_loss: label outside [0, {n_classes})")
-    return ad.softmax_cross_entropy(logits, labels)
+    """Mean cross-entropy of the linear head's logits against the labels;
+    ``softmax_cross_entropy`` checks the labels' shape and range."""
+    return ad.softmax_cross_entropy(ad.matmul(img_features, w_cls), labels)
 
 
-def loss_weights(
-    w_con_param: Tensor, w_cls_param: Tensor
-) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+def _clip(x: float, lo: float, hi: float) -> float:
+    return min(max(x, lo), hi)
+
+
+def loss_weights(w_con_param: float, w_cls_param: float) -> tuple[float, float, float, float]:
     """Clipped numerators over the unclipped parameter sum.
 
     Returns the two weights, then the two clipped numerators they divide.
     The weights need not sum to 1; a near-zero denominator is rejected.
     """
-    denom = ad.add(w_con_param, w_cls_param)
-    if abs(float(denom.data.reshape(()))) < 1e-8:
+    denom = w_con_param + w_cls_param
+    if abs(denom) < 1e-8:
         raise DegenerateWeightsError("weight parameters sum to ~0")
-    num_con = ad.clip(w_con_param, *CON_NUM_BAND)
-    num_cls = ad.clip(w_cls_param, *CLS_NUM_BAND)
-    return ad.div(num_con, denom), ad.div(num_cls, denom), num_con, num_cls
+    num_con = _clip(w_con_param, *CON_NUM_BAND)
+    num_cls = _clip(w_cls_param, *CLS_NUM_BAND)
+    return num_con / denom, num_cls / denom, num_con, num_cls
+
+
+def weighted_total(
+    l_con: Tensor, l_cls: Tensor, weight_params: tuple[Tensor, Tensor] | None
+) -> tuple[Tensor, tuple[float, float, float, float]]:
+    """``w_con * l_con + w_cls * l_cls`` as one tape entry, plus the weights
+    and numerators ``(w_con, w_cls, num_con, num_cls)`` as floats.
+
+    With ``weight_params`` the weights are ``loss_weights`` of the two
+    parameters, which then get gradients; with ``None`` they are
+    ``FIXED_WEIGHTS``, constants off the tape.  Arithmetic is on python
+    floats, and the scalar backward takes the steps of the composed chain
+    (``add``, two ``clip``s, two ``div``s, two ``mul``s and an ``add``) in the
+    order that chain's backward takes them, so the gradients are the same bits.
+    """
+    lc, lk = float(l_con.data), float(l_cls.data)
+    if weight_params is None:
+        w_con, w_cls = num_con, num_cls = FIXED_WEIGHTS
+        inputs = (l_con, l_cls)
+    else:
+        p_con, p_cls = (float(p.data) for p in weight_params)
+        w_con, w_cls, num_con, num_cls = loss_weights(p_con, p_cls)
+        inputs = (l_con, l_cls, *weight_params)
+    total = w_con * lc + w_cls * lk
+
+    def backward(g):
+        g = float(g)
+        if weight_params is None:
+            return g * w_con, g * w_cls
+        g_w_con, g_w_cls = g * lc, g * lk
+        denom = p_con + p_cls
+        sq = denom * denom
+        g_denom = -g_w_cls * num_cls / sq + -g_w_con * num_con / sq
+        in_con = CON_NUM_BAND[0] <= p_con <= CON_NUM_BAND[1]
+        in_cls = CLS_NUM_BAND[0] <= p_cls <= CLS_NUM_BAND[1]
+        return (
+            g * w_con,
+            g * w_cls,
+            g_w_con / denom * in_con + g_denom,
+            g_w_cls / denom * in_cls + g_denom,
+        )
+
+    return ad._make(np.asarray(total), inputs, backward), (w_con, w_cls, num_con, num_cls)
 
 
 @dataclass(frozen=True)
@@ -230,22 +287,20 @@ def total_loss(
         tau = effective_temperature(params.tau_param)
     s = similarity_matrix(img_features, txt_features)
     l_con = contrastive_loss(s, prompt_index, tau)
-    if settings.disable_coordinator_dynamics or settings.disable_dynamic_balancing:
-        w_con = num_con = Tensor(np.asarray(FIXED_WEIGHTS[0]))
-        w_cls = num_cls = Tensor(np.asarray(FIXED_WEIGHTS[1]))
-    else:
-        w_con, w_cls, num_con, num_cls = loss_weights(params.w_con_param, params.w_cls_param)
     l_cls = classification_loss(img_features, params.w_cls_head, class_labels)
-    total = ad.add(ad.mul(w_con, l_con), ad.mul(w_cls, l_cls))
+    fixed = settings.disable_coordinator_dynamics or settings.disable_dynamic_balancing
+    total, (w_con, w_cls, num_con, num_cls) = weighted_total(
+        l_con, l_cls, None if fixed else (params.w_con_param, params.w_cls_param)
+    )
     breakdown = LossBreakdown(
         l_con=l_con.item(),
         l_cls=l_cls.item(),
-        w_con=w_con.item(),
-        w_cls=w_cls.item(),
+        w_con=w_con,
+        w_cls=w_cls,
         tau=tau.item(),
         total=total.item(),
-        w_con_num=num_con.item(),
-        w_cls_num=num_cls.item(),
+        w_con_num=num_con,
+        w_cls_num=num_cls,
     )
     return total, breakdown
 
@@ -257,8 +312,10 @@ class Adam:
     order, and a step is one vector update over the gradients concatenated
     (Kingma & Ba, 2015, is elementwise, so this gives the same bits as one
     update per tensor); each parameter is then updated in place from its
-    segment.  Parameters with no gradient keep their values and moments; a
-    non-finite gradient aborts with a diagnostic naming the tensor.
+    segment.  Parameters with no gradient keep their values and moments; the
+    moment index of the parameters that have one is built when that set
+    changes, which within a run it does not.  A non-finite gradient aborts
+    with a diagnostic naming the tensor.
     """
 
     def __init__(self, params: list[Tensor], lr: float):
@@ -271,6 +328,9 @@ class Adam:
         self._offsets = np.cumsum([0] + [p.data.size for p in self.params])
         self._m = np.zeros(int(self._offsets[-1]))
         self._v = np.zeros_like(self._m)
+        # The moment index of the last live set: a run's set stays fixed.
+        self._live: list[int] | None = None
+        self._idx: slice | np.ndarray = slice(None)
 
     def step(self) -> None:
         self.t += 1
@@ -284,11 +344,14 @@ class Adam:
             raise NanGradientError(
                 f"non-finite gradient on {self.params[bad].name or 'unnamed tensor'}"
             )
-        if len(live) == len(self.params):
-            idx = slice(None)
-        else:
-            off = self._offsets
-            idx = np.concatenate([np.arange(off[i], off[i + 1]) for i in live])
+        if live != self._live:
+            self._live = live
+            if len(live) == len(self.params):
+                self._idx = slice(None)
+            else:
+                off = self._offsets
+                self._idx = np.concatenate([np.arange(off[i], off[i + 1]) for i in live])
+        idx = self._idx
         m = self._m[idx] = b1 * self._m[idx] + (1 - b1) * g
         v = self._v[idx] = b2 * self._v[idx] + (1 - b2) * g * g
         m_hat = m / (1 - b1**self.t)

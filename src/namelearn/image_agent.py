@@ -69,8 +69,8 @@ class DifficultyEstimator:
     def estimate(self, features: Tensor) -> Tensor:
         """Difficulty in (0, 1): a ``(D,)`` feature vector scores to ``(1,)``,
         each row of an ``(N, D)`` batch to one row of ``(N, 1)``."""
-        h = ad.relu(ad.add(ad.matmul(features, self.w1), self.b1))
-        return ad.sigmoid(ad.add(ad.matmul(h, self.w2), self.b2))
+        h = ad.relu(ad.affine(features, self.w1, self.b1))
+        return ad.sigmoid(ad.affine(h, self.w2, self.b2))
 
 
 def select_strategy(difficulty: float, threshold: float) -> str:

@@ -17,7 +17,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, grad_check
-from .coordinator import classification_loss, contrastive_loss
+from .coordinator import (
+    classification_loss,
+    contrastive_loss,
+    similarity_matrix,
+    weighted_total,
+)
 from .session import SessionSettings, TrainingSession
 from .world import WorldConfig, build_world
 
@@ -42,7 +47,8 @@ class SuiteReport:
 
 
 def composite_grad_checks(n_seeds: int = 20, eps: float = 1e-5) -> SuiteReport:
-    """Random composite expressions over the op set vs central differences."""
+    """Random composite expressions over the op set, fused ops included, vs
+    central differences."""
     worst = 0.0
     for seed in range(n_seeds):
         rng = np.random.default_rng(seed)
@@ -51,18 +57,24 @@ def composite_grad_checks(n_seeds: int = 20, eps: float = 1e-5) -> SuiteReport:
         w = Tensor(rng.normal(size=(d, h)), requires_grad=True)
         b = Tensor(rng.normal(size=h), requires_grad=True)
         idx = rng.integers(0, h, size=n)
+        # Loss-weight parameters inside their clip bands, 0.05 from each edge.
+        p_con = Tensor(np.asarray(rng.uniform(0.55, 1.95)), requires_grad=True)
+        p_cls = Tensor(np.asarray(rng.uniform(0.15, 0.95)), requires_grad=True)
 
-        def f(xp, wp, bp):
+        def f(xp, wp, bp, pc, pk):
             m = ad.relu(ad.add(ad.matmul(xp, wp), bp))
             m = ad.l2_normalize_rows(ad.add(m, Tensor(np.full((n, h), 0.3))))
             ls = ad.log_softmax_rows(ad.mul(m, m))
             picked = ad.pick_per_row(ls, idx)
             pooled = ad.concat_cols(ad.mean_rows(m), ad.mean_rows(ad.transpose(ls)))
-            return ad.add(
-                ad.sum_all(ad.sigmoid(picked)), ad.sum_all(ad.clip(pooled, -0.4, 0.4))
+            # The fused ops: affine, blend, similarity_matrix, weighted_total.
+            s = similarity_matrix(ad.blend(ad.affine(xp, wp, bp), m, 0.7), m)
+            total, _ = weighted_total(
+                ad.sum_all(ad.sigmoid(picked)), ad.sum_all(ad.mul(s, s)), (pc, pk)
             )
+            return ad.add(total, ad.sum_all(ad.clip(pooled, -0.4, 0.4)))
 
-        worst = max(worst, grad_check(f, [x, w, b], eps=eps))
+        worst = max(worst, grad_check(f, [x, w, b, p_con, p_cls], eps=eps))
     return SuiteReport("composite-expression gradient check", worst, 1e-4)
 
 

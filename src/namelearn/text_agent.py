@@ -35,8 +35,8 @@ def frozen_text_features(pooled: Tensor, mixer: tuple[Tensor, ...]) -> Tensor:
     rows or one ``(D,)`` vector: rotation, shifted ReLU, inverse rotation, from
     ``mixer = (in, in_bias, out, out_bias)``."""
     mixer_in, mixer_in_bias, mixer_out, mixer_out_bias = mixer
-    h = ad.relu(ad.add(ad.matmul(pooled, mixer_in), mixer_in_bias))
-    return ad.add(ad.matmul(h, mixer_out), mixer_out_bias)
+    h = ad.relu(ad.affine(pooled, mixer_in, mixer_in_bias))
+    return ad.affine(h, mixer_out, mixer_out_bias)
 
 
 class MissingContextError(RuntimeError):
@@ -73,7 +73,7 @@ class ContextIntegrationModule:
     def __call__(self, z: Tensor) -> Tensor:
         if z.data.ndim != 2 or z.shape[1] != self.in_dim:
             raise ShapeError(f"context fusion: need shape (N, {self.in_dim}), got {z.shape}")
-        return ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(z, self.w3), self.b3)), self.w4), self.b4)
+        return ad.affine(ad.relu(ad.affine(z, self.w3, self.b3)), self.w4, self.b4)
 
 
 class LinearFusion:
@@ -95,7 +95,7 @@ class LinearFusion:
     def __call__(self, z: Tensor) -> Tensor:
         if z.data.ndim != 2 or z.shape[1] != self.in_dim:
             raise ShapeError(f"linear fusion: need shape (N, {self.in_dim}), got {z.shape}")
-        return ad.add(ad.matmul(z, self.w), self.b)
+        return ad.affine(z, self.w, self.b)
 
 
 class TextAgent:
@@ -139,7 +139,7 @@ class TextAgent:
         # A constant copy per row: the value snapshot carries no gradient.
         rows = Tensor(np.tile(context.data, (standard.shape[0], 1)))
         fused = self.fusion(ad.concat_cols(standard, rows))
-        return ad.add(ad.scale(standard, LAMBDA_MIX), ad.scale(fused, 1.0 - LAMBDA_MIX))
+        return ad.blend(standard, fused, LAMBDA_MIX)
 
     # -- round protocol ---------------------------------------------------------
 

@@ -18,6 +18,7 @@ from namelearn.coordinator import (
     loss_weights,
     similarity_matrix,
     total_loss,
+    weighted_total,
 )
 from namelearn.settings import SessionSettings
 
@@ -377,29 +378,33 @@ def test_classification_records_matmul_and_one_loss_entry():
 # Dynamic loss balancing
 
 def test_loss_weights_unit_params():
-    w_con, w_cls, _, _ = loss_weights(Tensor(np.asarray(1.0)), Tensor(np.asarray(1.0)))
-    assert w_con.item() == pytest.approx(1.0 / 2.0)
-    assert w_cls.item() == pytest.approx(1.0 / 2.0)
+    w_con, w_cls, _, _ = loss_weights(1.0, 1.0)
+    assert w_con == pytest.approx(1.0 / 2.0)
+    assert w_cls == pytest.approx(1.0 / 2.0)
 
 
 def test_loss_weights_clipped_numerators():
-    w_con, w_cls, num_con, num_cls = loss_weights(
-        Tensor(np.asarray(3.0)), Tensor(np.asarray(0.05))
-    )
-    assert w_con.item() == pytest.approx(2.0 / 3.05)
-    assert w_cls.item() == pytest.approx(0.1 / 3.05)
-    assert (num_con.item(), num_cls.item()) == (2.0, 0.1)
+    w_con, w_cls, num_con, num_cls = loss_weights(3.0, 0.05)
+    assert w_con == pytest.approx(2.0 / 3.05)
+    assert w_cls == pytest.approx(0.1 / 3.05)
+    assert (num_con, num_cls) == (2.0, 0.1)
 
 
 def test_loss_weights_boundary_params():
-    w_con, w_cls, _, _ = loss_weights(Tensor(np.asarray(0.5)), Tensor(np.asarray(0.5)))
-    assert w_con.item() == pytest.approx(0.5)
-    assert w_cls.item() == pytest.approx(0.5)
+    w_con, w_cls, _, _ = loss_weights(0.5, 0.5)
+    assert w_con == pytest.approx(0.5)
+    assert w_cls == pytest.approx(0.5)
 
 
 def test_loss_weights_rejects_degenerate_denominator():
     with pytest.raises(DegenerateWeightsError):
-        loss_weights(Tensor(np.asarray(1.0)), Tensor(np.asarray(-1.0)))
+        loss_weights(1.0, -1.0)
+    with pytest.raises(DegenerateWeightsError):
+        weighted_total(
+            Tensor(np.asarray(1.0)),
+            Tensor(np.asarray(1.0)),
+            (Tensor(np.asarray(1.0)), Tensor(np.asarray(-1.0))),
+        )
 
 
 def test_loss_breakdown_invariant_enforced():

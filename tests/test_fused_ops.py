@@ -1,0 +1,180 @@
+"""Each fused op against the composed generic ops it replaces.
+
+A fused op's backward evaluates the composed ops' numpy expressions in their
+order, so its value and every input gradient must be the same bits, not just
+close: ``np.array_equal`` throughout.  Shapes are random, plus the default
+and hard worlds' 16-shot round shapes.
+"""
+
+import numpy as np
+import pytest
+
+from namelearn import autodiff as ad
+from namelearn.autodiff import Tape, Tensor, backward
+from namelearn.coordinator import (
+    CLS_NUM_BAND,
+    CON_NUM_BAND,
+    FIXED_WEIGHTS,
+    similarity_matrix,
+    weighted_total,
+)
+from namelearn.text_agent import LAMBDA_MIX
+
+# (pairs, distinct prompts, embed dim) of a 16-shot round.
+DEFAULT16 = (160, 30, 32)
+HARD16 = (320, 60, 16)
+
+
+def run(fn, arrays, needs_grad, upstream):
+    """Value of ``fn`` and each input's gradient under the upstream gradient
+    ``upstream`` (``mul`` then ``sum_all`` hand it over unchanged), plus the
+    tape entries ``fn`` itself recorded."""
+    inputs = [Tensor(a, requires_grad=r) for a, r in zip(arrays, needs_grad)]
+    with Tape() as tape:
+        out = fn(*inputs)
+        entries = len(tape)
+        if out.data.ndim:
+            loss = ad.sum_all(ad.mul(out, Tensor(upstream)))
+        else:
+            loss = ad.scale(out, upstream)
+    backward(tape, loss)
+    return out.data, [t.grad for t in inputs], entries
+
+
+def assert_same_bits(fused, composed, arrays, needs_grad, upstream):
+    value, grads, entries = run(fused, arrays, needs_grad, upstream)
+    ref_value, ref_grads, _ = run(composed, arrays, needs_grad, upstream)
+    assert entries == 1
+    assert value.shape == ref_value.shape and np.array_equal(value, ref_value)
+    for g, ref, r in zip(grads, ref_grads, needs_grad):
+        assert (g is None) == (ref is None) == (not r)
+        if r:
+            assert g.shape == ref.shape and np.array_equal(g, ref)
+
+
+def composed_affine(x, w, b):
+    return ad.add(ad.matmul(x, w), b)
+
+
+def _affine_cases():
+    rng = np.random.default_rng(40)
+    cases = []
+    for k in range(6):
+        n, i, o = (int(v) for v in rng.integers(1, 9, size=3))
+        x_shape = (i,) if k % 3 == 0 else (n, i)
+        mask = [(True, True, True), (True, False, False), (False, True, True)][k % 3]
+        cases.append((f"random {x_shape}x{o} {mask}", x_shape, i, o, mask))
+    for name, (_, u, d) in (("default16", DEFAULT16), ("hard16", HARD16)):
+        cases += [
+            (f"{name} frozen mixer", (u, d), d, d, (True, False, False)),
+            (f"{name} fusion in", (u, 2 * d), 2 * d, d, (True, True, True)),
+            (f"{name} fusion out", (u, d), d, d, (True, True, True)),
+            (f"{name} scorer", (d,), d, d // 2, (True, False, False)),
+            (f"{name} scorer out", (d // 2,), d // 2, 1, (True, False, False)),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("case", _affine_cases(), ids=lambda c: c[0])
+def test_affine_is_bit_identical_to_matmul_plus_bias(case):
+    _, x_shape, i, o, mask = case
+    rng = np.random.default_rng(len(case[0]))
+    arrays = [rng.normal(size=x_shape), rng.normal(size=(i, o)), rng.normal(size=o)]
+    upstream = rng.normal(size=x_shape[:-1] + (o,))
+    assert_same_bits(ad.affine, composed_affine, arrays, mask, upstream)
+
+
+def test_affine_rejects_bad_shapes():
+    with pytest.raises(ad.ShapeError, match="affine"):
+        ad.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))), Tensor(np.ones(5)))
+    with pytest.raises(ad.ShapeError, match="bias"):
+        ad.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 5))), Tensor(np.ones((2, 5))))
+
+
+@pytest.mark.parametrize(
+    "shape, weight",
+    [((3, 4), LAMBDA_MIX), ((1, 7), 0.25), ((5,), -1.5), (DEFAULT16[1:], LAMBDA_MIX),
+     (HARD16[1:], LAMBDA_MIX)],
+)
+def test_blend_is_bit_identical_to_two_scales_and_an_add(shape, weight):
+    rng = np.random.default_rng(41)
+    arrays = [rng.normal(size=shape), rng.normal(size=shape)]
+
+    def composed(a, b):
+        return ad.add(ad.scale(a, weight), ad.scale(b, 1.0 - weight))
+
+    assert_same_bits(
+        lambda a, b: ad.blend(a, b, weight), composed, arrays, (True, True),
+        rng.normal(size=shape),
+    )
+
+
+def test_blend_rejects_mismatched_shapes():
+    with pytest.raises(ad.ShapeError, match="blend"):
+        ad.blend(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), 0.5)
+
+
+def composed_similarity(img, txt):
+    return ad.matmul(ad.l2_normalize_rows(img), ad.transpose(ad.l2_normalize_rows(txt)))
+
+
+@pytest.mark.parametrize(
+    "n, u, d", [(1, 1, 1), (4, 3, 5), (7, 7, 2), (2, 9, 6), DEFAULT16, HARD16]
+)
+@pytest.mark.parametrize("img_grad", [False, True], ids=["frozen_img", "img_grad"])
+def test_similarity_matrix_is_bit_identical_to_the_composed_ops(n, u, d, img_grad):
+    rng = np.random.default_rng(n * 100 + u)
+    arrays = [rng.normal(size=(n, d)), rng.normal(size=(u, d))]
+    assert_same_bits(
+        similarity_matrix, composed_similarity, arrays, (img_grad, True),
+        rng.normal(size=(n, u)),
+    )
+
+
+def composed_total(l_con, l_cls, w_con_param, w_cls_param):
+    """The chain the fused total replaced: add, two clips, two divs, two muls
+    and an add."""
+    denom = ad.add(w_con_param, w_cls_param)
+    num_con = ad.clip(w_con_param, *CON_NUM_BAND)
+    num_cls = ad.clip(w_cls_param, *CLS_NUM_BAND)
+    w_con, w_cls = ad.div(num_con, denom), ad.div(num_cls, denom)
+    return ad.add(ad.mul(w_con, l_con), ad.mul(w_cls, l_cls)), (w_con, w_cls, num_con, num_cls)
+
+
+def _weight_cases():
+    edges = [
+        (1.0, 0.5), (CON_NUM_BAND[0], CLS_NUM_BAND[0]), (CON_NUM_BAND[1], CLS_NUM_BAND[1]),
+        (CON_NUM_BAND[0], CLS_NUM_BAND[1]), (3.0, 0.05), (0.3, 1.5), (-0.2, 0.6),
+    ]
+    rng = np.random.default_rng(42)
+    return edges + [tuple(rng.uniform(-0.5, 2.5, size=2)) for _ in range(5)]
+
+
+@pytest.mark.parametrize("params", _weight_cases(), ids=lambda p: f"{p[0]:.3g},{p[1]:.3g}")
+def test_weighted_total_is_bit_identical_to_the_weight_chain(params):
+    rng = np.random.default_rng(43)
+    arrays = [np.asarray(v) for v in (*rng.uniform(0.1, 3.0, size=2), *params)]
+    mask = (True, True, True, True)
+    upstream = float(rng.normal())
+
+    def fused(l_con, l_cls, p_con, p_cls):
+        return weighted_total(l_con, l_cls, (p_con, p_cls))[0]
+
+    assert_same_bits(fused, lambda *t: composed_total(*t)[0], arrays, mask, upstream)
+    tensors = [Tensor(a) for a in arrays]
+    floats = weighted_total(*tensors[:2], tuple(tensors[2:]))[1]
+    assert floats == tuple(t.item() for t in composed_total(*tensors)[1])
+
+
+def test_fixed_weighted_total_is_bit_identical_to_constant_weights():
+    rng = np.random.default_rng(44)
+    arrays = [np.asarray(v) for v in rng.uniform(0.1, 3.0, size=2)]
+
+    def composed(l_con, l_cls):
+        w_con, w_cls = (Tensor(np.asarray(w)) for w in FIXED_WEIGHTS)
+        return ad.add(ad.mul(w_con, l_con), ad.mul(w_cls, l_cls))
+
+    assert_same_bits(
+        lambda a, b: weighted_total(a, b, None)[0], composed, arrays, (True, True),
+        float(rng.normal()),
+    )

@@ -79,9 +79,10 @@ def test_default_step_is_batched():
     assert len(session.bus.log) == 5
 
 
-def test_transpose_is_a_view_and_a_default_step_records_31_entries():
-    # Training and evaluation make the same BLAS call only while transpose
-    # hands back a view; the tape count is the default step's.
+def test_transpose_is_a_view_and_a_default_step_records_16_entries():
+    # Transpose hands back a view, the form similarity_matrix multiplies by,
+    # so a product with it is numpy's x @ y.T; a default step records one
+    # entry per layer: 2 name, 8 text, 6 coordinator.
     from namelearn import autodiff as ad
     from namelearn.autodiff import Tape, Tensor
     from namelearn.bus import run_round
@@ -93,7 +94,7 @@ def test_transpose_is_a_view_and_a_default_step_records_31_entries():
     batch = session.build_batch(shots_for(world, k=16), epoch=0)
     with Tape() as tape:
         run_round(session.bus, batch)
-    assert (batch.size, len(tape)) == (160, 31)
+    assert (batch.size, len(tape)) == (160, 16)
 
 
 def test_default_round_scores_each_distinct_prompt_once():
@@ -227,6 +228,24 @@ def test_criterion_1_perturbs_only_learnable_coordinates(monkeypatch):
     monkeypatch.setattr(selfcheck, "grad_check", counting_grad_check)
     selfcheck.full_loss_grad_checks(n_batches=2)
     assert coords == [243, 243]
+
+
+def test_criterion_1_runs_one_round_per_loss_evaluation(monkeypatch):
+    # One taped round, then two per perturbed coordinate: a speed-up may not
+    # skip coordinates or evaluations.
+    from namelearn import bus
+
+    rounds = []
+    run_round = bus.run_round
+
+    def counting(*args):
+        rounds.append(1)
+        return run_round(*args)
+
+    monkeypatch.setattr(bus, "run_round", counting)
+    report = selfcheck.full_loss_grad_checks(n_batches=1)
+    assert len(rounds) == 1 + 2 * 243
+    assert report.passed
 
 
 def test_training_is_deterministic(world):
