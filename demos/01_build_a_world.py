@@ -5,18 +5,16 @@ The world generates images as noisy linear renderings of unit latent
 prototypes.  The frozen visual encoder inverts the renderer exactly, so
 visual features always cluster around the right prototype.  The frozen text
 side is constructed to align with seen-concept prompts and to be blind to
-held-out names.  Everything is deterministic under the config seed.
+held-out names.  Everything is deterministic under the config seed, so a
+world's config identifies it.
 """
-
-import tempfile
-from pathlib import Path
 
 import numpy as np
 
 from namelearn.autodiff import Tensor
 from namelearn.image_agent import frozen_visual_features
 from namelearn.session import SessionSettings, TrainingSession
-from namelearn.world import WorldConfig, build_world, load_world, save_world
+from namelearn.world import WorldConfig, build_world
 
 config = WorldConfig()  # 32-dim embeddings, 20 seen + 10 held-out concepts
 world = build_world(config)
@@ -48,12 +46,3 @@ for cid, f in zip(seen, frozen.class_text_features(seen, context=None)):
 feats = frozen.class_text_features(world.ood_ids, context=None)
 print("held-out prompt feature spread:", np.abs(feats - feats[0]).max())
 
-# Snapshots round-trip bit-exactly.
-with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "world.bin"
-    save_world(world, path)
-    loaded = load_world(path)
-    same = np.array_equal(loaded.vocab, world.vocab) and np.array_equal(
-        loaded.gen_map, world.gen_map
-    )
-    print(f"snapshot round-trip ({path.stat().st_size} bytes): arrays identical = {same}")

@@ -17,7 +17,7 @@ from .harness import (
     run_zero_shot,
 )
 from .session import SessionSettings, TrainingSession
-from .world import WorldConfig, build_world, load_world, save_world
+from .world import WorldConfig, build_world
 
 __all__ = [
     "Tape",
@@ -33,7 +33,5 @@ __all__ = [
     "TrainingSession",
     "WorldConfig",
     "build_world",
-    "load_world",
-    "save_world",
     "__version__",
 ]

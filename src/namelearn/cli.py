@@ -25,7 +25,7 @@ from .harness import (
     run_zero_shot,
 )
 from .selfcheck import run_selftest
-from .world import WorldBuildError, build_world, save_world
+from .world import WorldBuildError, build_world
 
 HARD_ERRORS = (ConfigError, AblationError, WorldBuildError, OSError, ValueError)
 
@@ -103,11 +103,9 @@ def cmd_world_build(args) -> int:
     world = build_world(config.world)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    snapshot = out / "world.bin"
-    save_world(world, snapshot)
     report_path = out / "world_report.json"
     report_path.write_text(json.dumps(world.report, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {snapshot}")
+    print(f"wrote {report_path}")
     print(f"  seen-prompt cosine >= {world.report['sc_min_prompt_cosine']:.4f}")
     print(f"  blind-token spread = {world.report['ood_blindness_spread']:.3g}")
     return 0
@@ -136,9 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ablation", required=True, help="ablation flag name")
     p.set_defaults(func=cmd_ablate)
 
-    world_parser = sub.add_parser("world", help="world snapshot utilities")
+    world_parser = sub.add_parser("world", help="world utilities")
     world_sub = world_parser.add_subparsers(dest="world_command", required=True)
-    p = world_sub.add_parser("build", help="build and save a world snapshot")
+    p = world_sub.add_parser(
+        "build", help="build a world, check its invariants and write world_report.json"
+    )
     _add_paths(p)
     p.set_defaults(func=cmd_world_build)
 

@@ -11,6 +11,7 @@ views.
 from __future__ import annotations
 
 import json
+import operator
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -301,36 +302,35 @@ def save_name_table(table: NameEmbeddingTable, path, world_seed: int) -> None:
 
 
 def load_name_table(path) -> tuple[NameEmbeddingTable, int]:
-    header, values = read_framed(
-        path,
-        CHECKPOINT_MAGIC,
-        "name-embedding checkpoint",
-        lambda h: len(h["concepts"]) * h["embed_dim"],
-    )
-    if any(entry["n_vectors"] != 1 for entry in header["concepts"]):
-        raise ValueError(f"{path}: every concept must have exactly one name vector")
-    ids = [entry["id"] for entry in header["concepts"]]
-    table = NameEmbeddingTable(ids, values.reshape(len(ids), header["embed_dim"]))
-    return table, header["world_seed"]
-
-
-def read_framed(path, magic: bytes, kind: str, n_floats) -> tuple[dict, np.ndarray]:
-    """Header and float64 payload of a magic, uint32-LE length, JSON header file.
-
-    ``n_floats(header)`` is the payload's length in floats; a file of any other
-    length, cut in its header or not, raises ``ValueError`` naming ``path``.
-    """
+    """The table and world seed of a checkpoint; ``ValueError`` names ``path``
+    if the file is not one, is cut or runs long, or its header lacks a field."""
     raw = Path(path).read_bytes()
-    if not raw.startswith(magic):
-        raise ValueError(f"{path}: not a {kind}")
-    off = len(magic) + 4
+    if not raw.startswith(CHECKPOINT_MAGIC):
+        raise ValueError(f"{path}: not a name-embedding checkpoint")
+    off = len(CHECKPOINT_MAGIC) + 4
     # A file cut inside the length field is shorter than ``off``: caught below.
-    hlen = int.from_bytes(raw[len(magic) : off], "little")
+    hlen = int.from_bytes(raw[len(CHECKPOINT_MAGIC) : off], "little")
     if len(raw) < off + hlen:
         raise ValueError(f"{path}: file ends inside its header ({len(raw)} bytes)")
-    header = json.loads(raw[off : off + hlen])
+    try:
+        header = json.loads(raw[off : off + hlen])
+        dim, world_seed = operator.index(header["embed_dim"]), header["world_seed"]
+        ids = [entry["id"] for entry in header["concepts"]]
+        blocks = [entry["n_vectors"] for entry in header["concepts"]]
+    except (ValueError, KeyError, TypeError):
+        raise ValueError(
+            f"{path}: header is not an object with embed_dim, world_seed and "
+            "concepts, each concept with id and n_vectors"
+        ) from None
     off += hlen
-    expected = off + 8 * n_floats(header)
+    expected = off + 8 * len(ids) * dim
     if len(raw) != expected:
-        raise ValueError(f"{path}: {len(raw)} bytes, header and arrays need {expected}")
-    return header, np.frombuffer(raw, dtype="<f8", offset=off).copy()
+        raise ValueError(f"{path}: {len(raw)} bytes, header and rows need {expected}")
+    if any(n != 1 for n in blocks):
+        raise ValueError(f"{path}: every concept must have exactly one name vector")
+    try:
+        values = np.frombuffer(raw, dtype="<f8", offset=off).reshape(len(ids), dim)
+        table = NameEmbeddingTable(ids, values)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return table, world_seed

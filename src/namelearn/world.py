@@ -11,18 +11,13 @@ therefore a construction-time fact with measurable ground truth.  The world
 is data only: the frozen encoders that read its arrays are the agents' own
 (``image_agent.frozen_visual_features``, ``text_agent.frozen_text_features``
 and ``name_agent.pool_frozen_tokens``), and ``build_world`` checks its
-invariants through them.  A snapshot loads only if its length is exactly
-header plus arrays, every key of its config is a ``WorldConfig`` field, and
-its concepts are ids ``0..n-1`` in order, one per latent row, each split
-``seen`` or ``ood`` with a name token inside the vocabulary.
+invariants through them.  ``build_world`` is deterministic, so a world's
+``WorldConfig`` identifies it: no world is ever saved or loaded.
 """
 
 from __future__ import annotations
 
-import json
-import struct
-from dataclasses import asdict, dataclass, fields
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +26,6 @@ from .autodiff import Tensor
 from .image_agent import frozen_visual_features
 from .name_agent import NAME_SLOT, PromptTemplate
 from .text_agent import frozen_text_features
-
-SNAPSHOT_MAGIC = b"NLWORLD/1\n"
 
 FAMILIES = ("family_0", "family_1", "family_2", "family_3")
 FILLER_POOL = 40
@@ -60,6 +53,10 @@ class WorldConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        if self.embed_dim < 1:
+            raise WorldBuildError(f"embed_dim must be >= 1, got {self.embed_dim}")
+        if self.seed < 0:
+            raise WorldBuildError(f"seed must be >= 0, got {self.seed}")
         if self.n_seen < 2 or self.n_ood < 2:
             raise WorldBuildError("need at least 2 seen and 2 held-out concepts")
         if self.image_dim < self.embed_dim:
@@ -207,8 +204,10 @@ def build_world(config: WorldConfig = WorldConfig()) -> World:
     latents = _sample_separated_latents(rng, n, d, config.min_separation)
 
     # Renderer with orthonormal columns; its transpose is the frozen visual
-    # encoder, an exact left inverse.  All arrays are stored C-contiguous so
-    # a freshly built world and a snapshot-loaded one compute bit-identically.
+    # encoder, an exact left inverse.  Every array is stored C-contiguous
+    # because outputs depend on the layout: a prompt batch times the
+    # transposed view ``q.T`` rounds differently from the same product
+    # against a contiguous copy, in most of its entries.
     gen_map, _ = np.linalg.qr(rng.normal(size=(p, d)))
     gen_map = np.ascontiguousarray(gen_map)
 
@@ -285,105 +284,3 @@ def build_world(config: WorldConfig = WorldConfig()) -> World:
     if blindness_spread != 0.0:
         raise WorldBuildError("blind-token check failed: features differ")
     return world
-
-
-# ---------------------------------------------------------------------------
-# Snapshot format: magic, uint32-LE header length, JSON header (config,
-# concept metadata, templates, array manifest), then the arrays as raw
-# little-endian float64 in manifest order, and nothing after them.
-
-def save_world(world: World, path) -> None:
-    arrays = {
-        "latents": np.stack([c.latent for c in world.concepts]),
-        "gen_map": world.gen_map,
-        "vocab": world.vocab,
-        "mixer_in": world.mixer_in,
-        "mixer_in_bias": world.mixer_in_bias,
-        "mixer_out": world.mixer_out,
-        "mixer_out_bias": world.mixer_out_bias,
-    }
-    header = {
-        "config": asdict(world.config),
-        "concepts": [
-            {
-                "id": c.id,
-                "name": c.name,
-                "split": c.split,
-                "name_token": c.name_token,
-                "family": c.family,
-            }
-            for c in world.concepts
-        ],
-        "canonical_template": _template_record(world.canonical_template),
-        "templates": [_template_record(t) for t in world.templates],
-        "manifest": [[k, list(v.shape)] for k, v in arrays.items()],
-    }
-    blob = json.dumps(header, sort_keys=True).encode()
-    tmp = Path(str(path) + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for arr in arrays.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    tmp.replace(Path(path))
-
-
-def load_world(path) -> World:
-    header, flat = name_agent.read_framed(
-        path,
-        SNAPSHOT_MAGIC,
-        "world snapshot",
-        lambda h: sum(int(np.prod(shape)) for _, shape in h["manifest"]),
-    )
-    arrays, off = {}, 0
-    for key, shape in header["manifest"]:
-        count = int(np.prod(shape))
-        arrays[key] = flat[off : off + count].reshape(shape)
-        off += count
-    extra = sorted(set(header["config"]) - {f.name for f in fields(WorldConfig)})
-    if extra:
-        raise ValueError(
-            f"{path}: config keys {extra} are not WorldConfig fields; "
-            "rebuild the snapshot with 'namelearn world build'"
-        )
-    config = WorldConfig(**header["config"])
-    latents = arrays["latents"]
-    if len(header["concepts"]) != len(latents):
-        raise ValueError(
-            f"{path}: {len(header['concepts'])} concepts for {len(latents)} latent rows"
-        )
-    concepts = []
-    for i, m in enumerate(header["concepts"]):
-        where = f"{path}: concept {i} ({m['name']!r})"
-        if m["id"] != i:
-            raise ValueError(f"{where}: id {m['id']!r}, need ids 0..n-1 in order")
-        if m["split"] not in ("seen", "ood"):
-            raise ValueError(f"{where}: split {m['split']!r} is not 'seen' or 'ood'")
-        if not 0 <= m["name_token"] < config.vocab_size:
-            raise ValueError(
-                f"{where}: name_token {m['name_token']} outside [0, {config.vocab_size})"
-            )
-        concepts.append(
-            ConceptSpec(i, m["name"], latents[i], m["split"], m["name_token"], m["family"])
-        )
-    return World(
-        config,
-        concepts,
-        arrays["gen_map"],
-        arrays["vocab"],
-        arrays["mixer_in"],
-        arrays["mixer_in_bias"],
-        arrays["mixer_out"],
-        arrays["mixer_out_bias"],
-        _template_from(header["canonical_template"]),
-        [_template_from(t) for t in header["templates"]],
-    )
-
-
-def _template_record(t: PromptTemplate) -> dict:
-    return {"id": t.template_id, "tokens": list(t.tokens), "affinity": t.category_affinity}
-
-
-def _template_from(rec: dict) -> PromptTemplate:
-    return PromptTemplate(rec["id"], tuple(rec["tokens"]), rec["affinity"])

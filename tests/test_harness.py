@@ -409,7 +409,7 @@ def test_cli_world_build(tmp_path):
     cfg = write_tiny_config(tmp_path / "exp.cfg")
     rc = main(["world", "build", "--config", str(cfg), "--out", str(tmp_path / "w")])
     assert rc == 0
-    assert (tmp_path / "w" / "world.bin").exists()
+    assert sorted(p.name for p in (tmp_path / "w").iterdir()) == ["world_report.json"]
     report = json.loads((tmp_path / "w" / "world_report.json").read_text())
     assert report["sc_min_prompt_cosine"] >= 0.9
 
@@ -420,7 +420,7 @@ def test_cli_world_build_rejects_seed_and_jobs(tmp_path, flag):
     cfg = write_tiny_config(tmp_path / "exp.cfg")
     out = tmp_path / "w"
     assert main(["world", "build", "--config", str(cfg), *flag, "--out", str(out)]) == 1
-    assert not (out / "world.bin").exists()
+    assert not out.exists()
 
 
 def test_cli_selftest_passes_all_four_suites(monkeypatch, capsys):
@@ -470,6 +470,20 @@ def test_cli_noise_sigma_not_finite_and_nonnegative_is_hard_error(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [["few-shot"], ["world", "build"]])
+@pytest.mark.parametrize(
+    "field, value", [("embed_dim", "0"), ("embed_dim", "-1"), ("seed", "-1")]
+)
+def test_cli_world_dimension_or_seed_below_range_is_hard_error(
+    tmp_path, capsys, command, field, value
+):
+    cfg = write_tiny_config(tmp_path / "exp.cfg", **{f"world.{field}": value})
+    rc = main([*command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {field} must be >= ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("epochs", "x"), ("world.noise_sigma", "abc"), ("shots", "1,a"), ("lrs", "1e-3,foo")],
@@ -491,10 +505,17 @@ def test_module_entry_point_exit_codes(tmp_path):
         command = [sys.executable, "-m", "namelearn", *args]
         return subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
 
-    built = run("world", "build", "--out", str(tmp_path))
+    built = run("world", "build", "--out", str(tmp_path / "w"))
     assert built.returncode == 0, built.stderr
-    assert (tmp_path / "world.bin").exists()
+    assert sorted(p.name for p in (tmp_path / "w").iterdir()) == ["world_report.json"]
     assert run("bogus").returncode == 1
+
+
+def test_every_exported_name_resolves():
+    import namelearn
+
+    missing = [name for name in namelearn.__all__ if not hasattr(namelearn, name)]
+    assert missing == []
 
 
 def test_cli_partial_failure_exit_code(monkeypatch, tmp_path):

@@ -178,7 +178,7 @@ def test_prompt_cache_is_bounded_by_distinct_batches(world):
 
 
 def test_training_rejects_negative_template_token():
-    # A template token of -2 (say, from a hand-edited world snapshot) must not
+    # A template token of -2 (say, from a hand-edited template bank) must not
     # silently embed vocab[-2] during training.
     world = build_world(SMALL)
     world.templates = [
@@ -292,19 +292,44 @@ def test_checkpoint_of_wrong_length_names_the_file(tmp_path, damage):
         load_name_table(path)
 
 
+HEADER = {
+    "concepts": [{"id": 3, "n_vectors": 1}, {"id": 7, "n_vectors": 1}],
+    "embed_dim": 3,
+    "world_seed": 0,
+}
+
+
+def _without(key):
+    return {k: v for k, v in HEADER.items() if k != key}
+
+
 @pytest.mark.parametrize(
-    "concepts",
+    "header",
     [
-        [{"id": 3, "n_vectors": 2}],  # a block of two rows for one concept
-        [{"id": 7, "n_vectors": 1}, {"id": 3, "n_vectors": 1}],  # ids not ascending
+        {**HEADER, "concepts": [{"id": 3, "n_vectors": 2}]},  # two rows for one concept
+        {**HEADER, "concepts": HEADER["concepts"][::-1]},  # ids not ascending
+        [],  # JSON, but not an object
+        _without("concepts"),
+        {**HEADER, "concepts": [{"id": 3}, {"id": 7}]},
+        _without("embed_dim"),
+        _without("world_seed"),
+    ],
+    ids=[
+        "concepts0",
+        "concepts1",
+        "not_an_object",
+        "no_concepts",
+        "no_n_vectors",
+        "no_embed_dim",
+        "no_world_seed",
     ],
 )
-def test_checkpoint_rejects_blocks_and_unordered_ids(tmp_path, concepts):
+def test_checkpoint_rejects_blocks_and_unordered_ids(tmp_path, header):
     # Written by hand: the header says what the test needs, the body holds
     # two rows of three values either way.
-    blob = json.dumps({"concepts": concepts, "embed_dim": 3, "world_seed": 0}).encode()
+    blob = json.dumps(header).encode()
     body = np.random.default_rng(5).normal(size=(2, 3)).astype("<f8").tobytes()
     path = tmp_path / "names.bin"
     path.write_bytes(b"NLNAMES/1\n" + struct.pack("<I", len(blob)) + blob + body)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
         load_name_table(path)

@@ -1,22 +1,11 @@
-import json
-import re
-import struct
-
 import numpy as np
 import pytest
 
 from namelearn.autodiff import Tensor
 from namelearn.image_agent import frozen_visual_features
-from namelearn.name_agent import pool_frozen_tokens, render_prompt
 from namelearn.session import SessionSettings, TrainingSession
 from namelearn.text_agent import frozen_text_features
-from namelearn.world import (
-    WorldBuildError,
-    WorldConfig,
-    build_world,
-    load_world,
-    save_world,
-)
+from namelearn.world import WorldBuildError, WorldConfig, build_world
 
 SMALL = WorldConfig(
     embed_dim=16, image_dim=24, n_seen=4, n_ood=3, vocab_size=64, seed=3
@@ -54,12 +43,6 @@ def visual_features(w, images):
 
 def text_mixer(w):
     return tuple(Tensor(a) for a in (w.mixer_in, w.mixer_in_bias, w.mixer_out, w.mixer_out_bias))
-
-
-def prompt_feature(w, cid):
-    """Frozen text feature of the canonical prompt with the concept's frozen name."""
-    rendered = render_prompt(w.canonical_template, w.concept(cid), None, frozen_names=True)
-    return frozen_text_features(Tensor(pool_frozen_tokens(rendered, w.vocab)), text_mixer(w)).data
 
 
 def test_build_is_deterministic():
@@ -204,50 +187,21 @@ def test_alignment_breakdown_reproduced(paired_world):
     assert w.bayes_oracle_accuracy(ood_images, ood_labels, w.ood_ids) >= 0.99
 
 
-def test_snapshot_roundtrip_bit_identical(world, tmp_path):
-    path = tmp_path / "world.bin"
-    save_world(world, path)
-    loaded = load_world(path)
-    assert loaded.config == world.config
-    assert np.array_equal(loaded.vocab, world.vocab)
-    assert np.array_equal(loaded.gen_map, world.gen_map)
-    for a, b in zip(world.concepts, loaded.concepts):
-        assert a.id == b.id and a.split == b.split and a.name_token == b.name_token
-        assert np.array_equal(a.latent, b.latent)
-    assert [t.template_id for t in loaded.templates] == [
-        t.template_id for t in world.templates
-    ]
-    # The frozen encoders compute identically on the loaded world.
-    x = world.sample_images(world.seen_ids[0], 3, seed=9)
-    assert np.array_equal(visual_features(world, x), visual_features(loaded, x))
-    for cid in world.seen_ids + world.ood_ids:
-        assert np.array_equal(prompt_feature(world, cid), prompt_feature(loaded, cid))
-
-
 def _world_arrays(w):
     mixers = [w.mixer_in, w.mixer_in_bias, w.mixer_out, w.mixer_out_bias]
     return [w.gen_map, w.vocab, *mixers] + [c.latent for c in w.concepts]
 
 
-@pytest.mark.parametrize("source", ["built", "loaded"])
-def test_world_arrays_are_read_only(world, tmp_path, source):
-    if source == "loaded":
-        save_world(world, tmp_path / "world.bin")
-        w = load_world(tmp_path / "world.bin")
-    else:
-        w = world
+@pytest.mark.parametrize("config", [SMALL], ids=["built"])
+def test_world_arrays_are_read_only(config):
+    w = build_world(config)
     for arr in _world_arrays(w):
+        # Output bits depend on the layout a matmul reads (see build_world).
+        assert arr.flags.c_contiguous
         with pytest.raises(ValueError, match="read-only"):
             arr += 1.0
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 0.0
-    assert np.array_equal(w.vocab, world.vocab)
-
-
-def test_snapshot_bytes_survive_a_read_only_round_trip(world, tmp_path):
-    save_world(world, tmp_path / "a.bin")
-    save_world(load_world(tmp_path / "a.bin"), tmp_path / "b.bin")
-    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
 
 def test_training_and_evaluation_run_on_a_read_only_world(world):
@@ -259,78 +213,3 @@ def test_training_and_evaluation_run_on_a_read_only_world(world):
     images, labels = world.sample_split(ids, per_class=5, seed=6)
     assert set(session.evaluate(images, labels, ids)) == {"overall", "seen", "ood"}
     assert [arr.tobytes() for arr in _world_arrays(world)] == before
-
-
-@pytest.mark.parametrize(
-    "damage",
-    [
-        lambda raw: raw + bytes(16),
-        lambda raw: raw[:-40],
-        lambda raw: raw[:40],  # inside the JSON header
-        lambda raw: raw[:12],  # inside the header length
-    ],
-    ids=["16_bytes_appended", "40_bytes_cut", "cut_in_header", "cut_in_header_length"],
-)
-def test_snapshot_of_wrong_length_names_the_file(world, tmp_path, damage):
-    path = tmp_path / "world.bin"
-    save_world(world, path)
-    path.write_bytes(damage(path.read_bytes()))
-    with pytest.raises(ValueError, match=re.escape(str(path))):
-        load_world(path)
-
-
-def _edit_header(path, edit):
-    """Rewrite a snapshot's JSON header through ``edit``, keeping its arrays,
-    so the file length stays right for the new header."""
-    raw = path.read_bytes()
-    magic = b"NLWORLD/1\n"
-    start = len(magic) + 4
-    end = start + struct.unpack_from("<I", raw, len(magic))[0]
-    header = json.loads(raw[start:end])
-    edit(header)
-    blob = json.dumps(header, sort_keys=True).encode()
-    path.write_bytes(magic + struct.pack("<I", len(blob)) + blob + raw[end:])
-
-
-def test_snapshot_with_unknown_config_key_names_path_and_key(world, tmp_path):
-    # The header a snapshot had while `gamma` was still a WorldConfig field.
-    path = tmp_path / "world.bin"
-    save_world(world, path)
-    _edit_header(path, lambda header: header["config"].update(gamma=0.07))
-    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*'gamma'.*world build"):
-        load_world(path)
-
-
-@pytest.mark.parametrize(
-    "key, value, detail",
-    [
-        ("id", -1, "id -1"),  # would index the last latent row
-        ("id", 2, "id 2"),  # a duplicate of concept 2's
-        ("split", "oops", "split 'oops'"),
-        ("name_token", 5000, "name_token 5000 outside [0, 64)"),
-    ],
-    ids=["negative_id", "duplicate_id", "unknown_split", "name_token_outside_vocab"],
-)
-def test_snapshot_with_bad_concept_names_path_and_concept(world, tmp_path, key, value, detail):
-    path = tmp_path / "world.bin"
-    save_world(world, path)
-    _edit_header(path, lambda header: header["concepts"][3].update({key: value}))
-    pattern = re.escape(f"{path}: concept 3 ") + ".*" + re.escape(detail)
-    with pytest.raises(ValueError, match=pattern):
-        load_world(path)
-
-
-def test_snapshot_with_a_concept_missing_names_path(world, tmp_path):
-    path = tmp_path / "world.bin"
-    save_world(world, path)
-    _edit_header(path, lambda header: header["concepts"].pop())
-    n = len(world.concepts)
-    with pytest.raises(ValueError, match=re.escape(f"{path}: {n - 1} concepts for {n} latent")):
-        load_world(path)
-
-
-def test_snapshot_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"garbage")
-    with pytest.raises(ValueError):
-        load_world(path)
