@@ -8,7 +8,6 @@ few points; the remaining components matter less at this scale.
 """
 
 import time
-from dataclasses import replace
 
 from namelearn.harness import ExperimentConfig, run_ablation_suite
 from namelearn.world import WorldConfig

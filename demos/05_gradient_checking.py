@@ -8,8 +8,6 @@ probe of each parameter entry bounds the relative error.  The same machinery
 validates the full training loss end to end.
 """
 
-import numpy as np
-
 from namelearn import autodiff as ad
 from namelearn.autodiff import Tape, Tensor, backward, grad_check
 from namelearn.selfcheck import (

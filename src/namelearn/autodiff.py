@@ -13,6 +13,11 @@ Each fused backward evaluates the numpy expressions its composed ops would, in
 the same order, so its gradients are bit-identical to theirs; the generic ops
 stay, and tests use them as the oracles.
 
+Sums, maxima and minima on a round's path, here and in ``coordinator``, call
+the ufunc's ``reduce`` directly, as in ``np.add.reduce(x, axis=1)``: the
+ndarray methods (``x.sum(axis=1)``) compute the same thing through one more
+Python-level call each.
+
 Shapes are deliberately restricted to what the model needs: scalars (0-d),
 vectors (1-d) and matrices (2-d).  No broadcasting beyond a row-vector bias
 add, no GPU, no mixed precision.
@@ -101,10 +106,12 @@ def _make(data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn: Callable) -
     out.requires_grad = False
     out.grad = None
     out.name = None
-    if any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        if _TAPE_STACK:
-            _TAPE_STACK[-1].entries.append((out, inputs, backward_fn))
+    for t in inputs:
+        if t.requires_grad:
+            out.requires_grad = True
+            if _TAPE_STACK:
+                _TAPE_STACK[-1].entries.append((out, inputs, backward_fn))
+            break
     return out
 
 
@@ -258,8 +265,10 @@ def l2_normalize_rows(a: Tensor) -> Tensor:
 
 def unit_rows(x: np.ndarray, op: str) -> tuple[np.ndarray, np.ndarray]:
     """Rows of a matrix array scaled to unit norm, and the ``(N, 1)`` norms;
-    ``DomainError`` naming ``op`` for a row of norm <= 1e-12."""
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    ``DomainError`` naming ``op`` for a row of norm <= 1e-12.  The norms are
+    the expression ``np.linalg.norm(x, axis=1, keepdims=True)`` evaluates for
+    real input, without its Python-level dispatch."""
+    norms = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
     if (norms <= 1e-12).any():
         raise DomainError(f"{op}: row with norm <= 1e-12")
     return x / norms, norms
@@ -320,8 +329,8 @@ def detach(a: Tensor) -> Tensor:
 def log_softmax(x: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax of a matrix array with max-subtraction
     stabilization; no tape entry."""
-    z = x - x.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    z = x - np.maximum.reduce(x, axis=1, keepdims=True)
+    return z - np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True))
 
 
 def log_softmax_rows(a: Tensor) -> Tensor:
@@ -388,7 +397,7 @@ def softmax_cross_entropy(a: Tensor, labels) -> Tensor:
     n, m = a.data.shape
     if idx.shape != (n,):
         raise ShapeError(f"softmax_cross_entropy: need {n} labels, got shape {idx.shape}")
-    if idx.min() < 0 or idx.max() >= m:
+    if np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= m:
         raise DomainError(f"softmax_cross_entropy: label out of range for {m} columns")
     rows = np.arange(n)
     log_p = log_softmax(a.data)
@@ -398,17 +407,17 @@ def softmax_cross_entropy(a: Tensor, labels) -> Tensor:
         d[rows, idx] -= 1.0
         return (d * (g / n),)
 
-    return _make(np.asarray(log_p[rows, idx].sum() * (-1.0 / n)), (a,), backward)
+    return _make(np.add.reduce(log_p[rows, idx]) * (-1.0 / n), (a,), backward)
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp to [lo, hi]; gradient passes inside the band, zero outside."""
-    mask = (a.data >= lo) & (a.data <= hi)
+    x = a.data
 
-    def backward(g):
-        return (g * mask,)
+    def backward(g):  # only the backward reads the band mask
+        return (g * ((x >= lo) & (x <= hi)),)
 
-    return _make(np.clip(a.data, lo, hi), (a,), backward)
+    return _make(x.clip(lo, hi), (a,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ def similarity_matrix(img: Tensor, txt: Tensor) -> Tensor:
     the product takes the normalized text rows as a transposed view, so it is
     the same BLAS call as ``x @ y.T``, and the backward evaluates the composed
     ops' expressions in their order."""
-    if img.data.ndim != 2 or txt.data.ndim != 2 or img.shape[1] != txt.shape[1]:
+    if img.data.ndim != 2 or txt.data.ndim != 2 or img.data.shape[1] != txt.data.shape[1]:
         raise ShapeError(f"similarity_matrix: incompatible {img.shape} vs {txt.shape}")
     yi, ni = ad.unit_rows(img.data, "similarity_matrix")
     yt, nt = ad.unit_rows(txt.data, "similarity_matrix")
@@ -131,14 +131,14 @@ def contrastive_loss(s: Tensor, y, tau) -> Tensor:
     """
     if s.data.ndim != 2:
         raise ShapeError(f"contrastive_loss: need a matrix, got {s.shape}")
-    n, u = s.shape
+    n, u = s.data.shape
     if n == 0:
         raise ShapeError("contrastive_loss: empty batch")
     y = np.asarray(y, dtype=np.intp)
-    if y.shape != (n,) or y.min() < 0 or y.max() >= u:
+    if y.shape != (n,) or np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= u:
         raise DomainError(f"contrastive_loss: bad match indices for {n} rows, {u} columns")
     m = np.bincount(y, minlength=u)
-    if m.min() == 0:
+    if np.minimum.reduce(m) == 0:
         raise DomainError(f"contrastive_loss: column {int(m.argmin())} has no pair")
     tau_t = _as_tensor(tau)
     tau_value = float(tau_t.data.reshape(()))
@@ -146,20 +146,20 @@ def contrastive_loss(s: Tensor, y, tau) -> Tensor:
         raise DomainError(f"contrastive_loss: tau {tau_value} outside {TAU_BAND}")
     sd = s.data
     z = sd / tau_value
-    z -= z.max()
+    z -= np.maximum.reduce(z, axis=None)
     e = np.exp(z)
-    col = e.sum(axis=0)
+    col = np.add.reduce(e, axis=0)
     e *= m
-    row = e.sum(axis=1)
-    if min(row.min(), col.min()) < _TINY:
+    row = np.add.reduce(e, axis=1)
+    if min(np.minimum.reduce(row), np.minimum.reduce(col)) < _TINY:
         raise DomainError(
             "contrastive_loss: a row or column sum underflows: s / tau spans too far"
         )
     rows = np.arange(n)
     # Each direction's picked log-probability is z at the target minus the
     # log of its sum; the row bias log m cancels at the target.
-    picked = 2.0 * z[rows, y].sum()
-    value = np.asarray((np.log(row).sum() + m @ np.log(col) - picked) / (2.0 * n))
+    picked = 2.0 * np.add.reduce(z[rows, y])
+    value = (np.add.reduce(np.log(row)) + m @ np.log(col) - picked) / (2.0 * n)
 
     def backward(g):
         grad = (1.0 / row)[:, None] + 1.0 / col
@@ -215,7 +215,7 @@ def weighted_total(
         w_con, w_cls = num_con, num_cls = FIXED_WEIGHTS
         inputs = (l_con, l_cls)
     else:
-        p_con, p_cls = (float(p.data) for p in weight_params)
+        p_con, p_cls = float(weight_params[0].data), float(weight_params[1].data)
         w_con, w_cls, num_con, num_cls = loss_weights(p_con, p_cls)
         inputs = (l_con, l_cls, *weight_params)
     total = w_con * lc + w_cls * lk
@@ -293,12 +293,12 @@ def total_loss(
         l_con, l_cls, None if fixed else (params.w_con_param, params.w_cls_param)
     )
     breakdown = LossBreakdown(
-        l_con=l_con.item(),
-        l_cls=l_cls.item(),
+        l_con=float(l_con.data),
+        l_cls=float(l_cls.data),
         w_con=w_con,
         w_cls=w_cls,
-        tau=tau.item(),
-        total=total.item(),
+        tau=float(tau.data),
+        total=float(total.data),
         w_con_num=num_con,
         w_cls_num=num_cls,
     )

@@ -10,12 +10,15 @@ context vector to the text agent.  The score is one number per batch, taken
 from the batch's mean feature; the residual coefficient ``ALPHA`` and the
 routing threshold ``DIFFICULTY_THRESHOLD`` are fixed.  ``encode`` reads
 ``disable_difficulty`` and ``disable_image_agent_robust`` from the session's
-``SessionSettings``.  ``step`` keeps its last round's output and reuses it
-while the batch's images stay equal in value, as they do across the epochs of
-one training run; ``encode``, and so evaluation, neither reads nor fills it.
+``SessionSettings``.  ``step`` keeps its last round's messages and re-sends
+them while the batch's images stay equal in value, as they do across the
+epochs of one training run; ``encode``, and so evaluation, neither reads nor
+fills that cache.
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 import numpy as np
 
@@ -93,9 +96,9 @@ class ImageAgent:
         self.frozen_visual = Tensor(frozen_visual, name="frozen_visual")
         d = frozen_visual.shape[1]
         self.estimator = DifficultyEstimator(d, max(1, d // 2), rng)
-        # The last training round's images (a private copy) and what ``step``
-        # made of them: (images, features, difficulty, strategy, context).
-        self._last_round: tuple | None = None
+        # The last training round's images (a private copy) and the messages
+        # ``step`` made of them.
+        self._last_round: tuple[np.ndarray, tuple[Message, ...]] | None = None
 
     # -- encodings ------------------------------------------------------------
 
@@ -142,17 +145,13 @@ class ImageAgent:
         if last is None or not np.array_equal(last[0], batch.images):
             features, difficulty, strategy = self.encode(batch.images)
             context = self.emit_visual_context(features)
-            last = (batch.images.copy(), features, difficulty, strategy, context)
-            self._last_round = last
-        _, features, difficulty, strategy, context = last
-        return [
-            Message(AgentId.IMAGE, AgentId.TEXT, FeatureBlock(context, "visual_context")),
-            Message(
-                AgentId.IMAGE, AgentId.COORDINATOR, FeatureBlock(features, "image_features")
-            ),
-            Message(
-                AgentId.IMAGE,
-                AgentId.COORDINATOR,
-                Metadata({"difficulty": difficulty, "strategy": strategy}),
-            ),
-        ]
+            entries = MappingProxyType({"difficulty": difficulty, "strategy": strategy})
+            messages = (
+                Message(AgentId.IMAGE, AgentId.TEXT, FeatureBlock(context, "visual_context")),
+                Message(
+                    AgentId.IMAGE, AgentId.COORDINATOR, FeatureBlock(features, "image_features")
+                ),
+                Message(AgentId.IMAGE, AgentId.COORDINATOR, Metadata(entries)),
+            )
+            last = self._last_round = (batch.images.copy(), messages)
+        return list(last[1])

@@ -5,7 +5,9 @@ These run both under pytest (acceptance tests) and from the command line
 loss — name embeddings through context fusion, temperature, balancing weights
 and classification head — against central differences on a small world.  The
 image agent's difficulty scorer is fixed, not learnable, so it is not
-perturbed.
+perturbed.  Each loss evaluation is one ``bus.run_round``, looked up on the
+``bus`` module at call time, so a patch of ``namelearn.bus.run_round`` sees
+every evaluation.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import bus
 from .autodiff import Tensor, grad_check
 from .coordinator import (
     classification_loss,
@@ -96,11 +99,7 @@ def full_loss_grad_checks(n_batches: int = 20, eps: float = 1e-5) -> SuiteReport
         params = session.trainable_parameters()
 
         def f(*_params):
-            # Looked up per call, so instrumentation that patches
-            # ``namelearn.bus.run_round`` sees every evaluation.
-            from .bus import run_round
-
-            return run_round(session.bus, batch).total
+            return bus.run_round(session.bus, batch).total
 
         worst = max(worst, grad_check(f, params, eps=eps))
     return SuiteReport("full training-loss gradient check", worst, 1e-4)

@@ -7,7 +7,11 @@ pooled in), then mixes that standard feature with a learned transform of the
 feature concatenated with the visual context vector received from the image
 agent, weighted by the fixed ratio ``LAMBDA_MIX``.  The context is a value
 snapshot broadcast to every row: no gradient crosses from the text agent into
-the image agent.  It reads ``disable_text_context`` (in ``encode``) and
+the image agent.  ``encode`` keeps the broadcast rows with the context tensor
+they came from, and builds them again only for another tensor or another row
+count: within a training run the image agent sends the same cached context
+every round.  No code writes a context tensor in place, so its identity
+stands for its value.  It reads ``disable_text_context`` (in ``encode``) and
 ``simple_concat_fusion`` (when built) from the session's ``SessionSettings``.
 """
 
@@ -71,7 +75,7 @@ class ContextIntegrationModule:
         return [self.w3, self.b3, self.w4, self.b4]
 
     def __call__(self, z: Tensor) -> Tensor:
-        if z.data.ndim != 2 or z.shape[1] != self.in_dim:
+        if z.data.ndim != 2 or z.data.shape[1] != self.in_dim:
             raise ShapeError(f"context fusion: need shape (N, {self.in_dim}), got {z.shape}")
         return ad.affine(ad.relu(ad.affine(z, self.w3, self.b3)), self.w4, self.b4)
 
@@ -93,7 +97,7 @@ class LinearFusion:
         return [self.w, self.b]
 
     def __call__(self, z: Tensor) -> Tensor:
-        if z.data.ndim != 2 or z.shape[1] != self.in_dim:
+        if z.data.ndim != 2 or z.data.shape[1] != self.in_dim:
             raise ShapeError(f"linear fusion: need shape (N, {self.in_dim}), got {z.shape}")
         return ad.affine(z, self.w, self.b)
 
@@ -115,6 +119,8 @@ class TextAgent:
             self.fusion = LinearFusion(d, rng)
         else:
             self.fusion = ContextIntegrationModule(d, d, rng)
+        # The last context tensor ``encode`` broadcast, and its rows.
+        self._context_rows: tuple[Tensor, Tensor] | None = None
 
     def parameters(self) -> list[Tensor]:
         return list(self.fusion.parameters())
@@ -137,7 +143,13 @@ class TextAgent:
                 "standard encoding"
             )
         # A constant copy per row: the value snapshot carries no gradient.
-        rows = Tensor(np.tile(context.data, (standard.shape[0], 1)))
+        n = standard.data.shape[0]
+        cached = self._context_rows
+        if cached is None or cached[0] is not context or cached[1].data.shape[0] != n:
+            rows = np.tile(context.data, (n, 1))
+            rows.flags.writeable = False
+            cached = self._context_rows = (context, Tensor(rows))
+        rows = cached[1]
         fused = self.fusion(ad.concat_cols(standard, rows))
         return ad.blend(standard, fused, LAMBDA_MIX)
 

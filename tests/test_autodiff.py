@@ -151,6 +151,23 @@ def test_l2_normalize_rows_unit_norms(seed):
     assert np.allclose(np.linalg.norm(out.data, axis=1), 1.0, atol=1e-10)
 
 
+# Image and text feature shapes of a default and a hard-world 16-shot step,
+# and of a criterion-1 round.
+ROUND_SHAPES = [(160, 32), (30, 32), (320, 16), (60, 16), (4, 8)]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_unit_rows_matches_the_linalg_norm_oracle_bit_for_bit(order):
+    rng = np.random.default_rng(7)
+    shapes = ROUND_SHAPES + [tuple(rng.integers(1, 65, size=2)) for _ in range(200)]
+    for shape in shapes:
+        x = np.asarray(rng.normal(scale=rng.uniform(1e-3, 1e3), size=shape), order=order)
+        y, norms = ad.unit_rows(x, "oracle")
+        oracle = np.linalg.norm(x, axis=1, keepdims=True)
+        assert norms.tobytes() == oracle.tobytes(), shape
+        assert y.tobytes() == (x / oracle).tobytes(), shape
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_log_softmax_rows_exponentiate_to_one(seed):
     rng = np.random.default_rng(seed)

@@ -1,4 +1,6 @@
 import json
+import pickle
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from namelearn.bus import (
     Message,
     MessageBus,
     Metadata,
+    ProtocolError,
     SelfSendError,
     UnregisteredAgentError,
     content_tag,
@@ -77,6 +80,28 @@ def test_log_records_payload_summary():
     assert summary["payload_summary"]["first"] == [1.0, 2.0, 3.0, 4.0]
 
 
+def test_log_record_rejects_attribute_assignment():
+    bus = MessageBus()
+    bus.send(Message(AgentId.IMAGE, AgentId.TEXT, fb()))
+    rec = bus.log[0]
+    with pytest.raises(AttributeError):
+        rec.tag = "metadata"
+    with pytest.raises(AttributeError):
+        rec.values = None
+    assert rec.tag == "feature" and rec.values.tolist() == [1.0, 2.0]
+
+
+def test_agent_id_survives_pickle_as_a_mailbox_key():
+    bus = MessageBus()
+    bus.send(Message(AgentId.IMAGE, AgentId.TEXT, fb()))
+    mailboxes = pickle.loads(pickle.dumps(bus.mailboxes))
+    assert list(mailboxes) == list(AgentId)
+    assert all(a is b for a, b in zip(mailboxes, AgentId))
+    assert [m.content.label for m in mailboxes[AgentId.TEXT]] == ["visual_context"]
+    assert mailboxes[AgentId.IMAGE] == []
+    assert hash(pickle.loads(pickle.dumps(AgentId.NAME))) == hash(AgentId.NAME)
+
+
 def test_serialize_log_jsonl(tmp_path):
     bus = MessageBus()
     bus.round_index = 3
@@ -140,15 +165,82 @@ def test_log_keeps_only_summary_values_over_default_rounds(tmp_path):
     ]
 
 
+def test_default_round_log_file_matches_the_round(tmp_path):
+    """Every line of a default round's log file, rebuilt from what the agents
+    computed: shape and first four values of each feature payload, the
+    metadata keys, in send order."""
+    world = build_world(WorldConfig())
+    session = make_session(world)
+    batch = make_batch(world, session, k=16)
+    info = run_round(session.bus, batch)
+    path = tmp_path / "log.jsonl"
+    session.bus.serialize_log(path)
+
+    def feature(sender, receiver, data):
+        payload = {"shape": list(data.shape), "first": data.reshape(-1)[:4].tolist()}
+        return sender, receiver, "feature", payload
+
+    context = session.image_agent.emit_visual_context(info.image_features).data
+    rows = [
+        feature("Image", "Text", context),
+        feature("Image", "Coordinator", info.image_features.data),
+        ("Image", "Coordinator", "metadata", {"keys": ["difficulty", "strategy"]}),
+        feature("Name", "Text", session.name_agent.pool(batch.prompts).data),
+        feature("Text", "Coordinator", info.text_features.data),
+    ]
+    expected = "".join(
+        json.dumps(
+            {
+                "round": 1,
+                "sender": sender,
+                "receiver": receiver,
+                "content_tag": tag,
+                "payload_summary": payload,
+            },
+            sort_keys=True,
+        )
+        + "\n"
+        for sender, receiver, tag, payload in rows
+    )
+    assert path.read_text() == expected
+
+
 # ---------------------------------------------------------------------------
 # run_round on the real four agents
 
-def test_run_round_requires_registration(world):
+@pytest.mark.parametrize("missing", list(AgentId), ids=lambda a: a.value)
+def test_run_round_requires_registration(world, missing):
     session = make_session(world)
     bus = MessageBus()
-    bus.register(session.image_agent)
-    with pytest.raises(UnregisteredAgentError):
+    for agent in (session.image_agent, session.name_agent, session.text_agent, session.coordinator):
+        if agent.agent_id is not missing:
+            bus.register(agent)
+    with pytest.raises(UnregisteredAgentError, match=rf"\['{missing.value}'\]"):
         run_round(bus, make_batch(world, session))
+    assert bus.round_index == 0 and bus.log == []
+
+
+class _Chatty:
+    """The coordinator, plus one message to the image agent that no agent
+    reads this round."""
+
+    agent_id = AgentId.COORDINATOR
+
+    def __init__(self, coordinator):
+        self.coordinator = coordinator
+        self.last_round = None
+
+    def step(self, messages, batch):
+        self.coordinator.step(messages, batch)
+        self.last_round = self.coordinator.last_round
+        return [Message(AgentId.COORDINATOR, AgentId.IMAGE, Metadata({"k": 1}))]
+
+
+def test_run_round_names_a_mailbox_left_full(world):
+    session = make_session(world)
+    session.bus.register(_Chatty(session.coordinator))
+    with pytest.raises(ProtocolError, match=r"\{'Image': 1\}"):
+        run_round(session.bus, make_batch(world, session))
 
 
 def test_run_round_rejects_empty_batch(world):

@@ -6,7 +6,8 @@ import pytest
 from namelearn import autodiff as ad
 from namelearn import text_agent
 from namelearn.autodiff import ShapeError, Tensor, grad_check
-from namelearn.bus import AgentId, FeatureBlock, Message
+from namelearn.bus import AgentId, FeatureBlock, Message, run_round
+from namelearn.image_agent import ImageAgent
 from namelearn.name_agent import (
     NAME_SLOT,
     NameAgent,
@@ -20,6 +21,7 @@ from namelearn.text_agent import (
     TextAgent,
     frozen_text_features,
 )
+from namelearn.session import TrainingSession
 from namelearn.settings import SessionSettings
 from namelearn.world import WorldConfig, build_world
 
@@ -240,6 +242,40 @@ def test_zero_context_zero_fusion_contributes_bias_only(world, agent, namer):
     rows = pooled(world, namer, world.seen_ids[0])
     out = agent.encode(rows, Tensor(np.zeros(world.config.embed_dim)))
     assert np.allclose(out.data, 0.7 * standard(world, rows).data + 0.3 * b, atol=1e-12)
+
+
+def tiled_encode(agent, rows, c):
+    """``encode`` with the context rows built afresh by ``np.tile``, no cache."""
+    std = frozen_text_features(rows, agent.mixer)
+    ctx_rows = Tensor(np.tile(c.data, (std.shape[0], 1)))
+    fused = agent.fusion(ad.concat_cols(std, ctx_rows))
+    return ad.blend(std, fused, text_agent.LAMBDA_MIX)
+
+
+def test_cached_context_rows_equal_a_fresh_tile(world):
+    session = TrainingSession(world, SessionSettings(), seed=0)
+    agent = session.text_agent
+    canonical = world.canonical_template.template_id
+    ids = list(world.ood_ids)
+    # Two evaluations on different test batches, each with its own context.
+    for seed in (1, 2):
+        images = np.concatenate([world.sample_images(cid, 5, seed=seed) for cid in ids])
+        c = ImageAgent.emit_visual_context(session.image_agent.encode(images)[0])
+        rows = session.name_agent.pool([(cid, canonical) for cid in ids])
+        want = tiled_encode(agent, rows, c).data
+        assert np.array_equal(session.class_text_features(ids, c), want)
+        # The same context again, then over fewer rows.
+        assert np.array_equal(agent.encode(rows, c).data, want)
+        one = session.name_agent.pool([(ids[0], canonical)])
+        assert np.array_equal(agent.encode(one, c).data, tiled_encode(agent, one, c).data)
+    # Training rounds after an evaluation: the image agent's cached context.
+    shots = {cid: world.sample_images(cid, 2, seed=3) for cid in ids}
+    for epoch in range(2):
+        batch = session.build_batch(shots, epoch)
+        info = run_round(session.bus, batch)
+        c = ImageAgent.emit_visual_context(info.image_features)
+        want = tiled_encode(agent, session.name_agent.pool(batch.prompts), c)
+        assert np.array_equal(info.text_features.data, want.data)
 
 
 def test_linear_fusion_shape_and_params(world):
