@@ -1,29 +1,29 @@
-"""Structured message passing between the four cooperating agents.
+"""The four agents' fixed round: its schema, its schedule and its log.
 
 One bus per training session, single-threaded within a round.  A round is
-five messages, each with a reader: the image agent's visual context (to the
-text agent), its batch features and ``{difficulty, strategy}`` metadata (to
-the coordinator), the name agent's pooled prompts (to the text agent) and the
-text agent's features (to the coordinator).  Delivery is FIFO per (sender,
-receiver) pair.  Every send is appended to a log that keeps, per message,
-what ``serialize_log`` writes: a feature payload's shape and first four
-values, or the metadata keys.  A ``LogRecord`` is an immutable named tuple,
-built positionally with one type test per message.  ``run_round`` empties the
-log when a round starts, so it holds the current round only.
+five labeled payloads, each with one sender and one reader, and
+``ROUND_SCHEMA`` is the one place that says which: the image agent's visual
+context (to the text agent), its batch features and ``{difficulty, strategy}``
+metadata (to the coordinator), the name agent's pooled prompts (to the text
+agent) and the text agent's features (to the coordinator).  Agents step in
+``ROUND_ORDER``; each takes a dict of the payloads addressed to it and
+returns a dict of its own, and ``run_round`` checks the returned labels
+against the schema before it delivers them.  Every delivery is appended to a
+log that keeps what ``serialize_log`` writes: a feature payload's shape and
+first four values, or the metadata keys.  ``run_round`` empties the log when
+a round starts, so it holds the current round only.
 
 A round's fixed cost is Python-level calls, not arithmetic: ``AgentId``
-hashes by identity in C, and ``run_round`` checks registration and leftover
-mail with one C-level test each, building an error message only once a check
-has failed.
+hashes by identity in C, and each agent's labels are checked with one tuple
+comparison, building an error message only once a check has failed.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Protocol, runtime_checkable
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -44,17 +44,28 @@ class AgentId(Enum):
 ROUND_ORDER = (AgentId.IMAGE, AgentId.NAME, AgentId.TEXT, AgentId.COORDINATOR)
 _ALL_AGENTS = frozenset(AgentId)
 
+# Label -> (sender, receiver), in send order.  Every sender steps before its
+# receiver in ROUND_ORDER, so each payload is read in the round that sends it.
+# The metadata payload is a mapping, every other one a Tensor.
+ROUND_SCHEMA = {
+    "visual_context": (AgentId.IMAGE, AgentId.TEXT),
+    "image_features": (AgentId.IMAGE, AgentId.COORDINATOR),
+    "metadata": (AgentId.IMAGE, AgentId.COORDINATOR),
+    "prompts": (AgentId.NAME, AgentId.TEXT),
+    "text_features": (AgentId.TEXT, AgentId.COORDINATOR),
+}
 
-class SelfSendError(ValueError):
-    """An agent addressed a message to itself."""
+# Per agent, in ROUND_ORDER: the labels it sends, in send order.
+_SENDS = tuple(
+    (agent, tuple(label for label, (sender, _) in ROUND_SCHEMA.items() if sender is agent))
+    for agent in ROUND_ORDER
+)
+
+Payload = Tensor | Mapping
 
 
 class UnregisteredAgentError(RuntimeError):
     """run_round needs all four agents registered."""
-
-
-class MailboxError(TypeError):
-    """An agent received content it has no schema for; names the message."""
 
 
 class EmptyBatchError(ValueError):
@@ -62,42 +73,7 @@ class EmptyBatchError(ValueError):
 
 
 class ProtocolError(RuntimeError):
-    """A round ended with undelivered messages."""
-
-
-@dataclass(frozen=True)
-class FeatureBlock:
-    """A tensor payload plus a semantic label (e.g. 'visual_context')."""
-
-    tensor: Tensor
-    label: str
-
-
-@dataclass(frozen=True)
-class Metadata:
-    entries: Mapping
-
-
-Content = FeatureBlock | Metadata
-
-
-def content_tag(content: Content) -> str:
-    if isinstance(content, FeatureBlock):
-        return "feature"
-    if isinstance(content, Metadata):
-        return "metadata"
-    raise MailboxError(f"unknown content type {type(content).__name__}")
-
-
-@dataclass(frozen=True)
-class Message:
-    sender: AgentId
-    receiver: AgentId
-    content: Content
-
-    def __post_init__(self):
-        if self.sender == self.receiver:
-            raise SelfSendError(f"{self.sender.value} cannot message itself")
+    """An agent sent labels other than the ones the round schema gives it."""
 
 
 # Values kept per feature payload in the log: the shape and this many leading
@@ -106,7 +82,7 @@ LOG_VALUES = 4
 
 
 class LogRecord(NamedTuple):
-    """One delivered message; feature payloads keep only a short summary."""
+    """One delivered payload; feature payloads keep only a short summary."""
 
     round_index: int
     sender: AgentId
@@ -134,19 +110,17 @@ class LogRecord(NamedTuple):
         }
 
 
-@runtime_checkable
 class Agent(Protocol):
     agent_id: AgentId
 
-    def step(self, messages: list[Message], batch) -> list[Message]:
+    def step(self, inbox: dict[str, Payload], batch) -> Mapping[str, Payload]:
         ...
 
 
 class MessageBus:
-    """FIFO mailboxes, registration, and the log."""
+    """The registered agents, the round count and the current round's log."""
 
     def __init__(self):
-        self.mailboxes: dict[AgentId, list[Message]] = {a: [] for a in AgentId}
         self.agents: dict[AgentId, Agent] = {}
         self.log: list[LogRecord] = []
         self.round_index = 0
@@ -154,36 +128,8 @@ class MessageBus:
     def register(self, agent: Agent) -> None:
         self.agents[agent.agent_id] = agent
 
-    def send(self, msg: Message) -> None:
-        self.mailboxes[msg.receiver].append(msg)
-        self.log.append(self._record(msg))
-
-    def drain(self, agent_id: AgentId) -> list[Message]:
-        out = self.mailboxes[agent_id]
-        self.mailboxes[agent_id] = []
-        return out
-
-    def _record(self, msg: Message) -> LogRecord:
-        c = msg.content
-        if isinstance(c, FeatureBlock):
-            data = c.tensor.data
-            return LogRecord(
-                self.round_index,
-                msg.sender,
-                msg.receiver,
-                "feature",
-                c.label,
-                data.shape,
-                data.flat[:LOG_VALUES],  # a copy, in row-major order
-            )
-        # content_tag rejects a payload that is neither kind.
-        tag = content_tag(c)
-        return LogRecord(
-            self.round_index, msg.sender, msg.receiver, tag, metadata=dict(c.entries)
-        )
-
     def serialize_log(self, path) -> None:
-        """Line-delimited JSON: one record per delivered message."""
+        """Line-delimited JSON: one record per delivered payload."""
         with open(path, "w") as fh:
             for rec in self.log:
                 fh.write(json.dumps(rec.summary(), sort_keys=True) + "\n")
@@ -192,8 +138,9 @@ class MessageBus:
 def run_round(bus: MessageBus, batch):
     """One fixed-schedule round: Image, Name, Text, then Coordinator.
 
-    Returns the coordinator's ``CoordinatorRound``; every mailbox must be
-    empty when the round ends.  The bus log keeps this round's messages only.
+    Each agent steps on the payloads sent to it and must return exactly the
+    labels ``ROUND_SCHEMA`` gives it, in schema order, or ``ProtocolError``
+    names it.  Returns the coordinator's ``CoordinatorRound``.
     """
     agents = bus.agents
     if not agents.keys() >= _ALL_AGENTS:
@@ -201,12 +148,30 @@ def run_round(bus: MessageBus, batch):
         raise UnregisteredAgentError(f"agents not registered: {missing}")
     if batch.size == 0:
         raise EmptyBatchError("round started on an empty batch")
-    bus.round_index += 1
-    bus.log.clear()
-    for agent_id in ROUND_ORDER:
-        for msg in agents[agent_id].step(bus.drain(agent_id), batch):
-            bus.send(msg)
-    if any(bus.mailboxes.values()):
-        stuck = {a.value: len(m) for a, m in bus.mailboxes.items() if m}
-        raise ProtocolError(f"mailboxes not empty at round end: {stuck}")
+    round_index = bus.round_index = bus.round_index + 1
+    log = bus.log
+    log.clear()
+    inboxes = {agent_id: {} for agent_id in ROUND_ORDER}
+    for agent_id, labels in _SENDS:
+        sent = agents[agent_id].step(inboxes[agent_id], batch)
+        if tuple(sent) != labels:
+            raise ProtocolError(
+                f"{agent_id.value} sent {list(sent)}; the round schema gives it {list(labels)}"
+            )
+        for label in labels:
+            payload = sent[label]
+            receiver = ROUND_SCHEMA[label][1]
+            inboxes[receiver][label] = payload
+            if label == "metadata":
+                log.append(
+                    LogRecord(round_index, agent_id, receiver, "metadata", metadata=dict(payload))
+                )
+            else:
+                data = payload.data  # ``flat[:n]`` is a copy, in row-major order
+                log.append(
+                    LogRecord(
+                        round_index, agent_id, receiver, "feature", label,
+                        data.shape, data.flat[:LOG_VALUES],
+                    )
+                )
     return agents[AgentId.COORDINATOR].last_round

@@ -4,33 +4,29 @@ Two encoding strategies over the frozen visual encoder — plain features, or
 unit-normalized features plus a small gradient-blocked residual copy — routed
 by a difficulty score that a fixed, seeded scorer estimates from the batch
 feature distribution.  ``ImageAgent.encode`` is the one routing path, for
-training rounds and evaluation alike.  Emits the batch features and their
-``{difficulty, strategy}`` metadata to the coordinator and a pooled visual
-context vector to the text agent.  The score is one number per batch, taken
+training rounds and evaluation alike.  Each round ``step`` receives nothing
+and returns three payloads: ``visual_context``, a pooled context vector for
+the text agent, and ``image_features`` and their ``{difficulty, strategy}``
+``metadata`` for the coordinator.  The score is one number per batch, taken
 from the batch's mean feature; the residual coefficient ``ALPHA`` and the
 routing threshold ``DIFFICULTY_THRESHOLD`` are fixed.  ``encode`` reads
 ``disable_difficulty`` and ``disable_image_agent_robust`` from the session's
-``SessionSettings``.  ``step`` keeps its last round's messages and re-sends
-them while the batch's images stay equal in value, as they do across the
-epochs of one training run; ``encode``, and so evaluation, neither reads nor
-fills that cache.
+``SessionSettings``.  ``step`` keeps its last round's payloads, read-only,
+and returns them again while the batch's images stay equal in value, as they
+do across the epochs of one training run; ``encode``, and so evaluation,
+neither reads nor fills that cache.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from types import MappingProxyType
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .bus import (
-    AgentId,
-    FeatureBlock,
-    MailboxError,
-    Message,
-    Metadata,
-)
+from .bus import AgentId, Payload
 from .settings import SessionSettings
 
 STANDARD = "standard"
@@ -96,9 +92,9 @@ class ImageAgent:
         self.frozen_visual = Tensor(frozen_visual, name="frozen_visual")
         d = frozen_visual.shape[1]
         self.estimator = DifficultyEstimator(d, max(1, d // 2), rng)
-        # The last training round's images (a private copy) and the messages
-        # ``step`` made of them.
-        self._last_round: tuple[np.ndarray, tuple[Message, ...]] | None = None
+        # The last training round's images (a private copy) and the read-only
+        # payloads ``step`` made of them.
+        self._last_round: tuple[np.ndarray, Mapping[str, Payload]] | None = None
 
     # -- encodings ------------------------------------------------------------
 
@@ -135,23 +131,17 @@ class ImageAgent:
 
     # -- round protocol ---------------------------------------------------------
 
-    def step(self, messages, batch) -> list[Message]:
+    def step(self, inbox, batch) -> Mapping[str, Payload]:
         """Encode the batch, or reuse the last round's output when its images
         are equal in value: nothing on the image side learns and the settings
         record is frozen, so the output is a function of the images alone."""
-        if messages:
-            raise MailboxError(f"image agent cannot handle {messages[0]}")
         last = self._last_round
         if last is None or not np.array_equal(last[0], batch.images):
             features, difficulty, strategy = self.encode(batch.images)
-            context = self.emit_visual_context(features)
-            entries = MappingProxyType({"difficulty": difficulty, "strategy": strategy})
-            messages = (
-                Message(AgentId.IMAGE, AgentId.TEXT, FeatureBlock(context, "visual_context")),
-                Message(
-                    AgentId.IMAGE, AgentId.COORDINATOR, FeatureBlock(features, "image_features")
-                ),
-                Message(AgentId.IMAGE, AgentId.COORDINATOR, Metadata(entries)),
-            )
-            last = self._last_round = (batch.images.copy(), messages)
-        return list(last[1])
+            sent = {
+                "visual_context": self.emit_visual_context(features),
+                "image_features": features,
+                "metadata": MappingProxyType({"difficulty": difficulty, "strategy": strategy}),
+            }
+            last = self._last_round = (batch.images.copy(), MappingProxyType(sent))
+        return last[1]

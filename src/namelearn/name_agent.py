@@ -5,13 +5,14 @@ trainable vector, a row of a fixed name table, that is spliced into prompt
 templates in place of the name token.  Template banks are organized by
 concept family so that a concept's name can also be rendered inside templates
 authored for *other* families (context exchange), multiplying its training
-views.
+views.  Each round ``NameAgent.step`` receives nothing and returns one
+payload, ``prompts``: the batch's pooled prompt embeddings, for the text
+agent.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .bus import AgentId, FeatureBlock, MailboxError, Message
+from .bus import AgentId
 
 NAME_SLOT = -1
 SHARED_AFFINITY = "shared"
@@ -125,8 +126,6 @@ class RenderedPrompt:
     rows are never among them.
     """
 
-    concept_id: int
-    template_id: str
     prompt_tokens: tuple[int, ...]
     name_token: int | None
     name_row: int | None
@@ -153,9 +152,7 @@ def render_prompt(
     name_token, name_row = concept.name_token, None
     if concept.split == "ood" and not frozen_names:
         name_token, name_row = None, table.row(concept.id)
-    return RenderedPrompt(
-        concept.id, template.template_id, template.tokens, name_token, name_row
-    )
+    return RenderedPrompt(template.tokens, name_token, name_row)
 
 
 def pool_frozen_tokens(rendered: RenderedPrompt, vocab: np.ndarray) -> np.ndarray:
@@ -274,11 +271,8 @@ class NameAgent:
             return frozen
         return ad.add(frozen, ad.matmul(selection, self.table.weight))
 
-    def step(self, messages, batch) -> list[Message]:
-        if messages:
-            raise MailboxError(f"name agent cannot handle {messages[0]}")
-        block = FeatureBlock(self.pool(batch.prompts), "prompts")
-        return [Message(AgentId.NAME, AgentId.TEXT, block)]
+    def step(self, inbox, batch) -> dict[str, Tensor]:
+        return {"prompts": self.pool(batch.prompts)}
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +297,8 @@ def save_name_table(table: NameEmbeddingTable, path, world_seed: int) -> None:
 
 def load_name_table(path) -> tuple[NameEmbeddingTable, int]:
     """The table and world seed of a checkpoint; ``ValueError`` names ``path``
-    if the file is not one, is cut or runs long, or its header lacks a field."""
+    if the file is not one, is cut or runs long, or its header lacks a field
+    or holds a number that is not a JSON integer >= 0."""
     raw = Path(path).read_bytes()
     if not raw.startswith(CHECKPOINT_MAGIC):
         raise ValueError(f"{path}: not a name-embedding checkpoint")
@@ -314,13 +309,17 @@ def load_name_table(path) -> tuple[NameEmbeddingTable, int]:
         raise ValueError(f"{path}: file ends inside its header ({len(raw)} bytes)")
     try:
         header = json.loads(raw[off : off + hlen])
-        dim, world_seed = operator.index(header["embed_dim"]), header["world_seed"]
+        dim, world_seed = header["embed_dim"], header["world_seed"]
         ids = [entry["id"] for entry in header["concepts"]]
         blocks = [entry["n_vectors"] for entry in header["concepts"]]
+        # JSON integers only: a bool is an int to Python, and int() would
+        # truncate a float or parse a string.
+        if any(type(n) is not int or n < 0 for n in (dim, world_seed, *ids, *blocks)):
+            raise TypeError
     except (ValueError, KeyError, TypeError):
         raise ValueError(
             f"{path}: header is not an object with embed_dim, world_seed and "
-            "concepts, each concept with id and n_vectors"
+            "concepts, each concept with id and n_vectors, all integers >= 0"
         ) from None
     off += hlen
     expected = off + 8 * len(ids) * dim

@@ -12,16 +12,18 @@ its distinct prompts once; a training run builds each distinct batch once,
 since the rotation repeats every few epochs.  It runs fixed-schedule bus
 rounds under a gradient tape and returns each step's loss breakdown; it keeps
 no per-step history, so its memory does not grow with epochs
-(``write_step_log`` writes a returned history).  It evaluates by cosine retrieval against per-class text features,
-scored through the coordinator's ``similarity_matrix`` as training rounds are.
-The coordinator agent ends each round: it requires the image features, the
-``{difficulty, strategy}`` metadata (the score as a float) and the text
-features (one row per distinct prompt), computes the loss over images against
-distinct prompts, and sends nothing.  The image agent's difficulty scorer is
-fixed: the loss has no path back to it.  The image and text agents and the
-coordinator read the session's ``SessionSettings`` record as it is; the
-session itself reads only ``disable_name_agent`` (when built) and
-``disable_context_exchange`` (for the prompt pools).
+(``write_step_log`` writes a returned history).  It evaluates by cosine
+retrieval against per-class text features, scored through the coordinator's
+``similarity_matrix`` as training rounds are.  The coordinator agent ends
+each round: its inbox holds the ``image_features``, the ``{difficulty,
+strategy}`` ``metadata`` (the score as a float) and the ``text_features``
+(one row per distinct prompt), as ``bus.ROUND_SCHEMA`` routes them; it
+computes the loss over images against distinct prompts and sends nothing.
+The image agent's difficulty scorer is fixed: the loss has no path back to
+it.  The image and text agents and the coordinator read the session's
+``SessionSettings`` record as it is; the session itself reads only
+``disable_name_agent`` (when built) and ``disable_context_exchange`` (for the
+prompt pools).
 """
 
 from __future__ import annotations
@@ -32,15 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tape, Tensor, backward
-from .bus import (
-    AgentId,
-    FeatureBlock,
-    MailboxError,
-    Message,
-    MessageBus,
-    Metadata,
-    run_round,
-)
+from .bus import AgentId, MessageBus, Payload, run_round
 from .coordinator import Adam, CoordinatorParams, LossBreakdown, similarity_matrix, total_loss
 from .image_agent import ImageAgent
 from .name_agent import NameAgent, NameEmbeddingTable, context_exchange_augment
@@ -102,24 +96,10 @@ class CoordinatorAgent:
         self.settings = settings
         self.last_round: CoordinatorRound | None = None
 
-    def step(self, messages, batch: Batch) -> list[Message]:
-        image_features: Tensor | None = None
-        text_features: Tensor | None = None
-        metadata: dict | None = None
-        for msg in messages:
-            c = msg.content
-            if isinstance(c, Metadata):
-                metadata = c.entries
-            elif isinstance(c, FeatureBlock) and c.label == "image_features":
-                image_features = c.tensor
-            elif isinstance(c, FeatureBlock) and c.label == "text_features":
-                text_features = c.tensor
-            else:
-                raise MailboxError(f"coordinator cannot handle {msg}")
-        if image_features is None or text_features is None or metadata is None:
-            raise MailboxError(
-                "coordinator round ended without image features, text features or metadata"
-            )
+    def step(self, inbox: dict[str, Payload], batch: Batch) -> dict:
+        image_features = inbox["image_features"]
+        text_features = inbox["text_features"]
+        metadata = inbox["metadata"]
         total, breakdown = total_loss(
             image_features,
             text_features,
@@ -136,7 +116,7 @@ class CoordinatorAgent:
             total,
             breakdown,
         )
-        return []
+        return {}
 
 
 class TrainingSession:

@@ -2,17 +2,19 @@
 
 ``TextAgent.encode`` is the one text-encoding path, for training rounds and
 evaluation alike.  It runs the frozen text encoder's mixer over pooled prompt
-embeddings (the name agent's ``(N, D)`` block, learnable name vectors already
-pooled in), then mixes that standard feature with a learned transform of the
-feature concatenated with the visual context vector received from the image
-agent, weighted by the fixed ratio ``LAMBDA_MIX``.  The context is a value
-snapshot broadcast to every row: no gradient crosses from the text agent into
-the image agent.  ``encode`` keeps the broadcast rows with the context tensor
-they came from, and builds them again only for another tensor or another row
-count: within a training run the image agent sends the same cached context
-every round.  No code writes a context tensor in place, so its identity
-stands for its value.  It reads ``disable_text_context`` (in ``encode``) and
-``simple_concat_fusion`` (when built) from the session's ``SessionSettings``.
+embeddings (the name agent's ``(N, D)`` ``prompts`` payload, learnable name
+vectors already pooled in), then mixes that standard feature with a learned
+transform of the feature concatenated with the image agent's
+``visual_context`` payload, weighted by the fixed ratio ``LAMBDA_MIX``.  Each
+round ``step`` returns one payload, ``text_features``, for the coordinator.
+The context is a value snapshot broadcast to every row: no gradient crosses
+from the text agent into the image agent.  ``encode`` keeps the broadcast
+rows with the context tensor they came from, and builds them again only for
+another tensor or another row count: within a training run the image agent
+sends the same cached context every round.  No code writes a context tensor
+in place, so its identity stands for its value.  It reads
+``disable_text_context`` (in ``encode``) and ``simple_concat_fusion`` (when
+built) from the session's ``SessionSettings``.
 """
 
 from __future__ import annotations
@@ -21,12 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .bus import (
-    AgentId,
-    FeatureBlock,
-    MailboxError,
-    Message,
-)
+from .bus import AgentId
 from .settings import SessionSettings
 
 # Weight of the plain text feature in the fusion: it dominates, so the
@@ -155,18 +152,6 @@ class TextAgent:
 
     # -- round protocol ---------------------------------------------------------
 
-    def step(self, messages, batch) -> list[Message]:
-        context: Tensor | None = None
-        pooled: Tensor | None = None
-        for msg in messages:
-            c = msg.content
-            if isinstance(c, FeatureBlock) and c.label == "visual_context":
-                context = c.tensor
-            elif isinstance(c, FeatureBlock) and c.label == "prompts":
-                pooled = c.tensor
-            else:
-                raise MailboxError(f"text agent cannot handle {msg}")
-        if pooled is None:
-            raise MailboxError("text agent round ended without prompts")
-        block = FeatureBlock(self.encode(pooled, context), "text_features")
-        return [Message(AgentId.TEXT, AgentId.COORDINATOR, block)]
+    def step(self, inbox, batch) -> dict[str, Tensor]:
+        # ``encode`` needs the context only with ``disable_text_context`` off.
+        return {"text_features": self.encode(inbox["prompts"], inbox.get("visual_context"))}

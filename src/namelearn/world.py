@@ -66,6 +66,8 @@ class WorldConfig:
         needed = FILLER_POOL + self.n_seen + self.n_ood + 1
         if self.vocab_size < needed:
             raise WorldBuildError(f"vocab_size must be >= {needed}")
+        if not -np.inf < self.min_separation < np.inf:
+            raise WorldBuildError(f"min_separation {self.min_separation} must be finite")
         # Noise-induced expected cosine spread of a visual feature around its
         # prototype, to second order; latents must be separated well clear of it.
         spread = self.noise_sigma**2 * (self.embed_dim - 1) / 2.0
@@ -79,7 +81,6 @@ class WorldConfig:
 @dataclass(frozen=True)
 class ConceptSpec:
     id: int
-    name: str
     latent: np.ndarray  # unit vector, embed_dim
     split: str  # "seen" | "ood"
     name_token: int
@@ -238,8 +239,7 @@ def build_world(config: WorldConfig = WorldConfig()) -> World:
             vocab[token] = canonical_len * latents[i] - vocab[canonical_fillers].sum(axis=0)
         else:
             token = oov_token  # shared blind token: total blindness
-        name = f"{split}_{i if split == 'seen' else i - config.n_seen:02d}"
-        concepts.append(ConceptSpec(i, name, latents[i], split, token, family))
+        concepts.append(ConceptSpec(i, latents[i], split, token, family))
 
     world = World(
         config,

@@ -1,22 +1,23 @@
+import cProfile
 import json
 import pickle
+import pstats
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from namelearn import selfcheck
 from namelearn.autodiff import Tensor
 from namelearn.bus import (
+    ROUND_ORDER,
+    ROUND_SCHEMA,
     AgentId,
     EmptyBatchError,
-    FeatureBlock,
-    MailboxError,
-    Message,
     MessageBus,
-    Metadata,
     ProtocolError,
-    SelfSendError,
     UnregisteredAgentError,
-    content_tag,
     run_round,
 )
 from namelearn.session import Batch, SessionSettings, TrainingSession
@@ -39,41 +40,111 @@ def make_batch(world, session, k=2, epoch=0, seed=11):
     return session.build_batch(shots, epoch)
 
 
-def fb(vec=(1.0, 2.0), label="visual_context"):
-    return FeatureBlock(Tensor(np.asarray(vec)), label)
+class Stub:
+    """Sends fixed payloads and keeps the inbox it was handed."""
+
+    def __init__(self, agent_id, sent):
+        self.agent_id = agent_id
+        self.sent = sent
+        self.inbox = None
+        self.last_round = None
+
+    def step(self, inbox, batch):
+        self.inbox = inbox
+        return self.sent
+
+
+PAYLOADS = {
+    "visual_context": Tensor(np.array([1.0, 2.0, 3.0, 4.0, 5.0])),
+    "image_features": Tensor(np.arange(6.0).reshape(3, 2)),
+    "metadata": {"difficulty": 0.5, "strategy": "standard"},
+    "prompts": Tensor(np.full((2, 5), 0.5)),
+    "text_features": Tensor(-np.arange(10.0).reshape(2, 5)),
+}
+# run_round reads only a batch's size; the stubs read nothing of it.
+STUB_BATCH = SimpleNamespace(size=3)
+
+
+def labels_of(agent):
+    return [label for label, (sender, _) in ROUND_SCHEMA.items() if sender is agent]
+
+
+def stub_bus(odd_one=None, odd_labels=()):
+    """A bus of four stubs, each sending its schema labels of ``PAYLOADS`` in
+    schema order, except that ``odd_one`` sends ``odd_labels``."""
+    bus = MessageBus()
+    stubs = {}
+    for agent in AgentId:
+        labels = odd_labels if agent is odd_one else labels_of(agent)
+        stubs[agent] = Stub(agent, {label: PAYLOADS[label] for label in labels})
+        bus.register(stubs[agent])
+    return bus, stubs
 
 
 # ---------------------------------------------------------------------------
-# Message and mailbox mechanics
+# The round schema, on stub agents
 
-def test_send_delivers_to_mailbox():
-    bus = MessageBus()
-    msg = Message(AgentId.IMAGE, AgentId.TEXT, fb())
-    bus.send(msg)
-    assert len(bus.mailboxes[AgentId.TEXT]) == 1
+def test_schema_has_no_self_edge_and_sends_forward():
+    order = {agent: i for i, agent in enumerate(ROUND_ORDER)}
+    assert list(ROUND_SCHEMA) == list(PAYLOADS)
+    assert set(ROUND_ORDER) == set(AgentId)
+    for label, (sender, receiver) in ROUND_SCHEMA.items():
+        assert sender is not receiver, label
+        assert order[sender] < order[receiver], label
+    # Send order is step order: no agent sends after a later agent has.
+    senders = [order[sender] for sender, _ in ROUND_SCHEMA.values()]
+    assert senders == sorted(senders)
 
 
-def test_self_send_rejected():
-    with pytest.raises(SelfSendError):
-        Message(AgentId.IMAGE, AgentId.IMAGE, fb())
+def test_each_payload_is_read_by_its_receiver():
+    bus, stubs = stub_bus()
+    run_round(bus, STUB_BATCH)
+    for agent, stub in stubs.items():
+        expected = {
+            label: PAYLOADS[label]
+            for label, (_, receiver) in ROUND_SCHEMA.items()
+            if receiver is agent
+        }
+        assert stub.inbox.keys() == expected.keys(), agent
+        assert all(stub.inbox[label] is payload for label, payload in expected.items())
 
 
-def test_fifo_order_per_pair():
-    bus = MessageBus()
-    bus.send(Message(AgentId.IMAGE, AgentId.TEXT, fb(label="first")))
-    bus.send(Message(AgentId.IMAGE, AgentId.TEXT, fb(label="second")))
-    drained = bus.drain(AgentId.TEXT)
-    assert [m.content.label for m in drained] == ["first", "second"]
+@pytest.mark.parametrize(
+    "agent, sent",
+    [
+        (AgentId.IMAGE, ["visual_context", "image_features"]),
+        (AgentId.NAME, ["prompts", "text_features"]),
+        (AgentId.IMAGE, ["metadata", "image_features", "visual_context"]),
+        (AgentId.COORDINATOR, ["metadata"]),
+    ],
+    ids=["image_leaves_out", "name_adds", "image_reorders", "coordinator_adds"],
+)
+def test_run_round_names_an_agent_that_breaks_the_schema(agent, sent):
+    bus, stubs = stub_bus(agent, sent)
+    message = f"{agent.value} sent {sent}; the round schema gives it {labels_of(agent)}"
+    with pytest.raises(ProtocolError, match=re.escape(message)):
+        run_round(bus, STUB_BATCH)
+    # Nothing the agent sent was delivered or logged.
+    assert all(rec.sender is not agent for rec in bus.log)
+    later = ROUND_ORDER[ROUND_ORDER.index(agent) + 1 :]
+    assert all(stubs[a].inbox is None for a in later)
 
 
 def test_content_tags():
-    assert content_tag(fb()) == "feature"
-    assert content_tag(Metadata({"k": "v"})) == "metadata"
+    bus, _ = stub_bus()
+    run_round(bus, STUB_BATCH)
+    assert [(rec.label, rec.tag) for rec in bus.log] == [
+        ("visual_context", "feature"),
+        ("image_features", "feature"),
+        (None, "metadata"),
+        ("prompts", "feature"),
+        ("text_features", "feature"),
+    ]
 
 
 def test_log_records_payload_summary():
-    bus = MessageBus()
-    bus.send(Message(AgentId.IMAGE, AgentId.TEXT, fb((1.0, 2.0, 3.0, 4.0, 5.0))))
+    bus, _ = stub_bus()
+    run_round(bus, STUB_BATCH)
     summary = bus.log[0].summary()
     assert summary["content_tag"] == "feature"
     assert summary["payload_summary"]["shape"] == [5]
@@ -81,37 +152,34 @@ def test_log_records_payload_summary():
 
 
 def test_log_record_rejects_attribute_assignment():
-    bus = MessageBus()
-    bus.send(Message(AgentId.IMAGE, AgentId.TEXT, fb()))
-    rec = bus.log[0]
+    bus, _ = stub_bus()
+    run_round(bus, STUB_BATCH)
+    rec = bus.log[1]
     with pytest.raises(AttributeError):
         rec.tag = "metadata"
     with pytest.raises(AttributeError):
         rec.values = None
-    assert rec.tag == "feature" and rec.values.tolist() == [1.0, 2.0]
+    assert rec.tag == "feature" and rec.values.tolist() == [0.0, 1.0, 2.0, 3.0]
 
 
 def test_agent_id_survives_pickle_as_a_mailbox_key():
-    bus = MessageBus()
-    bus.send(Message(AgentId.IMAGE, AgentId.TEXT, fb()))
-    mailboxes = pickle.loads(pickle.dumps(bus.mailboxes))
-    assert list(mailboxes) == list(AgentId)
-    assert all(a is b for a, b in zip(mailboxes, AgentId))
-    assert [m.content.label for m in mailboxes[AgentId.TEXT]] == ["visual_context"]
-    assert mailboxes[AgentId.IMAGE] == []
+    keyed = {agent: agent.value for agent in AgentId}
+    loaded = pickle.loads(pickle.dumps(keyed))
+    assert list(loaded) == list(AgentId)
+    assert all(a is b for a, b in zip(loaded, AgentId))
+    assert loaded[AgentId.TEXT] == "Text"
     assert hash(pickle.loads(pickle.dumps(AgentId.NAME))) == hash(AgentId.NAME)
 
 
 def test_serialize_log_jsonl(tmp_path):
-    bus = MessageBus()
-    bus.round_index = 3
-    entries = {"difficulty": "0.5", "strategy": "standard"}
-    bus.send(Message(AgentId.IMAGE, AgentId.COORDINATOR, Metadata(entries)))
-    bus.send(Message(AgentId.IMAGE, AgentId.COORDINATOR, fb(label="image_features")))
+    bus, _ = stub_bus()
+    bus.round_index = 2
+    run_round(bus, STUB_BATCH)
     path = tmp_path / "log.jsonl"
     bus.serialize_log(path)
     lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert lines[0] == {
+    assert len(lines) == 5
+    assert lines[2] == {
         "round": 3,
         "sender": "Image",
         "receiver": "Coordinator",
@@ -119,8 +187,11 @@ def test_serialize_log_jsonl(tmp_path):
         "payload_summary": {"keys": ["difficulty", "strategy"]},
     }
     assert lines[1]["content_tag"] == "feature"
-    assert lines[1]["payload_summary"] == {"shape": [2], "first": [1.0, 2.0]}
+    assert lines[1]["payload_summary"] == {"shape": [3, 2], "first": [0.0, 1.0, 2.0, 3.0]}
 
+
+# ---------------------------------------------------------------------------
+# The log of real rounds
 
 def test_log_keeps_only_summary_values_over_default_rounds(tmp_path):
     world = build_world(WorldConfig())
@@ -220,29 +291,6 @@ def test_run_round_requires_registration(world, missing):
     assert bus.round_index == 0 and bus.log == []
 
 
-class _Chatty:
-    """The coordinator, plus one message to the image agent that no agent
-    reads this round."""
-
-    agent_id = AgentId.COORDINATOR
-
-    def __init__(self, coordinator):
-        self.coordinator = coordinator
-        self.last_round = None
-
-    def step(self, messages, batch):
-        self.coordinator.step(messages, batch)
-        self.last_round = self.coordinator.last_round
-        return [Message(AgentId.COORDINATOR, AgentId.IMAGE, Metadata({"k": 1}))]
-
-
-def test_run_round_names_a_mailbox_left_full(world):
-    session = make_session(world)
-    session.bus.register(_Chatty(session.coordinator))
-    with pytest.raises(ProtocolError, match=r"\{'Image': 1\}"):
-        run_round(session.bus, make_batch(world, session))
-
-
 def test_run_round_rejects_empty_batch(world):
     session = make_session(world)
     empty = Batch(
@@ -265,12 +313,6 @@ def test_run_round_coordinator_collects_artifacts(world):
     assert info.breakdown is not None
 
 
-def test_run_round_empties_all_mailboxes(world):
-    session = make_session(world)
-    run_round(session.bus, make_batch(world, session))
-    assert all(len(m) == 0 for m in session.bus.mailboxes.values())
-
-
 def test_round_determinism_same_seed(world):
     triples = []
     for _ in range(2):
@@ -286,22 +328,24 @@ def test_step_agent_deterministic_given_inputs_and_memory(world):
     session_a = make_session(world, seed=4)
     session_b = make_session(world, seed=4)
     batch = make_batch(world, session_a)
-    out_a = session_a.image_agent.step([], batch)
-    out_b = session_b.image_agent.step([], batch)
-    assert len(out_a) == len(out_b)
-    for ma, mb in zip(out_a, out_b):
-        if isinstance(ma.content, FeatureBlock):
-            assert np.array_equal(ma.content.tensor.data, mb.content.tensor.data)
-        else:
-            assert ma.content == mb.content
+    out_a = session_a.image_agent.step({}, batch)
+    out_b = session_b.image_agent.step({}, batch)
+    assert list(out_a) == list(out_b) == labels_of(AgentId.IMAGE)
+    for label in ("visual_context", "image_features"):
+        assert np.array_equal(out_a[label].data, out_b[label].data)
+    assert out_a["metadata"] == out_b["metadata"]
 
 
 def test_malformed_mailbox_content_raises_typed_error(world):
+    """A payload under a label its sender does not own is refused before any
+    agent reads it."""
     session = make_session(world)
     batch = make_batch(world, session)
-    bad = Message(AgentId.NAME, AgentId.IMAGE, fb(label="image_features"))
-    with pytest.raises(MailboxError):
-        session.image_agent.step([bad], batch)
+    pooled = session.name_agent.pool(batch.prompts)
+    session.bus.register(Stub(AgentId.NAME, {"text_features": pooled}))
+    with pytest.raises(ProtocolError, match=r"Name sent \['text_features'\]"):
+        run_round(session.bus, batch)
+    assert [rec.sender for rec in session.bus.log] == [AgentId.IMAGE] * 3
 
 
 def test_round_sends_only_messages_with_a_reader():
@@ -316,13 +360,32 @@ def test_round_sends_only_messages_with_a_reader():
         (AgentId.NAME, AgentId.TEXT, "feature", "prompts"),
         (AgentId.TEXT, AgentId.COORDINATOR, "feature", "text_features"),
     ]
-    metadata = Metadata({"difficulty": 0.5, "strategy": "standard"})
-    for agent in (session.image_agent, session.name_agent, session.text_agent):
-        with pytest.raises(MailboxError):
-            agent.step([Message(AgentId.COORDINATOR, agent.agent_id, metadata)], batch)
-    to_text, image_features, image_metadata = session.image_agent.step([], batch)
-    (prompts,) = session.name_agent.step([], batch)
-    (text_features,) = session.text_agent.step([to_text, prompts], batch)
-    with pytest.raises(MailboxError, match="metadata"):
-        session.coordinator.step([image_features, text_features], batch)
-    assert session.coordinator.step([image_features, image_metadata, text_features], batch) == []
+    image = session.image_agent.step({}, batch)
+    prompts = session.name_agent.step({}, batch)
+    text = session.text_agent.step(
+        {"visual_context": image["visual_context"], "prompts": prompts["prompts"]}, batch
+    )
+    for agent, sent in zip(ROUND_ORDER, (image, prompts, text)):
+        assert list(sent) == labels_of(agent)
+    inbox = {
+        "image_features": image["image_features"],
+        "metadata": image["metadata"],
+        "text_features": text["text_features"],
+    }
+    assert session.coordinator.step(inbox, batch) == {}
+
+
+def test_round_fixed_cost_in_python_calls():
+    """A criterion-1 round's Python-level calls, counted by cProfile over the
+    whole check (set-up and backward included).  With numpy fixed the count
+    does not vary from run to run, so a call that creeps back into every
+    round shows here as timings would not."""
+    selfcheck.full_loss_grad_checks(1)  # first-call work inside numpy
+    profile = cProfile.Profile()
+    profile.runcall(selfcheck.full_loss_grad_checks, 2)
+    stats = pstats.Stats(profile)
+    rounds = sum(
+        ncalls for (_, _, name), (_, ncalls, *_) in stats.stats.items() if name == "run_round"
+    )
+    assert rounds == 2 * (1 + 2 * 243)
+    assert stats.total_calls / rounds <= 185

@@ -6,7 +6,6 @@ import pytest
 from namelearn import autodiff as ad
 from namelearn import image_agent
 from namelearn.autodiff import DomainError, ShapeError, Tape, Tensor, backward, grad_check
-from namelearn.bus import Metadata
 from namelearn.coordinator import contrastive_loss, similarity_matrix
 from namelearn.image_agent import (
     DifficultyEstimator,
@@ -128,12 +127,9 @@ def test_encode_is_the_round_routing(agent, threshold, monkeypatch):
     assert strategy == select_strategy(difficulty, threshold)
     encoder = agent.encode_standard if strategy == "standard" else agent.encode_robust
     assert np.array_equal(features.data, encoder(Tensor(images)).data)
-    out = agent.step([], SimpleNamespace(images=images))
-    (sent,) = [m.content for m in out if getattr(m.content, "label", "") == "image_features"]
-    assert np.array_equal(sent.tensor.data, features.data)
-    assert Metadata({"difficulty": difficulty, "strategy": strategy}) in [
-        m.content for m in out
-    ]
+    sent = agent.step({}, SimpleNamespace(images=images))
+    assert np.array_equal(sent["image_features"].data, features.data)
+    assert sent["metadata"] == {"difficulty": difficulty, "strategy": strategy}
 
 
 @pytest.mark.parametrize("alpha", [0.1, 1.0])

@@ -313,6 +313,15 @@ def _without(key):
         {**HEADER, "concepts": [{"id": 3}, {"id": 7}]},
         _without("embed_dim"),
         _without("world_seed"),
+        {**HEADER, "world_seed": "banana"},
+        {**HEADER, "world_seed": -3},
+        {**HEADER, "concepts": [{"id": 0.9, "n_vectors": 1}, {"id": 1.5, "n_vectors": 1}]},
+        {**HEADER, "concepts": [{"id": 3, "n_vectors": 1}, {"id": "7", "n_vectors": 1}]},
+        {**HEADER, "concepts": [{"id": 0, "n_vectors": 1}, {"id": True, "n_vectors": 1}]},
+        {**HEADER, "concepts": [{"id": -1, "n_vectors": 1}, {"id": 3, "n_vectors": 1}]},
+        # Six one-value rows fill the same body as two three-value rows.
+        {**HEADER, "embed_dim": True, "concepts": [{"id": i, "n_vectors": 1} for i in range(6)]},
+        {**HEADER, "concepts": [{"id": 3, "n_vectors": True}, {"id": 7, "n_vectors": True}]},
     ],
     ids=[
         "concepts0",
@@ -322,6 +331,14 @@ def _without(key):
         "no_n_vectors",
         "no_embed_dim",
         "no_world_seed",
+        "string_world_seed",
+        "negative_world_seed",
+        "float_ids",
+        "string_id",
+        "true_id",
+        "negative_id",
+        "true_embed_dim",
+        "true_n_vectors",
     ],
 )
 def test_checkpoint_rejects_blocks_and_unordered_ids(tmp_path, header):

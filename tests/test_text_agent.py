@@ -6,7 +6,7 @@ import pytest
 from namelearn import autodiff as ad
 from namelearn import text_agent
 from namelearn.autodiff import ShapeError, Tensor, grad_check
-from namelearn.bus import AgentId, FeatureBlock, Message, run_round
+from namelearn.bus import run_round
 from namelearn.image_agent import ImageAgent
 from namelearn.name_agent import (
     NAME_SLOT,
@@ -163,19 +163,15 @@ def test_integrate_context_rejects_wrong_width(world, agent):
         agent.fusion(Tensor(np.zeros(2 * d)))  # rows only, not a bare vector
 
 
-def prompt_message(rows):
-    return Message(AgentId.NAME, AgentId.TEXT, FeatureBlock(rows, "prompts"))
-
-
 def test_disable_text_context_is_the_standard_encoding(world, namer):
     agent = make_agent(world, disable_text_context=True)
     rows = pooled(world, namer, world.ood_ids[0])
     std = standard(world, rows)
     assert np.array_equal(agent.encode(rows, context(world, 3)).data, std.data)
     # The round needs no visual context at all.
-    out = agent.step([prompt_message(rows)], None)
-    assert out[0].content.label == "text_features"
-    assert np.array_equal(out[0].content.tensor.data, std.data)
+    out = agent.step({"prompts": rows}, None)
+    assert list(out) == ["text_features"]
+    assert np.array_equal(out["text_features"].data, std.data)
 
 
 def test_contextual_lambda_zero_equals_fusion(world, namer, monkeypatch):
@@ -192,7 +188,7 @@ def test_contextual_missing_context_is_error(world, namer):
     agent = make_agent(world)
     rows = pooled(world, namer, world.seen_ids[0])
     with pytest.raises(MissingContextError, match="disable_text_context"):
-        agent.step([prompt_message(rows)], None)
+        agent.step({"prompts": rows}, None)
 
 
 def test_contextual_halfway_with_constant_fusion(world, namer, monkeypatch):

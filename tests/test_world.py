@@ -81,6 +81,12 @@ def test_build_rejects_infeasible_separation():
         build_world(cfg)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_build_rejects_non_finite_separation(value):
+    with pytest.raises(WorldBuildError, match="min_separation"):
+        build_world(WorldConfig(min_separation=value))
+
+
 def test_build_rejects_noise_overwhelming_separation():
     with pytest.raises(WorldBuildError, match="cosine spread"):
         build_world(WorldConfig(noise_sigma=0.5))
