@@ -1,8 +1,8 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
-Each test prints one PASS/FAIL line.  The few-shot sweep and the ablation
-suite run once per session (module-scoped fixtures) and feed several
-criteria.  Absolute large-scale benchmark numbers are out of reach at desk
+Each test prints one PASS/FAIL line.  The few-shot sweep, the ablation
+suite and criterion 1's gradient check run once per test session
+(``conftest.py``) and feed several criteria and the pinned outputs.  Absolute large-scale benchmark numbers are out of reach at desk
 scale; these criteria check the properties and the qualitative experiment
 shapes instead.
 """
@@ -15,19 +15,9 @@ import pytest
 
 from namelearn import autodiff as ad
 from namelearn.autodiff import Tape, Tensor, backward
-from namelearn.harness import (
-    ABLATION_FLAGS,
-    ExperimentConfig,
-    emit_metrics,
-    run_ablation_suite,
-    run_few_shot,
-)
+from namelearn.harness import ExperimentConfig, emit_metrics, run_few_shot
 from namelearn.image_agent import ImageAgent
-from namelearn.selfcheck import (
-    classification_oracle_suite,
-    contrastive_oracle_suite,
-    full_loss_grad_checks,
-)
+from namelearn.selfcheck import classification_oracle_suite, contrastive_oracle_suite
 from namelearn.session import SessionSettings, TrainingSession, write_step_log
 from namelearn.world import WorldConfig, build_world
 
@@ -43,13 +33,6 @@ def _criterion(num: int, name: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def default_world():
     return build_world(WorldConfig())
-
-
-@pytest.fixture(scope="module")
-def sweep():
-    start = time.perf_counter()
-    result = run_few_shot(SWEEP_CONFIG)
-    return result, time.perf_counter() - start
 
 
 def _best_lr(result) -> float:
@@ -74,18 +57,8 @@ def _shot_means(result, lr, metric="ood_acc"):
     return means
 
 
-@pytest.fixture(scope="module")
-def ablation_suite():
-    config = replace(
-        SWEEP_CONFIG, shots=(16,), lrs=(1e-3,), n_test_per_class=100
-    )
-    return run_ablation_suite(config, ABLATION_FLAGS)
-
-
-def test_criterion_1_gradient_integrity():
-    start = time.perf_counter()
-    report = full_loss_grad_checks(n_batches=20)
-    elapsed = time.perf_counter() - start
+def test_criterion_1_gradient_integrity(criterion_1):
+    report, elapsed = criterion_1
     ok = report.worst < 1e-4 and elapsed < 10.0
     _criterion(
         1,
