@@ -6,12 +6,13 @@ the tape once, in reverse, and assigns ``.grad`` on every gradient-requiring
 leaf.  ``grad_check`` compares those gradients against central finite
 differences.  Loss terms are single ops with closed-form backwards
 (``softmax_cross_entropy`` here, the contrastive loss in ``coordinator``), so
-each costs one tape entry.  So do the layers every round runs: ``affine`` is
-a matmul plus bias, ``blend`` a fixed-weight sum of two tensors, and the
-coordinator's ``similarity_matrix`` and weighted total are single ops too.
-Each fused backward evaluates the numpy expressions its composed ops would, in
-the same order, so its gradients are bit-identical to theirs; the generic ops
-stay, and tests use them as the oracles.
+each costs one tape entry.  So are ``affine`` (a matmul plus bias) and
+``blend`` (a fixed-weight sum), the coordinator's ``similarity_matrix`` and
+weighted total, and the text agent's ``encode_text`` (its whole chain).  Each
+fused backward evaluates the numpy expressions its composed ops would, in the
+same order, so its gradients are bit-identical to theirs; the generic ops
+stay, and tests use them as the oracles.  A batch's fixed class labels are
+checked once, by ``check_labels``, not by every ``softmax_cross_entropy``.
 
 Sums, maxima and minima on a round's path, here and in ``coordinator``, call
 the ufunc's ``reduce`` directly, as in ``np.add.reduce(x, axis=1)``: the
@@ -25,6 +26,7 @@ add, no GPU, no mixed precision.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Callable, Sequence
 
 import numpy as np
@@ -155,7 +157,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             return gx, np.outer(xd, g) if w.requires_grad else None, g
         gx = g @ wd.T if x.requires_grad else None
         gw = xd.T @ g if w.requires_grad else None
-        return gx, gw, g.sum(axis=0) if b.requires_grad else None
+        return gx, gw, np.add.reduce(g, axis=0) if b.requires_grad else None
 
     return _make(xd @ wd + bd, (x, w, b), backward)
 
@@ -276,7 +278,7 @@ def unit_rows(x: np.ndarray, op: str) -> tuple[np.ndarray, np.ndarray]:
 
 def unit_rows_backward(g: np.ndarray, y: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Gradient through ``unit_rows`` given its output ``y`` and ``norms``."""
-    dot = np.sum(g * y, axis=1, keepdims=True)
+    dot = np.add.reduce(g * y, axis=1, keepdims=True)
     return (g - dot * y) / norms
 
 
@@ -367,39 +369,45 @@ def sum_all(a: Tensor) -> Tensor:
     return _make(np.asarray(a.data.sum()), (a,), backward)
 
 
+Labels = namedtuple("Labels", "index rows shape")  # (N,) indices, arange(N), (N, M)
+
+
+def check_labels(labels, shape: tuple[int, ...], op: str = "softmax_cross_entropy") -> Labels:
+    """Every check ``op`` makes of its per-row column indices into a nonempty
+    matrix; a batch's fixed class labels are checked once."""
+    if len(shape) != 2 or shape[0] == 0:
+        raise ShapeError(f"{op}: need a nonempty matrix, got shape {shape}")
+    idx = np.asarray(labels, dtype=np.intp)
+    n, m = shape
+    if idx.shape != (n,):
+        raise ShapeError(f"{op}: need {n} labels, got shape {idx.shape}")
+    if np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= m:
+        raise DomainError(f"{op}: label out of range for {m} columns")
+    return Labels(idx, np.arange(n), shape)
+
+
 def pick_per_row(a: Tensor, indices) -> Tensor:
     """Gather one entry per row: out[i] = a[i, indices[i]]."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"pick_per_row: need a matrix, got shape {a.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
-    n, m = a.data.shape
-    if idx.shape != (n,):
-        raise ShapeError(f"pick_per_row: need {n} indices, got shape {idx.shape}")
-    if n and (idx.min() < 0 or idx.max() >= m):
-        raise DomainError(f"pick_per_row: index out of range for {m} columns")
+    idx, rows, shape = check_labels(indices, a.data.shape, "pick_per_row")
 
     def backward(g):
-        out = np.zeros((n, m))
-        out[np.arange(n), idx] = g
+        out = np.zeros(shape)
+        out[rows, idx] = g
         return (out,)
 
-    return _make(a.data[np.arange(n), idx], (a,), backward)
+    return _make(a.data[rows, idx], (a,), backward)
 
 
 def softmax_cross_entropy(a: Tensor, labels) -> Tensor:
-    """Mean over rows of ``-log softmax(a)[i, labels[i]]``, as a 0-d tensor.
+    """Mean over rows of ``-log softmax(a)[i, labels[i]]``, as a 0-d tensor,
+    for an index array or ``check_labels``'s ``Labels``.
 
     One op with the closed-form backward ``(softmax(a) - onehot) * g / N``.
     """
-    if a.data.ndim != 2 or a.data.shape[0] == 0:
-        raise ShapeError(f"softmax_cross_entropy: need a nonempty matrix, got shape {a.shape}")
-    idx = np.asarray(labels, dtype=np.intp)
-    n, m = a.data.shape
-    if idx.shape != (n,):
-        raise ShapeError(f"softmax_cross_entropy: need {n} labels, got shape {idx.shape}")
-    if np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= m:
-        raise DomainError(f"softmax_cross_entropy: label out of range for {m} columns")
-    rows = np.arange(n)
+    idx, rows, shape = labels if type(labels) is Labels else check_labels(labels, a.data.shape)
+    if a.data.shape != shape:
+        raise ShapeError(f"softmax_cross_entropy: logits {a.shape}, labels checked for {shape}")
+    n = shape[0]
     log_p = log_softmax(a.data)
 
     def backward(g):

@@ -76,6 +76,17 @@ class ProtocolError(RuntimeError):
     """An agent sent labels other than the ones the round schema gives it."""
 
 
+class UnpreparedBatchError(RuntimeError):
+    """A round ran on a batch that the agents' own session did not prepare."""
+
+
+class PreparedRun(dict):
+    """Agent -> what it computed once for a batch, which each round reads."""
+
+    def __missing__(self, agent):
+        raise UnpreparedBatchError(f"{agent.agent_id.value} agent: not its session's batch")
+
+
 # Values kept per feature payload in the log: the shape and this many leading
 # values (row-major), exactly what ``LogRecord.summary`` reports.
 LOG_VALUES = 4

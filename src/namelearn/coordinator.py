@@ -9,25 +9,27 @@ Training and evaluation both score through ``similarity_matrix``.  A round's
 text side has one row per distinct prompt, so the loss scores N images against
 U texts, with multiplicities taken from the match indices; that equals the
 square loss over one text row per image-prompt pair (see
-``contrastive_loss``).  Each loss term is one
-tape entry with a closed-form backward: the contrastive loss here, whose
-value and backward share one exponential pass, the classification loss
-through ``autodiff.softmax_cross_entropy``.  The layers around them are one
-entry each as well: ``similarity_matrix`` (both row normalizations and the
-product), and ``weighted_total``, which computes the clipped loss weights and
-the weighted sum on python floats and hands ``LossBreakdown`` those floats.
-A round records six coordinator entries: the temperature clip, the
-similarities, the two loss terms, the head's ``matmul`` and the total.  Adam
-updates every parameter in one pass over flat moment vectors, and leaves one
-with no gradient as it is.  Only ``total_loss`` reads
-``disable_coordinator_dynamics`` and ``disable_dynamic_balancing`` from the
-session's ``SessionSettings``: under them the temperature and the loss
+``contrastive_loss``).  A batch's fixed inputs are checked once, when the
+session prepares it: the match indices by ``check_matches``, the class labels
+by ``autodiff.check_labels``, and the image rows are normalized then too.
+Each loss term is one tape entry with a closed-form backward: the contrastive
+loss here, whose value and backward share one exponential pass, the
+classification loss through ``autodiff.softmax_cross_entropy``.  The layers
+around them are one entry each as well: ``similarity_matrix`` and
+``weighted_total``, which computes the clipped loss weights and the weighted
+sum on python floats and hands ``LossBreakdown`` those floats.  A round
+records six coordinator entries: the temperature clip, the similarities, the
+two loss terms, the head's ``matmul`` and the total.  Adam updates every
+parameter in one pass over flat moment vectors, and leaves one with no
+gradient as it is.  Only ``total_loss`` reads ``disable_coordinator_dynamics``
+and ``disable_dynamic_balancing``: under them the temperature and the loss
 weights never reach the tape, so they get no gradient and do not train.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,16 +82,16 @@ def effective_temperature(tau_param: Tensor) -> Tensor:
     return ad.clip(tau_param, *TAU_BAND)
 
 
-def similarity_matrix(img: Tensor, txt: Tensor) -> Tensor:
+def similarity_matrix(img: Tensor, txt: Tensor, img_rows=None) -> Tensor:
     """Raw pairwise cosines between row-normalized image and text features.
 
     One op for ``matmul(l2_normalize_rows(img), transpose(l2_normalize_rows(txt)))``:
     the product takes the normalized text rows as a transposed view, so it is
     the same BLAS call as ``x @ y.T``, and the backward evaluates the composed
-    ops' expressions in their order."""
+    ops' expressions in their order.  ``img_rows``: a fixed ``img``'s ``unit_rows``."""
     if img.data.ndim != 2 or txt.data.ndim != 2 or img.data.shape[1] != txt.data.shape[1]:
         raise ShapeError(f"similarity_matrix: incompatible {img.shape} vs {txt.shape}")
-    yi, ni = ad.unit_rows(img.data, "similarity_matrix")
+    yi, ni = img_rows or ad.unit_rows(img.data, "similarity_matrix")
     yt, nt = ad.unit_rows(txt.data, "similarity_matrix")
 
     def backward(g):
@@ -104,11 +106,32 @@ def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(np.asarray(float(value)))
 
 
+Matches = namedtuple("Matches", "index counts rows shape")  # (N,), (U,), arange(N), (N, U)
+
+
+def check_matches(y, shape: tuple[int, ...]) -> Matches:
+    """Every check ``contrastive_loss`` makes of its match indices, done once
+    for a batch's fixed indices."""
+    if len(shape) != 2:
+        raise ShapeError(f"contrastive_loss: need a matrix, got {shape}")
+    n, u = shape
+    if n == 0:
+        raise ShapeError("contrastive_loss: empty batch")
+    y = np.asarray(y, dtype=np.intp)
+    if y.shape != (n,) or np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= u:
+        raise DomainError(f"contrastive_loss: bad match indices for {n} rows, {u} columns")
+    m = np.bincount(y, minlength=u)
+    if np.minimum.reduce(m) == 0:
+        raise DomainError(f"contrastive_loss: column {int(m.argmin())} has no pair")
+    return Matches(y, m, np.arange(n), shape)
+
+
 def contrastive_loss(s: Tensor, y, tau) -> Tensor:
     """Symmetric cross-entropy over rows and columns of s divided by tau.
 
     s is ``(N, U)``, one column per distinct text, and ``y[i]`` is image i's
-    column; every column must be used.  The multiplicities
+    column (an index array or ``check_matches``'s ``Matches``); every column
+    must be used.  The multiplicities
     ``m = bincount(y)`` give the value: it is the square loss of the
     ``(N, N)`` matrix whose column j is s's column ``y[j]``, with the targets
     on its diagonal.  A row term weights column u by ``m[u]`` (a ``log m``
@@ -129,22 +152,15 @@ def contrastive_loss(s: Tensor, y, tau) -> Tensor:
     that underflows (``st`` spanning more than about 700) raises
     ``DomainError``; cosines over a tau in the band span at most 4.
     """
-    if s.data.ndim != 2:
-        raise ShapeError(f"contrastive_loss: need a matrix, got {s.shape}")
-    n, u = s.data.shape
-    if n == 0:
-        raise ShapeError("contrastive_loss: empty batch")
-    y = np.asarray(y, dtype=np.intp)
-    if y.shape != (n,) or np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= u:
-        raise DomainError(f"contrastive_loss: bad match indices for {n} rows, {u} columns")
-    m = np.bincount(y, minlength=u)
-    if np.minimum.reduce(m) == 0:
-        raise DomainError(f"contrastive_loss: column {int(m.argmin())} has no pair")
+    sd = s.data
+    y, m, rows, shape = y if type(y) is Matches else check_matches(y, sd.shape)
+    if sd.shape != shape:
+        raise ShapeError(f"contrastive_loss: scores {sd.shape}, matches checked for {shape}")
+    n = shape[0]
     tau_t = _as_tensor(tau)
     tau_value = float(tau_t.data.reshape(()))
     if not TAU_BAND[0] <= tau_value <= TAU_BAND[1]:
         raise DomainError(f"contrastive_loss: tau {tau_value} outside {TAU_BAND}")
-    sd = s.data
     z = sd / tau_value
     z -= np.maximum.reduce(z, axis=None)
     e = np.exp(z)
@@ -155,7 +171,6 @@ def contrastive_loss(s: Tensor, y, tau) -> Tensor:
         raise DomainError(
             "contrastive_loss: a row or column sum underflows: s / tau spans too far"
         )
-    rows = np.arange(n)
     # Each direction's picked log-probability is z at the target minus the
     # log of its sum; the row bias log m cancels at the target.
     picked = 2.0 * np.add.reduce(z[rows, y])
@@ -174,8 +189,8 @@ def contrastive_loss(s: Tensor, y, tau) -> Tensor:
 
 
 def classification_loss(img_features: Tensor, w_cls: Tensor, labels) -> Tensor:
-    """Mean cross-entropy of the linear head's logits against the labels;
-    ``softmax_cross_entropy`` checks the labels' shape and range."""
+    """Mean cross-entropy of the linear head's logits against the labels
+    (an index array or ``ad.Labels``); ``ad.check_labels`` checks them."""
     return ad.softmax_cross_entropy(ad.matmul(img_features, w_cls), labels)
 
 
@@ -272,12 +287,14 @@ def total_loss(
     class_labels,
     params: CoordinatorParams,
     settings: SessionSettings = SessionSettings(),
+    img_rows=None,
 ) -> tuple[Tensor, LossBreakdown]:
     """Weighted sum of the contrastive and classification losses.
 
     ``txt_features`` has one row per distinct prompt and ``prompt_index[i]``
     is image i's row; the contrastive loss scores the ``(N, U)`` cosines,
-    equal to the square loss over one text row per image.  Returns the
+    equal to the square loss over one text row per image.  A round passes
+    the ``Matches``, ``Labels`` and ``img_rows`` its batch holds.  Returns the
     differentiable total plus a float breakdown whose invariants (band clips,
     exact recombination) are checked on construction.
     """
@@ -285,7 +302,7 @@ def total_loss(
         tau = Tensor(np.asarray(1.0))
     else:
         tau = effective_temperature(params.tau_param)
-    s = similarity_matrix(img_features, txt_features)
+    s = similarity_matrix(img_features, txt_features, img_rows)
     l_con = contrastive_loss(s, prompt_index, tau)
     l_cls = classification_loss(img_features, params.w_cls_head, class_labels)
     fixed = settings.disable_coordinator_dynamics or settings.disable_dynamic_balancing

@@ -11,10 +11,9 @@ the text agent, and ``image_features`` and their ``{difficulty, strategy}``
 from the batch's mean feature; the residual coefficient ``ALPHA`` and the
 routing threshold ``DIFFICULTY_THRESHOLD`` are fixed.  ``encode`` reads
 ``disable_difficulty`` and ``disable_image_agent_robust`` from the session's
-``SessionSettings``.  ``step`` keeps its last round's payloads, read-only,
-and returns them again while the batch's images stay equal in value, as they
-do across the epochs of one training run; ``encode``, and so evaluation,
-neither reads nor fills that cache.
+``SessionSettings``.  Nothing on the image side learns, so a batch's
+payloads are fixed: ``prepare`` computes them once, when the session builds
+the batch, and every round's ``step`` sends them again.
 """
 
 from __future__ import annotations
@@ -92,9 +91,6 @@ class ImageAgent:
         self.frozen_visual = Tensor(frozen_visual, name="frozen_visual")
         d = frozen_visual.shape[1]
         self.estimator = DifficultyEstimator(d, max(1, d // 2), rng)
-        # The last training round's images (a private copy) and the read-only
-        # payloads ``step`` made of them.
-        self._last_round: tuple[np.ndarray, Mapping[str, Payload]] | None = None
 
     # -- encodings ------------------------------------------------------------
 
@@ -131,17 +127,14 @@ class ImageAgent:
 
     # -- round protocol ---------------------------------------------------------
 
+    def prepare(self, images: np.ndarray) -> Mapping[str, Payload]:
+        """A batch's three payloads, read-only: a function of its images alone."""
+        features, difficulty, strategy = self.encode(images)
+        return MappingProxyType({
+            "visual_context": self.emit_visual_context(features),
+            "image_features": features,
+            "metadata": MappingProxyType({"difficulty": difficulty, "strategy": strategy}),
+        })
+
     def step(self, inbox, batch) -> Mapping[str, Payload]:
-        """Encode the batch, or reuse the last round's output when its images
-        are equal in value: nothing on the image side learns and the settings
-        record is frozen, so the output is a function of the images alone."""
-        last = self._last_round
-        if last is None or not np.array_equal(last[0], batch.images):
-            features, difficulty, strategy = self.encode(batch.images)
-            sent = {
-                "visual_context": self.emit_visual_context(features),
-                "image_features": features,
-                "metadata": MappingProxyType({"difficulty": difficulty, "strategy": strategy}),
-            }
-            last = self._last_round = (batch.images.copy(), MappingProxyType(sent))
-        return last[1]
+        return batch.run[self]

@@ -6,8 +6,8 @@ templates in place of the name token.  Template banks are organized by
 concept family so that a concept's name can also be rendered inside templates
 authored for *other* families (context exchange), multiplying its training
 views.  Each round ``NameAgent.step`` receives nothing and returns one
-payload, ``prompts``: the batch's pooled prompt embeddings, for the text
-agent.
+payload, ``prompts``, for the text agent: the frozen block the session
+prepared for the batch, plus the live name table's rows.
 """
 
 from __future__ import annotations
@@ -203,10 +203,10 @@ class NameAgent:
     The frozen text encoder mean-pools token embeddings before anything else,
     so a prompt's pooled embedding is a frozen part (its vocabulary rows) plus
     at most one name-table row, each weighted by one over the template length
-    (the slot holds one token or one row).  The frozen parts of a prompt
-    list and its selection of table rows are stacked once per distinct list,
-    so a round costs one ``matmul`` and one ``add`` against the live table.
-    With ``frozen_names`` set (baseline / no-name-learning arm) every
+    (the slot holds one token or one row).  ``block`` stacks the frozen
+    parts of a prompt list and its selection of table rows once, when the
+    session builds a batch, so a round costs one ``matmul`` and one ``add``
+    against the live table.  With ``frozen_names`` set (baseline / no-name-learning arm) every
     rendering uses the concept's frozen token instead.
     """
 
@@ -227,52 +227,42 @@ class NameAgent:
         self.table = table
         self.vocab = vocab
         self.frozen_names = frozen_names
-        self._blocks: dict[tuple, tuple[Tensor, Tensor | None]] = {}
 
     def render(self, concept_id: int, template_id: str) -> RenderedPrompt:
         template = self.templates[template_id]
         concept = self.concepts[concept_id]
         return render_prompt(template, concept, self.table, self.frozen_names)
 
-    def _block(self, pairs: list[tuple[int, str]]) -> tuple[Tensor, Tensor | None]:
+    def block(self, pairs: list[tuple[int, str]]) -> tuple[Tensor, Tensor | None]:
         """The frozen pooled rows ``(U, D)`` of one prompt list and their
         weights ``(U, n_ood)`` over the table rows (``None`` when no prompt
-        selects a row).
+        selects a row), rendered and validated: the table's values change,
+        its row layout does not, so the selection is kept, not applied."""
+        frozen = np.zeros((len(pairs), self.vocab.shape[1]))
+        selection = np.zeros((len(pairs), self.table.weight.shape[0]))
+        for i, pair in enumerate(pairs):
+            rendered = self.render(*pair)
+            frozen[i] = pool_frozen_tokens(rendered, self.vocab)
+            if rendered.name_row is not None:
+                selection[i, rendered.name_row] = 1.0 / len(rendered.prompt_tokens)
+        frozen.flags.writeable = False
+        selection.flags.writeable = False
+        return Tensor(frozen), Tensor(selection) if selection.any() else None
 
-        Built, rendered and validated when a list is first seen: templates,
-        names and the table's row layout are fixed for the agent's lifetime.
-        The values in the table are not, which is why the selection is kept,
-        not applied.  A session sees a few distinct lists (one per distinct
-        training batch, plus the evaluation prompts), so the cache stays
-        small however many rounds run.
-        """
-        key = tuple(pairs)
-        block = self._blocks.get(key)
-        if block is None:
-            frozen = np.zeros((len(pairs), self.vocab.shape[1]))
-            selection = np.zeros((len(pairs), self.table.weight.shape[0]))
-            for i, pair in enumerate(pairs):
-                rendered = self.render(*pair)
-                frozen[i] = pool_frozen_tokens(rendered, self.vocab)
-                if rendered.name_row is not None:
-                    selection[i, rendered.name_row] = 1.0 / len(rendered.prompt_tokens)
-            frozen.flags.writeable = False
-            selection.flags.writeable = False
-            block = Tensor(frozen), Tensor(selection) if selection.any() else None
-            self._blocks[key] = block
-        return block
-
-    def pool(self, pairs: list[tuple[int, str]]) -> Tensor:
-        """Pooled prompt embeddings ``(N, D)``, one row per (concept id,
-        template id) pair: the list's cached frozen block plus its selection
-        of the live name table, one ``matmul`` and one ``add``."""
-        frozen, selection = self._block(pairs)
+    def pooled(self, block: tuple[Tensor, Tensor | None]) -> Tensor:
+        """A block's pooled embeddings against the live name table."""
+        frozen, selection = block
         if selection is None:
             return frozen
         return ad.add(frozen, ad.matmul(selection, self.table.weight))
 
+    def pool(self, pairs: list[tuple[int, str]]) -> Tensor:
+        """Pooled prompt embeddings ``(N, D)``, one row per (concept id,
+        template id) pair."""
+        return self.pooled(self.block(pairs))
+
     def step(self, inbox, batch) -> dict[str, Tensor]:
-        return {"prompts": self.pool(batch.prompts)}
+        return {"prompts": self.pooled(batch.run[self])}
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ at the mean of the frozen vocabulary rows, the reserved blind row excluded
 (under ``disable_name_agent`` no prompt selects a row).  The session builds
 per-epoch batches of image-prompt pairs with template rotation, each listing
 its distinct prompts once; a training run builds each distinct batch once,
-since the rotation repeats every few epochs.  It runs fixed-schedule bus
+since the rotation repeats every few epochs.  Building a batch prepares it:
+each agent computes what no learnable reaches once, into ``batch.run``, for
+every round on it; a round raises ``bus.UnpreparedBatchError`` on a batch
+that another session built, or none.  It runs fixed-schedule bus
 rounds under a gradient tape and returns each step's loss breakdown; it keeps
 no per-step history, so its memory does not grow with epochs
 (``write_step_log`` writes a returned history).  It evaluates by cosine
@@ -33,9 +36,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, backward
-from .bus import AgentId, MessageBus, Payload, run_round
-from .coordinator import Adam, CoordinatorParams, LossBreakdown, similarity_matrix, total_loss
+from .autodiff import Tape, Tensor, backward, check_labels, unit_rows
+from .bus import AgentId, MessageBus, Payload, PreparedRun, run_round
+from .coordinator import Adam, CoordinatorParams, LossBreakdown, check_matches
+from .coordinator import similarity_matrix, total_loss
 from .image_agent import ImageAgent
 from .name_agent import NameAgent, NameEmbeddingTable, context_exchange_augment
 from .settings import SessionSettings
@@ -64,6 +68,8 @@ class Batch:
     prompt_plan: list[tuple[int, str]]  # per pair: (concept_id, template_id)
     prompts: list[tuple[int, str]] = field(init=False)  # (U,) distinct pairs
     prompt_index: np.ndarray = field(init=False)  # (N,) pair -> row of prompts
+    # What the session's agents prepared for the batch; every round reads it.
+    run: PreparedRun = field(default_factory=PreparedRun, init=False, repr=False)
 
     def __post_init__(self):
         rows: dict[tuple[int, str], int] = {}
@@ -96,25 +102,24 @@ class CoordinatorAgent:
         self.settings = settings
         self.last_round: CoordinatorRound | None = None
 
+    def prepare(self, batch: Batch, image_features: Tensor) -> tuple:
+        """A batch's fixed loss inputs: the unit image rows with their norms,
+        and the match indices and class labels, checked."""
+        n, n_classes = batch.size, self.params.w_cls_head.shape[1]
+        img_rows = unit_rows(image_features.data, "similarity_matrix")
+        matches = check_matches(batch.prompt_index, (n, len(batch.prompts)))
+        return img_rows, matches, check_labels(batch.class_labels, (n, n_classes))
+
     def step(self, inbox: dict[str, Payload], batch: Batch) -> dict:
-        image_features = inbox["image_features"]
-        text_features = inbox["text_features"]
+        image_features, text_features = inbox["image_features"], inbox["text_features"]
         metadata = inbox["metadata"]
+        img_rows, matches, labels = batch.run[self]
         total, breakdown = total_loss(
-            image_features,
-            text_features,
-            batch.prompt_index,
-            batch.class_labels,
-            self.params,
-            self.settings,
+            image_features, text_features, matches, labels, self.params, self.settings, img_rows
         )
         self.last_round = CoordinatorRound(
-            image_features,
-            text_features,
-            metadata["difficulty"],
-            metadata["strategy"],
-            total,
-            breakdown,
+            image_features, text_features, metadata["difficulty"], metadata["strategy"],
+            total, breakdown,
         )
         return {}
 
@@ -186,6 +191,8 @@ class TrainingSession:
     # -- training ----------------------------------------------------------------
 
     def build_batch(self, shots_by_class: dict[int, np.ndarray], epoch: int) -> Batch:
+        """Epoch ``epoch``'s batch, prepared: the image payloads, the
+        prompts' frozen block, the context rows and the checked loss inputs."""
         images, labels, plan = [], [], []
         for cid in sorted(shots_by_class):
             pool = self.prompt_pools[cid]
@@ -193,11 +200,15 @@ class TrainingSession:
                 images.append(image)
                 labels.append(self.table.index[cid])
                 plan.append((cid, pool[(j + epoch) % len(pool)]))
-        return Batch(
-            images=np.stack(images),
-            class_labels=np.asarray(labels),
-            prompt_plan=plan,
-        )
+        batch = Batch(images=np.stack(images), class_labels=np.asarray(labels), prompt_plan=plan)
+        image, prompts = self.image_agent.prepare(batch.images), batch.prompts
+        batch.run.update({
+            self.image_agent: image,
+            self.name_agent: self.name_agent.block(prompts),
+            self.text_agent: self.text_agent.context_rows(image["visual_context"], len(prompts)),
+            self.coordinator: self.coordinator.prepare(batch, image["image_features"]),
+        })
+        return batch
 
     def train_step(self, batch: Batch, optimizer: Adam) -> LossBreakdown:
         with Tape() as tape:
@@ -258,8 +269,7 @@ class TrainingSession:
         scores = similarity_matrix(feats, Tensor(text)).data
         pred = np.asarray(class_ids)[np.argmax(scores, axis=1)]
         correct = pred == labels
-        split_of = {c.id: c.split for c in self.world.concepts}
-        is_seen = np.asarray([split_of[int(y)] == "seen" for y in labels])
+        is_seen = np.isin(labels, self.world.seen_ids)
         out = {"overall": float(np.mean(correct))}
         if np.any(is_seen):
             out["seen"] = float(np.mean(correct[is_seen]))

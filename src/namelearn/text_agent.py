@@ -1,20 +1,16 @@
 """Text encoding with visual-context fusion.
 
-``TextAgent.encode`` is the one text-encoding path, for training rounds and
-evaluation alike.  It runs the frozen text encoder's mixer over pooled prompt
-embeddings (the name agent's ``(N, D)`` ``prompts`` payload, learnable name
-vectors already pooled in), then mixes that standard feature with a learned
-transform of the feature concatenated with the image agent's
-``visual_context`` payload, weighted by the fixed ratio ``LAMBDA_MIX``.  Each
-round ``step`` returns one payload, ``text_features``, for the coordinator.
-The context is a value snapshot broadcast to every row: no gradient crosses
-from the text agent into the image agent.  ``encode`` keeps the broadcast
-rows with the context tensor they came from, and builds them again only for
-another tensor or another row count: within a training run the image agent
-sends the same cached context every round.  No code writes a context tensor
-in place, so its identity stands for its value.  It reads
-``disable_text_context`` (in ``encode``) and ``simple_concat_fusion`` (when
-built) from the session's ``SessionSettings``.
+``encode_text`` is the one text-encoding path, for training rounds and
+evaluation alike, and one tape entry.  It runs the frozen text encoder's mixer
+over pooled prompt embeddings (the name agent's ``(N, D)`` ``prompts``
+payload, learnable name vectors already pooled in), then mixes that standard
+feature with a learned transform of the feature concatenated with the image
+agent's ``visual_context``, weighted by the fixed ratio ``LAMBDA_MIX``.  The
+context is a value snapshot broadcast to every row, once per batch when the
+session prepares it (``context_rows``): no gradient crosses into the image
+agent.  Each round ``step`` returns one payload, ``text_features``, for the
+coordinator.  It reads ``disable_text_context`` and ``simple_concat_fusion``
+(when built) from the session's ``SessionSettings``.
 """
 
 from __future__ import annotations
@@ -31,17 +27,67 @@ from .settings import SessionSettings
 LAMBDA_MIX = 0.7
 
 
-def frozen_text_features(pooled: Tensor, mixer: tuple[Tensor, ...]) -> Tensor:
-    """The frozen text encoder's mixer over pooled prompt embeddings, ``(N, D)``
-    rows or one ``(D,)`` vector: rotation, shifted ReLU, inverse rotation, from
-    ``mixer = (in, in_bias, out, out_bias)``."""
-    mixer_in, mixer_in_bias, mixer_out, mixer_out_bias = mixer
-    h = ad.relu(ad.affine(pooled, mixer_in, mixer_in_bias))
-    return ad.affine(h, mixer_out, mixer_out_bias)
+def _relu_mlp(x: np.ndarray, layers) -> tuple[np.ndarray, list, list]:
+    """``affine`` layers ``(W1, b1, W2, b2, ...)``, a ``relu`` between each
+    two: the output, each layer's input and each ``relu``'s mask."""
+    inputs, masks = [], []
+    for i in range(0, len(layers), 2):
+        if i:
+            mask = x > 0
+            x[~mask] = 0.0  # ``relu``'s np.where, in place on a fresh output
+            masks.append(mask)
+        inputs.append(x)
+        x = x @ layers[i].data + layers[i + 1].data
+    return x, inputs, masks
+
+
+def _relu_mlp_backward(g: np.ndarray, layers, inputs, masks) -> tuple[np.ndarray, list]:
+    """Gradients through ``_relu_mlp``: the input's, then each layer's (``None`` if frozen)."""
+    grads = [None] * len(layers)
+    for i in range(len(layers) - 2, -1, -2):
+        if layers[i].requires_grad:
+            grads[i] = inputs[i // 2].T @ g
+        if layers[i + 1].requires_grad:
+            grads[i + 1] = np.add.reduce(g, axis=0)
+        g = g @ layers[i].data.T
+        if i:
+            g = g * masks[i // 2 - 1]
+    return g, grads
+
+
+def encode_text(x: Tensor, mixer, rows: Tensor | None = None, fusion=()) -> Tensor:
+    """``standard = mixer(x)`` for ``(N, D)`` rows (or one ``(D,)`` vector),
+    or with ``fusion`` layers ``blend(standard, fusion(concat_cols(standard,
+    rows)), LAMBDA_MIX)``, as one tape entry; ``mixer`` and ``fusion`` are
+    ``_relu_mlp`` layers.  The backward evaluates the composed ops'
+    expressions in their order, so every gradient is theirs, bit for bit."""
+    std, std_in, std_masks = _relu_mlp(x.data, mixer)
+    out, inputs = std, (x, *mixer)
+    if fusion:
+        if std.ndim != 2 or rows.data.shape != std.shape:
+            raise ShapeError(f"text encoding: context rows {rows.shape} for features {std.shape}")
+        k = std.shape[1]
+        fused, fused_in, fused_masks = _relu_mlp(np.concatenate([std, rows.data], axis=1), fusion)
+        wa = float(LAMBDA_MIX)
+        wb = 1.0 - wa
+        out, inputs = std * wa + fused * wb, (*inputs, rows, *fusion)
+
+    def backward(g):
+        if fusion:
+            gz, fusion_grads = _relu_mlp_backward(g * wb, fusion, fused_in, fused_masks)
+            g = g * wa + gz[:, :k]
+        gx, grads = _relu_mlp_backward(g, mixer, std_in, std_masks)
+        return (gx, *grads, gz[:, k:], *fusion_grads) if fusion else (gx, *grads)
+
+    return ad._make(out, inputs, backward)
 
 
 class MissingContextError(RuntimeError):
     """Contextual encoding requested before any visual context arrived."""
+
+
+def _uniform(rng: np.random.Generator, half_width: float, shape, name: str) -> Tensor:
+    return Tensor(rng.uniform(-half_width, half_width, shape), requires_grad=True, name=name)
 
 
 class ContextIntegrationModule:
@@ -54,27 +100,13 @@ class ContextIntegrationModule:
 
     def __init__(self, embed_dim: int, hidden_dim: int, rng: np.random.Generator):
         a = 0.5 / np.sqrt(2 * embed_dim)
-        self.w3 = Tensor(
-            rng.uniform(-a, a, size=(2 * embed_dim, hidden_dim)),
-            requires_grad=True,
-            name="fusion.w3",
-        )
+        self.w3 = _uniform(rng, a, (2 * embed_dim, hidden_dim), "fusion.w3")
         self.b3 = Tensor(np.zeros(hidden_dim), requires_grad=True, name="fusion.b3")
-        self.w4 = Tensor(
-            rng.uniform(-a, a, size=(hidden_dim, embed_dim)),
-            requires_grad=True,
-            name="fusion.w4",
-        )
+        self.w4 = _uniform(rng, a, (hidden_dim, embed_dim), "fusion.w4")
         self.b4 = Tensor(np.zeros(embed_dim), requires_grad=True, name="fusion.b4")
-        self.in_dim = 2 * embed_dim
 
     def parameters(self) -> list[Tensor]:
         return [self.w3, self.b3, self.w4, self.b4]
-
-    def __call__(self, z: Tensor) -> Tensor:
-        if z.data.ndim != 2 or z.data.shape[1] != self.in_dim:
-            raise ShapeError(f"context fusion: need shape (N, {self.in_dim}), got {z.shape}")
-        return ad.affine(ad.relu(ad.affine(z, self.w3, self.b3)), self.w4, self.b4)
 
 
 class LinearFusion:
@@ -82,21 +114,11 @@ class LinearFusion:
 
     def __init__(self, embed_dim: int, rng: np.random.Generator):
         a = 0.5 / np.sqrt(2 * embed_dim)
-        self.w = Tensor(
-            rng.uniform(-a, a, size=(2 * embed_dim, embed_dim)),
-            requires_grad=True,
-            name="fusion.linear_w",
-        )
+        self.w = _uniform(rng, a, (2 * embed_dim, embed_dim), "fusion.linear_w")
         self.b = Tensor(np.zeros(embed_dim), requires_grad=True, name="fusion.linear_b")
-        self.in_dim = 2 * embed_dim
 
     def parameters(self) -> list[Tensor]:
         return [self.w, self.b]
-
-    def __call__(self, z: Tensor) -> Tensor:
-        if z.data.ndim != 2 or z.data.shape[1] != self.in_dim:
-            raise ShapeError(f"linear fusion: need shape (N, {self.in_dim}), got {z.shape}")
-        return ad.affine(z, self.w, self.b)
 
 
 class TextAgent:
@@ -112,46 +134,35 @@ class TextAgent:
         names = ("frozen_text_in", "frozen_text_in_bias", "frozen_text_out", "frozen_text_out_bias")
         self.mixer = tuple(Tensor(a, name=n) for a, n in zip(mixer, names))
         d = mixer[0].shape[0]
-        if settings.simple_concat_fusion:
-            self.fusion = LinearFusion(d, rng)
-        else:
-            self.fusion = ContextIntegrationModule(d, d, rng)
-        # The last context tensor ``encode`` broadcast, and its rows.
-        self._context_rows: tuple[Tensor, Tensor] | None = None
+        simple = settings.simple_concat_fusion
+        self.fusion = LinearFusion(d, rng) if simple else ContextIntegrationModule(d, d, rng)
+        self.layers = () if settings.disable_text_context else tuple(self.parameters())
 
     def parameters(self) -> list[Tensor]:
         return list(self.fusion.parameters())
 
     # -- encoding -------------------------------------------------------------
 
-    def encode(self, pooled: Tensor, context: Tensor | None) -> Tensor:
-        """Text features ``(N, D)`` for pooled prompt embeddings ``(N, D)``.
-
-        The frozen mixer gives the standard feature; unless
-        ``disable_text_context`` is set, the result is
-        ``LAMBDA_MIX * standard + (1 - LAMBDA_MIX) * fusion(standard | context)``.
-        """
-        standard = frozen_text_features(pooled, self.mixer)
+    def context_rows(self, context: Tensor | None, n: int) -> Tensor | None:
+        """The context as ``n`` constant rows; ``None`` without context."""
         if self.settings.disable_text_context:
-            return standard
+            return None
         if context is None:
             raise MissingContextError(
-                "no visual context received; set disable_text_context for "
-                "standard encoding"
+                "no visual context received; set disable_text_context for standard encoding"
             )
-        # A constant copy per row: the value snapshot carries no gradient.
-        n = standard.data.shape[0]
-        cached = self._context_rows
-        if cached is None or cached[0] is not context or cached[1].data.shape[0] != n:
-            rows = np.tile(context.data, (n, 1))
-            rows.flags.writeable = False
-            cached = self._context_rows = (context, Tensor(rows))
-        rows = cached[1]
-        fused = self.fusion(ad.concat_cols(standard, rows))
-        return ad.blend(standard, fused, LAMBDA_MIX)
+        rows = np.tile(context.data, (n, 1))
+        rows.flags.writeable = False
+        return Tensor(rows)
+
+    def encode(self, pooled: Tensor, context: Tensor | None) -> Tensor:
+        """Text features ``(N, D)`` for pooled prompt embeddings ``(N, D)``
+        and a context, through ``encode_text``."""
+        rows = self.context_rows(context, pooled.data.shape[0])
+        return encode_text(pooled, self.mixer, rows, self.layers)
 
     # -- round protocol ---------------------------------------------------------
 
     def step(self, inbox, batch) -> dict[str, Tensor]:
-        # ``encode`` needs the context only with ``disable_text_context`` off.
-        return {"text_features": self.encode(inbox["prompts"], inbox.get("visual_context"))}
+        rows = batch.run[self]  # of the context the image agent sends
+        return {"text_features": encode_text(inbox["prompts"], self.mixer, rows, self.layers)}

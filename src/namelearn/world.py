@@ -9,9 +9,9 @@ single reserved out-of-vocabulary token, so their prompts all encode to the
 same uninformative vector.  Alignment breakdown for the held-out split is
 therefore a construction-time fact with measurable ground truth.  The world
 is data only: the frozen encoders that read its arrays are the agents' own
-(``image_agent.frozen_visual_features``, ``text_agent.frozen_text_features``
-and ``name_agent.pool_frozen_tokens``), and ``build_world`` checks its
-invariants through them.  ``build_world`` is deterministic, so a world's
+(``image_agent.frozen_visual_features``, ``text_agent.encode_text`` with no
+fusion layers and ``name_agent.pool_frozen_tokens``), and ``build_world``
+checks its invariants through them.  ``build_world`` is deterministic, so a world's
 ``WorldConfig`` identifies it: no world is ever saved or loaded.
 """
 
@@ -25,7 +25,7 @@ from . import name_agent
 from .autodiff import Tensor
 from .image_agent import frozen_visual_features
 from .name_agent import NAME_SLOT, PromptTemplate
-from .text_agent import frozen_text_features
+from .text_agent import encode_text
 
 FAMILIES = ("family_0", "family_1", "family_2", "family_3")
 FILLER_POOL = 40
@@ -262,7 +262,7 @@ def build_world(config: WorldConfig = WorldConfig()) -> World:
     for c in concepts:
         rendered = name_agent.render_prompt(canonical, c, None, frozen_names=True)
         pooled = Tensor(name_agent.pool_frozen_tokens(rendered, vocab))
-        feats[c.id] = frozen_text_features(pooled, mixer).data
+        feats[c.id] = encode_text(pooled, mixer).data
     sc_cos = [
         float(feats[c.id] @ c.latent / np.linalg.norm(feats[c.id]))
         for c in concepts

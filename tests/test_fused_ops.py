@@ -178,3 +178,82 @@ def test_fixed_weighted_total_is_bit_identical_to_constant_weights():
         lambda a, b: weighted_total(a, b, None)[0], composed, arrays, (True, True),
         float(rng.normal()),
     )
+
+
+def composed_layers(layers, z):
+    """``affine`` layers ``(W1, b1, W2, b2, ...)`` with a ``relu`` between each
+    two, as the generic ops."""
+    for i in range(0, len(layers), 2):
+        if i:
+            z = ad.relu(z)
+        z = ad.affine(z, layers[i], layers[i + 1])
+    return z
+
+
+def composed_text(x, rows, *layers):
+    """The chain the one-op text encode replaced: the mixer's affine, relu,
+    affine, then concat_cols, the fusion layers and the blend."""
+    mixer, fusion = layers[:4], layers[4:]
+    std = composed_layers(mixer, x)
+    if not fusion:
+        return std
+    return ad.blend(std, composed_layers(fusion, ad.concat_cols(std, rows)), LAMBDA_MIX)
+
+
+# The fusion layers' shapes of each arm, for embed dim d: the default two
+# layers, ``simple_concat_fusion``'s one, ``disable_text_context``'s none.
+FUSIONS = {
+    "default": lambda d: [(2 * d, d), (d,), (d, d), (d,)],
+    "simple_concat": lambda d: [(2 * d, d), (d,)],
+    "no_context": lambda d: [],
+}
+# Which operands need a gradient: (prompts, context rows, mixer, fusion).
+GRAD_MASKS = {
+    "training": (True, False, False, True),
+    "frozen_names": (False, False, False, True),
+    "frozen_fusion": (True, False, False, False),
+    "every_operand": (True, True, True, True),
+}
+
+
+@pytest.mark.parametrize("u, d", [(1, 1), (3, 4), (7, 2), DEFAULT16[1:], HARD16[1:]])
+@pytest.mark.parametrize("fusion", list(FUSIONS))
+@pytest.mark.parametrize("mask", list(GRAD_MASKS))
+def test_text_encode_is_bit_identical_to_the_composed_chain(u, d, fusion, mask):
+    from namelearn.text_agent import encode_text
+
+    rng = np.random.default_rng(u * 100 + d)
+    shapes = FUSIONS[fusion](d)
+    x_grad, rows_grad, mixer_grad, fusion_grad = GRAD_MASKS[mask]
+    mixer = [rng.normal(size=s) for s in ((d, d), (d,), (d, d), (d,))]
+    layers = mixer + [rng.normal(size=s) for s in shapes]
+    if shapes:
+        arrays = [rng.normal(size=(u, d)), np.tile(rng.normal(size=d), (u, 1)), *layers]
+        needs = (x_grad, rows_grad, *[mixer_grad] * 4, *[fusion_grad] * len(shapes))
+
+        def fused(x, rows, *ls):
+            return encode_text(x, ls[:4], rows, ls[4:])
+    else:
+        arrays = [rng.normal(size=(u, d)), *layers]
+        needs = (x_grad, *[mixer_grad] * 4)
+
+        def fused(x, *ls):
+            return encode_text(x, ls)
+
+        def composed_text_no_rows(x, *ls):
+            return composed_text(x, None, *ls)
+
+    oracle = composed_text if shapes else composed_text_no_rows
+    if not any(needs):  # nothing to record: the value alone
+        tensors = [Tensor(a) for a in arrays]
+        with Tape() as tape:
+            value = fused(*tensors).data
+        assert len(tape) == 0 and np.array_equal(value, oracle(*tensors).data)
+        return
+    assert_same_bits(fused, oracle, arrays, needs, rng.normal(size=(u, d)))
+
+
+def test_world_checks_its_text_features_through_the_agents_op():
+    from namelearn import text_agent, world
+
+    assert world.encode_text is text_agent.encode_text

@@ -127,7 +127,7 @@ def test_encode_is_the_round_routing(agent, threshold, monkeypatch):
     assert strategy == select_strategy(difficulty, threshold)
     encoder = agent.encode_standard if strategy == "standard" else agent.encode_robust
     assert np.array_equal(features.data, encoder(Tensor(images)).data)
-    sent = agent.step({}, SimpleNamespace(images=images))
+    sent = agent.step({}, SimpleNamespace(run={agent: agent.prepare(images)}))
     assert np.array_equal(sent["image_features"].data, features.data)
     assert sent["metadata"] == {"difficulty": difficulty, "strategy": strategy}
 

@@ -139,20 +139,20 @@ def _agent(world, table):
     )
 
 
-def test_two_rounds_on_one_batch_reuse_the_frozen_block(world, table, monkeypatch):
-    agent = _agent(world, table)
-    canonical = world.canonical_template.template_id
-    pairs = [(cid, canonical) for cid in world.ood_ids + world.seen_ids]
+def test_two_rounds_on_one_batch_reuse_the_frozen_block(world, monkeypatch):
+    session = TrainingSession(world, SessionSettings(), seed=0)
+    agent = session.name_agent
     rendered = []
     render = agent.render
     monkeypatch.setattr(agent, "render", lambda *pair: rendered.append(pair) or render(*pair))
-    first = agent.pool(pairs).data.copy()
-    assert len(rendered) == len(pairs)
-    second = agent.pool(list(pairs)).data  # an equal list, not the same object
-    assert len(rendered) == len(pairs)  # nothing rendered again
+    shots = {cid: world.sample_images(cid, 2, seed=3) for cid in world.ood_ids}
+    batch = session.build_batch(shots, 0)
+    assert rendered == batch.prompts  # each distinct prompt, once, when built
+    first = agent.step({}, batch)["prompts"].data.copy()
+    second = agent.step({}, batch)["prompts"].data
+    assert rendered == batch.prompts  # nothing rendered again
     assert np.array_equal(first, second)
-    assert len(agent._blocks) == 1
-    frozen, selection = agent._blocks[tuple(pairs)]
+    frozen, selection = batch.run[agent]
     assert not frozen.data.flags.writeable and not selection.data.flags.writeable
 
 
@@ -167,14 +167,6 @@ def test_a_table_update_shows_in_the_next_pool(world, table):
     weight = 1.0 / len(world.canonical_template.tokens)
     assert np.allclose(after[0] - before[0], 0.25 * weight, rtol=0, atol=1e-15)
     assert np.array_equal(after[1], before[1])  # a frozen name: no table row
-
-
-def test_prompt_cache_is_bounded_by_distinct_batches(world):
-    session = TrainingSession(world, SessionSettings(), seed=0)
-    shots = {cid: world.sample_images(cid, 2, seed=3) for cid in world.ood_ids}
-    session.train(shots, epochs=30, lr=1e-3)
-    distinct = {tuple(session.build_batch(shots, e).prompts) for e in range(30)}
-    assert 1 < len(session.name_agent._blocks) <= len(distinct)
 
 
 def test_training_rejects_negative_template_token():

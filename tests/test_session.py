@@ -79,10 +79,10 @@ def test_default_step_is_batched():
     assert len(session.bus.log) == 5
 
 
-def test_transpose_is_a_view_and_a_default_step_records_16_entries():
+def test_transpose_is_a_view_and_a_default_step_records_9_entries():
     # Transpose hands back a view, the form similarity_matrix multiplies by,
-    # so a product with it is numpy's x @ y.T; a default step records one
-    # entry per layer: 2 name, 8 text, 6 coordinator.
+    # so a product with it is numpy's x @ y.T; a default step records 2 name
+    # entries, 1 text entry and 6 coordinator entries.
     from namelearn import autodiff as ad
     from namelearn.autodiff import Tape, Tensor
     from namelearn.bus import run_round
@@ -94,7 +94,36 @@ def test_transpose_is_a_view_and_a_default_step_records_16_entries():
     batch = session.build_batch(shots_for(world, k=16), epoch=0)
     with Tape() as tape:
         run_round(session.bus, batch)
-    assert (batch.size, len(tape)) == (160, 16)
+    assert (batch.size, len(tape)) == (160, 9)
+
+
+def test_default_step_fixed_cost_in_python_calls():
+    """Python-level calls per ``default16`` train step (round, backward and
+    Adam), counted by cProfile over 30 steps on prepared batches.  With numpy
+    fixed the count does not vary from run to run."""
+    import cProfile
+    import pstats
+
+    from namelearn.coordinator import Adam
+
+    world = build_world(WorldConfig())
+    session = TrainingSession(world, SessionSettings(), seed=0)
+    shots = shots_for(world, k=16)
+    batches = [session.build_batch(shots, epoch) for epoch in range(3)]
+    optimizer = Adam(session.trainable_parameters(), 1e-3)
+    for batch in batches:  # first-call work inside numpy
+        session.train_step(batch, optimizer)
+    profile = cProfile.Profile()
+    profile.enable()
+    for step in range(30):
+        session.train_step(batches[step % 3], optimizer)
+    profile.disable()
+    stats = pstats.Stats(profile)
+    steps = sum(
+        ncalls for (_, _, name), (_, ncalls, *_) in stats.stats.items() if name == "train_step"
+    )
+    assert steps == 30
+    assert stats.total_calls / steps <= 290
 
 
 def test_default_round_scores_each_distinct_prompt_once():
@@ -129,7 +158,7 @@ def test_hard_world_step_stays_batched():
     assert len(tape) <= 60
 
 
-def test_image_side_is_encoded_once_per_distinct_image_batch(world, monkeypatch):
+def test_image_side_is_encoded_once_per_prepared_batch(world, monkeypatch):
     from namelearn import autodiff as ad
     from namelearn.bus import run_round
 
@@ -143,21 +172,63 @@ def test_image_side_is_encoded_once_per_distinct_image_batch(world, monkeypatch)
 
     monkeypatch.setattr(ad, "matmul", counting)
     shots = shots_for(world)
-    first = run_round(session.bus, session.build_batch(shots, epoch=0))
-    # A new batch object holding equal images: the image side is reused.
-    second = run_round(session.bus, session.build_batch(shots, epoch=1))
+    batch = session.build_batch(shots, epoch=0)
     assert sum(calls) == 1
+    first = run_round(session.bus, batch)
+    second = run_round(session.bus, batch)
+    assert sum(calls) == 1  # rounds send what the batch holds
     assert second.image_features is first.image_features
     assert len(session.bus.log) == 5
-    # Evaluation encodes its own images and leaves the training cache alone.
+    # Evaluation encodes its own images; the prepared batch keeps its payloads.
     images = np.concatenate([world.sample_images(cid, 3, seed=5) for cid in world.ood_ids])
     labels = np.repeat(world.ood_ids, 3)
     session.evaluate(images, labels, world.ood_ids)
     assert sum(calls) == 2
-    run_round(session.bus, session.build_batch(shots, epoch=2))
-    assert sum(calls) == 2
+    assert run_round(session.bus, batch).image_features is first.image_features
     run_round(session.bus, session.build_batch(shots_for(world, seed=32), epoch=0))
     assert sum(calls) == 3
+    # A training run prepares each of its distinct batches once.
+    session.train(shots, epochs=7, lr=1e-3)
+    assert sum(calls) == 3 + 3
+
+
+def test_a_round_needs_a_batch_its_own_session_prepared(world):
+    from namelearn.bus import UnpreparedBatchError, run_round
+    from namelearn.session import Batch
+
+    session = TrainingSession(world, SessionSettings(), seed=0)
+    built = session.build_batch(shots_for(world), epoch=0)
+    by_hand = Batch(built.images, built.class_labels, built.prompt_plan)
+    with pytest.raises(UnpreparedBatchError, match="Image agent"):
+        run_round(session.bus, by_hand)
+    other = TrainingSession(world, SessionSettings(), seed=0)
+    with pytest.raises(UnpreparedBatchError, match="not its session's batch"):
+        run_round(other.bus, built)
+    assert run_round(other.bus, other.build_batch(shots_for(world), epoch=0)).total is not None
+
+
+@pytest.mark.parametrize(
+    "flag", [None, "disable_name_agent", "disable_text_context", "simple_concat_fusion"]
+)
+def test_prepared_values_depend_on_no_learnable(world, flag):
+    # After every learnable moves, a round on the batch prepared before the
+    # move gives the loss bits of a round on a batch built after it.
+    from namelearn.bus import run_round
+
+    settings = SessionSettings(**({flag: True} if flag else {}))
+    session = TrainingSession(world, settings, seed=0)
+    shots = shots_for(world)
+    prepared = session.build_batch(shots, epoch=1)
+    before = run_round(session.bus, prepared).total.item()
+    rng = np.random.default_rng(9)
+    for p in session.trainable_parameters():
+        p.data += rng.normal(scale=0.05, size=p.data.shape)
+    stale = run_round(session.bus, prepared)
+    fresh = run_round(session.bus, session.build_batch(shots, epoch=1))
+    assert stale.total.item() != before
+    assert stale.total.data.tobytes() == fresh.total.data.tobytes()
+    assert stale.breakdown == fresh.breakdown
+    assert stale.text_features.data.tobytes() == fresh.text_features.data.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from namelearn.text_agent import (
     LinearFusion,
     MissingContextError,
     TextAgent,
-    frozen_text_features,
+    encode_text,
 )
 from namelearn.session import TrainingSession
 from namelearn.settings import SessionSettings
@@ -74,11 +74,21 @@ def pooled(world, namer, concept_id) -> Tensor:
 
 def standard(world, pooled_rows) -> Tensor:
     """The plain text feature: the frozen encoder alone, no context fusion."""
-    return frozen_text_features(pooled_rows, make_agent(world).mixer)
+    return encode_text(pooled_rows, make_agent(world).mixer)
 
 
 def context(world, seed) -> Tensor:
     return Tensor(np.random.default_rng(seed).normal(size=world.config.embed_dim))
+
+
+def composed_layers(layers, z) -> Tensor:
+    """``affine`` layers ``(W1, b1, W2, b2, ...)`` with a ``relu`` between
+    each two, as the generic ops."""
+    for i in range(0, len(layers), 2):
+        if i:
+            z = ad.relu(z)
+        z = ad.affine(z, layers[i], layers[i + 1])
+    return z
 
 
 def test_encode_standard_deterministic(world, namer):
@@ -132,7 +142,8 @@ def test_integrate_context_constant_network(world):
         p.data[...] = 0.0
     v = np.arange(d, dtype=float)
     agent.fusion.b4.data = v.copy()
-    out = agent.fusion(Tensor(np.random.default_rng(0).normal(size=(3, 2 * d))))
+    z = Tensor(np.random.default_rng(0).normal(size=(3, 2 * d)))
+    out = encode_text(z, agent.fusion.parameters())
     assert np.array_equal(out.data, np.tile(v, (3, 1)))
 
 
@@ -142,7 +153,7 @@ def test_integrate_context_hand_case():
     module.b3.data = np.array([0.0])
     module.w4.data = np.array([[2.0]])
     module.b4.data = np.array([0.0])
-    out = module(Tensor([[1.0, 0.5]]))
+    out = encode_text(Tensor([[1.0, 0.5]]), module.parameters())
     assert out.data[0] == pytest.approx([3.0], abs=1e-12)
 
 
@@ -151,16 +162,19 @@ def test_integrate_context_relu_kill_leaves_bias(world):
     module.w3.data = -np.ones((4, 2))
     module.b3.data = np.zeros(2)
     module.b4.data = np.array([0.25, -0.5])
-    out = module(Tensor([[1.0, 1.0, 1.0, 1.0]]))  # all pre-activations negative
+    # All pre-activations negative.
+    out = encode_text(Tensor([[1.0, 1.0, 1.0, 1.0]]), module.parameters())
     assert np.array_equal(out.data, [[0.25, -0.5]])
 
 
 def test_integrate_context_rejects_wrong_width(world, agent):
     d = world.config.embed_dim
+    rows = Tensor(np.zeros((1, d)))
     with pytest.raises(ShapeError):
-        agent.fusion(Tensor(np.zeros((1, d))))
+        agent.encode(rows, Tensor(np.zeros(d + 1)))
     with pytest.raises(ShapeError):
-        agent.fusion(Tensor(np.zeros(2 * d)))  # rows only, not a bare vector
+        # Rows only, not a bare vector.
+        encode_text(Tensor(np.zeros(d)), agent.mixer, Tensor(np.zeros(d)), agent.layers)
 
 
 def test_disable_text_context_is_the_standard_encoding(world, namer):
@@ -169,7 +183,8 @@ def test_disable_text_context_is_the_standard_encoding(world, namer):
     std = standard(world, rows)
     assert np.array_equal(agent.encode(rows, context(world, 3)).data, std.data)
     # The round needs no visual context at all.
-    out = agent.step({"prompts": rows}, None)
+    assert agent.context_rows(None, 1) is None
+    out = agent.step({"prompts": rows}, SimpleNamespace(run={agent: None}))
     assert list(out) == ["text_features"]
     assert np.array_equal(out["text_features"].data, std.data)
 
@@ -180,7 +195,8 @@ def test_contextual_lambda_zero_equals_fusion(world, namer, monkeypatch):
     rows = pooled(world, namer, world.seen_ids[0])
     c = context(world, 2)
     out = agent.encode(rows, c)
-    fused = agent.fusion(ad.concat_cols(standard(world, rows), Tensor(c.data[None, :])))
+    z = ad.concat_cols(standard(world, rows), Tensor(c.data[None, :]))
+    fused = composed_layers(agent.fusion.parameters(), z)
     assert np.allclose(out.data, fused.data, atol=1e-12)
 
 
@@ -188,7 +204,9 @@ def test_contextual_missing_context_is_error(world, namer):
     agent = make_agent(world)
     rows = pooled(world, namer, world.seen_ids[0])
     with pytest.raises(MissingContextError, match="disable_text_context"):
-        agent.step({"prompts": rows}, None)
+        agent.encode(rows, None)
+    with pytest.raises(MissingContextError):
+        agent.context_rows(None, 1)
 
 
 def test_contextual_halfway_with_constant_fusion(world, namer, monkeypatch):
@@ -241,10 +259,10 @@ def test_zero_context_zero_fusion_contributes_bias_only(world, agent, namer):
 
 
 def tiled_encode(agent, rows, c):
-    """``encode`` with the context rows built afresh by ``np.tile``, no cache."""
-    std = frozen_text_features(rows, agent.mixer)
+    """``encode`` as the generic ops, with the context rows built by ``np.tile``."""
+    std = composed_layers(agent.mixer, rows)
     ctx_rows = Tensor(np.tile(c.data, (std.shape[0], 1)))
-    fused = agent.fusion(ad.concat_cols(std, ctx_rows))
+    fused = composed_layers(agent.fusion.parameters(), ad.concat_cols(std, ctx_rows))
     return ad.blend(std, fused, text_agent.LAMBDA_MIX)
 
 
@@ -264,7 +282,7 @@ def test_cached_context_rows_equal_a_fresh_tile(world):
         assert np.array_equal(agent.encode(rows, c).data, want)
         one = session.name_agent.pool([(ids[0], canonical)])
         assert np.array_equal(agent.encode(one, c).data, tiled_encode(agent, one, c).data)
-    # Training rounds after an evaluation: the image agent's cached context.
+    # Training rounds after an evaluation: the rows their batches hold.
     shots = {cid: world.sample_images(cid, 2, seed=3) for cid in ids}
     for epoch in range(2):
         batch = session.build_batch(shots, epoch)
@@ -279,7 +297,7 @@ def test_linear_fusion_shape_and_params(world):
     assert isinstance(agent.fusion, LinearFusion)
     assert len(agent.parameters()) == 2
     d = world.config.embed_dim
-    out = agent.fusion(Tensor(np.zeros((3, 2 * d))))
+    out = encode_text(Tensor(np.zeros((3, 2 * d))), agent.fusion.parameters())
     assert out.shape == (3, d)
 
 

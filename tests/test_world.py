@@ -4,7 +4,7 @@ import pytest
 from namelearn.autodiff import Tensor
 from namelearn.image_agent import frozen_visual_features
 from namelearn.session import SessionSettings, TrainingSession
-from namelearn.text_agent import frozen_text_features
+from namelearn.text_agent import encode_text
 from namelearn.world import WorldBuildError, WorldConfig, build_world
 
 SMALL = WorldConfig(
@@ -96,7 +96,7 @@ def test_mixer_is_identity_in_operating_region(world):
     rng = np.random.default_rng(0)
     m = rng.normal(size=world.config.embed_dim)
     m *= 2.0 / np.linalg.norm(m)
-    assert np.allclose(frozen_text_features(Tensor(m), text_mixer(world)).data, m, atol=1e-10)
+    assert np.allclose(encode_text(Tensor(m), text_mixer(world)).data, m, atol=1e-10)
 
 
 def test_noiseless_images_encode_to_latent_exactly():
