@@ -203,11 +203,11 @@ class NameAgent:
     The frozen text encoder mean-pools token embeddings before anything else,
     so a prompt's pooled embedding is a frozen part (its vocabulary rows) plus
     at most one name-table row, each weighted by one over the template length
-    (the slot holds one token or one row).  ``block`` stacks the frozen
-    parts of a prompt list and its selection of table rows once, when the
-    session builds a batch, so a round costs one ``matmul`` and one ``add``
-    against the live table.  With ``frozen_names`` set (baseline / no-name-learning arm) every
-    rendering uses the concept's frozen token instead.
+    (the slot holds one token or one row).  ``block`` stacks a batch's
+    frozen parts and its selection of table rows once, when the session
+    builds it, so a round costs one ``matmul`` and one ``add`` against the
+    live table.  With ``frozen_names`` set (baseline / no-name-learning arm)
+    every rendering uses the concept's frozen token instead.
     """
 
     agent_id = AgentId.NAME
