@@ -45,4 +45,4 @@ print("only the name embeddings (plus fusion and coordinator scalars) did.")
 # and text features from the text agent.
 print(f"\nbus log of round {session.bus.round_index}: {len(session.bus.log)} messages")
 for record in session.bus.log:
-    print("  ", record.summary())
+    print("  ", record.summary(session.bus.round_index))

@@ -1,17 +1,18 @@
 """The four agents' fixed round: its schema, its schedule and its log.
 
-One bus per training session, single-threaded within a round.  A round is
-five labeled payloads, each with one sender and one reader, and
-``ROUND_SCHEMA`` is the one place that says which: the image agent's visual
-context (to the text agent), its batch features and ``{difficulty, strategy}``
-metadata (to the coordinator), the name agent's pooled prompts (to the text
-agent) and the text agent's features (to the coordinator).  Agents step in
-``ROUND_ORDER``; each takes a dict of the payloads addressed to it and
-returns a dict of its own, and ``run_round`` checks the returned labels
-against the schema before it delivers them.  Every delivery is appended to a
-log that keeps what ``serialize_log`` writes: a feature payload's shape and
-first four values, or the metadata keys.  ``run_round`` empties the log when
-a round starts, so it holds the current round only.
+One bus per training session, built from its four agents in ``ROUND_ORDER``
+and single-threaded within a round.  A round is five labeled payloads, each
+with one sender and one reader, and ``ROUND_SCHEMA`` is the one place that
+says which: the image agent's visual context (to the text agent), its batch
+features and ``{difficulty, strategy}`` metadata (to the coordinator), the
+name agent's pooled prompts (to the text agent) and the text agent's features
+(to the coordinator).  Each agent steps on a dict of the payloads addressed
+to it.  A sender returns a dict, which ``run_round`` checks against the
+schema before it delivers it; the coordinator returns its
+``CoordinatorRound``, which ``run_round`` returns.  The log keeps one record
+per delivery, keyed by label, holding what ``serialize_log`` writes: a
+feature payload's shape and first four values, or the metadata.  ``run_round``
+empties it when a round starts, so it holds the current round only.
 
 A round's fixed cost is Python-level calls, not arithmetic: ``AgentId``
 hashes by identity in C, and each agent's labels are checked with one tuple
@@ -42,7 +43,6 @@ class AgentId(Enum):
 
 
 ROUND_ORDER = (AgentId.IMAGE, AgentId.NAME, AgentId.TEXT, AgentId.COORDINATOR)
-_ALL_AGENTS = frozenset(AgentId)
 
 # Label -> (sender, receiver), in send order.  Every sender steps before its
 # receiver in ROUND_ORDER, so each payload is read in the round that sends it.
@@ -55,17 +55,14 @@ ROUND_SCHEMA = {
     "text_features": (AgentId.TEXT, AgentId.COORDINATOR),
 }
 
-# Per agent, in ROUND_ORDER: the labels it sends, in send order.
+# Per sender, in ROUND_ORDER: the labels it sends, in send order.  The
+# coordinator, last, sends nothing.
 _SENDS = tuple(
     (agent, tuple(label for label, (sender, _) in ROUND_SCHEMA.items() if sender is agent))
-    for agent in ROUND_ORDER
+    for agent in ROUND_ORDER[:-1]
 )
 
 Payload = Tensor | Mapping
-
-
-class UnregisteredAgentError(RuntimeError):
-    """run_round needs all four agents registered."""
 
 
 class EmptyBatchError(ValueError):
@@ -93,30 +90,25 @@ LOG_VALUES = 4
 
 
 class LogRecord(NamedTuple):
-    """One delivered payload; feature payloads keep only a short summary."""
+    """One delivered payload, keyed by its label; a feature payload keeps
+    only a short summary, the metadata payload its mapping."""
 
-    round_index: int
-    sender: AgentId
-    receiver: AgentId
-    tag: str
-    label: str | None = None
+    label: str
     shape: tuple[int, ...] | None = None
     values: np.ndarray | None = None  # the first LOG_VALUES values
     metadata: dict | None = None
 
-    def summary(self) -> dict:
-        if self.tag == "feature":
-            payload = {
-                "shape": list(self.shape),
-                "first": [float(v) for v in self.values],
-            }
+    def summary(self, round_index: int) -> dict:
+        sender, receiver = ROUND_SCHEMA[self.label]
+        if self.metadata is None:
+            tag, payload = "feature", {"shape": list(self.shape), "first": self.values.tolist()}
         else:
-            payload = {"keys": sorted(self.metadata)}
+            tag, payload = "metadata", {"keys": sorted(self.metadata)}
         return {
-            "round": self.round_index,
-            "sender": self.sender.value,
-            "receiver": self.receiver.value,
-            "content_tag": self.tag,
+            "round": round_index,
+            "sender": sender.value,
+            "receiver": receiver.value,
+            "content_tag": tag,
             "payload_summary": payload,
         }
 
@@ -124,65 +116,54 @@ class LogRecord(NamedTuple):
 class Agent(Protocol):
     agent_id: AgentId
 
-    def step(self, inbox: dict[str, Payload], batch) -> Mapping[str, Payload]:
-        ...
+    def step(self, inbox: dict[str, Payload], batch): ...
 
 
 class MessageBus:
-    """The registered agents, the round count and the current round's log."""
+    """The four agents in ``ROUND_ORDER``, the round count and the current
+    round's log."""
 
-    def __init__(self):
-        self.agents: dict[AgentId, Agent] = {}
+    def __init__(self, *agents: Agent):
+        given = [agent.agent_id.value for agent in agents]
+        expected = [agent_id.value for agent_id in ROUND_ORDER]
+        if given != expected:
+            raise ValueError(f"a bus takes its agents in ROUND_ORDER {expected}, got {given}")
+        self.agents = agents
         self.log: list[LogRecord] = []
         self.round_index = 0
-
-    def register(self, agent: Agent) -> None:
-        self.agents[agent.agent_id] = agent
 
     def serialize_log(self, path) -> None:
         """Line-delimited JSON: one record per delivered payload."""
         with open(path, "w") as fh:
             for rec in self.log:
-                fh.write(json.dumps(rec.summary(), sort_keys=True) + "\n")
+                fh.write(json.dumps(rec.summary(self.round_index), sort_keys=True) + "\n")
 
 
 def run_round(bus: MessageBus, batch):
     """One fixed-schedule round: Image, Name, Text, then Coordinator.
 
-    Each agent steps on the payloads sent to it and must return exactly the
+    Each sender steps on the payloads sent to it and must return exactly the
     labels ``ROUND_SCHEMA`` gives it, in schema order, or ``ProtocolError``
     names it.  Returns the coordinator's ``CoordinatorRound``.
     """
-    agents = bus.agents
-    if not agents.keys() >= _ALL_AGENTS:
-        missing = [a.value for a in AgentId if a not in agents]
-        raise UnregisteredAgentError(f"agents not registered: {missing}")
     if batch.size == 0:
         raise EmptyBatchError("round started on an empty batch")
-    round_index = bus.round_index = bus.round_index + 1
+    bus.round_index += 1
     log = bus.log
     log.clear()
     inboxes = {agent_id: {} for agent_id in ROUND_ORDER}
-    for agent_id, labels in _SENDS:
-        sent = agents[agent_id].step(inboxes[agent_id], batch)
+    for agent, (agent_id, labels) in zip(bus.agents, _SENDS):
+        sent = agent.step(inboxes[agent_id], batch)
         if tuple(sent) != labels:
             raise ProtocolError(
                 f"{agent_id.value} sent {list(sent)}; the round schema gives it {list(labels)}"
             )
         for label in labels:
             payload = sent[label]
-            receiver = ROUND_SCHEMA[label][1]
-            inboxes[receiver][label] = payload
+            inboxes[ROUND_SCHEMA[label][1]][label] = payload
             if label == "metadata":
-                log.append(
-                    LogRecord(round_index, agent_id, receiver, "metadata", metadata=dict(payload))
-                )
+                log.append(LogRecord(label, metadata=dict(payload)))
             else:
                 data = payload.data  # ``flat[:n]`` is a copy, in row-major order
-                log.append(
-                    LogRecord(
-                        round_index, agent_id, receiver, "feature", label,
-                        data.shape, data.flat[:LOG_VALUES],
-                    )
-                )
-    return agents[AgentId.COORDINATOR].last_round
+                log.append(LogRecord(label, data.shape, data.flat[:LOG_VALUES]))
+    return bus.agents[-1].step(inboxes[AgentId.COORDINATOR], batch)

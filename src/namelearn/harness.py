@@ -59,8 +59,11 @@ class ExperimentConfig(SessionSettings):
 
     def __post_init__(self):
         for name in ("shots", "seeds", "lrs"):
-            if len(getattr(self, name)) == 0:
+            values = getattr(self, name)
+            if len(values) == 0:
                 raise ConfigError(f"{name} must be nonempty")
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} must not repeat a value")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.n_test_per_class < 1:

@@ -17,11 +17,12 @@ rounds under a gradient tape and returns each step's loss breakdown; it keeps
 no per-step history, so its memory does not grow with epochs
 (``write_step_log`` writes a returned history).  It evaluates by cosine
 retrieval against per-class text features, scored through the coordinator's
-``similarity_matrix`` as training rounds are.  The coordinator agent ends
-each round: its inbox holds the ``image_features``, the ``{difficulty,
-strategy}`` ``metadata`` (the score as a float) and the ``text_features``
-(one row per distinct prompt), as ``bus.ROUND_SCHEMA`` routes them; it
-computes the loss over images against distinct prompts and sends nothing.
+``similarity_matrix`` as training rounds are.  Its bus is built from its four
+agents.  The coordinator agent ends each round: its inbox holds the
+``image_features``, the ``{difficulty, strategy}`` ``metadata`` (the score as
+a float) and the ``text_features`` (one row per distinct prompt), as
+``bus.ROUND_SCHEMA`` routes them; it computes the loss over images against
+distinct prompts and returns it in a ``CoordinatorRound``, keeping nothing.
 The image agent's difficulty scorer is fixed: the loss has no path back to
 it.  The image and text agents and the coordinator read the session's
 ``SessionSettings`` record as it is; the session itself reads only
@@ -100,7 +101,6 @@ class CoordinatorAgent:
     def __init__(self, params: CoordinatorParams, settings: SessionSettings):
         self.params = params
         self.settings = settings
-        self.last_round: CoordinatorRound | None = None
 
     def prepare(self, batch: Batch, image_features: Tensor) -> tuple:
         """A batch's fixed loss inputs: the unit image rows with their norms,
@@ -110,18 +110,17 @@ class CoordinatorAgent:
         matches = check_matches(batch.prompt_index, (n, len(batch.prompts)))
         return img_rows, matches, check_labels(batch.class_labels, (n, n_classes))
 
-    def step(self, inbox: dict[str, Payload], batch: Batch) -> dict:
+    def step(self, inbox: dict[str, Payload], batch: Batch) -> CoordinatorRound:
         image_features, text_features = inbox["image_features"], inbox["text_features"]
         metadata = inbox["metadata"]
         img_rows, matches, labels = batch.run[self]
         total, breakdown = total_loss(
             image_features, text_features, matches, labels, self.params, self.settings, img_rows
         )
-        self.last_round = CoordinatorRound(
+        return CoordinatorRound(
             image_features, text_features, metadata["difficulty"], metadata["strategy"],
             total, breakdown,
         )
-        return {}
 
 
 class TrainingSession:
@@ -159,9 +158,7 @@ class TrainingSession:
         )
         self.coordinator = CoordinatorAgent(self.coordinator_params, settings)
 
-        self.bus = MessageBus()
-        for agent in (self.image_agent, self.name_agent, self.text_agent, self.coordinator):
-            self.bus.register(agent)
+        self.bus = MessageBus(self.image_agent, self.name_agent, self.text_agent, self.coordinator)
 
         self.prompt_pools = self._build_prompt_pools(exchange_ss)
 

@@ -15,6 +15,8 @@ coordinator.  It reads ``disable_text_context`` and ``simple_concat_fusion``
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 import numpy as np
 
 from . import autodiff as ad
@@ -25,6 +27,8 @@ from .settings import SessionSettings
 # Weight of the plain text feature in the fusion: it dominates, so the
 # near-zero fusion starts as a small correction.
 LAMBDA_MIX = 0.7
+
+_requires_grad = attrgetter("requires_grad")  # a C-level getter, not a Python call
 
 
 def _relu_mlp(x: np.ndarray, layers) -> tuple[np.ndarray, list, list]:
@@ -41,14 +45,20 @@ def _relu_mlp(x: np.ndarray, layers) -> tuple[np.ndarray, list, list]:
     return x, inputs, masks
 
 
-def _relu_mlp_backward(g: np.ndarray, layers, inputs, masks) -> tuple[np.ndarray, list]:
-    """Gradients through ``_relu_mlp``: the input's, then each layer's (``None`` if frozen)."""
+def _relu_mlp_backward(g: np.ndarray, layers, inputs, masks, need_input: bool) -> tuple:
+    """Gradients through ``_relu_mlp``: the input's (``None`` unless
+    ``need_input``), then each layer's (``None`` if frozen).  ``g`` goes on
+    down only while the input or a lower layer needs a gradient, so no
+    product is formed that nobody reads."""
+    needs = [*map(_requires_grad, layers)]
     grads = [None] * len(layers)
     for i in range(len(layers) - 2, -1, -2):
-        if layers[i].requires_grad:
+        if needs[i]:
             grads[i] = inputs[i // 2].T @ g
-        if layers[i + 1].requires_grad:
+        if needs[i + 1]:
             grads[i + 1] = np.add.reduce(g, axis=0)
+        if not (need_input or True in needs[:i]):
+            return None, grads
         g = g @ layers[i].data.T
         if i:
             g = g * masks[i // 2 - 1]
@@ -60,7 +70,9 @@ def encode_text(x: Tensor, mixer, rows: Tensor | None = None, fusion=()) -> Tens
     or with ``fusion`` layers ``blend(standard, fusion(concat_cols(standard,
     rows)), LAMBDA_MIX)``, as one tape entry; ``mixer`` and ``fusion`` are
     ``_relu_mlp`` layers.  The backward evaluates the composed ops'
-    expressions in their order, so every gradient is theirs, bit for bit."""
+    expressions in their order, so every gradient is theirs, bit for bit, and
+    forms none that no input reads: with frozen prompts and mixer (the
+    ``disable_name_agent`` arm) it stops at the fusion layers."""
     std, std_in, std_masks = _relu_mlp(x.data, mixer)
     out, inputs = std, (x, *mixer)
     if fusion:
@@ -74,10 +86,16 @@ def encode_text(x: Tensor, mixer, rows: Tensor | None = None, fusion=()) -> Tens
 
     def backward(g):
         if fusion:
-            gz, fusion_grads = _relu_mlp_backward(g * wb, fusion, fused_in, fused_masks)
-            g = g * wa + gz[:, :k]
-        gx, grads = _relu_mlp_backward(g, mixer, std_in, std_masks)
-        return (gx, *grads, gz[:, k:], *fusion_grads) if fusion else (gx, *grads)
+            into_std = x.requires_grad or True in map(_requires_grad, mixer)
+            gz, fusion_grads = _relu_mlp_backward(
+                g * wb, fusion, fused_in, fused_masks, into_std or rows.requires_grad
+            )
+            if into_std:
+                g = g * wa + gz[:, :k]
+        gx, grads = _relu_mlp_backward(g, mixer, std_in, std_masks, x.requires_grad)
+        if not fusion:
+            return (gx, *grads)
+        return (gx, *grads, gz[:, k:] if rows.requires_grad else None, *fusion_grads)
 
     return ad._make(out, inputs, backward)
 

@@ -17,7 +17,6 @@ from namelearn.bus import (
     EmptyBatchError,
     MessageBus,
     ProtocolError,
-    UnregisteredAgentError,
     run_round,
 )
 from namelearn.session import Batch, SessionSettings, TrainingSession
@@ -47,7 +46,6 @@ class Stub:
         self.agent_id = agent_id
         self.sent = sent
         self.inbox = None
-        self.last_round = None
 
     def step(self, inbox, batch):
         self.inbox = inbox
@@ -72,13 +70,15 @@ def labels_of(agent):
 def stub_bus(odd_one=None, odd_labels=()):
     """A bus of four stubs, each sending its schema labels of ``PAYLOADS`` in
     schema order, except that ``odd_one`` sends ``odd_labels``."""
-    bus = MessageBus()
     stubs = {}
-    for agent in AgentId:
+    for agent in ROUND_ORDER:
         labels = odd_labels if agent is odd_one else labels_of(agent)
         stubs[agent] = Stub(agent, {label: PAYLOADS[label] for label in labels})
-        bus.register(stubs[agent])
-    return bus, stubs
+    return MessageBus(*stubs.values()), stubs
+
+
+def sender_of(rec):
+    return ROUND_SCHEMA[rec.label][0]
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +115,9 @@ def test_each_payload_is_read_by_its_receiver():
         (AgentId.IMAGE, ["visual_context", "image_features"]),
         (AgentId.NAME, ["prompts", "text_features"]),
         (AgentId.IMAGE, ["metadata", "image_features", "visual_context"]),
-        (AgentId.COORDINATOR, ["metadata"]),
+        (AgentId.TEXT, []),
     ],
-    ids=["image_leaves_out", "name_adds", "image_reorders", "coordinator_adds"],
+    ids=["image_leaves_out", "name_adds", "image_reorders", "text_sends_nothing"],
 )
 def test_run_round_names_an_agent_that_breaks_the_schema(agent, sent):
     bus, stubs = stub_bus(agent, sent)
@@ -125,27 +125,29 @@ def test_run_round_names_an_agent_that_breaks_the_schema(agent, sent):
     with pytest.raises(ProtocolError, match=re.escape(message)):
         run_round(bus, STUB_BATCH)
     # Nothing the agent sent was delivered or logged.
-    assert all(rec.sender is not agent for rec in bus.log)
+    assert all(sender_of(rec) is not agent for rec in bus.log)
     later = ROUND_ORDER[ROUND_ORDER.index(agent) + 1 :]
     assert all(stubs[a].inbox is None for a in later)
 
 
-def test_content_tags():
+def test_log_records_are_keyed_by_label():
     bus, _ = stub_bus()
     run_round(bus, STUB_BATCH)
-    assert [(rec.label, rec.tag) for rec in bus.log] == [
+    assert [(rec.label, rec.summary(1)["content_tag"]) for rec in bus.log] == [
         ("visual_context", "feature"),
         ("image_features", "feature"),
-        (None, "metadata"),
+        ("metadata", "metadata"),
         ("prompts", "feature"),
         ("text_features", "feature"),
     ]
+    assert bus.log[2].metadata == PAYLOADS["metadata"]
+    assert bus.log[2].metadata is not PAYLOADS["metadata"]
 
 
 def test_log_records_payload_summary():
     bus, _ = stub_bus()
     run_round(bus, STUB_BATCH)
-    summary = bus.log[0].summary()
+    summary = bus.log[0].summary(bus.round_index)
     assert summary["content_tag"] == "feature"
     assert summary["payload_summary"]["shape"] == [5]
     assert summary["payload_summary"]["first"] == [1.0, 2.0, 3.0, 4.0]
@@ -156,10 +158,10 @@ def test_log_record_rejects_attribute_assignment():
     run_round(bus, STUB_BATCH)
     rec = bus.log[1]
     with pytest.raises(AttributeError):
-        rec.tag = "metadata"
+        rec.label = "metadata"
     with pytest.raises(AttributeError):
         rec.values = None
-    assert rec.tag == "feature" and rec.values.tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert rec.label == "image_features" and rec.values.tolist() == [0.0, 1.0, 2.0, 3.0]
 
 
 def test_agent_id_survives_pickle_as_a_mailbox_key():
@@ -201,12 +203,11 @@ def test_log_keeps_only_summary_values_over_default_rounds(tmp_path):
         for e in range(3)
     ]
     # The log holds the current round only.
-    assert len(session.bus.log) == 5
-    assert all(rec.round_index == 3 for rec in session.bus.log)
-    features = [rec for rec in session.bus.log if rec.tag == "feature"]
-    assert features
-    assert all(rec.values.size <= 4 for rec in features)
-    assert all(rec.values is None for rec in session.bus.log if rec.tag != "feature")
+    assert session.bus.round_index == 3
+    assert [rec.label for rec in session.bus.log] == list(ROUND_SCHEMA)
+    features = [rec for rec in session.bus.log if rec.label != "metadata"]
+    assert all(rec.values.size <= 4 and rec.metadata is None for rec in features)
+    assert session.bus.log[2].values is None
     path = tmp_path / "log.jsonl"
     session.bus.serialize_log(path)
     lines = [json.loads(line) for line in path.read_text().splitlines()]
@@ -220,7 +221,7 @@ def test_log_keeps_only_summary_values_over_default_rounds(tmp_path):
     last = [
         line
         for line, rec in zip(lines, session.bus.log)
-        if rec.round_index == 3 and rec.label == "image_features"
+        if rec.label == "image_features"
     ]
     assert last == [
         {
@@ -279,16 +280,26 @@ def test_default_round_log_file_matches_the_round(tmp_path):
 # ---------------------------------------------------------------------------
 # run_round on the real four agents
 
-@pytest.mark.parametrize("missing", list(AgentId), ids=lambda a: a.value)
-def test_run_round_requires_registration(world, missing):
+def session_agents(session):
+    return [session.image_agent, session.name_agent, session.text_agent, session.coordinator]
+
+
+@pytest.mark.parametrize(
+    "order",
+    [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2], [0, 2, 1, 3]],
+    ids=["no_image", "no_name", "no_text", "no_coordinator", "text_before_name"],
+)
+def test_bus_is_built_from_its_four_agents_in_round_order(world, order):
     session = make_session(world)
-    bus = MessageBus()
-    for agent in (session.image_agent, session.name_agent, session.text_agent, session.coordinator):
-        if agent.agent_id is not missing:
-            bus.register(agent)
-    with pytest.raises(UnregisteredAgentError, match=rf"\['{missing.value}'\]"):
-        run_round(bus, make_batch(world, session))
-    assert bus.round_index == 0 and bus.log == []
+    agents = [session_agents(session)[i] for i in order]
+    given = [agent.agent_id.value for agent in agents]
+    message = (
+        f"a bus takes its agents in ROUND_ORDER ['Image', 'Name', 'Text', 'Coordinator'], "
+        f"got {given}"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MessageBus(*agents)
+    assert MessageBus(*session_agents(session)).agents == tuple(session_agents(session))
 
 
 def test_run_round_rejects_empty_batch(world):
@@ -318,9 +329,7 @@ def test_round_determinism_same_seed(world):
     for _ in range(2):
         session = make_session(world, seed=9)
         run_round(session.bus, make_batch(world, session))
-        triples.append(
-            [(r.sender.value, r.receiver.value, r.tag, r.label) for r in session.bus.log]
-        )
+        triples.append([(r.label, r.shape, r.metadata) for r in session.bus.log])
     assert triples[0] == triples[1]
 
 
@@ -341,23 +350,25 @@ def test_malformed_mailbox_content_raises_typed_error(world):
     session = make_session(world)
     batch = make_batch(world, session)
     pooled = session.name_agent.pool(batch.prompts)
-    session.bus.register(Stub(AgentId.NAME, {"text_features": pooled}))
+    agents = session_agents(session)
+    agents[1] = Stub(AgentId.NAME, {"text_features": pooled})
+    bus = MessageBus(*agents)
     with pytest.raises(ProtocolError, match=r"Name sent \['text_features'\]"):
-        run_round(session.bus, batch)
-    assert [rec.sender for rec in session.bus.log] == [AgentId.IMAGE] * 3
+        run_round(bus, batch)
+    assert [sender_of(rec) for rec in bus.log] == [AgentId.IMAGE] * 3
 
 
 def test_round_sends_only_messages_with_a_reader():
     world = build_world(WorldConfig())
     session = make_session(world)
     batch = make_batch(world, session, k=16)
-    run_round(session.bus, batch)
-    assert [(r.sender, r.receiver, r.tag, r.label) for r in session.bus.log] == [
-        (AgentId.IMAGE, AgentId.TEXT, "feature", "visual_context"),
-        (AgentId.IMAGE, AgentId.COORDINATOR, "feature", "image_features"),
-        (AgentId.IMAGE, AgentId.COORDINATOR, "metadata", None),
-        (AgentId.NAME, AgentId.TEXT, "feature", "prompts"),
-        (AgentId.TEXT, AgentId.COORDINATOR, "feature", "text_features"),
+    info = run_round(session.bus, batch)
+    assert [(r.label, ROUND_SCHEMA[r.label]) for r in session.bus.log] == [
+        ("visual_context", (AgentId.IMAGE, AgentId.TEXT)),
+        ("image_features", (AgentId.IMAGE, AgentId.COORDINATOR)),
+        ("metadata", (AgentId.IMAGE, AgentId.COORDINATOR)),
+        ("prompts", (AgentId.NAME, AgentId.TEXT)),
+        ("text_features", (AgentId.TEXT, AgentId.COORDINATOR)),
     ]
     image = session.image_agent.step({}, batch)
     prompts = session.name_agent.step({}, batch)
@@ -371,7 +382,21 @@ def test_round_sends_only_messages_with_a_reader():
         "metadata": image["metadata"],
         "text_features": text["text_features"],
     }
-    assert session.coordinator.step(inbox, batch) == {}
+    assert session.coordinator.step(inbox, batch).breakdown == info.breakdown
+
+
+def test_no_agent_keeps_anything_from_a_round(world):
+    """Every agent's attributes are the same objects before and after rounds:
+    what a round computes leaves through ``run_round``'s return value only."""
+    session = make_session(world)
+    agents = session_agents(session)
+    before = [dict(vars(agent)) for agent in agents]
+    batch = make_batch(world, session)
+    first = run_round(session.bus, batch)
+    assert run_round(session.bus, batch) is not first
+    for agent, attrs in zip(agents, before):
+        assert vars(agent).keys() == attrs.keys(), agent.agent_id
+        assert all(vars(agent)[key] is value for key, value in attrs.items()), agent.agent_id
 
 
 def test_round_fixed_cost_in_python_calls():

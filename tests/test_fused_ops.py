@@ -254,6 +254,35 @@ def test_text_encode_is_bit_identical_to_the_composed_chain(u, d, fusion, mask):
     assert_same_bits(fused, oracle, arrays, needs, rng.normal(size=(u, d)))
 
 
+@pytest.mark.parametrize("fusion", ["default", "simple_concat"])
+def test_text_encode_backward_returns_none_for_frozen_inputs(fusion):
+    """The ``disable_name_agent`` arm's operands: frozen prompts, mixer and
+    context rows.  The backward hands each of them ``None`` and forms only the
+    fusion layers' gradients, which match the composed chain's."""
+    from namelearn.text_agent import encode_text
+
+    u, d = 5, 4
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.normal(size=(u, d)))
+    mixer = [Tensor(rng.normal(size=s)) for s in ((d, d), (d,), (d, d), (d,))]
+    rows = Tensor(np.tile(rng.normal(size=d), (u, 1)))
+    layers = [Tensor(rng.normal(size=s), requires_grad=True) for s in FUSIONS[fusion](d)]
+    with Tape() as tape:
+        encode_text(x, mixer, rows, layers)
+    ((_, inputs, backward_fn),) = tape.entries
+    upstream = rng.normal(size=(u, d))
+    grads = backward_fn(upstream)
+    assert len(grads) == len(inputs) == 6 + len(layers)
+    assert all(g is None for g in grads[:6])
+    _, ref, _ = run(
+        lambda *ls: composed_text(x, rows, *mixer, *ls),
+        [t.data for t in layers],
+        [True] * len(layers),
+        upstream,
+    )
+    assert all(np.array_equal(g, r) for g, r in zip(grads[6:], ref))
+
+
 def test_world_checks_its_text_features_through_the_agents_op():
     from namelearn import text_agent, world
 

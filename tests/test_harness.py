@@ -50,6 +50,13 @@ def strip_wall_time(csv_text: str) -> str:
 # Config
 
 def test_config_validates_shots_and_seeds():
+    for bad, field in (
+        (dict(shots=(0, 0)), "shots"),
+        (dict(seeds=(1, 1)), "seeds"),
+        (dict(lrs=(1e-3, 1e-3)), "lrs"),
+    ):
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig(**bad)
     for bad in (
         dict(shots=(2, 1)),
         dict(shots=(-1, 2)),
@@ -348,6 +355,14 @@ def test_cli_unparsable_seed_names_the_flag(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: --seed: expected an integer (comma-separated), got 'abc'\n"
     )
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_repeated_seed_is_hard_error(tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path / "exp.cfg")
+    rc = main(["few-shot", "--config", str(cfg), "--seed", "1,1", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seeds must not repeat a value\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -27,7 +27,13 @@ import numpy as np
 import pytest
 
 from namelearn.bus import run_round
-from namelearn.harness import ABLATION_FLAGS, ExperimentConfig, emit_metrics, run_few_shot
+from namelearn.harness import (
+    ABLATION_FLAGS,
+    ExperimentConfig,
+    emit_metrics,
+    parse_config_file,
+    run_few_shot,
+)
 from namelearn.session import SessionSettings, TrainingSession
 from namelearn.world import WorldConfig, build_world
 
@@ -110,6 +116,17 @@ def test_outputs_match_the_pins(sweep, ablation_suite, criterion_1, tmp_path):
     ]
     if diffs:
         pytest.fail("outputs moved from pinned_outputs.txt:\n" + "\n".join(diffs))
+
+
+def test_checked_in_hard_config_is_the_pinned_hard_world():
+    """``configs/hard.cfg`` runs the world the ``hard_world`` pins run, over
+    its full grid; parsing it runs nothing."""
+    config = parse_config_file(PIN_FILE.parents[1] / "configs" / "hard.cfg")
+    assert config.world == HARD_WORLD
+    assert (config.shots, config.seeds, config.lrs) == ((0, 1, 4, 16), (0, 1, 2), (1e-3, 1e-2))
+    assert config == ExperimentConfig(
+        world=HARD_WORLD, shots=(0, 1, 4, 16), seeds=(0, 1, 2), lrs=(1e-3, 1e-2)
+    )
 
 
 if __name__ == "__main__":  # print the pin file for the current program

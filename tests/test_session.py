@@ -134,7 +134,7 @@ def test_default_round_scores_each_distinct_prompt_once():
     batch = session.build_batch(shots_for(world, k=16), epoch=0)
     info = run_round(session.bus, batch)
     d = world.config.embed_dim
-    blocks = {r.label: r.shape for r in session.bus.log if r.tag == "feature"}
+    blocks = {r.label: r.shape for r in session.bus.log}
     assert batch.size == 160
     assert blocks["prompts"] == blocks["text_features"] == (30, d)
     assert info.text_features.shape == (30, d)
