@@ -7,17 +7,17 @@ leaf.  ``grad_check`` compares those gradients against central finite
 differences.  Loss terms are single ops with closed-form backwards
 (``softmax_cross_entropy`` here, the contrastive loss in ``coordinator``), so
 each costs one tape entry.  So are ``affine`` (a matmul plus bias) and
-``blend`` (a fixed-weight sum), the coordinator's ``similarity_matrix`` and
-weighted total, and the text agent's ``encode_text`` (its whole chain).  Each
-fused backward evaluates the numpy expressions its composed ops would, in the
-same order, so its gradients are bit-identical to theirs; the generic ops
-stay, and tests use them as the oracles.  A batch's fixed class labels are
-checked once, by ``check_labels``, not by every ``softmax_cross_entropy``.
+``blend`` (a fixed-weight sum), the coordinator's whole ``total_loss``, and
+the text agent's ``encode_text`` (its whole chain).  Each fused backward
+evaluates the numpy expressions its composed ops would, in the same order, so
+its gradients are bit-identical to theirs; the generic ops stay, and tests
+use them as the oracles.  A batch's fixed class labels are checked once, by
+``check_labels``, not by every ``softmax_cross_entropy``.
 
-Sums, maxima and minima on a round's path, here and in ``coordinator``, call
-the ufunc's ``reduce`` directly, as in ``np.add.reduce(x, axis=1)``: the
-ndarray methods (``x.sum(axis=1)``) compute the same thing through one more
-Python-level call each.
+Sums, maxima, minima and tests on a round's path, here and in
+``coordinator``, call the ufunc's ``reduce`` directly, as in
+``np.add.reduce(x, axis=1)``: the ndarray methods (``x.sum(axis=1)``,
+``x.any()``) compute the same thing through one more Python-level call each.
 
 Shapes are deliberately restricted to what the model needs: scalars (0-d),
 vectors (1-d) and matrices (2-d).  No broadcasting beyond a row-vector bias
@@ -271,7 +271,7 @@ def unit_rows(x: np.ndarray, op: str) -> tuple[np.ndarray, np.ndarray]:
     the expression ``np.linalg.norm(x, axis=1, keepdims=True)`` evaluates for
     real input, without its Python-level dispatch."""
     norms = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
-    if (norms <= 1e-12).any():
+    if np.minimum.reduce(norms, axis=None) <= 1e-12:
         raise DomainError(f"{op}: row with norm <= 1e-12")
     return x / norms, norms
 
@@ -404,18 +404,25 @@ def softmax_cross_entropy(a: Tensor, labels) -> Tensor:
 
     One op with the closed-form backward ``(softmax(a) - onehot) * g / N``.
     """
-    idx, rows, shape = labels if type(labels) is Labels else check_labels(labels, a.data.shape)
-    if a.data.shape != shape:
-        raise ShapeError(f"softmax_cross_entropy: logits {a.shape}, labels checked for {shape}")
+    checked = labels if type(labels) is Labels else check_labels(labels, a.data.shape)
+    value, backward = cross_entropy(a.data, checked)
+    return _make(value, (a,), lambda g: (backward(g),))
+
+
+def cross_entropy(x: np.ndarray, labels: Labels) -> tuple:
+    """``softmax_cross_entropy``'s value on logits ``x`` and backward ``g -> dx``."""
+    idx, rows, shape = labels
+    if x.shape != shape:
+        raise ShapeError(f"softmax_cross_entropy: logits {x.shape}, labels checked for {shape}")
     n = shape[0]
-    log_p = log_softmax(a.data)
+    log_p = log_softmax(x)
 
     def backward(g):
         d = np.exp(log_p)
         d[rows, idx] -= 1.0
-        return (d * (g / n),)
+        return d * (g / n)
 
-    return _make(np.add.reduce(log_p[rows, idx]) * (-1.0 / n), (a,), backward)
+    return np.add.reduce(log_p[rows, idx]) * (-1.0 / n), backward
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:

@@ -9,10 +9,11 @@ name agent's pooled prompts (to the text agent) and the text agent's features
 (to the coordinator).  Each agent steps on a dict of the payloads addressed
 to it.  A sender returns a dict, which ``run_round`` checks against the
 schema before it delivers it; the coordinator returns its
-``CoordinatorRound``, which ``run_round`` returns.  The log keeps one record
-per delivery, keyed by label, holding what ``serialize_log`` writes: a
-feature payload's shape and first four values, or the metadata.  ``run_round``
-empties it when a round starts, so it holds the current round only.
+``CoordinatorRound``, which ``run_round`` returns.  The bus holds the current
+round's inboxes, its delivered payloads by reference; ``MessageBus.log``
+builds from them, when read, one record per delivery, keyed by label, holding
+what ``serialize_log`` writes: a feature payload's shape and first four values
+(copied), or the metadata.
 
 A round's fixed cost is Python-level calls, not arithmetic: ``AgentId``
 hashes by identity in C, and each agent's labels are checked with one tuple
@@ -98,6 +99,13 @@ class LogRecord(NamedTuple):
     values: np.ndarray | None = None  # the first LOG_VALUES values
     metadata: dict | None = None
 
+    @classmethod
+    def of(cls, label: str, payload: Payload) -> "LogRecord":
+        """A delivered payload's record; ``flat[:n]`` is a copy, in row-major order."""
+        if label == "metadata":
+            return cls(label, metadata=dict(payload))
+        return cls(label, payload.data.shape, payload.data.flat[:LOG_VALUES])
+
     def summary(self, round_index: int) -> dict:
         sender, receiver = ROUND_SCHEMA[self.label]
         if self.metadata is None:
@@ -129,8 +137,18 @@ class MessageBus:
         if given != expected:
             raise ValueError(f"a bus takes its agents in ROUND_ORDER {expected}, got {given}")
         self.agents = agents
-        self.log: list[LogRecord] = []
         self.round_index = 0
+        self._inboxes: dict[AgentId, dict[str, Payload]] = {agent: {} for agent in ROUND_ORDER}
+
+    @property
+    def log(self) -> list[LogRecord]:
+        """One record per payload the current round's inboxes hold, in send
+        order, built when read."""
+        return [
+            LogRecord.of(label, self._inboxes[receiver][label])
+            for label, (_, receiver) in ROUND_SCHEMA.items()
+            if label in self._inboxes[receiver]
+        ]
 
     def serialize_log(self, path) -> None:
         """Line-delimited JSON: one record per delivered payload."""
@@ -149,9 +167,7 @@ def run_round(bus: MessageBus, batch):
     if batch.size == 0:
         raise EmptyBatchError("round started on an empty batch")
     bus.round_index += 1
-    log = bus.log
-    log.clear()
-    inboxes = {agent_id: {} for agent_id in ROUND_ORDER}
+    inboxes = bus._inboxes = {agent_id: {} for agent_id in ROUND_ORDER}
     for agent, (agent_id, labels) in zip(bus.agents, _SENDS):
         sent = agent.step(inboxes[agent_id], batch)
         if tuple(sent) != labels:
@@ -159,11 +175,5 @@ def run_round(bus: MessageBus, batch):
                 f"{agent_id.value} sent {list(sent)}; the round schema gives it {list(labels)}"
             )
         for label in labels:
-            payload = sent[label]
-            inboxes[ROUND_SCHEMA[label][1]][label] = payload
-            if label == "metadata":
-                log.append(LogRecord(label, metadata=dict(payload)))
-            else:
-                data = payload.data  # ``flat[:n]`` is a copy, in row-major order
-                log.append(LogRecord(label, data.shape, data.flat[:LOG_VALUES]))
+            inboxes[ROUND_SCHEMA[label][1]][label] = sent[label]
     return bus.agents[-1].step(inboxes[AgentId.COORDINATOR], batch)

@@ -12,18 +12,17 @@ square loss over one text row per image-prompt pair (see
 ``contrastive_loss``).  A batch's fixed inputs are checked once, when the
 session prepares it: the match indices by ``check_matches``, the class labels
 by ``autodiff.check_labels``, and the image rows are normalized then too.
-Each loss term is one tape entry with a closed-form backward: the contrastive
-loss here, whose value and backward share one exponential pass, the
-classification loss through ``autodiff.softmax_cross_entropy``.  The layers
-around them are one entry each as well: ``similarity_matrix`` and
-``weighted_total``, which computes the clipped loss weights and the weighted
-sum on python floats and hands ``LossBreakdown`` those floats.  A round
-records six coordinator entries: the temperature clip, the similarities, the
-two loss terms, the head's ``matmul`` and the total.  Adam updates every
-parameter in one pass over flat moment vectors, and leaves one with no
-gradient as it is.  Only ``total_loss`` reads ``disable_coordinator_dynamics``
-and ``disable_dynamic_balancing``: under them the temperature and the loss
-weights never reach the tape, so they get no gradient and do not train.
+Each loss term has a closed-form backward: the contrastive loss here, whose
+value and backward share one exponential pass, the classification loss
+through ``autodiff.softmax_cross_entropy``.  ``similarity_matrix`` and
+``weighted_total`` (the clipped loss weights and the weighted sum, on python
+floats) are one op each too.  ``total_loss`` runs all of them, on their
+kernels, as one tape entry, the only one a round records here; the ops stay
+as its oracles.  Adam updates every parameter in one pass over flat moment
+vectors, and leaves one with no gradient as it is.  Only ``total_loss`` reads
+``disable_coordinator_dynamics`` and ``disable_dynamic_balancing``: under them
+the temperature and the loss weights are not its inputs, so they get no
+gradient and do not train.
 """
 
 from __future__ import annotations
@@ -89,6 +88,12 @@ def similarity_matrix(img: Tensor, txt: Tensor, img_rows=None) -> Tensor:
     the product takes the normalized text rows as a transposed view, so it is
     the same BLAS call as ``x @ y.T``, and the backward evaluates the composed
     ops' expressions in their order.  ``img_rows``: a fixed ``img``'s ``unit_rows``."""
+    s, backward = _similarity(img, txt, img_rows)
+    return ad._make(s, (img, txt), backward)
+
+
+def _similarity(img: Tensor, txt: Tensor, img_rows):
+    """``similarity_matrix``'s cosines and backward ``g -> (gi, gt)``."""
     if img.data.ndim != 2 or txt.data.ndim != 2 or img.data.shape[1] != txt.data.shape[1]:
         raise ShapeError(f"similarity_matrix: incompatible {img.shape} vs {txt.shape}")
     yi, ni = img_rows or ad.unit_rows(img.data, "similarity_matrix")
@@ -99,14 +104,10 @@ def similarity_matrix(img: Tensor, txt: Tensor, img_rows=None) -> Tensor:
         gt = ad.unit_rows_backward((yi.T @ g).T, yt, nt) if txt.requires_grad else None
         return gi, gt
 
-    return ad._make(yi @ yt.T, (img, txt), backward)
+    return yi @ yt.T, backward
 
 
-def _as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(np.asarray(float(value)))
-
-
-Matches = namedtuple("Matches", "index counts rows shape")  # (N,), (U,), arange(N), (N, U)
+Matches = namedtuple("Matches", "index counts rows shape")  # (N,), (U,) floats, arange(N), (N, U)
 
 
 def check_matches(y, shape: tuple[int, ...]) -> Matches:
@@ -123,7 +124,7 @@ def check_matches(y, shape: tuple[int, ...]) -> Matches:
     m = np.bincount(y, minlength=u)
     if np.minimum.reduce(m) == 0:
         raise DomainError(f"contrastive_loss: column {int(m.argmin())} has no pair")
-    return Matches(y, m, np.arange(n), shape)
+    return Matches(y, m.astype(np.float64), np.arange(n), shape)  # products need no cast
 
 
 def contrastive_loss(s: Tensor, y, tau) -> Tensor:
@@ -152,16 +153,27 @@ def contrastive_loss(s: Tensor, y, tau) -> Tensor:
     that underflows (``st`` spanning more than about 700) raises
     ``DomainError``; cosines over a tau in the band span at most 4.
     """
-    sd = s.data
-    y, m, rows, shape = y if type(y) is Matches else check_matches(y, sd.shape)
+    matches = y if type(y) is Matches else check_matches(y, s.data.shape)
+    tau_t = tau if isinstance(tau, Tensor) else Tensor(np.asarray(float(tau)))
+    value, kernel = _contrastive(s.data, matches, float(tau_t.data.reshape(())))
+
+    def backward(g):
+        ds, dtau = kernel(g, True, True)
+        return ds, dtau.reshape(tau_t.data.shape)
+
+    return ad._make(value, (s, tau_t), backward)
+
+
+def _contrastive(sd: np.ndarray, matches: Matches, tau: float):
+    """``contrastive_loss``'s value on scores ``sd`` and a python tau, and its
+    backward ``(g, need_s, need_tau) -> (ds, dtau)``, ``None`` where not needed."""
+    y, m, rows, shape = matches
     if sd.shape != shape:
         raise ShapeError(f"contrastive_loss: scores {sd.shape}, matches checked for {shape}")
+    if not TAU_BAND[0] <= tau <= TAU_BAND[1]:
+        raise DomainError(f"contrastive_loss: tau {tau} outside {TAU_BAND}")
     n = shape[0]
-    tau_t = _as_tensor(tau)
-    tau_value = float(tau_t.data.reshape(()))
-    if not TAU_BAND[0] <= tau_value <= TAU_BAND[1]:
-        raise DomainError(f"contrastive_loss: tau {tau_value} outside {TAU_BAND}")
-    z = sd / tau_value
+    z = sd / tau
     z -= np.maximum.reduce(z, axis=None)
     e = np.exp(z)
     col = np.add.reduce(e, axis=0)
@@ -176,26 +188,23 @@ def contrastive_loss(s: Tensor, y, tau) -> Tensor:
     picked = 2.0 * np.add.reduce(z[rows, y])
     value = (np.add.reduce(np.log(row)) + m @ np.log(col) - picked) / (2.0 * n)
 
-    def backward(g):
+    def backward(g, need_s, need_tau):
+        if not (need_s or need_tau):
+            return None, None
         grad = (1.0 / row)[:, None] + 1.0 / col
         grad *= e
         grad[rows, y] -= 2.0
         grad *= g / (2.0 * n)
-        return grad / tau_value, np.sum(-grad * sd / (tau_value * tau_value)).reshape(
-            tau_t.data.shape
-        )
+        ds = grad / tau if need_s else None
+        return ds, np.add.reduce(-grad * sd / (tau * tau), axis=None) if need_tau else None
 
-    return ad._make(value, (s, tau_t), backward)
+    return value, backward
 
 
 def classification_loss(img_features: Tensor, w_cls: Tensor, labels) -> Tensor:
     """Mean cross-entropy of the linear head's logits against the labels
     (an index array or ``ad.Labels``); ``ad.check_labels`` checks them."""
     return ad.softmax_cross_entropy(ad.matmul(img_features, w_cls), labels)
-
-
-def _clip(x: float, lo: float, hi: float) -> float:
-    return min(max(x, lo), hi)
 
 
 def loss_weights(w_con_param: float, w_cls_param: float) -> tuple[float, float, float, float]:
@@ -207,8 +216,8 @@ def loss_weights(w_con_param: float, w_cls_param: float) -> tuple[float, float, 
     denom = w_con_param + w_cls_param
     if abs(denom) < 1e-8:
         raise DegenerateWeightsError("weight parameters sum to ~0")
-    num_con = _clip(w_con_param, *CON_NUM_BAND)
-    num_cls = _clip(w_cls_param, *CLS_NUM_BAND)
+    num_con = min(max(w_con_param, CON_NUM_BAND[0]), CON_NUM_BAND[1])
+    num_cls = min(max(w_cls_param, CLS_NUM_BAND[0]), CLS_NUM_BAND[1])
     return num_con / denom, num_cls / denom, num_con, num_cls
 
 
@@ -225,18 +234,21 @@ def weighted_total(
     (``add``, two ``clip``s, two ``div``s, two ``mul``s and an ``add``) in the
     order that chain's backward takes them, so the gradients are the same bits.
     """
-    lc, lk = float(l_con.data), float(l_cls.data)
+    total, floats, backward = _weigh(float(l_con.data), float(l_cls.data), weight_params)
+    inputs = (l_con, l_cls, *(weight_params or ()))
+    return ad._make(np.asarray(total), inputs, lambda g: backward(float(g))), floats
+
+
+def _weigh(lc: float, lk: float, weight_params: tuple[Tensor, Tensor] | None):
+    """``weighted_total``'s total, floats and backward on python floats:
+    ``g -> (dl_con, dl_cls)``, then the two parameters' with ``weight_params``."""
     if weight_params is None:
         w_con, w_cls = num_con, num_cls = FIXED_WEIGHTS
-        inputs = (l_con, l_cls)
     else:
         p_con, p_cls = float(weight_params[0].data), float(weight_params[1].data)
         w_con, w_cls, num_con, num_cls = loss_weights(p_con, p_cls)
-        inputs = (l_con, l_cls, *weight_params)
-    total = w_con * lc + w_cls * lk
 
     def backward(g):
-        g = float(g)
         if weight_params is None:
             return g * w_con, g * w_cls
         g_w_con, g_w_cls = g * lc, g * lk
@@ -245,14 +257,10 @@ def weighted_total(
         g_denom = -g_w_cls * num_cls / sq + -g_w_con * num_con / sq
         in_con = CON_NUM_BAND[0] <= p_con <= CON_NUM_BAND[1]
         in_cls = CLS_NUM_BAND[0] <= p_cls <= CLS_NUM_BAND[1]
-        return (
-            g * w_con,
-            g * w_cls,
-            g_w_con / denom * in_con + g_denom,
-            g_w_cls / denom * in_cls + g_denom,
-        )
+        g_con, g_cls = g_w_con / denom * in_con + g_denom, g_w_cls / denom * in_cls + g_denom
+        return g * w_con, g * w_cls, g_con, g_cls
 
-    return ad._make(np.asarray(total), inputs, backward), (w_con, w_cls, num_con, num_cls)
+    return w_con * lc + w_cls * lk, (w_con, w_cls, num_con, num_cls), backward
 
 
 @dataclass(frozen=True)
@@ -289,7 +297,7 @@ def total_loss(
     settings: SessionSettings = SessionSettings(),
     img_rows=None,
 ) -> tuple[Tensor, LossBreakdown]:
-    """Weighted sum of the contrastive and classification losses.
+    """Weighted sum of the contrastive and classification losses, one tape entry.
 
     ``txt_features`` has one row per distinct prompt and ``prompt_index[i]``
     is image i's row; the contrastive loss scores the ``(N, U)`` cosines,
@@ -297,29 +305,49 @@ def total_loss(
     the ``Matches``, ``Labels`` and ``img_rows`` its batch holds.  Returns the
     differentiable total plus a float breakdown whose invariants (band clips,
     exact recombination) are checked on construction.
+
+    The op is the chain ``effective_temperature``, ``similarity_matrix``,
+    the two loss terms and ``weighted_total``, the clip taken on python
+    floats.  Its backward evaluates the chain's expressions in their order,
+    so its gradients are the chain's bits, and forms only those an input needs.
     """
-    if settings.disable_coordinator_dynamics:
-        tau = Tensor(np.asarray(1.0))
-    else:
-        tau = effective_temperature(params.tau_param)
-    s = similarity_matrix(img_features, txt_features, img_rows)
-    l_con = contrastive_loss(s, prompt_index, tau)
-    l_cls = classification_loss(img_features, params.w_cls_head, class_labels)
-    fixed = settings.disable_coordinator_dynamics or settings.disable_dynamic_balancing
-    total, (w_con, w_cls, num_con, num_cls) = weighted_total(
-        l_con, l_cls, None if fixed else (params.w_con_param, params.w_cls_param)
-    )
-    breakdown = LossBreakdown(
-        l_con=float(l_con.data),
-        l_cls=float(l_cls.data),
-        w_con=w_con,
-        w_cls=w_cls,
-        tau=float(tau.data),
-        total=float(total.data),
-        w_con_num=num_con,
-        w_cls_num=num_cls,
-    )
-    return total, breakdown
+    dynamic = not settings.disable_coordinator_dynamics
+    balanced = dynamic and not settings.disable_dynamic_balancing
+    tau_param, head = params.tau_param, params.w_cls_head
+    raw_tau = float(tau_param.data) if dynamic else 1.0
+    tau = min(max(raw_tau, TAU_BAND[0]), TAU_BAND[1])
+    s, similarity_backward = _similarity(img_features, txt_features, img_rows)
+    if type(prompt_index) is not Matches:
+        prompt_index = check_matches(prompt_index, s.shape)
+    l_con, contrastive_backward = _contrastive(s, prompt_index, tau)
+    x, w = img_features.data, head.data
+    if w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"matmul: incompatible shapes {x.shape} @ {w.shape}")
+    logits = x @ w
+    if type(class_labels) is not ad.Labels:
+        class_labels = ad.check_labels(class_labels, logits.shape)
+    l_cls, cross_entropy_backward = ad.cross_entropy(logits, class_labels)
+    weight_params = (params.w_con_param, params.w_cls_param) if balanced else None
+    total, floats, weights_backward = _weigh(float(l_con), float(l_cls), weight_params)
+    # The temperature and the weights are inputs only where they train.
+    inputs = (img_features, txt_features, head, tau_param)[: 3 + dynamic] + (weight_params or ())
+
+    def backward(g):
+        g_con, g_cls, *weight_grads = weights_backward(float(g))
+        need_img, need_txt = img_features.requires_grad, txt_features.requires_grad
+        need_tau = dynamic and tau_param.requires_grad
+        ds, dtau = contrastive_backward(g_con, need_img or need_txt, need_tau)
+        gi, gt = (None, None) if ds is None else similarity_backward(ds)
+        g_tau = dtau * (TAU_BAND[0] <= raw_tau <= TAU_BAND[1]) if need_tau else None
+        if need_img or head.requires_grad:
+            d_logits = cross_entropy_backward(g_cls)
+        g_head = x.T @ d_logits if head.requires_grad else None
+        if need_img:  # the head's term first, the order the chain adds them in
+            gi = d_logits @ w.T + gi
+        return (gi, gt, g_head, g_tau)[: 3 + dynamic] + tuple(weight_grads)
+
+    breakdown = LossBreakdown(float(l_con), float(l_cls), *floats[:2], tau, total, *floats[2:])
+    return ad._make(np.asarray(total), inputs, backward), breakdown
 
 
 class Adam:

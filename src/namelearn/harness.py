@@ -15,7 +15,6 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -209,14 +208,16 @@ def _call_forked(*task):
 def _map(fn, tasks, jobs: int, shared: tuple = ()) -> list:
     """``fn(*task, *shared)`` for every task, in task order; at most ``jobs``
     worker processes, and never more than there are tasks.  Workers are
-    forked, so they inherit ``shared`` rather than receive it per task.
-    ``ValueError`` unless ``jobs`` is at least 1."""
+    forked, so they inherit ``shared`` rather than receive it per task, and
+    ``multiprocessing`` is imported only then.  ``ValueError`` unless
+    ``jobs`` is at least 1."""
     global _FORKED
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, len(tasks))
     if jobs <= 1:
         return [fn(*t, *shared) for t in tasks]
+    from multiprocessing import get_context
     _FORKED = (fn, shared)
     try:
         with get_context("fork").Pool(jobs) as pool:

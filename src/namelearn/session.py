@@ -19,10 +19,10 @@ no per-step history, so its memory does not grow with epochs
 retrieval against per-class text features, scored through the coordinator's
 ``similarity_matrix`` as training rounds are.  Its bus is built from its four
 agents.  The coordinator agent ends each round: its inbox holds the
-``image_features``, the ``{difficulty, strategy}`` ``metadata`` (the score as
-a float) and the ``text_features`` (one row per distinct prompt), as
-``bus.ROUND_SCHEMA`` routes them; it computes the loss over images against
-distinct prompts and returns it in a ``CoordinatorRound``, keeping nothing.
+``image_features``, the ``{difficulty, strategy}`` ``metadata`` (only the log
+reads it) and the ``text_features`` (one row per distinct prompt), as
+``bus.ROUND_SCHEMA`` routes them; it computes the loss, one tape entry, over
+images against distinct prompts and returns it in a ``CoordinatorRound``.
 The image agent's difficulty scorer is fixed: the loss has no path back to
 it.  The image and text agents and the coordinator read the session's
 ``SessionSettings`` record as it is; the session itself reads only
@@ -89,8 +89,6 @@ class CoordinatorRound:
 
     image_features: Tensor
     text_features: Tensor  # (U, D), one row per distinct prompt in batch.prompts
-    difficulty: float
-    strategy: str
     total: Tensor
     breakdown: LossBreakdown
 
@@ -112,15 +110,11 @@ class CoordinatorAgent:
 
     def step(self, inbox: dict[str, Payload], batch: Batch) -> CoordinatorRound:
         image_features, text_features = inbox["image_features"], inbox["text_features"]
-        metadata = inbox["metadata"]
         img_rows, matches, labels = batch.run[self]
         total, breakdown = total_loss(
             image_features, text_features, matches, labels, self.params, self.settings, img_rows
         )
-        return CoordinatorRound(
-            image_features, text_features, metadata["difficulty"], metadata["strategy"],
-            total, breakdown,
-        )
+        return CoordinatorRound(image_features, text_features, total, breakdown)
 
 
 class TrainingSession:

@@ -6,6 +6,8 @@ close: ``np.array_equal`` throughout.  Shapes are random, plus the default
 and hard worlds' 16-shot round shapes.
 """
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -15,14 +17,22 @@ from namelearn.coordinator import (
     CLS_NUM_BAND,
     CON_NUM_BAND,
     FIXED_WEIGHTS,
+    CoordinatorParams,
+    check_matches,
+    classification_loss,
+    contrastive_loss,
+    effective_temperature,
     similarity_matrix,
+    total_loss,
     weighted_total,
 )
+from namelearn.settings import SessionSettings
 from namelearn.text_agent import LAMBDA_MIX
 
-# (pairs, distinct prompts, embed dim) of a 16-shot round.
+# (pairs, distinct prompts, embed dim) of a 16-shot round, and its classes.
 DEFAULT16 = (160, 30, 32)
 HARD16 = (320, 60, 16)
+CLASSES = {DEFAULT16: 10, HARD16: 20}
 
 
 def run(fn, arrays, needs_grad, upstream):
@@ -178,6 +188,95 @@ def test_fixed_weighted_total_is_bit_identical_to_constant_weights():
         lambda a, b: weighted_total(a, b, None)[0], composed, arrays, (True, True),
         float(rng.normal()),
     )
+
+
+def composed_loss(img, txt, matches, labels, params, settings):
+    """The chain the one-op total loss replaced: the temperature clip,
+    ``similarity_matrix``, the two loss terms (the head's ``matmul`` inside
+    the classification loss) and ``weighted_total``; the loss and its
+    ``LossBreakdown`` fields, in order."""
+    if settings.disable_coordinator_dynamics:
+        tau = Tensor(np.asarray(1.0))
+    else:
+        tau = effective_temperature(params.tau_param)
+    l_con = contrastive_loss(similarity_matrix(img, txt), matches, tau)
+    l_cls = classification_loss(img, params.w_cls_head, labels)
+    fixed = settings.disable_coordinator_dynamics or settings.disable_dynamic_balancing
+    weights = None if fixed else (params.w_con_param, params.w_cls_param)
+    total, (w_con, w_cls, num_con, num_cls) = weighted_total(l_con, l_cls, weights)
+    floats = (l_con.item(), l_cls.item(), w_con, w_cls, tau.item(), total.item(), num_con, num_cls)
+    return total, floats
+
+
+LOSS_ARMS = {
+    "default": SessionSettings(),
+    "no_dynamics": SessionSettings(disable_coordinator_dynamics=True),
+    "no_balancing": SessionSettings(disable_dynamic_balancing=True),
+}
+# Which operands need a gradient: (image, text, tau, head, w_con, w_cls).
+LOSS_MASKS = {
+    "training": (False, True, True, True, True, True),
+    "every_operand": (True, True, True, True, True, True),
+    "frozen_text": (False, False, True, True, True, True),
+    "image_only": (True, False, False, False, False, False),
+    "head_only": (False, False, False, True, False, False),
+    "scalars_only": (False, False, True, False, True, True),
+}
+# (pairs, distinct prompts, embed dim, classes, raw temperature): the
+# temperatures lie below, inside and above its band.
+LOSS_SHAPES = [
+    (1, 1, 1, 2, 0.4), (4, 3, 5, 3, 1.3), (7, 7, 2, 4, 2.2), (9, 2, 6, 5, 0.8),
+    (*DEFAULT16, CLASSES[DEFAULT16], 1.1), (*HARD16, CLASSES[HARD16], 2.5),
+]
+
+
+@pytest.mark.parametrize("n, u, d, c, raw_tau", LOSS_SHAPES)
+@pytest.mark.parametrize("arm", list(LOSS_ARMS))
+@pytest.mark.parametrize("mask", list(LOSS_MASKS))
+def test_total_loss_is_bit_identical_to_the_composed_chain(n, u, d, c, raw_tau, arm, mask):
+    settings, needs = LOSS_ARMS[arm], LOSS_MASKS[mask]
+    rng = np.random.default_rng(n * 1000 + u * 10 + c)
+    y = rng.permutation(np.concatenate([np.arange(u), rng.integers(0, u, size=n - u)]))
+    matches = check_matches(y, (n, u))
+    labels = ad.check_labels(rng.integers(0, c, size=n), (n, c))
+    # Weight parameters on either side of their bands' edges.
+    arrays = [
+        rng.normal(size=(n, d)), rng.normal(size=(u, d)), np.asarray(raw_tau),
+        rng.normal(scale=0.3, size=(d, c)), np.asarray(rng.uniform(0.3, 2.3)),
+        np.asarray(rng.uniform(0.0, 1.2)),
+    ]
+    upstream = float(rng.normal())
+
+    def run_loss(fused):
+        img, txt, *learnables = [Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, needs)]
+        params = CoordinatorParams(d, c)
+        (params.tau_param, params.w_cls_head, params.w_con_param,
+         params.w_cls_param) = learnables
+        with Tape() as tape:
+            if fused:
+                img_rows = None if needs[0] else ad.unit_rows(img.data, "similarity_matrix")
+                out, breakdown = total_loss(img, txt, matches, labels, params, settings, img_rows)
+                floats = astuple(breakdown)
+            else:
+                out, floats = composed_loss(img, txt, matches, labels, params, settings)
+            entries = len(tape)
+            loss = ad.scale(out, upstream)
+        backward(tape, loss)
+        return out.data, floats, [t.grad for t in (img, txt, *learnables)], entries
+
+    # A tensor gets a gradient exactly where it needs one and the arm trains it.
+    trains = (True, True, arm != "no_dynamics", True, arm == "default", arm == "default")
+    graded = [r and t for r, t in zip(needs, trains)]
+    value, floats, grads, entries = run_loss(True)
+    ref_value, ref_floats, ref_grads, _ = run_loss(False)
+    assert entries == (1 if any(graded) else 0)  # with none, nothing to record
+    assert [g is not None for g in grads] == graded
+    assert np.array_equal(value, ref_value) and value.shape == ()
+    assert np.array_equal(floats, ref_floats)
+    for g, ref in zip(grads, ref_grads):
+        assert (g is None) == (ref is None)
+        if g is not None:
+            assert g.shape == ref.shape and np.array_equal(g, ref)
 
 
 def composed_layers(layers, z):

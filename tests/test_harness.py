@@ -562,7 +562,7 @@ def test_map_starts_no_more_workers_than_tasks(monkeypatch):
     class Context:
         Pool = InProcessPool
 
-    monkeypatch.setattr(harness, "get_context", lambda method: Context)
+    monkeypatch.setattr("multiprocessing.get_context", lambda method: Context)
     assert harness._map(pow, [(2, 3), (3, 2)], jobs=8) == [8, 9]
     assert pools == [2]
     assert harness._map(pow, [(2, 5)], jobs=8) == [32]
