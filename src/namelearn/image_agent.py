@@ -11,9 +11,8 @@ the text agent, and ``image_features`` and their ``{difficulty, strategy}``
 from the batch's mean feature; the residual coefficient ``ALPHA`` and the
 routing threshold ``DIFFICULTY_THRESHOLD`` are fixed.  ``encode`` reads
 ``disable_difficulty`` and ``disable_image_agent_robust`` from the session's
-``SessionSettings``.  Nothing on the image side learns, so a batch's
-payloads are fixed: ``prepare`` computes them once, when the session builds
-the batch, and every round's ``step`` sends them again.
+``SessionSettings``.  Nothing on the image side learns, so ``prepare``
+computes a training run's payloads once and every round's ``step`` sends them.
 """
 
 from __future__ import annotations
@@ -128,7 +127,7 @@ class ImageAgent:
     # -- round protocol ---------------------------------------------------------
 
     def prepare(self, images: np.ndarray) -> Mapping[str, Payload]:
-        """A batch's three payloads, read-only: a function of its images alone."""
+        """A run's three payloads, read-only: a function of its images alone."""
         features, difficulty, strategy = self.encode(images)
         return MappingProxyType({
             "visual_context": self.emit_visual_context(features),

@@ -95,7 +95,7 @@ def full_loss_grad_checks(n_batches: int = 20, eps: float = 1e-5) -> SuiteReport
             cid: world.sample_images(cid, 2, seed=1000 + batch_seed)
             for cid in world.ood_ids
         }
-        batch = session.build_batch(shots, epoch=batch_seed)
+        batch = session.build_batch(session.prepare_shots(shots), epoch=batch_seed)
         params = session.trainable_parameters()
 
         def f(*_params):

@@ -6,15 +6,17 @@ alone decides what trains, since a learnable an ablation arm leaves unused
 gets no gradient.  The name table has one row per held-out concept, in
 ascending id, and that row is also the concept's class index; each row starts
 at the mean of the frozen vocabulary rows, the reserved blind row excluded
-(under ``disable_name_agent`` no prompt selects a row).  The session builds
-per-epoch batches of image-prompt pairs with template rotation, each listing
-its distinct prompts once; a training run builds each distinct batch once,
-since the rotation repeats every few epochs.  Building a batch prepares it:
-each agent computes what no learnable reaches once, into ``batch.run``, for
-every round on it; a round raises ``bus.UnpreparedBatchError`` on a batch
-that another session built, or none.  It runs fixed-schedule bus
-rounds under a gradient tape and returns each step's loss breakdown; it keeps
-no per-step history, so its memory does not grow with epochs
+(under ``disable_name_agent`` no prompt selects a row).  Nothing on the
+image side learns, so ``prepare_shots`` prepares a run's image side once
+(pair order, image payloads, unit image rows, checked labels) and ``train``
+keeps it as ``shots`` until the next run.  ``build_batch`` adds an epoch's
+prompt side (the rotated plan, each distinct prompt once, the name agent's
+frozen block, the checked matches) into ``batch.run``, which every round on
+it reads; a run builds each distinct batch once, as the rotation repeats
+every few epochs, and a round raises ``bus.UnpreparedBatchError`` on a batch
+another session built, or none.  It runs fixed-schedule bus rounds
+under a gradient tape and returns each step's loss breakdown; it keeps no
+per-step history, so its memory does not grow with epochs
 (``write_step_log`` writes a returned history).  It evaluates by cosine
 retrieval against per-class text features, scored through the coordinator's
 ``similarity_matrix`` as training rounds are.  Its bus is built from its four
@@ -33,12 +35,14 @@ prompt pools).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, backward, check_labels, unit_rows
-from .bus import AgentId, MessageBus, Payload, PreparedRun, run_round
+from .autodiff import Labels, Tape, Tensor, backward, check_labels, unit_rows
+from .bus import AgentId, EmptyBatchError, MessageBus, Payload, PreparedRun, run_round
 from .coordinator import Adam, CoordinatorParams, LossBreakdown, check_matches
 from .coordinator import similarity_matrix, total_loss
 from .image_agent import ImageAgent
@@ -55,17 +59,24 @@ class TrainingDivergedError(RuntimeError):
     """The loss left the finite range; the cell should be marked failed."""
 
 
+class PreparedShots(NamedTuple):
+    """A training run's image side, which every batch built from it shares."""
+
+    pairs: list[tuple[int, int]]  # per pair: (concept_id, shot index), ascending id
+    image: Mapping[str, Payload]  # the image agent's payloads
+    img_rows: tuple[np.ndarray, np.ndarray]  # unit image rows (N, D), norms (N, 1)
+    labels: Labels  # checked classification-head indices
+
+
 @dataclass
 class Batch:
-    """One full-batch training round: image-prompt pairs plus the plan
-    mapping each pair to its rendered prompt.
+    """One full-batch training round: the plan mapping each image-prompt
+    pair to its rendered prompt.
 
     ``prompts`` holds the plan's distinct pairs in first-use order, and
     ``prompt_index[i]`` is pair i's row in it: a round encodes and scores each
     distinct prompt once."""
 
-    images: np.ndarray  # (N, P)
-    class_labels: np.ndarray  # (N,) classification-head indices
     prompt_plan: list[tuple[int, str]]  # per pair: (concept_id, template_id)
     prompts: list[tuple[int, str]] = field(init=False)  # (U,) distinct pairs
     prompt_index: np.ndarray = field(init=False)  # (N,) pair -> row of prompts
@@ -80,7 +91,7 @@ class Batch:
 
     @property
     def size(self) -> int:
-        return len(self.images)
+        return len(self.prompt_plan)
 
 
 @dataclass
@@ -99,14 +110,6 @@ class CoordinatorAgent:
     def __init__(self, params: CoordinatorParams, settings: SessionSettings):
         self.params = params
         self.settings = settings
-
-    def prepare(self, batch: Batch, image_features: Tensor) -> tuple:
-        """A batch's fixed loss inputs: the unit image rows with their norms,
-        and the match indices and class labels, checked."""
-        n, n_classes = batch.size, self.params.w_cls_head.shape[1]
-        img_rows = unit_rows(image_features.data, "similarity_matrix")
-        matches = check_matches(batch.prompt_index, (n, len(batch.prompts)))
-        return img_rows, matches, check_labels(batch.class_labels, (n, n_classes))
 
     def step(self, inbox: dict[str, Payload], batch: Batch) -> CoordinatorRound:
         image_features, text_features = inbox["image_features"], inbox["text_features"]
@@ -155,6 +158,7 @@ class TrainingSession:
         self.bus = MessageBus(self.image_agent, self.name_agent, self.text_agent, self.coordinator)
 
         self.prompt_pools = self._build_prompt_pools(exchange_ss)
+        self.shots: PreparedShots | None = None  # the last training run's image side
 
     # -- setup ----------------------------------------------------------------
 
@@ -181,23 +185,29 @@ class TrainingSession:
 
     # -- training ----------------------------------------------------------------
 
-    def build_batch(self, shots_by_class: dict[int, np.ndarray], epoch: int) -> Batch:
-        """Epoch ``epoch``'s batch, prepared: the image payloads, the
-        prompts' frozen block, the context rows and the checked loss inputs."""
-        images, labels, plan = [], [], []
-        for cid in sorted(shots_by_class):
-            pool = self.prompt_pools[cid]
-            for j, image in enumerate(shots_by_class[cid]):
-                images.append(image)
-                labels.append(self.table.index[cid])
-                plan.append((cid, pool[(j + epoch) % len(pool)]))
-        batch = Batch(images=np.stack(images), class_labels=np.asarray(labels), prompt_plan=plan)
-        image, prompts = self.image_agent.prepare(batch.images), batch.prompts
+    def prepare_shots(self, shots_by_class: dict[int, np.ndarray]) -> PreparedShots:
+        """The shots' image side, in ascending concept id: ``EmptyBatchError``
+        for no shots, ``MissingNameEmbeddingError`` for one not held out."""
+        ids = sorted(shots_by_class)
+        pairs = [(cid, j) for cid in ids for j in range(len(shots_by_class[cid]))]
+        if not pairs:
+            raise EmptyBatchError("no shots to train on")
+        labels = [self.table.row(cid) for cid, _ in pairs]
+        image = self.image_agent.prepare(np.concatenate([shots_by_class[cid] for cid in ids]))
+        img_rows = unit_rows(image["image_features"].data, "similarity_matrix")
+        n_classes = self.coordinator_params.w_cls_head.shape[1]
+        return PreparedShots(pairs, image, img_rows, check_labels(labels, (len(pairs), n_classes)))
+
+    def build_batch(self, shots: PreparedShots, epoch: int) -> Batch:
+        """Epoch ``epoch``'s batch over prepared shots, prepared: the prompt
+        plan, the prompts' frozen block and the checked matches."""
+        pools = self.prompt_pools
+        batch = Batch([(cid, pools[cid][(j + epoch) % len(pools[cid])]) for cid, j in shots.pairs])
+        matches = check_matches(batch.prompt_index, (batch.size, len(batch.prompts)))
         batch.run.update({
-            self.image_agent: image,
-            self.name_agent: self.name_agent.block(prompts),
-            self.text_agent: self.text_agent.context_rows(image["visual_context"], len(prompts)),
-            self.coordinator: self.coordinator.prepare(batch, image["image_features"]),
+            self.image_agent: shots.image,
+            self.name_agent: self.name_agent.block(batch.prompts),
+            self.coordinator: (shots.img_rows, matches, shots.labels),
         })
         return batch
 
@@ -215,14 +225,15 @@ class TrainingSession:
     def train(
         self, shots_by_class: dict[int, np.ndarray], epochs: int, lr: float
     ) -> list[LossBreakdown]:
-        """``epochs`` full-batch steps; epoch e trains on ``build_batch(shots,
-        e)``.  The template rotation repeats after ``lcm`` of the prompt-pool
-        lengths (3 with context exchange, 1 without), so only that many
-        distinct batches are built, and epoch e reuses batch ``e % period``.
+        """``epochs`` full-batch steps on the shots, prepared once as
+        ``self.shots``; epoch e trains on ``build_batch(self.shots, e)``.  The
+        rotation repeats after ``lcm`` of the prompt-pool lengths (3 with
+        context exchange, 1 without), so only that many batches are built.
         Returns one breakdown per step; the session keeps none of them."""
         optimizer = Adam(self.trainable_parameters(), lr)
+        self.shots = shots = self.prepare_shots(shots_by_class)
         period = math.lcm(*(len(self.prompt_pools[cid]) for cid in shots_by_class))
-        batches = [self.build_batch(shots_by_class, e) for e in range(min(period, epochs))]
+        batches = [self.build_batch(shots, e) for e in range(min(period, epochs))]
         return [self.train_step(batches[e % period], optimizer) for e in range(epochs)]
 
     def training_token_audit(self) -> set[int]:

@@ -6,11 +6,12 @@ over pooled prompt embeddings (the name agent's ``(N, D)`` ``prompts``
 payload, learnable name vectors already pooled in), then mixes that standard
 feature with a learned transform of the feature concatenated with the image
 agent's ``visual_context``, weighted by the fixed ratio ``LAMBDA_MIX``.  The
-context is a value snapshot broadcast to every row, once per batch when the
-session prepares it (``context_rows``): no gradient crosses into the image
-agent.  Each round ``step`` returns one payload, ``text_features``, for the
-coordinator.  It reads ``disable_text_context`` and ``simple_concat_fusion``
-(when built) from the session's ``SessionSettings``.
+context is a constant ``(D,)`` array broadcast to every row, not a tape
+input, so no gradient crosses into the image agent.  Each round ``step``
+reads the ``prompts`` and the ``visual_context`` its inbox holds and returns
+one payload, ``text_features``, for the coordinator.  It reads
+``disable_text_context`` and ``simple_concat_fusion`` (when built) from the
+session's ``SessionSettings``.
 """
 
 from __future__ import annotations
@@ -65,37 +66,38 @@ def _relu_mlp_backward(g: np.ndarray, layers, inputs, masks, need_input: bool) -
     return g, grads
 
 
-def encode_text(x: Tensor, mixer, rows: Tensor | None = None, fusion=()) -> Tensor:
+def encode_text(x: Tensor, mixer, context: np.ndarray | None = None, fusion=()) -> Tensor:
     """``standard = mixer(x)`` for ``(N, D)`` rows (or one ``(D,)`` vector),
     or with ``fusion`` layers ``blend(standard, fusion(concat_cols(standard,
-    rows)), LAMBDA_MIX)``, as one tape entry; ``mixer`` and ``fusion`` are
-    ``_relu_mlp`` layers.  The backward evaluates the composed ops'
-    expressions in their order, so every gradient is theirs, bit for bit, and
-    forms none that no input reads: with frozen prompts and mixer (the
-    ``disable_name_agent`` arm) it stops at the fusion layers."""
+    context rows)), LAMBDA_MIX)``, as one tape entry; ``mixer`` and
+    ``fusion`` are ``_relu_mlp`` layers and the constant ``(D,)`` context
+    fills the right half of every concatenated row.  The backward evaluates
+    the composed ops' expressions in their order, so every gradient is
+    theirs, bit for bit, and forms none that no input reads: with frozen
+    prompts and mixer (the ``disable_name_agent`` arm) it stops at the fusion
+    layers."""
     std, std_in, std_masks = _relu_mlp(x.data, mixer)
     out, inputs = std, (x, *mixer)
     if fusion:
-        if std.ndim != 2 or rows.data.shape != std.shape:
-            raise ShapeError(f"text encoding: context rows {rows.shape} for features {std.shape}")
-        k = std.shape[1]
-        fused, fused_in, fused_masks = _relu_mlp(np.concatenate([std, rows.data], axis=1), fusion)
+        if std.ndim != 2 or context.shape != std.shape[1:]:
+            raise ShapeError(f"text encoding: context {context.shape} for features {std.shape}")
+        n, k = std.shape
+        cat = np.empty((n, 2 * k))
+        cat[:, :k] = std
+        cat[:, k:] = context
+        fused, fused_in, fused_masks = _relu_mlp(cat, fusion)
         wa = float(LAMBDA_MIX)
         wb = 1.0 - wa
-        out, inputs = std * wa + fused * wb, (*inputs, rows, *fusion)
+        out, inputs = std * wa + fused * wb, (*inputs, *fusion)
 
     def backward(g):
         if fusion:
             into_std = x.requires_grad or True in map(_requires_grad, mixer)
-            gz, fusion_grads = _relu_mlp_backward(
-                g * wb, fusion, fused_in, fused_masks, into_std or rows.requires_grad
-            )
+            gz, fusion_grads = _relu_mlp_backward(g * wb, fusion, fused_in, fused_masks, into_std)
             if into_std:
                 g = g * wa + gz[:, :k]
         gx, grads = _relu_mlp_backward(g, mixer, std_in, std_masks, x.requires_grad)
-        if not fusion:
-            return (gx, *grads)
-        return (gx, *grads, gz[:, k:] if rows.requires_grad else None, *fusion_grads)
+        return (gx, *grads, *fusion_grads) if fusion else (gx, *grads)
 
     return ad._make(out, inputs, backward)
 
@@ -148,7 +150,6 @@ class TextAgent:
         settings: SessionSettings,
         rng: np.random.Generator,
     ):
-        self.settings = settings
         names = ("frozen_text_in", "frozen_text_in_bias", "frozen_text_out", "frozen_text_out_bias")
         self.mixer = tuple(Tensor(a, name=n) for a, n in zip(mixer, names))
         d = mixer[0].shape[0]
@@ -161,26 +162,19 @@ class TextAgent:
 
     # -- encoding -------------------------------------------------------------
 
-    def context_rows(self, context: Tensor | None, n: int) -> Tensor | None:
-        """The context as ``n`` constant rows; ``None`` without context."""
-        if self.settings.disable_text_context:
-            return None
-        if context is None:
+    def encode(self, pooled: Tensor, context: Tensor | None) -> Tensor:
+        """Text features ``(N, D)`` for pooled prompt embeddings ``(N, D)``
+        and a context (``None`` under ``disable_text_context``), through
+        ``encode_text``."""
+        if context is None and self.layers:
             raise MissingContextError(
                 "no visual context received; set disable_text_context for standard encoding"
             )
-        rows = np.tile(context.data, (n, 1))
-        rows.flags.writeable = False
-        return Tensor(rows)
-
-    def encode(self, pooled: Tensor, context: Tensor | None) -> Tensor:
-        """Text features ``(N, D)`` for pooled prompt embeddings ``(N, D)``
-        and a context, through ``encode_text``."""
-        rows = self.context_rows(context, pooled.data.shape[0])
-        return encode_text(pooled, self.mixer, rows, self.layers)
+        data = None if context is None else context.data
+        return encode_text(pooled, self.mixer, data, self.layers)
 
     # -- round protocol ---------------------------------------------------------
 
     def step(self, inbox, batch) -> dict[str, Tensor]:
-        rows = batch.run[self]  # of the context the image agent sends
-        return {"text_features": encode_text(inbox["prompts"], self.mixer, rows, self.layers)}
+        context = inbox["visual_context"].data
+        return {"text_features": encode_text(inbox["prompts"], self.mixer, context, self.layers)}

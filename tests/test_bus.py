@@ -37,7 +37,7 @@ def make_session(world, seed=0, **kwargs):
 
 def make_batch(world, session, k=2, epoch=0, seed=11):
     shots = {cid: world.sample_images(cid, k, seed=seed) for cid in world.ood_ids}
-    return session.build_batch(shots, epoch)
+    return session.build_batch(session.prepare_shots(shots), epoch)
 
 
 class Stub:
@@ -330,11 +330,7 @@ def test_bus_is_built_from_its_four_agents_in_round_order(world, order):
 
 def test_run_round_rejects_empty_batch(world):
     session = make_session(world)
-    empty = Batch(
-        images=np.zeros((0, world.config.image_dim)),
-        class_labels=np.zeros(0, dtype=int),
-        prompt_plan=[],
-    )
+    empty = Batch(prompt_plan=[])
     with pytest.raises(EmptyBatchError):
         run_round(session.bus, empty)
 
@@ -410,6 +406,38 @@ def test_round_sends_only_messages_with_a_reader():
         "text_features": text["text_features"],
     }
     assert session.coordinator.step(inbox, batch).breakdown == info.breakdown
+
+
+class ReadLog(dict):
+    """An inbox that records, in ``read``, each label its agent looks up."""
+
+    def __init__(self, inbox, read):
+        super().__init__(inbox)
+        self.read = read
+
+    def __getitem__(self, label):
+        self.read.add(label)
+        return super().__getitem__(label)
+
+
+@pytest.mark.parametrize("flag", [None, "disable_text_context", "disable_name_agent"])
+def test_every_delivered_label_is_read_by_its_receiver(world, flag):
+    # The schema lint: no payload travels to an agent that ignores it.  The
+    # one exception is the metadata, whose only reader is the log.
+    session = make_session(world, **({flag: True} if flag else {}))
+    read = {agent_id: set() for agent_id in ROUND_ORDER}
+    for agent in session_agents(session):
+        def spy(inbox, batch, step=agent.step, seen=read[agent.agent_id]):
+            return step(ReadLog(inbox, seen), batch)
+
+        agent.step = spy
+    run_round(session.bus, make_batch(world, session))
+    delivered = {
+        agent_id: {label for label, (_, receiver) in ROUND_SCHEMA.items() if receiver is agent_id}
+        for agent_id in ROUND_ORDER
+    }
+    delivered[AgentId.COORDINATOR].remove("metadata")
+    assert read == delivered
 
 
 def test_no_agent_keeps_anything_from_a_round(world):

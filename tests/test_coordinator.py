@@ -396,6 +396,45 @@ def test_loss_weights_boundary_params():
     assert w_cls == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize(
+    "params, numerators",
+    [
+        ((0.3, 1.5), (0.5, 1.0)),  # below CON_NUM_BAND, above CLS_NUM_BAND
+        ((0.48, 1.2), (0.5, 1.0)),  # just past the same two edges
+        ((2.5, 0.05), (2.0, 0.1)),  # above CON_NUM_BAND, below CLS_NUM_BAND
+        ((0.5, 1.0), (0.5, 1.0)),  # on the edges, which are in the bands
+        ((2.0, 0.1), (2.0, 0.1)),
+    ],
+)
+def test_loss_weights_pin_every_band_edge(params, numerators):
+    w_con, w_cls, num_con, num_cls = loss_weights(*params)
+    assert (num_con, num_cls) == numerators
+    denom = params[0] + params[1]
+    assert (w_con, w_cls) == (numerators[0] / denom, numerators[1] / denom)
+
+
+@pytest.mark.parametrize(
+    "p_con, p_cls, grads",
+    [
+        # Outside its band a parameter keeps only the denominator term,
+        # -(num_con * l_con + num_cls * l_cls) / denom**2, with l = (2, 3).
+        (0.3, 1.5, (-4.0 / 1.8**2, -4.0 / 1.8**2)),
+        (0.48, 1.2, (-4.0 / 1.68**2, -4.0 / 1.68**2)),
+        (2.5, 0.05, (-4.3 / 2.55**2, -4.3 / 2.55**2)),
+        # Inside (edges included) it adds its numerator's term, l / denom.
+        (0.5, 1.0, (2.0 / 1.5 - 4.0 / 1.5**2, 3.0 / 1.5 - 4.0 / 1.5**2)),
+        (2.0, 0.1, (2.0 / 2.1 - 4.3 / 2.1**2, 3.0 / 2.1 - 4.3 / 2.1**2)),
+        (1.0, 0.5, (2.0 / 1.5 - 3.5 / 1.5**2, 3.0 / 1.5 - 3.5 / 1.5**2)),
+    ],
+)
+def test_weighted_total_gradients_at_the_band_edges(p_con, p_cls, grads):
+    params = tuple(Tensor(np.asarray(p), requires_grad=True) for p in (p_con, p_cls))
+    with Tape() as tape:
+        total, _ = weighted_total(Tensor(np.asarray(2.0)), Tensor(np.asarray(3.0)), params)
+    backward(tape, total)
+    assert (float(params[0].grad), float(params[1].grad)) == pytest.approx(grads, rel=1e-12)
+
+
 def test_loss_weights_rejects_degenerate_denominator():
     with pytest.raises(DegenerateWeightsError):
         loss_weights(1.0, -1.0)

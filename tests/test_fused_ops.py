@@ -289,13 +289,15 @@ def composed_layers(layers, z):
     return z
 
 
-def composed_text(x, rows, *layers):
+def composed_text(x, context, *layers):
     """The chain the one-op text encode replaced: the mixer's affine, relu,
-    affine, then concat_cols, the fusion layers and the blend."""
+    affine, then concat_cols with the context tiled to one row per prompt,
+    the fusion layers and the blend."""
     mixer, fusion = layers[:4], layers[4:]
     std = composed_layers(mixer, x)
     if not fusion:
         return std
+    rows = Tensor(np.tile(context, (std.shape[0], 1)))
     return ad.blend(std, composed_layers(fusion, ad.concat_cols(std, rows)), LAMBDA_MIX)
 
 
@@ -306,12 +308,13 @@ FUSIONS = {
     "simple_concat": lambda d: [(2 * d, d), (d,)],
     "no_context": lambda d: [],
 }
-# Which operands need a gradient: (prompts, context rows, mixer, fusion).
+# Which operands need a gradient: (prompts, mixer, fusion).  The context is
+# a constant array, never a tape input.
 GRAD_MASKS = {
-    "training": (True, False, False, True),
-    "frozen_names": (False, False, False, True),
-    "frozen_fusion": (True, False, False, False),
-    "every_operand": (True, True, True, True),
+    "training": (True, False, True),
+    "frozen_names": (False, False, True),
+    "frozen_fusion": (True, False, False),
+    "every_operand": (True, True, True),
 }
 
 
@@ -323,26 +326,18 @@ def test_text_encode_is_bit_identical_to_the_composed_chain(u, d, fusion, mask):
 
     rng = np.random.default_rng(u * 100 + d)
     shapes = FUSIONS[fusion](d)
-    x_grad, rows_grad, mixer_grad, fusion_grad = GRAD_MASKS[mask]
+    x_grad, mixer_grad, fusion_grad = GRAD_MASKS[mask]
     mixer = [rng.normal(size=s) for s in ((d, d), (d,), (d, d), (d,))]
     layers = mixer + [rng.normal(size=s) for s in shapes]
-    if shapes:
-        arrays = [rng.normal(size=(u, d)), np.tile(rng.normal(size=d), (u, 1)), *layers]
-        needs = (x_grad, rows_grad, *[mixer_grad] * 4, *[fusion_grad] * len(shapes))
+    arrays = [rng.normal(size=(u, d)), *layers]
+    needs = (x_grad, *[mixer_grad] * 4, *[fusion_grad] * len(shapes))
+    context = rng.normal(size=d)
 
-        def fused(x, rows, *ls):
-            return encode_text(x, ls[:4], rows, ls[4:])
+    def fused(x, *ls):
+        return encode_text(x, ls[:4], context, ls[4:])
 
-        oracle = composed_text
-    else:
-        arrays = [rng.normal(size=(u, d)), *layers]
-        needs = (x_grad, *[mixer_grad] * 4)
-
-        def fused(x, *ls):
-            return encode_text(x, ls)
-
-        def oracle(x, *ls):
-            return composed_text(x, None, *ls)
+    def oracle(x, *ls):
+        return composed_text(x, context, *ls)
 
     if not any(needs):  # nothing to record: the value alone
         tensors = [Tensor(a) for a in arrays]
@@ -355,31 +350,31 @@ def test_text_encode_is_bit_identical_to_the_composed_chain(u, d, fusion, mask):
 
 @pytest.mark.parametrize("fusion", ["default", "simple_concat"])
 def test_text_encode_backward_returns_none_for_frozen_inputs(fusion):
-    """The ``disable_name_agent`` arm's operands: frozen prompts, mixer and
-    context rows.  The backward hands each of them ``None`` and forms only the
-    fusion layers' gradients, which match the composed chain's."""
+    """The ``disable_name_agent`` arm's operands: frozen prompts and mixer.
+    The backward hands each of them ``None`` and forms only the fusion
+    layers' gradients, which match the composed chain's."""
     from namelearn.text_agent import encode_text
 
     u, d = 5, 4
     rng = np.random.default_rng(7)
     x = Tensor(rng.normal(size=(u, d)))
     mixer = [Tensor(rng.normal(size=s)) for s in ((d, d), (d,), (d, d), (d,))]
-    rows = Tensor(np.tile(rng.normal(size=d), (u, 1)))
+    context = rng.normal(size=d)
     layers = [Tensor(rng.normal(size=s), requires_grad=True) for s in FUSIONS[fusion](d)]
     with Tape() as tape:
-        encode_text(x, mixer, rows, layers)
+        encode_text(x, mixer, context, layers)
     ((_, inputs, backward_fn),) = tape.entries
     upstream = rng.normal(size=(u, d))
     grads = backward_fn(upstream)
-    assert len(grads) == len(inputs) == 6 + len(layers)
-    assert all(g is None for g in grads[:6])
+    assert len(grads) == len(inputs) == 5 + len(layers)
+    assert all(g is None for g in grads[:5])
     _, ref, _ = run(
-        lambda *ls: composed_text(x, rows, *mixer, *ls),
+        lambda *ls: composed_text(x, context, *mixer, *ls),
         [t.data for t in layers],
         [True] * len(layers),
         upstream,
     )
-    assert all(np.array_equal(g, r) for g, r in zip(grads[6:], ref))
+    assert all(np.array_equal(g, r) for g, r in zip(grads[5:], ref))
 
 
 def test_world_checks_its_text_features_through_the_agents_op():

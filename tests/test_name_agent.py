@@ -146,7 +146,7 @@ def test_two_rounds_on_one_batch_reuse_the_frozen_block(world, monkeypatch):
     render = agent.render
     monkeypatch.setattr(agent, "render", lambda *pair: rendered.append(pair) or render(*pair))
     shots = {cid: world.sample_images(cid, 2, seed=3) for cid in world.ood_ids}
-    batch = session.build_batch(shots, 0)
+    batch = session.build_batch(session.prepare_shots(shots), 0)
     assert rendered == batch.prompts  # each distinct prompt, once, when built
     first = agent.step({}, batch)["prompts"].data.copy()
     second = agent.step({}, batch)["prompts"].data

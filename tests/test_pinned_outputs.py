@@ -70,7 +70,7 @@ def round_log_rows(tmp_path):
     world = build_world(WorldConfig())
     session = TrainingSession(world, SessionSettings(), seed=0)
     shots = {cid: world.sample_images(cid, 16, seed=11) for cid in world.ood_ids}
-    run_round(session.bus, session.build_batch(shots, 0))
+    run_round(session.bus, session.build_batch(session.prepare_shots(shots), 0))
     path = tmp_path / "log.jsonl"
     session.bus.serialize_log(path)
     return path.read_text().splitlines()

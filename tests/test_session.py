@@ -23,6 +23,11 @@ def shots_for(world, k=4, seed=31):
     return {cid: world.sample_images(cid, k, seed=seed) for cid in world.ood_ids}
 
 
+def built_batch(session, shots, epoch):
+    """Epoch ``epoch``'s batch over freshly prepared shots."""
+    return session.build_batch(session.prepare_shots(shots), epoch)
+
+
 def scorer_weights(session):
     est = session.image_agent.estimator
     return [est.w1, est.b1, est.w2, est.b2]
@@ -31,7 +36,7 @@ def scorer_weights(session):
 def ungraded_after_one_round(session, shots):
     """Names of the learnables one taped training round gives no gradient."""
     with Tape() as tape:
-        total = run_round(session.bus, session.build_batch(shots, 0)).total
+        total = run_round(session.bus, built_batch(session, shots, 0)).total
     backward(tape, total)
     names = [p.name for p in session.trainable_parameters() if p.grad is None]
     for p in session.trainable_parameters():
@@ -52,7 +57,7 @@ def test_frozen_parameters_bit_identical_after_training(world):
 
 def test_name_embeddings_receive_nonzero_gradient(world):
     session = TrainingSession(world, SessionSettings(), seed=0)
-    batch = session.build_batch(shots_for(world), epoch=0)
+    batch = built_batch(session, shots_for(world), 0)
     with Tape() as tape:
         total = run_round(session.bus, batch).total
     backward(tape, total)
@@ -72,7 +77,7 @@ def test_default_step_is_batched():
 
     world = build_world(WorldConfig())
     session = TrainingSession(world, SessionSettings(), seed=0)
-    batch = session.build_batch(shots_for(world, k=16), epoch=0)
+    batch = built_batch(session, shots_for(world, k=16), 0)
     with Tape() as tape:
         run_round(session.bus, batch)
     assert len(tape) <= 60
@@ -91,7 +96,7 @@ def test_transpose_is_a_view_and_a_default_step_records_4_entries():
     assert np.shares_memory(ad.transpose(a).data, a.data)
     world = build_world(WorldConfig())
     session = TrainingSession(world, SessionSettings(), seed=0)
-    batch = session.build_batch(shots_for(world, k=16), epoch=0)
+    batch = built_batch(session, shots_for(world, k=16), 0)
     with Tape() as tape:
         run_round(session.bus, batch)
     assert (batch.size, len(tape)) == (160, 4)
@@ -109,7 +114,8 @@ def test_default_step_fixed_cost_in_python_calls():
     world = build_world(WorldConfig())
     session = TrainingSession(world, SessionSettings(), seed=0)
     shots = shots_for(world, k=16)
-    batches = [session.build_batch(shots, epoch) for epoch in range(3)]
+    prepared = session.prepare_shots(shots)
+    batches = [session.build_batch(prepared, epoch) for epoch in range(3)]
     optimizer = Adam(session.trainable_parameters(), 1e-3)
     for batch in batches:  # first-call work inside numpy
         session.train_step(batch, optimizer)
@@ -131,7 +137,7 @@ def test_default_round_scores_each_distinct_prompt_once():
 
     world = build_world(WorldConfig())
     session = TrainingSession(world, SessionSettings(), seed=0)
-    batch = session.build_batch(shots_for(world, k=16), epoch=0)
+    batch = built_batch(session, shots_for(world, k=16), 0)
     info = run_round(session.bus, batch)
     d = world.config.embed_dim
     blocks = {r.label: r.shape for r in session.bus.log}
@@ -151,7 +157,7 @@ def test_hard_world_step_stays_batched():
     )
     world = build_world(hard)
     session = TrainingSession(world, SessionSettings(), seed=0)
-    batch = session.build_batch(shots_for(world, k=16), epoch=0)
+    batch = built_batch(session, shots_for(world, k=16), 0)
     with Tape() as tape:
         run_round(session.bus, batch)
     assert (batch.size, len(batch.prompts)) == (320, 60)
@@ -172,7 +178,9 @@ def test_image_side_is_encoded_once_per_prepared_batch(world, monkeypatch):
 
     monkeypatch.setattr(ad, "matmul", counting)
     shots = shots_for(world)
-    batch = session.build_batch(shots, epoch=0)
+    prepared = session.prepare_shots(shots)
+    batch = session.build_batch(prepared, epoch=0)
+    session.build_batch(prepared, epoch=1)  # a batch builds only its prompt side
     assert sum(calls) == 1
     first = run_round(session.bus, batch)
     second = run_round(session.bus, batch)
@@ -185,11 +193,49 @@ def test_image_side_is_encoded_once_per_prepared_batch(world, monkeypatch):
     session.evaluate(images, labels, world.ood_ids)
     assert sum(calls) == 2
     assert run_round(session.bus, batch).image_features is first.image_features
-    run_round(session.bus, session.build_batch(shots_for(world, seed=32), epoch=0))
+    run_round(session.bus, built_batch(session, shots_for(world, seed=32), 0))
     assert sum(calls) == 3
-    # A training run prepares each of its distinct batches once.
+    # A training run encodes its shots once, for all its distinct batches.
     session.train(shots, epochs=7, lr=1e-3)
-    assert sum(calls) == 3 + 3
+    assert sum(calls) == 3 + 1
+
+
+def test_session_keeps_the_training_runs_context(world):
+    from namelearn.image_agent import ImageAgent
+
+    session = TrainingSession(world, SessionSettings(), seed=0)
+    assert session.shots is None
+    for seed in (31, 32):  # each run replaces the last one's
+        shots = shots_for(world, seed=seed)
+        session.train(shots, epochs=2, lr=1e-3)
+        images = np.concatenate([shots[cid] for cid in sorted(shots)])
+        features = session.image_agent.encode(images)[0]
+        context = session.shots.image["visual_context"]
+        assert np.array_equal(context.data, ImageAgent.emit_visual_context(features).data)
+    batches = [session.build_batch(session.shots, epoch) for epoch in range(3)]
+    assert all(b.run[session.image_agent] is session.shots.image for b in batches)
+
+
+def test_training_on_a_concept_not_held_out_names_it(world):
+    from namelearn.name_agent import MissingNameEmbeddingError
+
+    session = TrainingSession(world, SessionSettings(), seed=0)
+    seen = world.seen_ids[0]
+    shots = {**shots_for(world), seen: world.sample_images(seen, 2, seed=1)}
+    with pytest.raises(MissingNameEmbeddingError, match=f"no name embedding for concept {seen}"):
+        session.train(shots, epochs=1, lr=1e-3)
+    assert session.shots is None
+
+
+def test_training_on_no_shots_is_an_empty_batch(world):
+    from namelearn.bus import EmptyBatchError
+
+    session = TrainingSession(world, SessionSettings(), seed=0)
+    with pytest.raises(EmptyBatchError, match="no shots"):
+        session.train({}, epochs=1, lr=1e-3)
+    with pytest.raises(EmptyBatchError, match="no shots"):
+        session.prepare_shots({cid: np.zeros((0, world.config.image_dim)) for cid in world.ood_ids})
+    assert session.shots is None
 
 
 def test_a_round_needs_a_batch_its_own_session_prepared(world):
@@ -197,14 +243,14 @@ def test_a_round_needs_a_batch_its_own_session_prepared(world):
     from namelearn.session import Batch
 
     session = TrainingSession(world, SessionSettings(), seed=0)
-    built = session.build_batch(shots_for(world), epoch=0)
-    by_hand = Batch(built.images, built.class_labels, built.prompt_plan)
+    built = built_batch(session, shots_for(world), 0)
+    by_hand = Batch(built.prompt_plan)
     with pytest.raises(UnpreparedBatchError, match="Image agent"):
         run_round(session.bus, by_hand)
     other = TrainingSession(world, SessionSettings(), seed=0)
     with pytest.raises(UnpreparedBatchError, match="not its session's batch"):
         run_round(other.bus, built)
-    assert run_round(other.bus, other.build_batch(shots_for(world), epoch=0)).total is not None
+    assert run_round(other.bus, built_batch(other, shots_for(world), 0)).total is not None
 
 
 @pytest.mark.parametrize(
@@ -218,13 +264,13 @@ def test_prepared_values_depend_on_no_learnable(world, flag):
     settings = SessionSettings(**({flag: True} if flag else {}))
     session = TrainingSession(world, settings, seed=0)
     shots = shots_for(world)
-    prepared = session.build_batch(shots, epoch=1)
+    prepared = built_batch(session, shots, 1)
     before = run_round(session.bus, prepared).total.item()
     rng = np.random.default_rng(9)
     for p in session.trainable_parameters():
         p.data += rng.normal(scale=0.05, size=p.data.shape)
     stale = run_round(session.bus, prepared)
-    fresh = run_round(session.bus, session.build_batch(shots, epoch=1))
+    fresh = run_round(session.bus, built_batch(session, shots, 1))
     assert stale.total.item() != before
     assert stale.total.data.tobytes() == fresh.total.data.tobytes()
     assert stale.breakdown == fresh.breakdown
@@ -257,7 +303,7 @@ def test_train_builds_each_distinct_batch_once(world, monkeypatch, exchange_off,
     by_hand = TrainingSession(world, settings, seed=0)
     optimizer = Adam(by_hand.trainable_parameters(), 1e-3)
     by_hand_history = [
-        by_hand.train_step(by_hand.build_batch(shots, epoch), optimizer)
+        by_hand.train_step(built_batch(by_hand, shots, epoch), optimizer)
         for epoch in range(epochs)
     ]
     assert history == by_hand_history
@@ -486,10 +532,10 @@ def test_disable_difficulty_equals_full_model_where_scorer_routes_robust():
     shots = shots_for(world, k=16, seed=16)
     full = TrainingSession(world, SessionSettings(), seed=0)
     ablated = TrainingSession(world, SessionSettings(disable_difficulty=True), seed=0)
-    _, difficulty, strategy = full.image_agent.encode(full.build_batch(shots, 0).images)
-    assert strategy == "robust"
-    assert difficulty == pytest.approx(0.5229, abs=1e-4)
-    assert ablated.image_agent.encode(ablated.build_batch(shots, 0).images)[2] == "robust"
+    metadata = full.prepare_shots(shots).image["metadata"]
+    assert metadata["strategy"] == "robust"
+    assert metadata["difficulty"] == pytest.approx(0.5229, abs=1e-4)
+    assert ablated.prepare_shots(shots).image["metadata"]["strategy"] == "robust"
     full_totals = [b.total for b in full.train(shots, epochs=5, lr=1e-3)]
     ablated_totals = [b.total for b in ablated.train(shots, epochs=5, lr=1e-3)]
     assert full_totals == ablated_totals
@@ -503,10 +549,11 @@ def test_name_table_rows_are_the_class_labels(world):
     # concept's row.
     session = TrainingSession(world, SessionSettings(), seed=0)
     assert session.table.concept_ids == world.ood_ids
-    batch = session.build_batch(shots_for(world), epoch=1)
-    assert len(batch.class_labels) == batch.size
-    for label, (cid, _) in zip(batch.class_labels, batch.prompt_plan):
-        assert label == session.table.row(cid)
+    shots = session.prepare_shots(shots_for(world))
+    batch = session.build_batch(shots, epoch=1)
+    assert len(shots.labels.index) == len(shots.pairs) == batch.size
+    for label, (cid, _), (plan_cid, _) in zip(shots.labels.index, shots.pairs, batch.prompt_plan):
+        assert label == session.table.row(cid) and plan_cid == cid
 
 
 def test_trained_name_table_checkpoint_roundtrip(world, tmp_path):

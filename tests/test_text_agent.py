@@ -174,7 +174,7 @@ def test_integrate_context_rejects_wrong_width(world, agent):
         agent.encode(rows, Tensor(np.zeros(d + 1)))
     with pytest.raises(ShapeError):
         # Rows only, not a bare vector.
-        encode_text(Tensor(np.zeros(d)), agent.mixer, Tensor(np.zeros(d)), agent.layers)
+        encode_text(Tensor(np.zeros(d)), agent.mixer, np.zeros(d), agent.layers)
 
 
 def test_disable_text_context_is_the_standard_encoding(world, namer):
@@ -182,9 +182,9 @@ def test_disable_text_context_is_the_standard_encoding(world, namer):
     rows = pooled(world, namer, world.ood_ids[0])
     std = standard(world, rows)
     assert np.array_equal(agent.encode(rows, context(world, 3)).data, std.data)
-    # The round needs no visual context at all.
-    assert agent.context_rows(None, 1) is None
-    out = agent.step({"prompts": rows}, SimpleNamespace(run={agent: None}))
+    # Encoding needs no visual context, and a round ignores the one it gets.
+    assert np.array_equal(agent.encode(rows, None).data, std.data)
+    out = agent.step({"visual_context": context(world, 3), "prompts": rows}, None)
     assert list(out) == ["text_features"]
     assert np.array_equal(out["text_features"].data, std.data)
 
@@ -205,8 +205,6 @@ def test_contextual_missing_context_is_error(world, namer):
     rows = pooled(world, namer, world.seen_ids[0])
     with pytest.raises(MissingContextError, match="disable_text_context"):
         agent.encode(rows, None)
-    with pytest.raises(MissingContextError):
-        agent.context_rows(None, 1)
 
 
 def test_contextual_halfway_with_constant_fusion(world, namer, monkeypatch):
@@ -266,7 +264,7 @@ def tiled_encode(agent, rows, c):
     return ad.blend(std, fused, text_agent.LAMBDA_MIX)
 
 
-def test_cached_context_rows_equal_a_fresh_tile(world):
+def test_text_features_equal_the_tiled_composed_chain(world):
     session = TrainingSession(world, SessionSettings(), seed=0)
     agent = session.text_agent
     canonical = world.canonical_template.template_id
@@ -282,14 +280,29 @@ def test_cached_context_rows_equal_a_fresh_tile(world):
         assert np.array_equal(agent.encode(rows, c).data, want)
         one = session.name_agent.pool([(ids[0], canonical)])
         assert np.array_equal(agent.encode(one, c).data, tiled_encode(agent, one, c).data)
-    # Training rounds after an evaluation: the rows their batches hold.
-    shots = {cid: world.sample_images(cid, 2, seed=3) for cid in ids}
+    # Training rounds after an evaluation: the context the image agent sends.
+    shots = session.prepare_shots({cid: world.sample_images(cid, 2, seed=3) for cid in ids})
     for epoch in range(2):
         batch = session.build_batch(shots, epoch)
         info = run_round(session.bus, batch)
         c = ImageAgent.emit_visual_context(info.image_features)
         want = tiled_encode(agent, session.name_agent.pool(batch.prompts), c)
         assert np.array_equal(info.text_features.data, want.data)
+
+
+def test_a_round_encodes_the_visual_context_the_bus_delivers(world):
+    # The text agent reads its inbox: swap the delivered context for another
+    # vector and the round's text features follow it.
+    session = TrainingSession(world, SessionSettings(), seed=0)
+    shots = {cid: world.sample_images(cid, 2, seed=3) for cid in world.ood_ids}
+    batch = session.build_batch(session.prepare_shots(shots), 0)
+    swapped = Tensor(np.random.default_rng(4).normal(size=world.config.embed_dim))
+    sent = batch.run[session.image_agent]
+    batch.run[session.image_agent] = {**sent, "visual_context": swapped}
+    info = run_round(session.bus, batch)
+    want = tiled_encode(session.text_agent, session.name_agent.pool(batch.prompts), swapped)
+    assert np.array_equal(info.text_features.data, want.data)
+    assert not np.array_equal(swapped.data, sent["visual_context"].data)
 
 
 def test_linear_fusion_shape_and_params(world):
