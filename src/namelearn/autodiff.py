@@ -8,11 +8,13 @@ differences.  Loss terms are single ops with closed-form backwards
 (``softmax_cross_entropy`` here, the contrastive loss in ``coordinator``), so
 each costs one tape entry.  So are ``affine`` (a matmul plus bias) and
 ``blend`` (a fixed-weight sum), the coordinator's whole ``total_loss``, and
-the text agent's ``encode_text`` (its whole chain).  Each fused backward
-evaluates the numpy expressions its composed ops would, in the same order, so
-its gradients are bit-identical to theirs; the generic ops stay, and tests
-use them as the oracles.  A batch's fixed class labels are checked once, by
-``check_labels``, not by every ``softmax_cross_entropy``.
+the text agent's ``encode_text`` (its whole chain).  A fused op's tape inputs
+are only the operands that can learn: ``total_loss`` reads the image side,
+and ``encode_text`` the frozen mixer and the visual context, as constants.
+Each fused backward evaluates the numpy expressions its composed ops would,
+in the same order, so its gradients are bit-identical to theirs; the generic
+ops stay, and tests use them as the oracles.  A batch's fixed class labels
+are checked once, by ``check_labels``, not by every ``softmax_cross_entropy``.
 
 Sums, maxima, minima and tests on a round's path, here and in
 ``coordinator``, call the ufunc's ``reduce`` directly, as in

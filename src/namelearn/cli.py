@@ -88,12 +88,12 @@ def cmd_ablate(args) -> int:
     result = run_ablation(config, jobs=args.jobs)
     emit_metrics(result.full, Path(args.out) / "full")
     emit_metrics(result.ablated, Path(args.out) / "ablated")
-    deltas = {str(k): v for k, v in result.delta_by_shot().items()}
+    drops = result.delta_by_shot()  # json writes the int shots as string keys
     delta_path = Path(args.out) / "deltas.json"
-    delta_path.write_text(json.dumps({"flag": result.flag, "ood_drop_by_shot": deltas}, indent=2))
+    delta_path.write_text(json.dumps({"flag": result.flag, "ood_drop_by_shot": drops}, indent=2))
     print(f"wrote {delta_path}")
-    for shot, drop in result.delta_by_shot().items():
-        print(f"  shot {shot:>3}: ood drop {drop:+.4f}")
+    for shot, drop in drops.items():
+        print(f"  shot {shot:>3}: ood drop {'n/a' if drop is None else format(drop, '+.4f')}")
     failed = result.full.failed_cells() + result.ablated.failed_cells()
     return 2 if failed else 0
 

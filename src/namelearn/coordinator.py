@@ -18,11 +18,12 @@ through ``autodiff.softmax_cross_entropy``.  ``similarity_matrix`` and
 ``weighted_total`` (the clipped loss weights and the weighted sum, on python
 floats) are one op each too.  ``total_loss`` runs all of them, on their
 kernels, as one tape entry, the only one a round records here; the ops stay
-as its oracles.  Adam updates every parameter in one pass over flat moment
-vectors, and leaves one with no gradient as it is.  Only ``total_loss`` reads
-``disable_coordinator_dynamics`` and ``disable_dynamic_balancing``: under them
-the temperature and the loss weights are not its inputs, so they get no
-gradient and do not train.
+as its oracles.  Its tape inputs are the text features and the learnables
+the arm trains: the image side is a constant.  Adam updates every parameter
+in one pass over flat moment vectors, and leaves one with no gradient as it
+is.  Only ``total_loss`` reads ``disable_coordinator_dynamics`` and
+``disable_dynamic_balancing``: under them the temperature and the loss
+weights are not its inputs, so they get no gradient and do not train.
 """
 
 from __future__ import annotations
@@ -81,19 +82,20 @@ def effective_temperature(tau_param: Tensor) -> Tensor:
     return ad.clip(tau_param, *TAU_BAND)
 
 
-def similarity_matrix(img: Tensor, txt: Tensor, img_rows=None) -> Tensor:
+def similarity_matrix(img: Tensor, txt: Tensor) -> Tensor:
     """Raw pairwise cosines between row-normalized image and text features.
 
     One op for ``matmul(l2_normalize_rows(img), transpose(l2_normalize_rows(txt)))``:
     the product takes the normalized text rows as a transposed view, so it is
     the same BLAS call as ``x @ y.T``, and the backward evaluates the composed
-    ops' expressions in their order.  ``img_rows``: a fixed ``img``'s ``unit_rows``."""
-    s, backward = _similarity(img, txt, img_rows)
+    ops' expressions in their order."""
+    s, backward = _similarity(img, txt, None)
     return ad._make(s, (img, txt), backward)
 
 
 def _similarity(img: Tensor, txt: Tensor, img_rows):
-    """``similarity_matrix``'s cosines and backward ``g -> (gi, gt)``."""
+    """``similarity_matrix``'s cosines and backward ``g -> (gi, gt)``;
+    ``img_rows``, if given, are ``img``'s ``unit_rows``."""
     if img.data.ndim != 2 or txt.data.ndim != 2 or img.data.shape[1] != txt.data.shape[1]:
         raise ShapeError(f"similarity_matrix: incompatible {img.shape} vs {txt.shape}")
     yi, ni = img_rows or ad.unit_rows(img.data, "similarity_matrix")
@@ -158,7 +160,7 @@ def contrastive_loss(s: Tensor, y, tau) -> Tensor:
     value, kernel = _contrastive(s.data, matches, float(tau_t.data.reshape(())))
 
     def backward(g):
-        ds, dtau = kernel(g, True, True)
+        ds, dtau = kernel(g, True)
         return ds, dtau.reshape(tau_t.data.shape)
 
     return ad._make(value, (s, tau_t), backward)
@@ -166,7 +168,7 @@ def contrastive_loss(s: Tensor, y, tau) -> Tensor:
 
 def _contrastive(sd: np.ndarray, matches: Matches, tau: float):
     """``contrastive_loss``'s value on scores ``sd`` and a python tau, and its
-    backward ``(g, need_s, need_tau) -> (ds, dtau)``, ``None`` where not needed."""
+    backward ``(g, need_tau) -> (ds, dtau)``, ``dtau`` ``None`` unless needed."""
     y, m, rows, shape = matches
     if sd.shape != shape:
         raise ShapeError(f"contrastive_loss: scores {sd.shape}, matches checked for {shape}")
@@ -188,15 +190,12 @@ def _contrastive(sd: np.ndarray, matches: Matches, tau: float):
     picked = 2.0 * np.add.reduce(z[rows, y])
     value = (np.add.reduce(np.log(row)) + m @ np.log(col) - picked) / (2.0 * n)
 
-    def backward(g, need_s, need_tau):
-        if not (need_s or need_tau):
-            return None, None
+    def backward(g, need_tau):
         grad = (1.0 / row)[:, None] + 1.0 / col
         grad *= e
         grad[rows, y] -= 2.0
         grad *= g / (2.0 * n)
-        ds = grad / tau if need_s else None
-        return ds, np.add.reduce(-grad * sd / (tau * tau), axis=None) if need_tau else None
+        return grad / tau, np.add.reduce(-grad * sd / (tau * tau), axis=None) if need_tau else None
 
     return value, backward
 
@@ -291,25 +290,26 @@ class LossBreakdown:
 def total_loss(
     img_features: Tensor,
     txt_features: Tensor,
-    prompt_index,
-    class_labels,
+    img_rows: tuple[np.ndarray, np.ndarray],
+    matches: Matches,
+    labels: ad.Labels,
     params: CoordinatorParams,
-    settings: SessionSettings = SessionSettings(),
-    img_rows=None,
+    settings: SessionSettings,
 ) -> tuple[Tensor, LossBreakdown]:
     """Weighted sum of the contrastive and classification losses, one tape entry.
 
-    ``txt_features`` has one row per distinct prompt and ``prompt_index[i]``
-    is image i's row; the contrastive loss scores the ``(N, U)`` cosines,
-    equal to the square loss over one text row per image.  A round passes
-    the ``Matches``, ``Labels`` and ``img_rows`` its batch holds.  Returns the
-    differentiable total plus a float breakdown whose invariants (band clips,
-    exact recombination) are checked on construction.
+    ``txt_features`` has one row per distinct prompt and ``matches`` (from
+    ``check_matches``) gives image i's row; the contrastive loss scores the
+    ``(N, U)`` cosines, equal to the square loss over one text row per image.
+    The image side is constant, no tape input: ``img_features``, their
+    ``unit_rows`` and the ``ad.check_labels`` ``labels``, as a batch holds
+    them.  Returns the differentiable total plus a float breakdown whose
+    invariants (band clips, exact recombination) are checked on construction.
 
     The op is the chain ``effective_temperature``, ``similarity_matrix``,
     the two loss terms and ``weighted_total``, the clip taken on python
     floats.  Its backward evaluates the chain's expressions in their order,
-    so its gradients are the chain's bits, and forms only those an input needs.
+    so its gradients are the chain's bits.
     """
     dynamic = not settings.disable_coordinator_dynamics
     balanced = dynamic and not settings.disable_dynamic_balancing
@@ -317,34 +317,23 @@ def total_loss(
     raw_tau = float(tau_param.data) if dynamic else 1.0
     tau = min(max(raw_tau, TAU_BAND[0]), TAU_BAND[1])
     s, similarity_backward = _similarity(img_features, txt_features, img_rows)
-    if type(prompt_index) is not Matches:
-        prompt_index = check_matches(prompt_index, s.shape)
-    l_con, contrastive_backward = _contrastive(s, prompt_index, tau)
+    l_con, contrastive_backward = _contrastive(s, matches, tau)
     x, w = img_features.data, head.data
     if w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {x.shape} @ {w.shape}")
-    logits = x @ w
-    if type(class_labels) is not ad.Labels:
-        class_labels = ad.check_labels(class_labels, logits.shape)
-    l_cls, cross_entropy_backward = ad.cross_entropy(logits, class_labels)
+    l_cls, cross_entropy_backward = ad.cross_entropy(x @ w, labels)
     weight_params = (params.w_con_param, params.w_cls_param) if balanced else None
     total, floats, weights_backward = _weigh(float(l_con), float(l_cls), weight_params)
     # The temperature and the weights are inputs only where they train.
-    inputs = (img_features, txt_features, head, tau_param)[: 3 + dynamic] + (weight_params or ())
+    inputs = (txt_features, head, tau_param)[: 2 + dynamic] + (weight_params or ())
 
     def backward(g):
         g_con, g_cls, *weight_grads = weights_backward(float(g))
-        need_img, need_txt = img_features.requires_grad, txt_features.requires_grad
-        need_tau = dynamic and tau_param.requires_grad
-        ds, dtau = contrastive_backward(g_con, need_img or need_txt, need_tau)
-        gi, gt = (None, None) if ds is None else similarity_backward(ds)
-        g_tau = dtau * (TAU_BAND[0] <= raw_tau <= TAU_BAND[1]) if need_tau else None
-        if need_img or head.requires_grad:
-            d_logits = cross_entropy_backward(g_cls)
-        g_head = x.T @ d_logits if head.requires_grad else None
-        if need_img:  # the head's term first, the order the chain adds them in
-            gi = d_logits @ w.T + gi
-        return (gi, gt, g_head, g_tau)[: 3 + dynamic] + tuple(weight_grads)
+        ds, dtau = contrastive_backward(g_con, dynamic)
+        gt = similarity_backward(ds)[1]
+        g_head = x.T @ cross_entropy_backward(g_cls)
+        g_tau = dtau * (TAU_BAND[0] <= raw_tau <= TAU_BAND[1]) if dynamic else None
+        return (gt, g_head, g_tau)[: 2 + dynamic] + tuple(weight_grads)
 
     breakdown = LossBreakdown(float(l_con), float(l_cls), *floats[:2], tau, total, *floats[2:])
     return ad._make(np.asarray(total), inputs, backward), breakdown

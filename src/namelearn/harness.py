@@ -285,10 +285,12 @@ class AblationResult:
     full: RunResult
     ablated: RunResult
 
-    def delta_by_shot(self) -> dict[int, float]:
-        """Mean paired OOD-accuracy drop (full minus ablated) per shot."""
+    def delta_by_shot(self) -> dict[int, float | None]:
+        """Mean paired OOD-accuracy drop (full minus ablated) per shot;
+        ``None`` where either arm has no ok cell with an OOD accuracy."""
         shots = sorted({c.shot for c in self.full.cells})
-        return {s: self.full.mean_ood(s) - self.ablated.mean_ood(s) for s in shots}
+        drops = {s: self.full.mean_ood(s) - self.ablated.mean_ood(s) for s in shots}
+        return {s: None if np.isnan(d) else d for s, d in drops.items()}
 
 
 def run_ablation(config: ExperimentConfig, jobs: int = 1) -> AblationResult:

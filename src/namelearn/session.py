@@ -113,9 +113,8 @@ class CoordinatorAgent:
 
     def step(self, inbox: dict[str, Payload], batch: Batch) -> CoordinatorRound:
         image_features, text_features = inbox["image_features"], inbox["text_features"]
-        img_rows, matches, labels = batch.run[self]
         total, breakdown = total_loss(
-            image_features, text_features, matches, labels, self.params, self.settings, img_rows
+            image_features, text_features, *batch.run[self], self.params, self.settings
         )
         return CoordinatorRound(image_features, text_features, total, breakdown)
 

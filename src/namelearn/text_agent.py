@@ -6,8 +6,10 @@ over pooled prompt embeddings (the name agent's ``(N, D)`` ``prompts``
 payload, learnable name vectors already pooled in), then mixes that standard
 feature with a learned transform of the feature concatenated with the image
 agent's ``visual_context``, weighted by the fixed ratio ``LAMBDA_MIX``.  The
-context is a constant ``(D,)`` array broadcast to every row, not a tape
-input, so no gradient crosses into the image agent.  Each round ``step``
+context is a constant ``(D,)`` array broadcast to every row, and the frozen
+mixer's layers are read as constants too: neither is a tape input, so no
+gradient crosses into the image agent or the frozen encoder, and the op's
+inputs are the prompts and the fusion layers alone.  Each round ``step``
 reads the ``prompts`` and the ``visual_context`` its inbox holds and returns
 one payload, ``text_features``, for the coordinator.  It reads
 ``disable_text_context`` and ``simple_concat_fusion`` (when built) from the
@@ -15,8 +17,6 @@ session's ``SessionSettings``.
 """
 
 from __future__ import annotations
-
-from operator import attrgetter
 
 import numpy as np
 
@@ -28,8 +28,6 @@ from .settings import SessionSettings
 # Weight of the plain text feature in the fusion: it dominates, so the
 # near-zero fusion starts as a small correction.
 LAMBDA_MIX = 0.7
-
-_requires_grad = attrgetter("requires_grad")  # a C-level getter, not a Python call
 
 
 def _relu_mlp(x: np.ndarray, layers) -> tuple[np.ndarray, list, list]:
@@ -46,19 +44,17 @@ def _relu_mlp(x: np.ndarray, layers) -> tuple[np.ndarray, list, list]:
     return x, inputs, masks
 
 
-def _relu_mlp_backward(g: np.ndarray, layers, inputs, masks, need_input: bool) -> tuple:
+def _relu_mlp_backward(g: np.ndarray, layers, inputs, masks, need_input, need_layers) -> tuple:
     """Gradients through ``_relu_mlp``: the input's (``None`` unless
-    ``need_input``), then each layer's (``None`` if frozen).  ``g`` goes on
-    down only while the input or a lower layer needs a gradient, so no
-    product is formed that nobody reads."""
-    needs = [*map(_requires_grad, layers)]
+    ``need_input``), then each layer's (``None`` unless ``need_layers``).
+    ``g`` goes on down only while the input or a lower layer needs a
+    gradient, so no product is formed that nobody reads."""
     grads = [None] * len(layers)
     for i in range(len(layers) - 2, -1, -2):
-        if needs[i]:
+        if need_layers:
             grads[i] = inputs[i // 2].T @ g
-        if needs[i + 1]:
             grads[i + 1] = np.add.reduce(g, axis=0)
-        if not (need_input or True in needs[:i]):
+        if not (need_input or need_layers and i):
             return None, grads
         g = g @ layers[i].data.T
         if i:
@@ -71,13 +67,14 @@ def encode_text(x: Tensor, mixer, context: np.ndarray | None = None, fusion=()) 
     or with ``fusion`` layers ``blend(standard, fusion(concat_cols(standard,
     context rows)), LAMBDA_MIX)``, as one tape entry; ``mixer`` and
     ``fusion`` are ``_relu_mlp`` layers and the constant ``(D,)`` context
-    fills the right half of every concatenated row.  The backward evaluates
-    the composed ops' expressions in their order, so every gradient is
-    theirs, bit for bit, and forms none that no input reads: with frozen
-    prompts and mixer (the ``disable_name_agent`` arm) it stops at the fusion
-    layers."""
+    fills the right half of every concatenated row.  The tape inputs are
+    the prompts and the fusion layers: the mixer is frozen, read as a
+    constant.  The backward evaluates the composed ops' expressions in their
+    order, so every gradient is theirs, bit for bit, and forms none that no
+    input reads: with frozen prompts (the ``disable_name_agent`` arm) it
+    stops at the fusion layers."""
     std, std_in, std_masks = _relu_mlp(x.data, mixer)
-    out, inputs = std, (x, *mixer)
+    out = std
     if fusion:
         if std.ndim != 2 or context.shape != std.shape[1:]:
             raise ShapeError(f"text encoding: context {context.shape} for features {std.shape}")
@@ -88,18 +85,17 @@ def encode_text(x: Tensor, mixer, context: np.ndarray | None = None, fusion=()) 
         fused, fused_in, fused_masks = _relu_mlp(cat, fusion)
         wa = float(LAMBDA_MIX)
         wb = 1.0 - wa
-        out, inputs = std * wa + fused * wb, (*inputs, *fusion)
+        out = std * wa + fused * wb
 
     def backward(g):
+        need_x, grads = x.requires_grad, ()
         if fusion:
-            into_std = x.requires_grad or True in map(_requires_grad, mixer)
-            gz, fusion_grads = _relu_mlp_backward(g * wb, fusion, fused_in, fused_masks, into_std)
-            if into_std:
+            gz, grads = _relu_mlp_backward(g * wb, fusion, fused_in, fused_masks, need_x, True)
+            if need_x:
                 g = g * wa + gz[:, :k]
-        gx, grads = _relu_mlp_backward(g, mixer, std_in, std_masks, x.requires_grad)
-        return (gx, *grads, *fusion_grads) if fusion else (gx, *grads)
+        return (_relu_mlp_backward(g, mixer, std_in, std_masks, need_x, False)[0], *grads)
 
-    return ad._make(out, inputs, backward)
+    return ad._make(out, (x, *fusion), backward)
 
 
 class MissingContextError(RuntimeError):

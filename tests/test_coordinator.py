@@ -12,6 +12,7 @@ from namelearn.coordinator import (
     DegenerateWeightsError,
     LossBreakdown,
     NanGradientError,
+    check_matches,
     classification_loss,
     contrastive_loss,
     effective_temperature,
@@ -457,30 +458,40 @@ def test_loss_breakdown_invariant_enforced():
 # ---------------------------------------------------------------------------
 # Total loss
 
+def _checked(img, labels, n_classes):
+    """A batch's constants as ``total_loss`` takes them, one text row per
+    image: the unit image rows, the checked matches and the checked labels."""
+    n = len(labels)
+    return (
+        ad.unit_rows(img.data, "similarity_matrix"),
+        check_matches(np.arange(n), (n, n)),
+        ad.check_labels(labels, (n, n_classes)),
+    )
+
+
 def _synthetic_round(rng, n=4, d=6, n_classes=3):
     img = Tensor(rng.normal(size=(n, d)))
     txt = Tensor(rng.normal(size=(n, d)), requires_grad=True, name="txt")
-    y = np.arange(n)
-    labels = rng.integers(0, n_classes, size=n)
+    constants = _checked(img, rng.integers(0, n_classes, size=n), n_classes)
     params = CoordinatorParams(d, n_classes)
-    return img, txt, y, labels, params
+    return img, txt, constants, params
 
 
 def test_total_loss_weighted_sum():
     rng = np.random.default_rng(0)
-    img, txt, y, labels, params = _synthetic_round(rng)
-    total, bd = total_loss(img, txt, y, labels, params)
+    img, txt, constants, params = _synthetic_round(rng)
+    total, bd = total_loss(img, txt, *constants, params, SessionSettings())
     assert bd.total == pytest.approx(bd.w_con * bd.l_con + bd.w_cls * bd.l_cls, abs=1e-15)
     assert total.item() == bd.total
 
 
-def _train_round(img, txt, y, labels, params, settings, steps=5):
+def _train_round(img, txt, constants, params, settings, steps=5):
     """Adam steps on the total loss over txt and every coordinator learnable;
     returns the names of those the last step's backward gave no gradient."""
     opt = Adam([txt] + params.parameters(), lr=1e-2)
     for _ in range(steps):
         with Tape() as tape:
-            total, _ = total_loss(img, txt, y, labels, params, settings)
+            total, _ = total_loss(img, txt, *constants, params, settings)
         backward(tape, total)
         ungraded = [p.name for p in opt.params if p.grad is None]
         opt.step()
@@ -490,13 +501,13 @@ def _train_round(img, txt, y, labels, params, settings, steps=5):
 
 def test_total_loss_fixed_weights_when_balancing_disabled():
     rng = np.random.default_rng(3)
-    img, txt, y, labels, params = _synthetic_round(rng)
+    img, txt, constants, params = _synthetic_round(rng)
     settings = SessionSettings(disable_dynamic_balancing=True)
-    _, bd = total_loss(img, txt, y, labels, params, settings)
+    _, bd = total_loss(img, txt, *constants, params, settings)
     assert (bd.w_con, bd.w_cls) == (0.5, 0.5)
     # The temperature still trains; the two weights get no gradient.
     before = [p.data.tobytes() for p in params.parameters()]
-    ungraded = _train_round(img, txt, y, labels, params, settings)
+    ungraded = _train_round(img, txt, constants, params, settings)
     assert ungraded == ["w_con_param", "w_cls_param"]
     after = [p.data.tobytes() for p in params.parameters()]
     assert [a == b for a, b in zip(before, after)] == [False, True, True, False]
@@ -504,13 +515,13 @@ def test_total_loss_fixed_weights_when_balancing_disabled():
 
 def test_coordinator_dynamics_off_fixes_tau_and_weights():
     rng = np.random.default_rng(6)
-    img, txt, y, labels, params = _synthetic_round(rng)
+    img, txt, constants, params = _synthetic_round(rng)
     full = [params.tau_param, params.w_con_param, params.w_cls_param, params.w_cls_head]
     assert [id(p) for p in params.parameters()] == [id(p) for p in full]
     settings = SessionSettings(disable_coordinator_dynamics=True)
     # Only the head trains: the three scalars get no gradient.
     before = [p.data.tobytes() for p in full]
-    ungraded = _train_round(img, txt, y, labels, params, settings)
+    ungraded = _train_round(img, txt, constants, params, settings)
     assert ungraded == ["tau_param", "w_con_param", "w_cls_param"]
     assert [p.data.tobytes() == b for p, b in zip(full, before)] == [True, True, True, False]
     # Values the learnables would give if they were read: tau 1.7, weights
@@ -518,16 +529,16 @@ def test_coordinator_dynamics_off_fixes_tau_and_weights():
     params.tau_param.data = np.asarray(1.7)
     params.w_con_param.data = np.asarray(1.5)
     params.w_cls_param.data = np.asarray(0.3)
-    _, bd = total_loss(img, txt, y, labels, params, settings)
+    _, bd = total_loss(img, txt, *constants, params, settings)
     assert (bd.w_con, bd.w_cls, bd.tau) == (0.5, 0.5, 1.0)
 
 
 def test_total_loss_grad_check_on_synthetic_batch():
     rng = np.random.default_rng(4)
-    img, txt, y, labels, params = _synthetic_round(rng)
+    img, txt, constants, params = _synthetic_round(rng)
 
     def f(txt_p, tau_p, wc_p, wl_p, head_p):
-        total, _ = total_loss(img, txt_p, y, labels, params)
+        total, _ = total_loss(img, txt_p, *constants, params, SessionSettings())
         return total
 
     params.w_cls_head.data = rng.normal(scale=0.1, size=params.w_cls_head.shape)
@@ -545,13 +556,13 @@ def test_training_sanity_loss_strictly_decreases():
     n = 4
     img = Tensor(np.eye(n))
     txt = Tensor(rng.normal(scale=0.3, size=(n, n)), requires_grad=True, name="txt")
-    labels = np.arange(n)
+    constants = _checked(img, np.arange(n), n)
     params = CoordinatorParams(n, n)
     opt = Adam([txt] + params.parameters(), lr=1e-3)
     totals = []
     for _ in range(50):
         with Tape() as tape:
-            total, bd = total_loss(img, txt, np.arange(n), labels, params)
+            total, bd = total_loss(img, txt, *constants, params, SessionSettings())
         totals.append(bd.total)
         backward(tape, total)
         opt.step()

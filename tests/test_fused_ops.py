@@ -213,7 +213,9 @@ LOSS_ARMS = {
     "no_dynamics": SessionSettings(disable_coordinator_dynamics=True),
     "no_balancing": SessionSettings(disable_dynamic_balancing=True),
 }
-# Which operands need a gradient: (image, text, tau, head, w_con, w_cls).
+# Which operands ask for a gradient: (image, text, tau, head, w_con, w_cls).
+# The image features are a constant of the loss, never a tape input: asked
+# or not, they get none.
 LOSS_MASKS = {
     "training": (False, True, True, True, True, True),
     "every_operand": (True, True, True, True, True, True),
@@ -254,18 +256,18 @@ def test_total_loss_is_bit_identical_to_the_composed_chain(n, u, d, c, raw_tau, 
          params.w_cls_param) = learnables
         with Tape() as tape:
             if fused:
-                img_rows = None if needs[0] else ad.unit_rows(img.data, "similarity_matrix")
-                out, breakdown = total_loss(img, txt, matches, labels, params, settings, img_rows)
+                img_rows = ad.unit_rows(img.data, "similarity_matrix")
+                out, breakdown = total_loss(img, txt, img_rows, matches, labels, params, settings)
                 floats = astuple(breakdown)
-            else:
-                out, floats = composed_loss(img, txt, matches, labels, params, settings)
+            else:  # the chain, reading the image as the fused op does: a constant
+                out, floats = composed_loss(Tensor(img.data), txt, matches, labels, params, settings)
             entries = len(tape)
             loss = ad.scale(out, upstream)
         backward(tape, loss)
         return out.data, floats, [t.grad for t in (img, txt, *learnables)], entries
 
     # A tensor gets a gradient exactly where it needs one and the arm trains it.
-    trains = (True, True, arm != "no_dynamics", True, arm == "default", arm == "default")
+    trains = (False, True, arm != "no_dynamics", True, arm == "default", arm == "default")
     graded = [r and t for r, t in zip(needs, trains)]
     value, floats, grads, entries = run_loss(True)
     ref_value, ref_floats, ref_grads, _ = run_loss(False)
@@ -308,8 +310,9 @@ FUSIONS = {
     "simple_concat": lambda d: [(2 * d, d), (d,)],
     "no_context": lambda d: [],
 }
-# Which operands need a gradient: (prompts, mixer, fusion).  The context is
-# a constant array, never a tape input.
+# Which operands ask for a gradient: (prompts, mixer, fusion).  The frozen
+# mixer and the context are constants, never tape inputs: asked or not, the
+# mixer gets no gradient.
 GRAD_MASKS = {
     "training": (True, False, True),
     "frozen_names": (False, False, True),
@@ -330,11 +333,12 @@ def test_text_encode_is_bit_identical_to_the_composed_chain(u, d, fusion, mask):
     mixer = [rng.normal(size=s) for s in ((d, d), (d,), (d, d), (d,))]
     layers = mixer + [rng.normal(size=s) for s in shapes]
     arrays = [rng.normal(size=(u, d)), *layers]
-    needs = (x_grad, *[mixer_grad] * 4, *[fusion_grad] * len(shapes))
+    needs = (x_grad, *[False] * 4, *[fusion_grad] * len(shapes))
     context = rng.normal(size=d)
+    frozen = [Tensor(a, requires_grad=mixer_grad) for a in mixer]
 
     def fused(x, *ls):
-        return encode_text(x, ls[:4], context, ls[4:])
+        return encode_text(x, frozen, context, ls[4:])
 
     def oracle(x, *ls):
         return composed_text(x, context, *ls)
@@ -346,13 +350,15 @@ def test_text_encode_is_bit_identical_to_the_composed_chain(u, d, fusion, mask):
         assert len(tape) == 0 and np.array_equal(value, oracle(*tensors).data)
         return
     assert_same_bits(fused, oracle, arrays, needs, rng.normal(size=(u, d)))
+    assert all(m.grad is None for m in frozen)
 
 
 @pytest.mark.parametrize("fusion", ["default", "simple_concat"])
 def test_text_encode_backward_returns_none_for_frozen_inputs(fusion):
-    """The ``disable_name_agent`` arm's operands: frozen prompts and mixer.
-    The backward hands each of them ``None`` and forms only the fusion
-    layers' gradients, which match the composed chain's."""
+    """The ``disable_name_agent`` arm's operands: frozen prompts, and the
+    mixer, a constant that is no input.  The backward hands the prompts
+    ``None`` and forms only the fusion layers' gradients, which match the
+    composed chain's."""
     from namelearn.text_agent import encode_text
 
     u, d = 5, 4
@@ -366,15 +372,15 @@ def test_text_encode_backward_returns_none_for_frozen_inputs(fusion):
     ((_, inputs, backward_fn),) = tape.entries
     upstream = rng.normal(size=(u, d))
     grads = backward_fn(upstream)
-    assert len(grads) == len(inputs) == 5 + len(layers)
-    assert all(g is None for g in grads[:5])
+    assert len(grads) == len(inputs) == 1 + len(layers)
+    assert inputs[0] is x and grads[0] is None
     _, ref, _ = run(
         lambda *ls: composed_text(x, context, *mixer, *ls),
         [t.data for t in layers],
         [True] * len(layers),
         upstream,
     )
-    assert all(np.array_equal(g, r) for g, r in zip(grads[5:], ref))
+    assert all(np.array_equal(g, r) for g, r in zip(grads[1:], ref))
 
 
 def test_world_checks_its_text_features_through_the_agents_op():

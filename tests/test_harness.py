@@ -24,7 +24,7 @@ from namelearn.harness import (
     run_few_shot,
     run_zero_shot,
 )
-from namelearn.session import TrainingDivergedError
+from namelearn.session import TrainingDivergedError, TrainingSession
 from namelearn.settings import SessionSettings
 from namelearn.world import WorldConfig
 
@@ -391,6 +391,34 @@ def test_cli_ablate(tmp_path):
     assert deltas["flag"] == "disable_difficulty"
     assert (tmp_path / "ab" / "full" / "results.csv").exists()
     assert (tmp_path / "ab" / "ablated" / "results.csv").exists()
+
+
+def test_cli_ablate_writes_valid_json_when_an_arm_has_no_ok_cell(monkeypatch, tmp_path, capsys):
+    """A shot whose ablated cells all failed has no drop: ``null`` in
+    ``deltas.json`` (as in ``summary.json``), ``n/a`` on the console."""
+    train = TrainingSession.train
+
+    def diverge_when_ablated(self, shots, epochs, lr):
+        if self.settings.disable_difficulty:
+            raise TrainingDivergedError("loss became nan")
+        return train(self, shots, epochs, lr)
+
+    monkeypatch.setattr("namelearn.harness.TrainingSession.train", diverge_when_ablated)
+    cfg = write_tiny_config(tmp_path / "exp.cfg")
+    out = tmp_path / "ab"
+    args = ["--config", str(cfg), "--ablation", "disable_difficulty", "--out", str(out)]
+    rc = main(["ablate", *args])
+    assert rc == 2
+
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    deltas = json.loads((out / "deltas.json").read_text(), parse_constant=reject)
+    drops = deltas["ood_drop_by_shot"]
+    assert drops["2"] is None and isinstance(drops["0"], float)
+    summary = json.loads((out / "ablated" / "summary.json").read_text(), parse_constant=reject)
+    assert summary["per_shot"]["2"]["ood_mean"] is None
+    assert "shot   2: ood drop n/a" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["few-shot", "zero-shot", "ablate"])
