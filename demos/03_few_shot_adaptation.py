@@ -39,10 +39,9 @@ print("seen-concept accuracy is untouched: the frozen encoders never moved,")
 print("only the name embeddings (plus fusion and coordinator scalars) did.")
 
 # The message log is a compact protocol trace of the last round: who sent
-# what, each feature payload summarized by its shape and first four values.
-# A round is five messages: visual context, image features and {difficulty,
-# strategy} metadata from the image agent, pooled prompts from the name agent,
-# and text features from the text agent.
+# what, each payload summarized by its shape and first four values.  A round
+# is four messages: visual context and image features from the image agent,
+# pooled prompts from the name agent, and text features from the text agent.
 print(f"\nbus log of round {session.bus.round_index}: {len(session.bus.log)} messages")
 for record in session.bus.log:
     print("  ", record.summary(session.bus.round_index))

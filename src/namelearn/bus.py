@@ -1,19 +1,18 @@
 """The four agents' fixed round: its schema, its schedule and its log.
 
 One bus per training session, built from its four agents in ``ROUND_ORDER``
-and single-threaded within a round.  A round is five labeled payloads, each
-with one sender and one reader, and ``ROUND_SCHEMA`` is the one place that
-says which: the image agent's visual context (to the text agent), its batch
-features and ``{difficulty, strategy}`` metadata (to the coordinator), the
-name agent's pooled prompts (to the text agent) and the text agent's features
-(to the coordinator).  Each agent steps on a dict of the payloads addressed
-to it.  A sender returns a dict, which ``run_round`` checks against the
-schema before it delivers it; the coordinator returns its
-``CoordinatorRound``, which ``run_round`` returns.  The bus holds the current
-round's inboxes, its delivered payloads by reference; ``MessageBus.log``
-builds from them, when read, one record per delivery, keyed by label, holding
-what ``serialize_log`` writes: a feature payload's shape and first four values
-(copied), or the metadata.
+and single-threaded within a round.  A round is four labeled tensor payloads,
+each with one sender and one reader, and ``ROUND_SCHEMA`` is the one place
+that says which: the image agent's visual context (to the text agent) and its
+batch features (to the coordinator), the name agent's pooled prompts (to the
+text agent) and the text agent's features (to the coordinator).  Each agent
+steps on a dict of the payloads addressed to it.  A sender returns a dict,
+which ``run_round`` checks against the schema before it delivers it; the
+coordinator returns its ``(total, breakdown)`` loss pair, which ``run_round``
+returns.  The bus holds the current round's inboxes, its delivered payloads
+by reference; ``MessageBus.log`` builds from them, when read, one record per
+delivery, keyed by label, holding what ``serialize_log`` writes: the payload's
+shape and first four values (copied).
 
 A round's fixed cost is Python-level calls, not arithmetic: ``AgentId``
 hashes by identity in C, and each agent's labels are checked with one tuple
@@ -23,7 +22,6 @@ comparison, building an error message only once a check has failed.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
 from enum import Enum
 from typing import NamedTuple, Protocol
 
@@ -47,11 +45,9 @@ ROUND_ORDER = (AgentId.IMAGE, AgentId.NAME, AgentId.TEXT, AgentId.COORDINATOR)
 
 # Label -> (sender, receiver), in send order.  Every sender steps before its
 # receiver in ROUND_ORDER, so each payload is read in the round that sends it.
-# The metadata payload is a mapping, every other one a Tensor.
 ROUND_SCHEMA = {
     "visual_context": (AgentId.IMAGE, AgentId.TEXT),
     "image_features": (AgentId.IMAGE, AgentId.COORDINATOR),
-    "metadata": (AgentId.IMAGE, AgentId.COORDINATOR),
     "prompts": (AgentId.NAME, AgentId.TEXT),
     "text_features": (AgentId.TEXT, AgentId.COORDINATOR),
 }
@@ -62,8 +58,6 @@ _SENDS = tuple(
     (agent, tuple(label for label, (sender, _) in ROUND_SCHEMA.items() if sender is agent))
     for agent in ROUND_ORDER[:-1]
 )
-
-Payload = Tensor | Mapping
 
 
 class EmptyBatchError(ValueError):
@@ -85,46 +79,34 @@ class PreparedRun(dict):
         raise UnpreparedBatchError(f"{agent.agent_id.value} agent: not its session's batch")
 
 
-# Values kept per feature payload in the log: the shape and this many leading
-# values (row-major), exactly what ``LogRecord.summary`` reports.
+# Values kept per payload in the log: the shape and this many leading values
+# (row-major), exactly what ``LogRecord.summary`` reports.
 LOG_VALUES = 4
 
 
 class LogRecord(NamedTuple):
-    """One delivered payload, keyed by its label; a feature payload keeps
-    only a short summary, the metadata payload its mapping."""
+    """One delivered payload, keyed by its label: a short summary."""
 
     label: str
-    shape: tuple[int, ...] | None = None
-    values: np.ndarray | None = None  # the first LOG_VALUES values
-    metadata: dict | None = None
-
-    @classmethod
-    def of(cls, label: str, payload: Payload) -> "LogRecord":
-        """A delivered payload's record; ``flat[:n]`` is a copy, in row-major order."""
-        if label == "metadata":
-            return cls(label, metadata=dict(payload))
-        return cls(label, payload.data.shape, payload.data.flat[:LOG_VALUES])
+    shape: tuple[int, ...]
+    values: np.ndarray  # the first LOG_VALUES values
 
     def summary(self, round_index: int) -> dict:
         sender, receiver = ROUND_SCHEMA[self.label]
-        if self.metadata is None:
-            tag, payload = "feature", {"shape": list(self.shape), "first": self.values.tolist()}
-        else:
-            tag, payload = "metadata", {"keys": sorted(self.metadata)}
+        # Every payload is a feature; the tag stays so that lines stay stable.
         return {
             "round": round_index,
             "sender": sender.value,
             "receiver": receiver.value,
-            "content_tag": tag,
-            "payload_summary": payload,
+            "content_tag": "feature",
+            "payload_summary": {"shape": list(self.shape), "first": self.values.tolist()},
         }
 
 
 class Agent(Protocol):
     agent_id: AgentId
 
-    def step(self, inbox: dict[str, Payload], batch): ...
+    def step(self, inbox: dict[str, Tensor], batch): ...
 
 
 class MessageBus:
@@ -138,17 +120,18 @@ class MessageBus:
             raise ValueError(f"a bus takes its agents in ROUND_ORDER {expected}, got {given}")
         self.agents = agents
         self.round_index = 0
-        self._inboxes: dict[AgentId, dict[str, Payload]] = {agent: {} for agent in ROUND_ORDER}
+        self._inboxes: dict[AgentId, dict[str, Tensor]] = {agent: {} for agent in ROUND_ORDER}
 
     @property
     def log(self) -> list[LogRecord]:
         """One record per payload the current round's inboxes hold, in send
-        order, built when read."""
-        return [
-            LogRecord.of(label, self._inboxes[receiver][label])
+        order, built when read; ``flat[:n]`` is a copy, in row-major order."""
+        delivered = [
+            (label, self._inboxes[receiver][label].data)
             for label, (_, receiver) in ROUND_SCHEMA.items()
             if label in self._inboxes[receiver]
         ]
+        return [LogRecord(label, data.shape, data.flat[:LOG_VALUES]) for label, data in delivered]
 
     def serialize_log(self, path) -> None:
         """Line-delimited JSON: one record per delivered payload."""
@@ -162,7 +145,7 @@ def run_round(bus: MessageBus, batch):
 
     Each sender steps on the payloads sent to it and must return exactly the
     labels ``ROUND_SCHEMA`` gives it, in schema order, or ``ProtocolError``
-    names it.  Returns the coordinator's ``CoordinatorRound``.
+    names it.  Returns the coordinator's ``(total, breakdown)`` loss pair.
     """
     if batch.size == 0:
         raise EmptyBatchError("round started on an empty batch")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -56,14 +57,19 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 
+def _mean_acc(value: float) -> str:
+    """A shot's mean accuracy, ``n/a`` where it has no ok cell (``summary.json``
+    writes ``null`` there)."""
+    return "n/a" if math.isnan(value) else f"{value:.4f}"
+
+
 def _report(result, out_dir) -> int:
     paths = emit_metrics(result, out_dir)
     failed = result.failed_cells()
     print(f"wrote {paths['results']}")
     for shot in sorted({c.shot for c in result.cells}):
-        ood = result.mean_ood(shot)
-        sc = result.mean_sc(shot)
-        print(f"  shot {shot:>3}: ood_acc={ood:.4f} sc_acc={sc:.4f}")
+        ood, sc = _mean_acc(result.mean_ood(shot)), _mean_acc(result.mean_sc(shot))
+        print(f"  shot {shot:>3}: ood_acc={ood} sc_acc={sc}")
     if failed:
         print(f"  {len(failed)} cell(s) failed", file=sys.stderr)
         return 2

@@ -412,8 +412,9 @@ def emit_metrics(result: RunResult, out_dir) -> dict[str, Path]:
 
 def parse_config_file(path) -> ExperimentConfig:
     """An ``ExperimentConfig`` from a config file; a line that does not parse
-    raises ``ConfigError`` naming ``path:line`` and its key."""
+    or repeats a key raises ``ConfigError`` naming ``path:line`` and its key."""
     entries: dict[str, object] = {}
+    set_on: dict[str, int] = {}  # key -> the line that set it
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -421,6 +422,9 @@ def parse_config_file(path) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in set_on:
+            raise ConfigError(f"{path}:{line_no}: {key}: already set on line {set_on[key]}")
+        set_on[key] = line_no
         try:
             entries[key] = _parse_entry(key, value)
         except ConfigError as exc:

@@ -4,15 +4,16 @@ Two encoding strategies over the frozen visual encoder — plain features, or
 unit-normalized features plus a small gradient-blocked residual copy — routed
 by a difficulty score that a fixed, seeded scorer estimates from the batch
 feature distribution.  ``ImageAgent.encode`` is the one routing path, for
-training rounds and evaluation alike.  Each round ``step`` receives nothing
-and returns three payloads: ``visual_context``, a pooled context vector for
-the text agent, and ``image_features`` and their ``{difficulty, strategy}``
-``metadata`` for the coordinator.  The score is one number per batch, taken
-from the batch's mean feature; the residual coefficient ``ALPHA`` and the
-routing threshold ``DIFFICULTY_THRESHOLD`` are fixed.  ``encode`` reads
-``disable_difficulty`` and ``disable_image_agent_robust`` from the session's
-``SessionSettings``.  Nothing on the image side learns, so ``prepare``
-computes a training run's payloads once and every round's ``step`` sends them.
+training rounds and evaluation alike, and its return is the one place to
+read a batch's difficulty score and strategy.  Each round ``step`` receives
+nothing and returns two payloads: ``visual_context``, a pooled context vector
+for the text agent, and ``image_features`` for the coordinator.  The score is
+one number per batch, taken from the batch's mean feature; the residual
+coefficient ``ALPHA`` and the routing threshold ``DIFFICULTY_THRESHOLD`` are
+fixed.  ``encode`` reads ``disable_difficulty`` and
+``disable_image_agent_robust`` from the session's ``SessionSettings``.
+Nothing on the image side learns, so ``prepare`` computes a training run's
+payloads once and every round's ``step`` sends them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .bus import AgentId, Payload
+from .bus import AgentId
 from .settings import SessionSettings
 
 STANDARD = "standard"
@@ -126,14 +127,13 @@ class ImageAgent:
 
     # -- round protocol ---------------------------------------------------------
 
-    def prepare(self, images: np.ndarray) -> Mapping[str, Payload]:
-        """A run's three payloads, read-only: a function of its images alone."""
-        features, difficulty, strategy = self.encode(images)
+    def prepare(self, images: np.ndarray) -> Mapping[str, Tensor]:
+        """A run's two payloads, read-only: a function of its images alone."""
+        features = self.encode(images)[0]
         return MappingProxyType({
             "visual_context": self.emit_visual_context(features),
             "image_features": features,
-            "metadata": MappingProxyType({"difficulty": difficulty, "strategy": strategy}),
         })
 
-    def step(self, inbox, batch) -> Mapping[str, Payload]:
+    def step(self, inbox, batch) -> Mapping[str, Tensor]:
         return batch.run[self]

@@ -99,7 +99,7 @@ def full_loss_grad_checks(n_batches: int = 20, eps: float = 1e-5) -> SuiteReport
         params = session.trainable_parameters()
 
         def f(*_params):
-            return bus.run_round(session.bus, batch).total
+            return bus.run_round(session.bus, batch)[0]
 
         worst = max(worst, grad_check(f, params, eps=eps))
     return SuiteReport("full training-loss gradient check", worst, 1e-4)

@@ -21,10 +21,10 @@ per-step history, so its memory does not grow with epochs
 retrieval against per-class text features, scored through the coordinator's
 ``similarity_matrix`` as training rounds are.  Its bus is built from its four
 agents.  The coordinator agent ends each round: its inbox holds the
-``image_features``, the ``{difficulty, strategy}`` ``metadata`` (only the log
-reads it) and the ``text_features`` (one row per distinct prompt), as
-``bus.ROUND_SCHEMA`` routes them; it computes the loss, one tape entry, over
-images against distinct prompts and returns it in a ``CoordinatorRound``.
+``image_features`` and the ``text_features`` (one row per distinct prompt),
+as ``bus.ROUND_SCHEMA`` routes them; it computes the loss, one tape entry,
+over images against distinct prompts and returns ``total_loss``'s
+``(total, breakdown)`` pair.
 The image agent's difficulty scorer is fixed: the loss has no path back to
 it.  The image and text agents and the coordinator read the session's
 ``SessionSettings`` record as it is; the session itself reads only
@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .autodiff import Labels, Tape, Tensor, backward, check_labels, unit_rows
-from .bus import AgentId, EmptyBatchError, MessageBus, Payload, PreparedRun, run_round
+from .bus import AgentId, EmptyBatchError, MessageBus, PreparedRun, run_round
 from .coordinator import Adam, CoordinatorParams, LossBreakdown, check_matches
 from .coordinator import similarity_matrix, total_loss
 from .image_agent import ImageAgent
@@ -63,7 +63,7 @@ class PreparedShots(NamedTuple):
     """A training run's image side, which every batch built from it shares."""
 
     pairs: list[tuple[int, int]]  # per pair: (concept_id, shot index), ascending id
-    image: Mapping[str, Payload]  # the image agent's payloads
+    image: Mapping[str, Tensor]  # the image agent's payloads
     img_rows: tuple[np.ndarray, np.ndarray]  # unit image rows (N, D), norms (N, 1)
     labels: Labels  # checked classification-head indices
 
@@ -94,16 +94,6 @@ class Batch:
         return len(self.prompt_plan)
 
 
-@dataclass
-class CoordinatorRound:
-    """What the coordinator collected and computed in one round."""
-
-    image_features: Tensor
-    text_features: Tensor  # (U, D), one row per distinct prompt in batch.prompts
-    total: Tensor
-    breakdown: LossBreakdown
-
-
 class CoordinatorAgent:
     agent_id = AgentId.COORDINATOR
 
@@ -111,12 +101,11 @@ class CoordinatorAgent:
         self.params = params
         self.settings = settings
 
-    def step(self, inbox: dict[str, Payload], batch: Batch) -> CoordinatorRound:
+    def step(self, inbox: dict[str, Tensor], batch: Batch) -> tuple[Tensor, LossBreakdown]:
         image_features, text_features = inbox["image_features"], inbox["text_features"]
-        total, breakdown = total_loss(
+        return total_loss(
             image_features, text_features, *batch.run[self], self.params, self.settings
         )
-        return CoordinatorRound(image_features, text_features, total, breakdown)
 
 
 class TrainingSession:
@@ -212,14 +201,13 @@ class TrainingSession:
 
     def train_step(self, batch: Batch, optimizer: Adam) -> LossBreakdown:
         with Tape() as tape:
-            round_info = run_round(self.bus, batch)
-        total = round_info.total
+            total, breakdown = run_round(self.bus, batch)
         if not np.isfinite(total.data):
             raise TrainingDivergedError(f"loss became {float(total.data)!r}")
         backward(tape, total)
         optimizer.step()
         optimizer.zero_grad()
-        return round_info.breakdown
+        return breakdown
 
     def train(
         self, shots_by_class: dict[int, np.ndarray], epochs: int, lr: float

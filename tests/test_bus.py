@@ -1,7 +1,6 @@
 import cProfile
 import json
 import pickle
-import pstats
 import re
 from types import SimpleNamespace
 
@@ -20,6 +19,7 @@ from namelearn.bus import (
     run_round,
 )
 from namelearn.coordinator import Adam
+from namelearn.harness import ABLATION_FLAGS
 from namelearn.session import Batch, SessionSettings, TrainingSession
 from namelearn.world import WorldConfig, build_world
 
@@ -56,7 +56,6 @@ class Stub:
 PAYLOADS = {
     "visual_context": Tensor(np.array([1.0, 2.0, 3.0, 4.0, 5.0])),
     "image_features": Tensor(np.arange(6.0).reshape(3, 2)),
-    "metadata": {"difficulty": 0.5, "strategy": "standard"},
     "prompts": Tensor(np.full((2, 5), 0.5)),
     "text_features": Tensor(-np.arange(10.0).reshape(2, 5)),
 }
@@ -113,9 +112,9 @@ def test_each_payload_is_read_by_its_receiver():
 @pytest.mark.parametrize(
     "agent, sent",
     [
-        (AgentId.IMAGE, ["visual_context", "image_features"]),
+        (AgentId.IMAGE, ["visual_context"]),
         (AgentId.NAME, ["prompts", "text_features"]),
-        (AgentId.IMAGE, ["metadata", "image_features", "visual_context"]),
+        (AgentId.IMAGE, ["image_features", "visual_context"]),
         (AgentId.TEXT, []),
     ],
     ids=["image_leaves_out", "name_adds", "image_reorders", "text_sends_nothing"],
@@ -137,12 +136,10 @@ def test_log_records_are_keyed_by_label():
     assert [(rec.label, rec.summary(1)["content_tag"]) for rec in bus.log] == [
         ("visual_context", "feature"),
         ("image_features", "feature"),
-        ("metadata", "metadata"),
         ("prompts", "feature"),
         ("text_features", "feature"),
     ]
-    assert bus.log[2].metadata == PAYLOADS["metadata"]
-    assert bus.log[2].metadata is not PAYLOADS["metadata"]
+    assert [rec.shape for rec in bus.log] == [PAYLOADS[rec.label].shape for rec in bus.log]
 
 
 def test_log_records_payload_summary():
@@ -159,7 +156,7 @@ def test_log_record_rejects_attribute_assignment():
     run_round(bus, STUB_BATCH)
     rec = bus.log[1]
     with pytest.raises(AttributeError):
-        rec.label = "metadata"
+        rec.label = "prompts"
     with pytest.raises(AttributeError):
         rec.values = None
     assert rec.label == "image_features" and rec.values.tolist() == [0.0, 1.0, 2.0, 3.0]
@@ -181,13 +178,13 @@ def test_serialize_log_jsonl(tmp_path):
     path = tmp_path / "log.jsonl"
     bus.serialize_log(path)
     lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(lines) == 5
+    assert len(lines) == 4
     assert lines[2] == {
         "round": 3,
-        "sender": "Image",
-        "receiver": "Coordinator",
-        "content_tag": "metadata",
-        "payload_summary": {"keys": ["difficulty", "strategy"]},
+        "sender": "Name",
+        "receiver": "Text",
+        "content_tag": "feature",
+        "payload_summary": {"shape": [2, 5], "first": [0.5, 0.5, 0.5, 0.5]},
     }
     assert lines[1]["content_tag"] == "feature"
     assert lines[1]["payload_summary"] == {"shape": [3, 2], "first": [0.0, 1.0, 2.0, 3.0]}
@@ -199,16 +196,12 @@ def test_serialize_log_jsonl(tmp_path):
 def test_log_keeps_only_summary_values_over_default_rounds(tmp_path):
     world = build_world(WorldConfig())
     session = make_session(world)
-    rounds = [
+    for e in range(3):
         run_round(session.bus, make_batch(world, session, k=16, epoch=e))
-        for e in range(3)
-    ]
     # The log holds the current round only.
     assert session.bus.round_index == 3
     assert [rec.label for rec in session.bus.log] == list(ROUND_SCHEMA)
-    features = [rec for rec in session.bus.log if rec.label != "metadata"]
-    assert all(rec.values.size <= 4 and rec.metadata is None for rec in features)
-    assert session.bus.log[2].values is None
+    assert all(rec.values.size <= 4 for rec in session.bus.log)
     path = tmp_path / "log.jsonl"
     session.bus.serialize_log(path)
     lines = [json.loads(line) for line in path.read_text().splitlines()]
@@ -218,7 +211,7 @@ def test_log_keeps_only_summary_values_over_default_rounds(tmp_path):
         for line in lines
     )
     # The last round's image features, summarized by shape and first four values.
-    image = rounds[-1].image_features.data
+    image = session.bus._inboxes[AgentId.COORDINATOR]["image_features"].data
     last = [
         line
         for line, rec in zip(lines, session.bus.log)
@@ -245,32 +238,34 @@ def test_log_is_built_from_the_current_round_when_read(world):
     session = make_session(world)
     optimizer = Adam(session.trainable_parameters(), 1e-2)
     with Tape() as tape:
-        first = run_round(session.bus, make_batch(world, session, epoch=0))
+        total, _ = run_round(session.bus, make_batch(world, session, epoch=0))
+    first = session.bus._inboxes[AgentId.COORDINATOR]
     summaries = [rec.summary(1) for rec in session.bus.log]
-    backward(tape, first.total)
+    backward(tape, total)
     optimizer.step()
     assert [rec.summary(1) for rec in session.bus.log] == summaries
-    second = run_round(session.bus, make_batch(world, session, epoch=1))
+    run_round(session.bus, make_batch(world, session, epoch=1))
+    second = session.bus._inboxes[AgentId.COORDINATOR]
     log = session.bus.log
     assert [rec.label for rec in log] == list(ROUND_SCHEMA)
-    text = second.text_features.data
-    assert not np.array_equal(text.flat[:4], first.text_features.data.flat[:4])
-    assert np.array_equal(log[4].values, text.flat[:4])
-    payloads = {"image_features": second.image_features.data, "text_features": text}
+    text = second["text_features"].data
+    assert not np.array_equal(text.flat[:4], first["text_features"].data.flat[:4])
+    assert np.array_equal(log[3].values, text.flat[:4])
+    payloads = {"image_features": second["image_features"].data, "text_features": text}
     assert not any(np.shares_memory(r.values, payloads[r.label]) for r in log if r.label in payloads)
-    log[4].values[:] = np.nan
+    log[3].values[:] = np.nan
     assert np.isfinite(text).all()
-    assert np.array_equal(session.bus.log[4].values, text.flat[:4])
+    assert np.array_equal(session.bus.log[3].values, text.flat[:4])
 
 
 def test_default_round_log_file_matches_the_round(tmp_path):
     """Every line of a default round's log file, rebuilt from what the agents
-    computed: shape and first four values of each feature payload, the
-    metadata keys, in send order."""
+    computed: shape and first four values of each payload, in send order."""
     world = build_world(WorldConfig())
     session = make_session(world)
     batch = make_batch(world, session, k=16)
-    info = run_round(session.bus, batch)
+    run_round(session.bus, batch)
+    inbox = session.bus._inboxes[AgentId.COORDINATOR]
     path = tmp_path / "log.jsonl"
     session.bus.serialize_log(path)
 
@@ -278,13 +273,12 @@ def test_default_round_log_file_matches_the_round(tmp_path):
         payload = {"shape": list(data.shape), "first": data.reshape(-1)[:4].tolist()}
         return sender, receiver, "feature", payload
 
-    context = session.image_agent.emit_visual_context(info.image_features).data
+    context = session.image_agent.emit_visual_context(inbox["image_features"]).data
     rows = [
         feature("Image", "Text", context),
-        feature("Image", "Coordinator", info.image_features.data),
-        ("Image", "Coordinator", "metadata", {"keys": ["difficulty", "strategy"]}),
+        feature("Image", "Coordinator", inbox["image_features"].data),
         feature("Name", "Text", session.name_agent.pool(batch.prompts).data),
-        feature("Text", "Coordinator", info.text_features.data),
+        feature("Text", "Coordinator", inbox["text_features"].data),
     ]
     expected = "".join(
         json.dumps(
@@ -338,13 +332,17 @@ def test_run_round_rejects_empty_batch(world):
 def test_run_round_coordinator_collects_artifacts(world):
     session = make_session(world)
     batch = make_batch(world, session, k=2)
-    info = run_round(session.bus, batch)
-    assert info.image_features.shape == (batch.size, world.config.embed_dim)
-    assert info.text_features.shape == (batch.size, world.config.embed_dim)
-    metadata = next(rec.metadata for rec in session.bus.log if rec.label == "metadata")
-    assert 0.0 < metadata["difficulty"] < 1.0
-    assert metadata["strategy"] in ("standard", "robust")
-    assert info.breakdown is not None
+    total, breakdown = run_round(session.bus, batch)
+    inbox = session.bus._inboxes[AgentId.COORDINATOR]
+    assert inbox["image_features"].shape == (batch.size, world.config.embed_dim)
+    assert inbox["text_features"].shape == (batch.size, world.config.embed_dim)
+    assert total.item() == breakdown.total
+    # The route is the image agent's, read from its encoding.
+    images = np.concatenate([world.sample_images(cid, 2, seed=11) for cid in world.ood_ids])
+    features, difficulty, strategy = session.image_agent.encode(images)
+    assert np.array_equal(features.data, inbox["image_features"].data)
+    assert 0.0 < difficulty < 1.0
+    assert strategy in ("standard", "robust")
 
 
 def test_round_determinism_same_seed(world):
@@ -352,7 +350,7 @@ def test_round_determinism_same_seed(world):
     for _ in range(2):
         session = make_session(world, seed=9)
         run_round(session.bus, make_batch(world, session))
-        triples.append([(r.label, r.shape, r.metadata) for r in session.bus.log])
+        triples.append([(r.label, r.shape, r.values.tolist()) for r in session.bus.log])
     assert triples[0] == triples[1]
 
 
@@ -364,7 +362,6 @@ def test_step_agent_deterministic_given_inputs_and_memory(world):
     assert list(out_a) == list(out_b) == labels_of(AgentId.IMAGE)
     for label in ("visual_context", "image_features"):
         assert np.array_equal(out_a[label].data, out_b[label].data)
-    assert out_a["metadata"] == out_b["metadata"]
 
 
 def test_malformed_mailbox_content_raises_typed_error(world):
@@ -378,18 +375,17 @@ def test_malformed_mailbox_content_raises_typed_error(world):
     bus = MessageBus(*agents)
     with pytest.raises(ProtocolError, match=r"Name sent \['text_features'\]"):
         run_round(bus, batch)
-    assert [sender_of(rec) for rec in bus.log] == [AgentId.IMAGE] * 3
+    assert [sender_of(rec) for rec in bus.log] == [AgentId.IMAGE] * 2
 
 
 def test_round_sends_only_messages_with_a_reader():
     world = build_world(WorldConfig())
     session = make_session(world)
     batch = make_batch(world, session, k=16)
-    info = run_round(session.bus, batch)
+    _, breakdown = run_round(session.bus, batch)
     assert [(r.label, ROUND_SCHEMA[r.label]) for r in session.bus.log] == [
         ("visual_context", (AgentId.IMAGE, AgentId.TEXT)),
         ("image_features", (AgentId.IMAGE, AgentId.COORDINATOR)),
-        ("metadata", (AgentId.IMAGE, AgentId.COORDINATOR)),
         ("prompts", (AgentId.NAME, AgentId.TEXT)),
         ("text_features", (AgentId.TEXT, AgentId.COORDINATOR)),
     ]
@@ -400,12 +396,8 @@ def test_round_sends_only_messages_with_a_reader():
     )
     for agent, sent in zip(ROUND_ORDER, (image, prompts, text)):
         assert list(sent) == labels_of(agent)
-    inbox = {
-        "image_features": image["image_features"],
-        "metadata": image["metadata"],
-        "text_features": text["text_features"],
-    }
-    assert session.coordinator.step(inbox, batch).breakdown == info.breakdown
+    inbox = {"image_features": image["image_features"], "text_features": text["text_features"]}
+    assert session.coordinator.step(inbox, batch)[1] == breakdown
 
 
 class ReadLog(dict):
@@ -420,10 +412,10 @@ class ReadLog(dict):
         return super().__getitem__(label)
 
 
-@pytest.mark.parametrize("flag", [None, "disable_text_context", "disable_name_agent"])
+@pytest.mark.parametrize("flag", [None, *ABLATION_FLAGS], ids=lambda f: f or "default")
 def test_every_delivered_label_is_read_by_its_receiver(world, flag):
-    # The schema lint: no payload travels to an agent that ignores it.  The
-    # one exception is the metadata, whose only reader is the log.
+    # The schema lint: no payload travels to an agent that ignores it, in
+    # any arm.
     session = make_session(world, **({flag: True} if flag else {}))
     read = {agent_id: set() for agent_id in ROUND_ORDER}
     for agent in session_agents(session):
@@ -436,7 +428,6 @@ def test_every_delivered_label_is_read_by_its_receiver(world, flag):
         agent_id: {label for label, (_, receiver) in ROUND_SCHEMA.items() if receiver is agent_id}
         for agent_id in ROUND_ORDER
     }
-    delivered[AgentId.COORDINATOR].remove("metadata")
     assert read == delivered
 
 
@@ -458,13 +449,14 @@ def test_round_fixed_cost_in_python_calls():
     """A criterion-1 round's Python-level calls, counted by cProfile over the
     whole check (set-up and backward included).  With numpy fixed the count
     does not vary from run to run, so a call that creeps back into every
-    round shows here as timings would not."""
+    round shows here as timings would not.  The count sums the profiler's own
+    entries: ``pstats`` merges code that shares a file, line and name (the
+    dataclass ``__init__``s generated in ``<string>``) and drops calls."""
     selfcheck.full_loss_grad_checks(1)  # first-call work inside numpy
     profile = cProfile.Profile()
     profile.runcall(selfcheck.full_loss_grad_checks, 2)
-    stats = pstats.Stats(profile)
-    rounds = sum(
-        ncalls for (_, _, name), (_, ncalls, *_) in stats.stats.items() if name == "run_round"
-    )
+    entries = profile.getstats()
+    rounds = sum(e.callcount for e in entries if getattr(e.code, "co_name", None) == "run_round")
     assert rounds == 2 * (1 + 2 * 243)
-    assert stats.total_calls / rounds <= 72, stats.total_calls / rounds
+    calls = sum(e.callcount for e in entries)
+    assert calls / rounds <= 72, calls / rounds

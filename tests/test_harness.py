@@ -152,6 +152,18 @@ def test_ablation_flags_are_the_settings_record():
     assert all(type(value) is bool for value in vars(SessionSettings()).values())
 
 
+@pytest.mark.parametrize("key", ["epochs", "world.embed_dim"])
+def test_config_file_key_set_twice_names_both_lines(tmp_path, capsys, key):
+    path = tmp_path / "twice.cfg"
+    path.write_text(f"{key} = 5\nseeds = 0\n\n# again\n{key} = 7\n")
+    message = f"{path}:5: {key}: already set on line 1"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config_file(path)
+    assert main(["few-shot", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_bad_bool(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("disable_name_agent = yes\n")
@@ -310,21 +322,22 @@ def test_ablation_paired_delta():
 # CLI
 
 def write_tiny_config(path: Path, **extra) -> Path:
-    lines = [
-        "shots = 0,2",
-        "seeds = 0",
-        "lrs = 1e-3",
-        "epochs = 30",
-        "n_test_per_class = 10",
-        "world.embed_dim = 16",
-        "world.image_dim = 24",
-        "world.n_seen = 4",
-        "world.n_ood = 3",
-        "world.vocab_size = 64",
-        "world.seed = 7",
-    ]
-    lines += [f"{k} = {v}" for k, v in extra.items()]
-    path.write_text("\n".join(lines) + "\n")
+    """The tiny config, each key set once: ``extra`` overrides or adds keys."""
+    entries = {
+        "shots": "0,2",
+        "seeds": "0",
+        "lrs": "1e-3",
+        "epochs": "30",
+        "n_test_per_class": "10",
+        "world.embed_dim": "16",
+        "world.image_dim": "24",
+        "world.n_seen": "4",
+        "world.n_ood": "3",
+        "world.vocab_size": "64",
+        "world.seed": "7",
+        **extra,
+    }
+    path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
     return path
 
 
@@ -419,6 +432,25 @@ def test_cli_ablate_writes_valid_json_when_an_arm_has_no_ok_cell(monkeypatch, tm
     summary = json.loads((out / "ablated" / "summary.json").read_text(), parse_constant=reject)
     assert summary["per_shot"]["2"]["ood_mean"] is None
     assert "shot   2: ood drop n/a" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, shot", [("few-shot", 2), ("zero-shot", 16)])
+def test_cli_prints_n_a_for_a_shot_with_no_ok_cell(monkeypatch, tmp_path, capsys, command, shot):
+    """A shot whose cells all failed has no mean accuracy: ``n/a`` on the
+    console, as ``summary.json`` writes ``null``."""
+
+    def diverge(self, shots, epochs, lr):
+        raise TrainingDivergedError("loss became nan")
+
+    monkeypatch.setattr("namelearn.harness.TrainingSession.train", diverge)
+    cfg = write_tiny_config(tmp_path / "exp.cfg")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    printed = capsys.readouterr().out
+    assert f"shot {shot:>3}: ood_acc=n/a sc_acc=n/a" in printed
+    assert "nan" not in printed
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["per_shot"][str(shot)]["ood_mean"] is None
 
 
 @pytest.mark.parametrize("command", ["few-shot", "zero-shot", "ablate"])

@@ -6,7 +6,7 @@ import pytest
 from namelearn import autodiff as ad
 from namelearn import text_agent
 from namelearn.autodiff import ShapeError, Tensor, grad_check
-from namelearn.bus import run_round
+from namelearn.bus import AgentId, run_round
 from namelearn.image_agent import ImageAgent
 from namelearn.name_agent import (
     NAME_SLOT,
@@ -284,10 +284,11 @@ def test_text_features_equal_the_tiled_composed_chain(world):
     shots = session.prepare_shots({cid: world.sample_images(cid, 2, seed=3) for cid in ids})
     for epoch in range(2):
         batch = session.build_batch(shots, epoch)
-        info = run_round(session.bus, batch)
-        c = ImageAgent.emit_visual_context(info.image_features)
+        run_round(session.bus, batch)
+        inbox = session.bus._inboxes[AgentId.COORDINATOR]
+        c = ImageAgent.emit_visual_context(inbox["image_features"])
         want = tiled_encode(agent, session.name_agent.pool(batch.prompts), c)
-        assert np.array_equal(info.text_features.data, want.data)
+        assert np.array_equal(inbox["text_features"].data, want.data)
 
 
 def test_a_round_encodes_the_visual_context_the_bus_delivers(world):
@@ -299,9 +300,10 @@ def test_a_round_encodes_the_visual_context_the_bus_delivers(world):
     swapped = Tensor(np.random.default_rng(4).normal(size=world.config.embed_dim))
     sent = batch.run[session.image_agent]
     batch.run[session.image_agent] = {**sent, "visual_context": swapped}
-    info = run_round(session.bus, batch)
+    run_round(session.bus, batch)
     want = tiled_encode(session.text_agent, session.name_agent.pool(batch.prompts), swapped)
-    assert np.array_equal(info.text_features.data, want.data)
+    text = session.bus._inboxes[AgentId.COORDINATOR]["text_features"]
+    assert np.array_equal(text.data, want.data)
     assert not np.array_equal(swapped.data, sent["visual_context"].data)
 
 
