@@ -7,14 +7,26 @@ leaf.  ``grad_check`` compares those gradients against central finite
 differences.  Loss terms are single ops with closed-form backwards
 (``softmax_cross_entropy`` here, the contrastive loss in ``coordinator``), so
 each costs one tape entry.  So are ``affine`` (a matmul plus bias) and
-``blend`` (a fixed-weight sum), the coordinator's whole ``total_loss``, and
-the text agent's ``encode_text`` (its whole chain).  A fused op's tape inputs
-are only the operands that can learn: ``total_loss`` reads the image side,
-and ``encode_text`` the frozen mixer and the visual context, as constants.
+``blend`` (a fixed-weight sum), the coordinator's whole ``total_loss``, the
+text agent's ``encode_text`` (its whole chain) and the image agent's
+``robust_features`` (unit rows plus a detached residual).  A fused op's
+tape inputs are only the operands that can learn: ``total_loss`` reads the
+image side, and ``encode_text`` the frozen mixer and the visual context, as
+constants.
 Each fused backward evaluates the numpy expressions its composed ops would,
 in the same order, so its gradients are bit-identical to theirs; the generic
 ops stay, and tests use them as the oracles.  A batch's fixed class labels
 are checked once, by ``check_labels``, not by every ``softmax_cross_entropy``.
+
+Ops whose rows are independent and whose batches grow with the data (the
+frozen visual encoder, the robust encoding, evaluation's scoring) work
+through ``row_blocks``: about ``BLOCK_ROWS`` rows at a time, each block
+written into one preallocated output, so their temporaries stay one block in
+size.  BLAS runs a short product (a 1-row one always, and one of up to
+about 1,200 entries against a transposed operand) through other kernels,
+whose last bits can differ, so no block but a whole batch is shorter than
+half a block: at 512 rows, the blocks give the whole batch's bits on the
+default and hard worlds.
 
 Sums, maxima, minima and tests on a round's path, here and in
 ``coordinator``, call the ufunc's ``reduce`` directly, as in
@@ -70,6 +82,18 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
+
+
+# Rows per block of a row-blocked op (see ``row_blocks``).
+BLOCK_ROWS = 512
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Consecutive slices covering ``n`` rows, ``BLOCK_ROWS`` each but the
+    last, which takes in a remainder shorter than half a block."""
+    step = BLOCK_ROWS
+    starts = list(range(0, n - (step - 1) // 2, step)) or [0]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 # ---------------------------------------------------------------------------

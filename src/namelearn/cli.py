@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -57,10 +56,10 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 
-def _mean_acc(value: float) -> str:
+def _mean_acc(value: float | None) -> str:
     """A shot's mean accuracy, ``n/a`` where it has no ok cell (``summary.json``
     writes ``null`` there)."""
-    return "n/a" if math.isnan(value) else f"{value:.4f}"
+    return "n/a" if value is None else f"{value:.4f}"
 
 
 def _report(result, out_dir) -> int:

@@ -120,13 +120,21 @@ class RunResult:
     def failed_cells(self) -> list[CellResult]:
         return [c for c in self.cells if c.status != "ok"]
 
-    def mean_ood(self, shot: int) -> float:
-        values = [c.ood_acc for c in self.ok_cells() if c.shot == shot and c.ood_acc is not None]
-        return float(np.mean(values)) if values else float("nan")
+    def shot_stats(self, shot: int, name: str) -> tuple[float | None, float | None]:
+        """Mean and std of the cell field ``name`` (``ood_acc``, ``sc_acc`` or
+        ``harm_acc``) over the shot's ok cells that have one; ``(None, None)``
+        where none has."""
+        values = [getattr(c, name) for c in self.ok_cells() if c.shot == shot]
+        values = [v for v in values if v is not None]
+        if not values:
+            return None, None
+        return float(np.mean(values)), float(np.std(values))
 
-    def mean_sc(self, shot: int) -> float:
-        values = [c.sc_acc for c in self.ok_cells() if c.shot == shot and c.sc_acc is not None]
-        return float(np.mean(values)) if values else float("nan")
+    def mean_ood(self, shot: int) -> float | None:
+        return self.shot_stats(shot, "ood_acc")[0]
+
+    def mean_sc(self, shot: int) -> float | None:
+        return self.shot_stats(shot, "sc_acc")[0]
 
 
 def harmonic_accuracy(sc: float, ood: float) -> float:
@@ -288,9 +296,11 @@ class AblationResult:
     def delta_by_shot(self) -> dict[int, float | None]:
         """Mean paired OOD-accuracy drop (full minus ablated) per shot;
         ``None`` where either arm has no ok cell with an OOD accuracy."""
-        shots = sorted({c.shot for c in self.full.cells})
-        drops = {s: self.full.mean_ood(s) - self.ablated.mean_ood(s) for s in shots}
-        return {s: None if np.isnan(d) else d for s, d in drops.items()}
+        drops = {}
+        for shot in sorted({c.shot for c in self.full.cells}):
+            full, ablated = self.full.mean_ood(shot), self.ablated.mean_ood(shot)
+            drops[shot] = None if full is None or ablated is None else full - ablated
+        return drops
 
 
 def run_ablation(config: ExperimentConfig, jobs: int = 1) -> AblationResult:
@@ -370,14 +380,11 @@ def emit_metrics(result: RunResult, out_dir) -> dict[str, Path]:
     per_shot = {}
     plot_lines = ["shot,ood_mean,ood_std,sc_mean,sc_std,harm_mean,harm_std"]
     for shot in shots:
-        cells = [c for c in result.ok_cells() if c.shot == shot]
         stats = {}
         for name in ("ood_acc", "sc_acc", "harm_acc"):
-            values = [getattr(c, name) for c in cells if getattr(c, name) is not None]
             short = name.split("_")[0]
-            stats[f"{short}_mean"] = float(np.mean(values)) if values else None
-            stats[f"{short}_std"] = float(np.std(values)) if values else None
-        stats["n_ok"] = len(cells)
+            stats[f"{short}_mean"], stats[f"{short}_std"] = result.shot_stats(shot, name)
+        stats["n_ok"] = sum(c.shot == shot for c in result.ok_cells())
         per_shot[str(shot)] = stats
         plot_lines.append(
             ",".join(

@@ -13,7 +13,10 @@ coefficient ``ALPHA`` and the routing threshold ``DIFFICULTY_THRESHOLD`` are
 fixed.  ``encode`` reads ``disable_difficulty`` and
 ``disable_image_agent_robust`` from the session's ``SessionSettings``.
 Nothing on the image side learns, so ``prepare`` computes a training run's
-payloads once and every round's ``step`` sends them.
+payloads once and every round's ``step`` sends them.  The frozen encoder and
+the robust encoding (``robust_features``, one op) work in row blocks
+(``autodiff.row_blocks``), so encoding a large test set holds its features
+and not a chain of temporaries.
 """
 
 from __future__ import annotations
@@ -39,14 +42,48 @@ DIFFICULTY_THRESHOLD = 0.5
 
 def frozen_visual_features(images: Tensor, encoder: Tensor) -> Tensor:
     """The frozen visual encoder, the renderer's exact left inverse: a
-    nonempty ``(N, P)`` image batch times the ``(P, D)`` encoder matrix."""
-    if images.data.ndim != 2 or images.shape[0] < 1:
+    nonempty ``(N, P)`` image batch times the ``(P, D)`` encoder matrix.
+
+    One op with ``matmul``'s backward, computed block by block
+    (``autodiff.row_blocks``) into one output."""
+    x, w = images.data, encoder.data
+    if x.ndim != 2 or x.shape[0] < 1:
         raise ShapeError(f"frozen visual encoder: need a nonempty batch, got {images.shape}")
-    if images.shape[1] != encoder.shape[0]:
-        raise ShapeError(
-            f"frozen visual encoder: raw dim {images.shape[1]} != {encoder.shape[0]}"
-        )
-    return ad.matmul(images, encoder)
+    if w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"frozen visual encoder: raw dim {x.shape[1]} != {w.shape[0]}")
+    out = np.empty((x.shape[0], w.shape[1]))
+    for rows in ad.row_blocks(x.shape[0]):
+        np.matmul(x[rows], w, out=out[rows])
+
+    def backward(g):
+        gx = g @ w.T if images.requires_grad else None
+        return gx, x.T @ g if encoder.requires_grad else None
+
+    return ad._make(out, (images, encoder), backward)
+
+
+def robust_features(feats: Tensor, alpha: float = ALPHA) -> Tensor:
+    """``add(l2_normalize_rows(feats), scale(detach(feats), alpha))`` as one
+    op: unit rows plus a gradient-blocked scaled residual.
+
+    Computed block by block (``autodiff.row_blocks``) into one output as
+    ``feats * alpha``, then plus the unit rows; only the row norms are kept,
+    and the backward recomputes the unit rows from them."""
+    x = feats.data
+    if x.ndim != 2:
+        raise ShapeError(f"robust_features: need a matrix, got shape {feats.shape}")
+    a = float(alpha)
+    out = np.empty_like(x)
+    norms = np.empty((x.shape[0], 1))
+    for rows in ad.row_blocks(x.shape[0]):
+        block = np.multiply(x[rows], a, out=out[rows])
+        y, norms[rows] = ad.unit_rows(x[rows], "robust_features")
+        block += y
+
+    def backward(g):  # the residual's gradient is zero
+        return (ad.unit_rows_backward(g, x / norms, norms),)
+
+    return ad._make(out, (feats,), backward)
 
 
 class DifficultyEstimator:
@@ -100,11 +137,7 @@ class ImageAgent:
 
     def encode_robust(self, images: Tensor, alpha: float = ALPHA) -> Tensor:
         """Unit-normalized features plus a gradient-blocked scaled residual."""
-        return self._robust(self.encode_standard(images), alpha)
-
-    @staticmethod
-    def _robust(feats: Tensor, alpha: float = ALPHA) -> Tensor:
-        return ad.add(ad.l2_normalize_rows(feats), ad.scale(ad.detach(feats), alpha))
+        return robust_features(self.encode_standard(images), alpha)
 
     def encode(self, images: np.ndarray) -> tuple[Tensor, float, str]:
         """Route a raw batch: its features, difficulty score and strategy."""
@@ -117,7 +150,7 @@ class ImageAgent:
             strategy = STANDARD
         else:
             strategy = select_strategy(difficulty, DIFFICULTY_THRESHOLD)
-        features = standard if strategy == STANDARD else self._robust(standard)
+        features = standard if strategy == STANDARD else robust_features(standard)
         return features, difficulty, strategy
 
     @staticmethod

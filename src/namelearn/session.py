@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Labels, Tape, Tensor, backward, check_labels, unit_rows
+from .autodiff import Labels, Tape, Tensor, backward, check_labels, row_blocks, unit_rows
 from .bus import AgentId, EmptyBatchError, MessageBus, PreparedRun, run_round
 from .coordinator import Adam, CoordinatorParams, LossBreakdown, check_matches
 from .coordinator import similarity_matrix, total_loss
@@ -247,17 +247,20 @@ class TrainingSession:
         self, images: np.ndarray, labels: np.ndarray, class_ids: list[int]
     ) -> dict[str, float]:
         """Cosine-retrieval accuracy over a label space, reported per split;
-        ``ValueError`` unless the label space is nonempty and holds every label."""
+        ``ValueError`` unless the label space is nonempty and holds every label.
+        Images are scored block by block (``autodiff.row_blocks``), so no
+        ``(N, classes)`` score matrix is built."""
         if len(class_ids) == 0:
             raise ValueError("empty label space: no class to score against")
         outside = sorted(set(np.asarray(labels).tolist()) - set(class_ids))
         if outside:
             raise ValueError(f"labels {outside} are outside the label space {class_ids}")
         feats = self.image_agent.encode(images)[0]
-        text = self.class_text_features(class_ids, ImageAgent.emit_visual_context(feats))
-        scores = similarity_matrix(feats, Tensor(text)).data
-        pred = np.asarray(class_ids)[np.argmax(scores, axis=1)]
-        correct = pred == labels
+        text = Tensor(self.class_text_features(class_ids, ImageAgent.emit_visual_context(feats)))
+        best = np.empty(len(feats.data), dtype=np.intp)
+        for rows in row_blocks(len(best)):
+            best[rows] = np.argmax(similarity_matrix(Tensor(feats.data[rows]), text).data, axis=1)
+        correct = np.asarray(class_ids)[best] == labels
         is_seen = np.isin(labels, self.world.seen_ids)
         out = {"overall": float(np.mean(correct))}
         if np.any(is_seen):

@@ -168,16 +168,20 @@ class World:
         rng = np.random.default_rng(
             np.random.SeedSequence([self.config.seed, concept_id, seed])
         )
-        noise = rng.normal(size=(k, self.config.image_dim))
-        return concept.latent @ self.gen_map.T + self.config.noise_sigma * noise
+        # The scaled noise plus the latent's rendering, in one array.
+        images = rng.normal(size=(k, self.config.image_dim))
+        images *= self.config.noise_sigma
+        images += concept.latent @ self.gen_map.T
+        return images
 
     def sample_split(
         self, concept_ids: list[int], per_class: int, seed: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked images plus concept-id labels for an evaluation set."""
-        images = np.concatenate(
-            [self.sample_images(cid, per_class, seed) for cid in concept_ids]
-        )
+        """Stacked images plus concept-id labels for an evaluation set, each
+        class's block written into one preallocated array."""
+        images = np.empty((len(concept_ids) * per_class, self.config.image_dim))
+        for i, cid in enumerate(concept_ids):
+            images[i * per_class : (i + 1) * per_class] = self.sample_images(cid, per_class, seed)
         labels = np.repeat(concept_ids, per_class)
         return images, labels
 

@@ -3,7 +3,8 @@
 A fused op's backward evaluates the composed ops' numpy expressions in their
 order, so its value and every input gradient must be the same bits, not just
 close: ``np.array_equal`` throughout.  Shapes are random, plus the default
-and hard worlds' 16-shot round shapes.
+and hard worlds' 16-shot round shapes, and for the row-blocked image ops a
+batch of several blocks and a partial one.
 """
 
 from dataclasses import astuple
@@ -26,6 +27,7 @@ from namelearn.coordinator import (
     total_loss,
     weighted_total,
 )
+from namelearn.image_agent import ALPHA, frozen_visual_features, robust_features
 from namelearn.settings import SessionSettings
 from namelearn.text_agent import LAMBDA_MIX
 
@@ -139,6 +141,52 @@ def test_similarity_matrix_is_bit_identical_to_the_composed_ops(n, u, d, img_gra
         similarity_matrix, composed_similarity, arrays, (img_grad, True),
         rng.normal(size=(n, u)),
     )
+
+
+# (rows, raw dim, embed dim) of image batches: random, the 16-shot shots, and
+# a batch of two whole blocks and a partial one.
+IMAGE_SHAPES = [
+    (1, 1, 1), (4, 5, 3), (7, 3, 2),
+    (DEFAULT16[0], 64, DEFAULT16[2]), (HARD16[0], 32, HARD16[2]),
+    (2 * ad.BLOCK_ROWS + 37, 64, 32),
+]
+
+
+@pytest.mark.parametrize("n, p, d", IMAGE_SHAPES)
+@pytest.mark.parametrize(
+    "mask", [(True, False), (False, True), (True, True)], ids=["images", "encoder", "both"]
+)
+def test_frozen_encoder_is_bit_identical_to_matmul(n, p, d, mask):
+    rng = np.random.default_rng(n * 10 + p)
+    arrays = [rng.normal(size=(n, p)), rng.normal(size=(p, d))]
+    assert_same_bits(frozen_visual_features, ad.matmul, arrays, mask, rng.normal(size=(n, d)))
+
+
+def composed_robust(x, alpha):
+    return ad.add(ad.l2_normalize_rows(x), ad.scale(ad.detach(x), alpha))
+
+
+@pytest.mark.parametrize("n, _, d", IMAGE_SHAPES)
+@pytest.mark.parametrize("alpha", [ALPHA, 1.0])
+@pytest.mark.parametrize("x_grad", [False, True], ids=["frozen_x", "x_grad"])
+def test_robust_features_is_bit_identical_to_the_composed_chain(n, _, d, alpha, x_grad):
+    rng = np.random.default_rng(n * 10 + d)
+    x = rng.normal(size=(n, d))
+    if not x_grad:  # nothing to record: the value alone
+        with Tape() as tape:
+            value = robust_features(Tensor(x), alpha).data
+        assert len(tape) == 0
+        assert np.array_equal(value, composed_robust(Tensor(x), alpha).data)
+        return
+    assert_same_bits(
+        lambda t: robust_features(t, alpha), lambda t: composed_robust(t, alpha), [x], (True,),
+        rng.normal(size=(n, d)),
+    )
+
+
+def test_robust_features_rejects_a_vector():
+    with pytest.raises(ad.ShapeError, match="robust_features"):
+        robust_features(Tensor(np.ones(3)))
 
 
 def composed_total(l_con, l_cls, w_con_param, w_cls_param):

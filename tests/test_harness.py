@@ -308,6 +308,44 @@ def test_ablation_no_flag_is_self_comparison():
     assert result.delta_by_shot() == {0: 0.0}
 
 
+def test_a_shot_with_no_ok_cell_has_no_mean_in_any_reader(tmp_path, capsys):
+    """Every reader takes a shot's mean from ``RunResult.shot_stats``: a shot
+    whose cells all failed has none, so ``summary.json`` writes ``null``, the
+    console ``n/a`` and the ablation delta ``None``."""
+    from namelearn.cli import _report
+    from namelearn.harness import AblationResult, CellResult, RunResult
+
+    ok = [
+        CellResult(1, seed, 1e-3, "joint", sc_acc=0.5, ood_acc=0.25 * seed, harm_acc=0.1 * seed)
+        for seed in (1, 2)
+    ]
+    failed = [
+        CellResult(4, seed, 1e-3, "joint", status="failed", error="TrainingDivergedError: x")
+        for seed in (1, 2)
+    ]
+    result = RunResult("few_shot", "0" * 16, ok + failed)
+    assert result.shot_stats(4, "ood_acc") == (None, None)
+    assert result.mean_ood(4) is None and result.mean_sc(4) is None
+    assert result.shot_stats(1, "ood_acc") == (0.375, 0.125)
+
+    assert _report(result, tmp_path) == 2
+    printed = capsys.readouterr().out
+    assert "  shot   1: ood_acc=0.3750 sc_acc=0.5000\n" in printed
+    assert "  shot   4: ood_acc=n/a sc_acc=n/a\n" in printed
+    per_shot = json.loads((tmp_path / "summary.json").read_text())["per_shot"]
+    assert per_shot["4"] == {
+        "ood_mean": None, "ood_std": None, "sc_mean": None, "sc_std": None,
+        "harm_mean": None, "harm_std": None, "n_ok": 0,
+    }
+    assert (per_shot["1"]["ood_mean"], per_shot["1"]["n_ok"]) == (0.375, 2)
+    assert (tmp_path / "plotdata.csv").read_text().splitlines()[2] == "4,,,,,,"
+
+    recovered = [replace(c, status="ok", error="", sc_acc=0.5, ood_acc=0.5) for c in failed]
+    full = RunResult("few_shot", "0" * 16, ok + recovered)
+    assert AblationResult("disable_difficulty", full, result).delta_by_shot() == {1: 0.0, 4: None}
+    assert AblationResult("disable_difficulty", result, full).delta_by_shot() == {1: 0.0, 4: None}
+
+
 def test_ablation_paired_delta():
     cfg = replace(
         TINY, shots=(2,), seeds=(0,), epochs=60, disable_name_agent=True

@@ -151,16 +151,16 @@ def test_route_is_invisible_to_cosine_scores(agent, alpha):
 def test_robust_encode_runs_the_frozen_encoder_once(agent, monkeypatch):
     monkeypatch.setattr(image_agent, "DIFFICULTY_THRESHOLD", 0.05)  # always robust
     calls = []
-    matmul = ad.matmul
+    encoder = image_agent.frozen_visual_features
 
-    def counting(a, b):
-        calls.append(b is agent.frozen_visual)
-        return matmul(a, b)
+    def counting(images, weights):
+        calls.append(weights is agent.frozen_visual)
+        return encoder(images, weights)
 
-    monkeypatch.setattr(ad, "matmul", counting)
+    monkeypatch.setattr(image_agent, "frozen_visual_features", counting)
     _, _, strategy = agent.encode(np.random.default_rng(7).normal(size=(5, 12)))
     assert strategy == "robust"
-    assert sum(calls) == 1
+    assert calls == [True]
 
 
 def test_select_strategy_rule_and_tiebreak():

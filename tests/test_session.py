@@ -187,18 +187,18 @@ def test_hard_world_step_stays_batched():
 
 
 def test_image_side_is_encoded_once_per_prepared_batch(world, monkeypatch):
-    from namelearn import autodiff as ad
+    from namelearn import image_agent
     from namelearn.bus import run_round
 
     session = TrainingSession(world, SessionSettings(), seed=0)
     calls = []
-    matmul = ad.matmul
+    encoder = image_agent.frozen_visual_features
 
-    def counting(a, b):
-        calls.append(b is session.image_agent.frozen_visual)
-        return matmul(a, b)
+    def counting(images, weights):
+        calls.append(weights is session.image_agent.frozen_visual)
+        return encoder(images, weights)
 
-    monkeypatch.setattr(ad, "matmul", counting)
+    monkeypatch.setattr(image_agent, "frozen_visual_features", counting)
     shots = shots_for(world)
     prepared = session.prepare_shots(shots)
     batch = session.build_batch(prepared, epoch=0)
