@@ -19,11 +19,11 @@ through ``autodiff.softmax_cross_entropy``.  ``similarity_matrix`` and
 floats) are one op each too.  ``total_loss`` runs all of them, on their
 kernels, as one tape entry, the only one a round records here; the ops stay
 as its oracles.  Its tape inputs are the text features and the learnables
-the arm trains: the image side is a constant.  Adam updates every parameter
-in one pass over flat moment vectors, and leaves one with no gradient as it
-is.  Only ``total_loss`` reads ``disable_coordinator_dynamics`` and
-``disable_dynamic_balancing``: under them the temperature and the loss
-weights are not its inputs, so they get no gradient and do not train.
+the arm trains: the image side is a constant.  Only ``CoordinatorParams``
+reads ``disable_coordinator_dynamics`` and ``disable_dynamic_balancing``:
+under them it builds no temperature or no loss-weight parameters, and
+``total_loss`` fixes what is not built.  Adam updates every parameter it
+holds in one pass over flat moment vectors, and each must have a gradient.
 """
 
 from __future__ import annotations
@@ -60,21 +60,34 @@ class NanGradientError(RuntimeError):
     """A gradient turned non-finite; names the offending tensor."""
 
 
-class CoordinatorParams:
-    """Learnable scalars plus the auxiliary classification head."""
+class MissingGradientError(RuntimeError):
+    """A parameter the optimizer holds got no gradient; names the tensor."""
 
-    def __init__(self, embed_dim: int, n_classes: int):
-        self.tau_param = Tensor(np.asarray(1.0), requires_grad=True, name="tau_param")
-        self.w_con_param = Tensor(np.asarray(1.0), requires_grad=True, name="w_con_param")
-        self.w_cls_param = Tensor(np.asarray(0.5), requires_grad=True, name="w_cls_param")
+
+def _scalar(value: float, name: str) -> Tensor:
+    return Tensor(np.asarray(value), requires_grad=True, name=name)
+
+
+class CoordinatorParams:
+    """The auxiliary classification head plus the learnable scalars the arm
+    trains: the temperature unless ``disable_coordinator_dynamics``, the two
+    loss-weight parameters unless that or ``disable_dynamic_balancing``.  A
+    scalar the arm fixes is ``None``."""
+
+    def __init__(self, embed_dim: int, n_classes: int, settings: SessionSettings):
+        dynamic = not settings.disable_coordinator_dynamics
+        balanced = dynamic and not settings.disable_dynamic_balancing
+        self.tau_param = _scalar(1.0, "tau_param") if dynamic else None
+        self.w_con_param = _scalar(1.0, "w_con_param") if balanced else None
+        self.w_cls_param = _scalar(0.5, "w_cls_param") if balanced else None
         self.w_cls_head = Tensor(
             np.zeros((embed_dim, n_classes)), requires_grad=True, name="w_cls_head"
         )
 
     def parameters(self) -> list[Tensor]:
-        """All four; ``total_loss`` leaves the temperature and the loss
-        weights off the tape where the settings fix them."""
-        return [self.tau_param, self.w_con_param, self.w_cls_param, self.w_cls_head]
+        """The built scalars, then the head."""
+        params = (self.tau_param, self.w_con_param, self.w_cls_param, self.w_cls_head)
+        return [p for p in params if p is not None]
 
 
 def effective_temperature(tau_param: Tensor) -> Tensor:
@@ -294,7 +307,6 @@ def total_loss(
     matches: Matches,
     labels: ad.Labels,
     params: CoordinatorParams,
-    settings: SessionSettings,
 ) -> tuple[Tensor, LossBreakdown]:
     """Weighted sum of the contrastive and classification losses, one tape entry.
 
@@ -309,11 +321,11 @@ def total_loss(
     The op is the chain ``effective_temperature``, ``similarity_matrix``,
     the two loss terms and ``weighted_total``, the clip taken on python
     floats.  Its backward evaluates the chain's expressions in their order,
-    so its gradients are the chain's bits.
+    so its gradients are the chain's bits.  A temperature ``params`` does not
+    build is 1.0, and loss weights it does not build are ``FIXED_WEIGHTS``.
     """
-    dynamic = not settings.disable_coordinator_dynamics
-    balanced = dynamic and not settings.disable_dynamic_balancing
     tau_param, head = params.tau_param, params.w_cls_head
+    dynamic = tau_param is not None
     raw_tau = float(tau_param.data) if dynamic else 1.0
     tau = min(max(raw_tau, TAU_BAND[0]), TAU_BAND[1])
     s, similarity_backward = _similarity(img_features, txt_features, img_rows)
@@ -322,9 +334,9 @@ def total_loss(
     if w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {x.shape} @ {w.shape}")
     l_cls, cross_entropy_backward = ad.cross_entropy(x @ w, labels)
-    weight_params = (params.w_con_param, params.w_cls_param) if balanced else None
+    w_con, w_cls = params.w_con_param, params.w_cls_param
+    weight_params = None if w_con is None else (w_con, w_cls)
     total, floats, weights_backward = _weigh(float(l_con), float(l_cls), weight_params)
-    # The temperature and the weights are inputs only where they train.
     inputs = (txt_features, head, tau_param)[: 2 + dynamic] + (weight_params or ())
 
     def backward(g):
@@ -346,10 +358,9 @@ class Adam:
     order, and a step is one vector update over the gradients concatenated
     (Kingma & Ba, 2015, is elementwise, so this gives the same bits as one
     update per tensor); each parameter is then updated in place from its
-    segment.  Parameters with no gradient keep their values and moments; the
-    moment index of the parameters that have one is built when that set
-    changes, which within a run it does not.  A non-finite gradient aborts
-    with a diagnostic naming the tensor.
+    segment.  Every parameter must have a gradient: a missing one raises
+    ``MissingGradientError`` and a non-finite one ``NanGradientError``,
+    each naming the tensor, before anything is updated.
     """
 
     def __init__(self, params: list[Tensor], lr: float):
@@ -358,42 +369,26 @@ class Adam:
         self.params = list(params)
         self.lr = lr
         self.t = 0
-        # Parameter i's moments are entries offsets[i]:offsets[i + 1].
-        self._offsets = np.cumsum([0] + [p.data.size for p in self.params])
-        self._m = np.zeros(int(self._offsets[-1]))
+        self._m = np.zeros(sum(p.data.size for p in self.params))
         self._v = np.zeros_like(self._m)
-        # The moment index of the last live set: a run's set stays fixed.
-        self._live: list[int] | None = None
-        self._idx: slice | np.ndarray = slice(None)
 
     def step(self) -> None:
+        for p in self.params:
+            if p.grad is None:
+                raise MissingGradientError(f"no gradient on {p.name or 'unnamed tensor'}")
+        g = np.concatenate([p.grad for p in self.params], axis=None)
+        if not np.isfinite(g).all():
+            bad = next(p for p in self.params if not np.isfinite(p.grad).all())
+            raise NanGradientError(f"non-finite gradient on {bad.name or 'unnamed tensor'}")
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
-        live = [i for i, p in enumerate(self.params) if p.grad is not None]
-        if not live:
-            return
-        g = np.concatenate([self.params[i].grad for i in live], axis=None)
-        if not np.isfinite(g).all():
-            bad = next(i for i in live if not np.isfinite(self.params[i].grad).all())
-            raise NanGradientError(
-                f"non-finite gradient on {self.params[bad].name or 'unnamed tensor'}"
-            )
-        if live != self._live:
-            self._live = live
-            if len(live) == len(self.params):
-                self._idx = slice(None)
-            else:
-                off = self._offsets
-                self._idx = np.concatenate([np.arange(off[i], off[i + 1]) for i in live])
-        idx = self._idx
-        m = self._m[idx] = b1 * self._m[idx] + (1 - b1) * g
-        v = self._v[idx] = b2 * self._v[idx] + (1 - b2) * g * g
+        self._m = m = b1 * self._m + (1 - b1) * g
+        self._v = v = b2 * self._v + (1 - b2) * g * g
         m_hat = m / (1 - b1**self.t)
         v_hat = v / (1 - b2**self.t)
         update = self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         start = 0
-        for i in live:
-            p = self.params[i]
+        for p in self.params:
             p.data -= update[start : start + p.data.size].reshape(p.data.shape)
             start += p.data.size
 

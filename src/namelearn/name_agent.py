@@ -228,6 +228,10 @@ class NameAgent:
         self.vocab = vocab
         self.frozen_names = frozen_names
 
+    def parameters(self) -> list[Tensor]:
+        """The name table, unless names are frozen and no prompt selects a row."""
+        return [] if self.frozen_names else [self.table.weight]
+
     def render(self, concept_id: int, template_id: str) -> RenderedPrompt:
         template = self.templates[template_id]
         concept = self.concepts[concept_id]

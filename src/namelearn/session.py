@@ -1,12 +1,12 @@
 """One training session: four agents, a bus, an optimizer, and a world.
 
-The session owns everything learnable (name embeddings, context fusion,
-coordinator scalars and head) and hands all of it to the optimizer; the round
-alone decides what trains, since a learnable an ablation arm leaves unused
-gets no gradient.  The name table has one row per held-out concept, in
-ascending id, and that row is also the concept's class index; each row starts
-at the mean of the frozen vocabulary rows, the reserved blind row excluded
-(under ``disable_name_agent`` no prompt selects a row).  Nothing on the
+The session owns the learnables its arm trains (name embeddings, context
+fusion, coordinator scalars and head) and hands them to the optimizer: every
+tensor Adam holds gets a gradient each round.  The name
+table has one row per held-out concept, in ascending id, and that row is
+also the concept's class index; each row starts at the mean of the frozen
+vocabulary rows, the reserved blind row excluded (under ``disable_name_agent``
+no prompt selects a row: the table only indexes the classes).  Nothing on the
 image side learns, so ``prepare_shots`` prepares a run's image side once
 (pair order, image payloads, unit image rows, checked labels) and ``train``
 keeps it as ``shots`` until the next run.  ``build_batch`` adds an epoch's
@@ -26,7 +26,7 @@ as ``bus.ROUND_SCHEMA`` routes them; it computes the loss, one tape entry,
 over images against distinct prompts and returns ``total_loss``'s
 ``(total, breakdown)`` pair.
 The image agent's difficulty scorer is fixed: the loss has no path back to
-it.  The image and text agents and the coordinator read the session's
+it.  The image and text agents and ``CoordinatorParams`` read the session's
 ``SessionSettings`` record as it is; the session itself reads only
 ``disable_name_agent`` (when built) and ``disable_context_exchange`` (for the
 prompt pools).
@@ -49,7 +49,7 @@ from .image_agent import ImageAgent
 from .name_agent import NameAgent, NameEmbeddingTable, context_exchange_augment
 from .settings import SessionSettings
 from .text_agent import TextAgent
-from .world import World
+from .world import World, check_split_labels
 
 # Foreign-family templates each held-out concept borrows (context exchange).
 EXCHANGE_K = 2
@@ -97,15 +97,12 @@ class Batch:
 class CoordinatorAgent:
     agent_id = AgentId.COORDINATOR
 
-    def __init__(self, params: CoordinatorParams, settings: SessionSettings):
+    def __init__(self, params: CoordinatorParams):
         self.params = params
-        self.settings = settings
 
     def step(self, inbox: dict[str, Tensor], batch: Batch) -> tuple[Tensor, LossBreakdown]:
         image_features, text_features = inbox["image_features"], inbox["text_features"]
-        return total_loss(
-            image_features, text_features, *batch.run[self], self.params, self.settings
-        )
+        return total_loss(image_features, text_features, *batch.run[self], self.params)
 
 
 class TrainingSession:
@@ -139,9 +136,9 @@ class TrainingSession:
             frozen_names=settings.disable_name_agent,
         )
         self.coordinator_params = CoordinatorParams(
-            world.config.embed_dim, len(world.ood_ids)
+            world.config.embed_dim, len(world.ood_ids), settings
         )
-        self.coordinator = CoordinatorAgent(self.coordinator_params, settings)
+        self.coordinator = CoordinatorAgent(self.coordinator_params)
 
         self.bus = MessageBus(self.image_agent, self.name_agent, self.text_agent, self.coordinator)
 
@@ -163,10 +160,10 @@ class TrainingSession:
         }
 
     def trainable_parameters(self) -> list[Tensor]:
-        """Every learnable, table, fusion, then the coordinator's; one an
-        ablation arm leaves unused gets no gradient, so Adam leaves it."""
+        """Every learnable the arm trains: the name agent's, the text
+        agent's, then the coordinator's."""
         return [
-            self.table.weight,
+            *self.name_agent.parameters(),
             *self.text_agent.parameters(),
             *self.coordinator_params.parameters(),
         ]
@@ -246,15 +243,10 @@ class TrainingSession:
     def evaluate(
         self, images: np.ndarray, labels: np.ndarray, class_ids: list[int]
     ) -> dict[str, float]:
-        """Cosine-retrieval accuracy over a label space, reported per split;
-        ``ValueError`` unless the label space is nonempty and holds every label.
+        """Cosine-retrieval accuracy over a label space, reported per split.
         Images are scored block by block (``autodiff.row_blocks``), so no
         ``(N, classes)`` score matrix is built."""
-        if len(class_ids) == 0:
-            raise ValueError("empty label space: no class to score against")
-        outside = sorted(set(np.asarray(labels).tolist()) - set(class_ids))
-        if outside:
-            raise ValueError(f"labels {outside} are outside the label space {class_ids}")
+        check_split_labels(len(images), labels, class_ids)
         feats = self.image_agent.encode(images)[0]
         text = Tensor(self.class_text_features(class_ids, ImageAgent.emit_visual_context(feats)))
         best = np.empty(len(feats.data), dtype=np.intp)

@@ -2,9 +2,10 @@
 
 ``SessionSettings`` is exactly the paper's eight ablation arms, one bool each;
 ``harness.ABLATION_FLAGS`` is read off its fields.  The agents, the session
-and the coordinator's loss read it directly, each flag in one function.  The
-fixed hyperparameters are module constants of the agents that use them
-(``image_agent.ALPHA`` and ``DIFFICULTY_THRESHOLD``, ``text_agent.LAMBDA_MIX``).
+and the coordinator's parameters read it directly, each flag in one function,
+and an arm builds only the learnables it trains.  The fixed hyperparameters
+are module constants of the agents that use them (``image_agent.ALPHA`` and
+``DIFFICULTY_THRESHOLD``, ``text_agent.LAMBDA_MIX``).
 ``harness.ExperimentConfig`` extends it with the grid.
 """
 

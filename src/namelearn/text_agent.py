@@ -12,8 +12,9 @@ gradient crosses into the image agent or the frozen encoder, and the op's
 inputs are the prompts and the fusion layers alone.  Each round ``step``
 reads the ``prompts`` and the ``visual_context`` its inbox holds and returns
 one payload, ``text_features``, for the coordinator.  It reads
-``disable_text_context`` and ``simple_concat_fusion`` (when built) from the
-session's ``SessionSettings``.
+``disable_text_context`` and ``simple_concat_fusion`` from the session's
+``SessionSettings`` when built, and builds ``fusion_layers`` only where the
+arm fuses: under ``disable_text_context`` it has no learnables.
 """
 
 from __future__ import annotations
@@ -106,35 +107,23 @@ def _uniform(rng: np.random.Generator, half_width: float, shape, name: str) -> T
     return Tensor(rng.uniform(-half_width, half_width, shape), requires_grad=True, name=name)
 
 
-class ContextIntegrationModule:
-    """Two-layer net fusing text features with a same-width context, row-wise.
-
-    Input rows are the 2D-wide concatenation, output rows are D-wide.  Starts
-    near zero (zero output bias, small weights) so early training is
-    dominated by the plain text feature.
-    """
-
-    def __init__(self, embed_dim: int, hidden_dim: int, rng: np.random.Generator):
-        a = 0.5 / np.sqrt(2 * embed_dim)
-        self.w3 = _uniform(rng, a, (2 * embed_dim, hidden_dim), "fusion.w3")
-        self.b3 = Tensor(np.zeros(hidden_dim), requires_grad=True, name="fusion.b3")
-        self.w4 = _uniform(rng, a, (hidden_dim, embed_dim), "fusion.w4")
-        self.b4 = Tensor(np.zeros(embed_dim), requires_grad=True, name="fusion.b4")
-
-    def parameters(self) -> list[Tensor]:
-        return [self.w3, self.b3, self.w4, self.b4]
+def _zeros(width: int, name: str) -> Tensor:
+    return Tensor(np.zeros(width), requires_grad=True, name=name)
 
 
-class LinearFusion:
-    """Single linear map over the concatenation; the simple-fusion arm."""
-
-    def __init__(self, embed_dim: int, rng: np.random.Generator):
-        a = 0.5 / np.sqrt(2 * embed_dim)
-        self.w = _uniform(rng, a, (2 * embed_dim, embed_dim), "fusion.linear_w")
-        self.b = Tensor(np.zeros(embed_dim), requires_grad=True, name="fusion.linear_b")
-
-    def parameters(self) -> list[Tensor]:
-        return [self.w, self.b]
+def fusion_layers(d: int, simple: bool, rng: np.random.Generator) -> tuple[Tensor, ...]:
+    """The fusion's ``_relu_mlp`` layers from the ``2 * d``-wide
+    concatenation of text feature and context, for embedding width ``d``,
+    out to ``d``: two layers with a hidden layer ``d`` wide, or with
+    ``simple`` one linear map (the ``simple_concat_fusion`` arm).  They start
+    near zero (zero biases, small weights), so early training is dominated
+    by the plain text feature."""
+    a = 0.5 / np.sqrt(2 * d)
+    if simple:
+        return _uniform(rng, a, (2 * d, d), "fusion.linear_w"), _zeros(d, "fusion.linear_b")
+    w3 = _uniform(rng, a, (2 * d, d), "fusion.w3")
+    b3 = _zeros(d, "fusion.b3")
+    return w3, b3, _uniform(rng, a, (d, d), "fusion.w4"), _zeros(d, "fusion.b4")
 
 
 class TextAgent:
@@ -149,12 +138,11 @@ class TextAgent:
         names = ("frozen_text_in", "frozen_text_in_bias", "frozen_text_out", "frozen_text_out_bias")
         self.mixer = tuple(Tensor(a, name=n) for a, n in zip(mixer, names))
         d = mixer[0].shape[0]
-        simple = settings.simple_concat_fusion
-        self.fusion = LinearFusion(d, rng) if simple else ContextIntegrationModule(d, d, rng)
-        self.layers = () if settings.disable_text_context else tuple(self.parameters())
+        fuses = not settings.disable_text_context
+        self.layers = fusion_layers(d, settings.simple_concat_fusion, rng) if fuses else ()
 
     def parameters(self) -> list[Tensor]:
-        return list(self.fusion.parameters())
+        return list(self.layers)
 
     # -- encoding -------------------------------------------------------------
 

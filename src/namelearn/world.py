@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import name_agent
-from .autodiff import Tensor
+from .autodiff import Tensor, row_blocks
 from .image_agent import frozen_visual_features
 from .name_agent import NAME_SLOT, PromptTemplate
 from .text_agent import encode_text
@@ -85,6 +85,20 @@ class ConceptSpec:
     split: str  # "seen" | "ood"
     name_token: int
     family: str
+
+
+def check_split_labels(n_images: int, labels: np.ndarray, class_ids) -> None:
+    """The input check of both scorers, ``TrainingSession.evaluate`` and
+    ``World.bayes_oracle_accuracy``: ``ValueError`` unless the label space is
+    nonempty and holds every label, and there is one label per image."""
+    if len(class_ids) == 0:
+        raise ValueError("empty label space: no class to score against")
+    labels = np.asarray(labels)
+    if labels.shape != (n_images,):
+        raise ValueError(f"{n_images} images need {n_images} labels, got shape {labels.shape}")
+    outside = sorted(set(labels.tolist()) - set(np.asarray(class_ids).tolist()))
+    if outside:
+        raise ValueError(f"labels {outside} are outside the label space {list(class_ids)}")
 
 
 def _sample_separated_latents(
@@ -188,15 +202,20 @@ class World:
     # -- adaptation ceiling ----------------------------------------------------
 
     def bayes_oracle_accuracy(
-        self, images: np.ndarray, labels: np.ndarray, class_ids: list[int] | None = None
+        self, images: np.ndarray, labels: np.ndarray, class_ids: list[int]
     ) -> float:
-        """Nearest-latent accuracy on visual features: the adaptation ceiling."""
-        ids = class_ids if class_ids is not None else sorted({int(y) for y in labels})
-        feats = frozen_visual_features(Tensor(np.atleast_2d(images)), Tensor(self.gen_map)).data
-        feats = feats / np.linalg.norm(feats, axis=1, keepdims=True)
-        protos = np.stack([self.concept(cid).latent for cid in ids])
-        pred = np.asarray(ids)[np.argmax(feats @ protos.T, axis=1)]
-        return float(np.mean(pred == labels))
+        """Nearest-latent accuracy on visual features over a label space: the
+        adaptation ceiling.  Images are scored block by block
+        (``autodiff.row_blocks``), so no ``(N, classes)`` matrix is built."""
+        images = np.atleast_2d(images)
+        check_split_labels(len(images), labels, class_ids)
+        feats = frozen_visual_features(Tensor(images), Tensor(self.gen_map)).data
+        protos = np.stack([self.concept(cid).latent for cid in class_ids])
+        best = np.empty(len(feats), dtype=np.intp)
+        for rows in row_blocks(len(best)):
+            unit = feats[rows] / np.linalg.norm(feats[rows], axis=1, keepdims=True)
+            best[rows] = np.argmax(unit @ protos.T, axis=1)
+        return float(np.mean(np.asarray(class_ids)[best] == labels))
 
 
 def build_world(config: WorldConfig = WorldConfig()) -> World:

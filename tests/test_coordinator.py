@@ -11,6 +11,7 @@ from namelearn.coordinator import (
     CoordinatorParams,
     DegenerateWeightsError,
     LossBreakdown,
+    MissingGradientError,
     NanGradientError,
     check_matches,
     classification_loss,
@@ -469,67 +470,65 @@ def _checked(img, labels, n_classes):
     )
 
 
-def _synthetic_round(rng, n=4, d=6, n_classes=3):
+def _synthetic_round(rng, n=4, d=6, n_classes=3, settings=SessionSettings()):
     img = Tensor(rng.normal(size=(n, d)))
     txt = Tensor(rng.normal(size=(n, d)), requires_grad=True, name="txt")
     constants = _checked(img, rng.integers(0, n_classes, size=n), n_classes)
-    params = CoordinatorParams(d, n_classes)
+    params = CoordinatorParams(d, n_classes, settings)
     return img, txt, constants, params
 
 
 def test_total_loss_weighted_sum():
     rng = np.random.default_rng(0)
     img, txt, constants, params = _synthetic_round(rng)
-    total, bd = total_loss(img, txt, *constants, params, SessionSettings())
+    total, bd = total_loss(img, txt, *constants, params)
     assert bd.total == pytest.approx(bd.w_con * bd.l_con + bd.w_cls * bd.l_cls, abs=1e-15)
     assert total.item() == bd.total
 
 
-def _train_round(img, txt, constants, params, settings, steps=5):
-    """Adam steps on the total loss over txt and every coordinator learnable;
-    returns the names of those the last step's backward gave no gradient."""
+def _train_round(img, txt, constants, params, steps=5):
+    """Adam steps on the total loss over txt and every coordinator learnable
+    the arm builds; Adam raises if one of them gets no gradient.  Returns
+    whether each learnable moved."""
+    before = [p.data.tobytes() for p in params.parameters()]
     opt = Adam([txt] + params.parameters(), lr=1e-2)
     for _ in range(steps):
         with Tape() as tape:
-            total, _ = total_loss(img, txt, *constants, params, settings)
+            total, _ = total_loss(img, txt, *constants, params)
         backward(tape, total)
-        ungraded = [p.name for p in opt.params if p.grad is None]
         opt.step()
         opt.zero_grad()
-    return ungraded
+    return [p.data.tobytes() != b for p, b in zip(params.parameters(), before)]
+
+
+def test_full_arm_builds_and_trains_every_coordinator_learnable():
+    img, txt, constants, params = _synthetic_round(np.random.default_rng(2))
+    names = [p.name for p in params.parameters()]
+    assert names == ["tau_param", "w_con_param", "w_cls_param", "w_cls_head"]
+    assert _train_round(img, txt, constants, params) == [True] * 4
 
 
 def test_total_loss_fixed_weights_when_balancing_disabled():
     rng = np.random.default_rng(3)
-    img, txt, constants, params = _synthetic_round(rng)
     settings = SessionSettings(disable_dynamic_balancing=True)
-    _, bd = total_loss(img, txt, *constants, params, settings)
+    img, txt, constants, params = _synthetic_round(rng, settings=settings)
+    _, bd = total_loss(img, txt, *constants, params)
     assert (bd.w_con, bd.w_cls) == (0.5, 0.5)
-    # The temperature still trains; the two weights get no gradient.
-    before = [p.data.tobytes() for p in params.parameters()]
-    ungraded = _train_round(img, txt, constants, params, settings)
-    assert ungraded == ["w_con_param", "w_cls_param"]
-    after = [p.data.tobytes() for p in params.parameters()]
-    assert [a == b for a, b in zip(before, after)] == [False, True, True, False]
+    # The arm builds no weight parameters; the temperature still trains.
+    assert (params.w_con_param, params.w_cls_param) == (None, None)
+    assert [p.name for p in params.parameters()] == ["tau_param", "w_cls_head"]
+    assert _train_round(img, txt, constants, params) == [True, True]
 
 
 def test_coordinator_dynamics_off_fixes_tau_and_weights():
     rng = np.random.default_rng(6)
-    img, txt, constants, params = _synthetic_round(rng)
-    full = [params.tau_param, params.w_con_param, params.w_cls_param, params.w_cls_head]
-    assert [id(p) for p in params.parameters()] == [id(p) for p in full]
     settings = SessionSettings(disable_coordinator_dynamics=True)
-    # Only the head trains: the three scalars get no gradient.
-    before = [p.data.tobytes() for p in full]
-    ungraded = _train_round(img, txt, constants, params, settings)
-    assert ungraded == ["tau_param", "w_con_param", "w_cls_param"]
-    assert [p.data.tobytes() == b for p, b in zip(full, before)] == [True, True, True, False]
-    # Values the learnables would give if they were read: tau 1.7, weights
-    # 1.5 / 0.3 over 1.8.
-    params.tau_param.data = np.asarray(1.7)
-    params.w_con_param.data = np.asarray(1.5)
-    params.w_cls_param.data = np.asarray(0.3)
-    _, bd = total_loss(img, txt, *constants, params, settings)
+    img, txt, constants, params = _synthetic_round(rng, settings=settings)
+    # The arm builds none of the three scalars: only the head trains.
+    assert (params.tau_param, params.w_con_param, params.w_cls_param) == (None, None, None)
+    assert [p.name for p in params.parameters()] == ["w_cls_head"]
+    assert _train_round(img, txt, constants, params) == [True]
+    _, bd = total_loss(img, txt, *constants, params)
     assert (bd.w_con, bd.w_cls, bd.tau) == (0.5, 0.5, 1.0)
 
 
@@ -538,7 +537,7 @@ def test_total_loss_grad_check_on_synthetic_batch():
     img, txt, constants, params = _synthetic_round(rng)
 
     def f(txt_p, tau_p, wc_p, wl_p, head_p):
-        total, _ = total_loss(img, txt_p, *constants, params, SessionSettings())
+        total, _ = total_loss(img, txt_p, *constants, params)
         return total
 
     params.w_cls_head.data = rng.normal(scale=0.1, size=params.w_cls_head.shape)
@@ -557,12 +556,12 @@ def test_training_sanity_loss_strictly_decreases():
     img = Tensor(np.eye(n))
     txt = Tensor(rng.normal(scale=0.3, size=(n, n)), requires_grad=True, name="txt")
     constants = _checked(img, np.arange(n), n)
-    params = CoordinatorParams(n, n)
+    params = CoordinatorParams(n, n, SessionSettings())
     opt = Adam([txt] + params.parameters(), lr=1e-3)
     totals = []
     for _ in range(50):
         with Tape() as tape:
-            total, bd = total_loss(img, txt, *constants, params, SessionSettings())
+            total, bd = total_loss(img, txt, *constants, params)
         totals.append(bd.total)
         backward(tape, total)
         opt.step()
@@ -581,11 +580,16 @@ def test_adam_zero_gradients_leave_parameters_unchanged():
     assert np.array_equal(p.data, [1.0, 2.0])
 
 
-def test_adam_missing_gradient_leaves_parameter_unchanged():
-    p = Tensor(np.asarray([1.0]), requires_grad=True)
-    opt = Adam([p], lr=1e-3)
-    opt.step()
-    assert np.array_equal(p.data, [1.0])
+def test_adam_raises_on_a_missing_gradient_naming_the_tensor():
+    p = Tensor(np.asarray([1.0]), requires_grad=True, name="given")
+    q = Tensor(np.asarray([2.0]), requires_grad=True, name="culprit")
+    opt = Adam([p, q], lr=1e-3)
+    p.grad = np.asarray([1.0])
+    with pytest.raises(MissingGradientError, match="on culprit$"):
+        opt.step()
+    # The check runs before any update: nothing moved.
+    assert np.array_equal(p.data, [1.0]) and np.array_equal(q.data, [2.0])
+    assert opt.t == 0 and not opt._m.any() and not opt._v.any()
 
 
 def test_adam_first_step_magnitude():
@@ -634,8 +638,6 @@ class ReferenceAdam:
         b1, b2 = self.b1, self.b2
         for i, p in enumerate(self.params):
             g = p.grad
-            if g is None:
-                continue
             self.m[i] = b1 * self.m[i] + (1 - b1) * g
             self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
             m_hat = self.m[i] / (1 - b1**self.t)
@@ -656,22 +658,15 @@ def test_flat_adam_is_bit_identical_to_a_per_tensor_loop():
     flat, ref = _adam_params(shapes), _adam_params(shapes)
     opt, ref_opt = Adam(flat, lr=3e-3), ReferenceAdam(ref, lr=3e-3)
     rng = np.random.default_rng(6)
-    for step in range(50):
-        # Every fifth step one parameter (a different one each time) has no
-        # gradient; every seventh step none of the first two has.
-        skipped = {step % len(shapes)} if step % 5 == 0 else set()
-        if step % 7 == 0:
-            skipped |= {0, 1}
-        for i, (a, b) in enumerate(zip(flat, ref)):
-            scale = 10.0 ** rng.integers(-4, 2)
-            g = None if i in skipped else rng.normal(scale=scale, size=a.shape)
-            a.grad = None if g is None else np.array(g)
-            b.grad = g
+    for _ in range(50):
+        for a, b in zip(flat, ref):
+            g = rng.normal(scale=10.0 ** rng.integers(-4, 2), size=a.shape)
+            a.grad, b.grad = np.array(g), g
         opt.step()
         ref_opt.step()
         for a, b in zip(flat, ref):
             assert np.array_equal(a.data, b.data)
-    off = opt._offsets
+    off = np.cumsum([0] + [p.data.size for p in flat])
     for i in range(len(shapes)):
         assert np.array_equal(opt._m[off[i] : off[i + 1]], ref_opt.m[i].reshape(-1))
         assert np.array_equal(opt._v[off[i] : off[i + 1]], ref_opt.v[i].reshape(-1))

@@ -299,13 +299,15 @@ def test_total_loss_is_bit_identical_to_the_composed_chain(n, u, d, c, raw_tau, 
 
     def run_loss(fused):
         img, txt, *learnables = [Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, needs)]
-        params = CoordinatorParams(d, c)
-        (params.tau_param, params.w_cls_head, params.w_con_param,
-         params.w_cls_param) = learnables
+        # The arm's parameters, holding the operands of those it builds.
+        params = CoordinatorParams(d, c, settings)
+        for name, t in zip(("tau_param", "w_cls_head", "w_con_param", "w_cls_param"), learnables):
+            if getattr(params, name) is not None:
+                setattr(params, name, t)
         with Tape() as tape:
             if fused:
                 img_rows = ad.unit_rows(img.data, "similarity_matrix")
-                out, breakdown = total_loss(img, txt, img_rows, matches, labels, params, settings)
+                out, breakdown = total_loss(img, txt, img_rows, matches, labels, params)
                 floats = astuple(breakdown)
             else:  # the chain, reading the image as the fused op does: a constant
                 out, floats = composed_loss(Tensor(img.data), txt, matches, labels, params, settings)

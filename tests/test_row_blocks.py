@@ -1,10 +1,11 @@
 """Evaluation in row blocks (``autodiff.row_blocks``) against the whole batch.
 
-The frozen encoder, the robust encoding and evaluation's scoring each work
-through ``BLOCK_ROWS`` rows at a time.  At the default block size their
-values are the whole-batch computation's bits; at any block size, down to one
-row, every accuracy is the same; and evaluation's memory is the test images
-plus about two feature arrays, whatever the size of the test set.
+The frozen encoder, the robust encoding and the two scorers (evaluation and
+the Bayes oracle) each work through ``BLOCK_ROWS`` rows at a time.  At the
+default block size their values are the whole-batch computation's bits; at
+any block size, down to one row, every accuracy is the same; and a scorer's
+memory is the test images plus its feature arrays (two for evaluation, one
+for the oracle), whatever the size of the test set.
 """
 
 import tracemalloc
@@ -92,11 +93,12 @@ def test_accuracy_does_not_depend_on_the_block_size(trained, route, monkeypatch)
     world, ids, images, labels, session = trained
     monkeypatch.setattr(image_agent, "DIFFICULTY_THRESHOLD", ROUTES[route])
     assert session.image_agent.encode(images)[2] == route
-    expected = session.evaluate(images, labels, ids)
-    assert set(expected) == {"overall", "seen", "ood"}
+    scorers = (session.evaluate, world.bayes_oracle_accuracy)
+    expected = [score(images, labels, ids) for score in scorers]
+    assert set(expected[0]) == {"overall", "seen", "ood"}
     for rows in (1, 7, 50, len(images), 2 * len(images)):
         monkeypatch.setattr(ad, "BLOCK_ROWS", rows)
-        assert session.evaluate(images, labels, ids) == expected, rows
+        assert [score(images, labels, ids) for score in scorers] == expected, rows
 
 
 def test_robust_features_rejects_a_zero_norm_row_in_any_block(monkeypatch):
@@ -107,12 +109,14 @@ def test_robust_features_rejects_a_zero_norm_row_in_any_block(monkeypatch):
         robust_features(Tensor(feats))
 
 
+@pytest.mark.parametrize("scorer", ["evaluate", "bayes_oracle_accuracy"])
 @pytest.mark.parametrize("n", [2048, 8192])
-def test_evaluate_memory_is_the_images_plus_two_feature_arrays(n, monkeypatch):
+def test_scorer_memory_is_the_images_plus_its_feature_arrays(n, scorer, monkeypatch):
     # The images exist before tracing starts, so the traced peak is what
-    # evaluate allocates: the standard and robust features (n x D each) and
-    # one block's scores and unit rows, never an (n x classes) matrix.  The
-    # allowance covers the per-image labels, masks and predictions.
+    # the scorer allocates: evaluate's standard and robust features (n x D
+    # each), or the oracle's one feature array, and one block's scores and
+    # unit rows, never an (n x classes) matrix.  The allowance covers the
+    # per-image labels, masks and predictions.
     world = build_world(WorldConfig())
     ids = world.seen_ids + world.ood_ids
     images, labels = world.sample_split(ids, per_class=-(-n // len(ids)), seed=1)
@@ -120,15 +124,17 @@ def test_evaluate_memory_is_the_images_plus_two_feature_arrays(n, monkeypatch):
     session = TrainingSession(world, SessionSettings(), seed=0)
     monkeypatch.setattr(image_agent, "DIFFICULTY_THRESHOLD", ROUTES["robust"])
     assert session.image_agent.encode(images[:10])[2] == "robust"
-    session.evaluate(images[:10], labels[:10], ids)  # first-call caches
+    score = getattr(session if scorer == "evaluate" else world, scorer)
+    score(images[:10], labels[:10], ids)  # first-call caches
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        session.evaluate(images, labels, ids)
+        score(images, labels, ids)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * n * world.config.embed_dim * 8 + 0.5 * 2**20
+    arrays = 2 if scorer == "evaluate" else 1
+    assert peak <= arrays * n * world.config.embed_dim * 8 + 0.5 * 2**20
 
 
 def test_sample_split_holds_its_output_and_one_class_block():

@@ -14,13 +14,7 @@ from namelearn.name_agent import (
     NameEmbeddingTable,
     UnknownTokenError,
 )
-from namelearn.text_agent import (
-    ContextIntegrationModule,
-    LinearFusion,
-    MissingContextError,
-    TextAgent,
-    encode_text,
-)
+from namelearn.text_agent import MissingContextError, TextAgent, encode_text, fusion_layers
 from namelearn.session import TrainingSession
 from namelearn.settings import SessionSettings
 from namelearn.world import WorldConfig, build_world
@@ -138,32 +132,32 @@ def test_encode_standard_sensitive_to_name_embeddings(world, namer):
 def test_integrate_context_constant_network(world):
     agent = make_agent(world)
     d = world.config.embed_dim
-    for p in agent.fusion.parameters():
+    for p in agent.layers:
         p.data[...] = 0.0
     v = np.arange(d, dtype=float)
-    agent.fusion.b4.data = v.copy()
+    agent.layers[3].data = v.copy()
     z = Tensor(np.random.default_rng(0).normal(size=(3, 2 * d)))
-    out = encode_text(z, agent.fusion.parameters())
+    out = encode_text(z, agent.layers)
     assert np.array_equal(out.data, np.tile(v, (3, 1)))
 
 
 def test_integrate_context_hand_case():
-    module = ContextIntegrationModule(1, 1, np.random.default_rng(0))
-    module.w3.data = np.array([[1.0], [1.0]])
-    module.b3.data = np.array([0.0])
-    module.w4.data = np.array([[2.0]])
-    module.b4.data = np.array([0.0])
-    out = encode_text(Tensor([[1.0, 0.5]]), module.parameters())
+    layers = w3, b3, w4, b4 = fusion_layers(1, False, np.random.default_rng(0))
+    w3.data = np.array([[1.0], [1.0]])
+    b3.data = np.array([0.0])
+    w4.data = np.array([[2.0]])
+    b4.data = np.array([0.0])
+    out = encode_text(Tensor([[1.0, 0.5]]), layers)
     assert out.data[0] == pytest.approx([3.0], abs=1e-12)
 
 
 def test_integrate_context_relu_kill_leaves_bias(world):
-    module = ContextIntegrationModule(2, 2, np.random.default_rng(0))
-    module.w3.data = -np.ones((4, 2))
-    module.b3.data = np.zeros(2)
-    module.b4.data = np.array([0.25, -0.5])
+    layers = w3, b3, _, b4 = fusion_layers(2, False, np.random.default_rng(0))
+    w3.data = -np.ones((4, 2))
+    b3.data = np.zeros(2)
+    b4.data = np.array([0.25, -0.5])
     # All pre-activations negative.
-    out = encode_text(Tensor([[1.0, 1.0, 1.0, 1.0]]), module.parameters())
+    out = encode_text(Tensor([[1.0, 1.0, 1.0, 1.0]]), layers)
     assert np.array_equal(out.data, [[0.25, -0.5]])
 
 
@@ -179,6 +173,7 @@ def test_integrate_context_rejects_wrong_width(world, agent):
 
 def test_disable_text_context_is_the_standard_encoding(world, namer):
     agent = make_agent(world, disable_text_context=True)
+    assert agent.layers == () and agent.parameters() == []  # nothing to train
     rows = pooled(world, namer, world.ood_ids[0])
     std = standard(world, rows)
     assert np.array_equal(agent.encode(rows, context(world, 3)).data, std.data)
@@ -196,7 +191,7 @@ def test_contextual_lambda_zero_equals_fusion(world, namer, monkeypatch):
     c = context(world, 2)
     out = agent.encode(rows, c)
     z = ad.concat_cols(standard(world, rows), Tensor(c.data[None, :]))
-    fused = composed_layers(agent.fusion.parameters(), z)
+    fused = composed_layers(agent.layers, z)
     assert np.allclose(out.data, fused.data, atol=1e-12)
 
 
@@ -210,10 +205,10 @@ def test_contextual_missing_context_is_error(world, namer):
 def test_contextual_halfway_with_constant_fusion(world, namer, monkeypatch):
     monkeypatch.setattr(text_agent, "LAMBDA_MIX", 0.5)
     agent = make_agent(world)
-    for p in agent.fusion.parameters():
+    for p in agent.layers:
         p.data[...] = 0.0
     b = np.random.default_rng(3).normal(size=world.config.embed_dim)
-    agent.fusion.b4.data = b.copy()
+    agent.layers[3].data = b.copy()
     rows = pooled(world, namer, world.seen_ids[1])
     out = agent.encode(rows, context(world, 4))
     assert np.allclose(out.data, 0.5 * standard(world, rows).data + 0.5 * b, atol=1e-12)
@@ -236,7 +231,7 @@ def test_contextual_is_affine_in_lambda(world, namer, monkeypatch):
 
 def test_gradients_reach_name_embeddings_and_fusion(world, agent, namer):
     c = context(world, 6)
-    params = [namer.table.weight] + agent.fusion.parameters()
+    params = [namer.table.weight, *agent.layers]
 
     def f(*ps):
         out = agent.encode(pooled(world, namer, world.ood_ids[0]), c)
@@ -247,10 +242,10 @@ def test_gradients_reach_name_embeddings_and_fusion(world, agent, namer):
 
 
 def test_zero_context_zero_fusion_contributes_bias_only(world, agent, namer):
-    for p in agent.fusion.parameters():
+    for p in agent.layers:
         p.data[...] = 0.0
     b = np.random.default_rng(7).normal(size=world.config.embed_dim)
-    agent.fusion.b4.data = b.copy()
+    agent.layers[3].data = b.copy()
     rows = pooled(world, namer, world.seen_ids[0])
     out = agent.encode(rows, Tensor(np.zeros(world.config.embed_dim)))
     assert np.allclose(out.data, 0.7 * standard(world, rows).data + 0.3 * b, atol=1e-12)
@@ -260,7 +255,7 @@ def tiled_encode(agent, rows, c):
     """``encode`` as the generic ops, with the context rows built by ``np.tile``."""
     std = composed_layers(agent.mixer, rows)
     ctx_rows = Tensor(np.tile(c.data, (std.shape[0], 1)))
-    fused = composed_layers(agent.fusion.parameters(), ad.concat_cols(std, ctx_rows))
+    fused = composed_layers(agent.layers, ad.concat_cols(std, ctx_rows))
     return ad.blend(std, fused, text_agent.LAMBDA_MIX)
 
 
@@ -309,10 +304,9 @@ def test_a_round_encodes_the_visual_context_the_bus_delivers(world):
 
 def test_linear_fusion_shape_and_params(world):
     agent = make_agent(world, simple_concat_fusion=True)
-    assert isinstance(agent.fusion, LinearFusion)
-    assert len(agent.parameters()) == 2
+    assert [p.name for p in agent.parameters()] == ["fusion.linear_w", "fusion.linear_b"]
     d = world.config.embed_dim
-    out = encode_text(Tensor(np.zeros((3, 2 * d))), agent.fusion.parameters())
+    out = encode_text(Tensor(np.zeros((3, 2 * d))), agent.layers)
     assert out.shape == (3, d)
 
 

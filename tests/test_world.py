@@ -162,6 +162,27 @@ def test_zero_shot_rejects_empty_class_set(world):
         frozen_model(world).evaluate(x, y, [])
 
 
+# Splits both scorers reject, each from 10 images of 5 classes: the
+# arguments they are scored with, and the ``ValueError`` message.
+BAD_SPLITS = {
+    "one_label_for_every_image": (lambda x, y, ids: (x, y[:1], ids), "10 images need 10 labels"),
+    "one_label_short": (lambda x, y, ids: (x, y[:-1], ids), "10 images need 10 labels"),
+    "label_outside_the_space": (lambda x, y, ids: (x, y, ids[1:]), "outside the label space"),
+    "empty_label_space": (lambda x, y, ids: (x, y, []), "empty label space"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SPLITS))
+@pytest.mark.parametrize("scorer", ["evaluate", "bayes_oracle_accuracy"])
+def test_both_scorers_reject_a_bad_split(world, scorer, case):
+    ids = (world.seen_ids + world.ood_ids)[:5]
+    images, labels = world.sample_split(ids, per_class=2, seed=0)
+    score = getattr(frozen_model(world) if scorer == "evaluate" else world, scorer)
+    args, message = BAD_SPLITS[case]
+    with pytest.raises(ValueError, match=message):
+        score(*args(images, labels, ids))
+
+
 def test_blind_ood_zero_shot_is_uniform(paired_world):
     # All blind-token prompts encode identically, so every held-out class
     # scores the same, the first one wins every image, and accuracy on a
