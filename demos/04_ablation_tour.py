@@ -9,7 +9,7 @@ few points; the remaining components matter less at this scale.
 
 import time
 
-from namelearn.harness import ExperimentConfig, run_ablation_suite
+from namelearn.harness import ExperimentConfig, run_ablation
 from namelearn.world import WorldConfig
 
 config = ExperimentConfig(
@@ -29,7 +29,7 @@ flags = (
 )
 
 start = time.perf_counter()
-suite = run_ablation_suite(config, flags)
+suite = run_ablation(config, flags)
 print(f"ran full model + {len(flags)} ablated arms in {time.perf_counter() - start:.0f}s\n")
 
 full = next(iter(suite.values())).full

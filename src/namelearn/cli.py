@@ -14,10 +14,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
-    ABLATION_FLAGS,
     AblationError,
     ConfigError,
     ExperimentConfig,
+    _atomic_write,
     emit_metrics,
     parse_config_file,
     run_ablation,
@@ -64,13 +64,17 @@ def _mean_acc(value: float | None) -> str:
 
 def _report(result, out_dir) -> int:
     paths = emit_metrics(result, out_dir)
-    failed = result.failed_cells()
     print(f"wrote {paths['results']}")
     for shot in sorted({c.shot for c in result.cells}):
         ood, sc = _mean_acc(result.mean_ood(shot)), _mean_acc(result.mean_sc(shot))
         print(f"  shot {shot:>3}: ood_acc={ood} sc_acc={sc}")
-    if failed:
-        print(f"  {len(failed)} cell(s) failed", file=sys.stderr)
+    return _exit_code(len(result.failed_cells()))
+
+
+def _exit_code(n_failed: int) -> int:
+    """0, or 2 with the failed-cell count on stderr where some cells failed."""
+    if n_failed:
+        print(f"  {n_failed} cell(s) failed", file=sys.stderr)
         return 2
     return 0
 
@@ -84,23 +88,19 @@ def cmd_zero_shot(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    config = _load_config(args)
-    if args.ablation not in ABLATION_FLAGS:
-        raise AblationError(
-            f"unknown ablation {args.ablation!r}; choose from {', '.join(ABLATION_FLAGS)}"
-        )
-    config = replace(config, **{args.ablation: True})
-    result = run_ablation(config, jobs=args.jobs)
-    emit_metrics(result.full, Path(args.out) / "full")
-    emit_metrics(result.ablated, Path(args.out) / "ablated")
+    config, flag, out = _load_config(args), args.ablation, Path(args.out)
+    if getattr(config, flag, None) is True:  # the full arm clears the chosen flag
+        config = replace(config, **{flag: False})
+    (result,) = run_ablation(config, (flag,), args.jobs).values()
+    emit_metrics(result.full, out / "full")
+    emit_metrics(result.ablated, out / "ablated")
     drops = result.delta_by_shot()  # json writes the int shots as string keys
-    delta_path = Path(args.out) / "deltas.json"
-    delta_path.write_text(json.dumps({"flag": result.flag, "ood_drop_by_shot": drops}, indent=2))
+    delta_path = out / "deltas.json"
+    _atomic_write(delta_path, json.dumps({"flag": flag, "ood_drop_by_shot": drops}, indent=2))
     print(f"wrote {delta_path}")
     for shot, drop in drops.items():
         print(f"  shot {shot:>3}: ood drop {'n/a' if drop is None else format(drop, '+.4f')}")
-    failed = result.full.failed_cells() + result.ablated.failed_cells()
-    return 2 if failed else 0
+    return _exit_code(len(result.full.failed_cells()) + len(result.ablated.failed_cells()))
 
 
 def cmd_world_build(args) -> int:

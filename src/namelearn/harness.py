@@ -2,10 +2,13 @@
 
 Grid cells are pure functions of (config, shot, seed, lr) and may run in
 parallel processes; results aggregate in grid order so output files are
-byte-reproducible apart from wall time.  A few-shot sweep builds its world
-and test split once and shares them with every cell.  Failed cells (training
-divergence) are first-class rows, never aborting the grid.  The ablation arms,
-``ABLATION_FLAGS``, are read off the fields of ``SessionSettings``.
+byte-reproducible apart from wall time.  A few-shot run is one grid of arms,
+configs that differ only in their ablation flags: a sweep is one arm, an
+ablation the full model and each ablated arm.  The grid builds its world and
+test split once, shares them with every cell of every arm, and maps all
+cells in one call, so at most one worker pool.  Failed cells (training
+divergence) are first-class rows, never aborting the grid.  The ablation
+arms, ``ABLATION_FLAGS``, are read off the fields of ``SessionSettings``.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ RESULTS_COLUMNS = (
 
 
 class AblationError(ValueError):
-    """Ablation preconditions violated (e.g. several flags at once)."""
+    """Ablation preconditions violated (an unknown flag, or a full arm that
+    sets one)."""
 
 
 @dataclass(frozen=True)
@@ -76,9 +80,6 @@ class ExperimentConfig(SessionSettings):
         for lr in self.lrs:
             if not LR_BAND[0] <= lr <= LR_BAND[1]:
                 raise ConfigError(f"lr {lr} outside [{LR_BAND[0]:g}, {LR_BAND[1]:g}]")
-
-    def active_ablations(self) -> list[str]:
-        return [name for name in ABLATION_FLAGS if getattr(self, name)]
 
     def settings(self) -> SessionSettings:
         return SessionSettings(**{f.name: getattr(self, f.name) for f in fields(SessionSettings)})
@@ -187,9 +188,9 @@ def run_cell(
     test: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> CellResult:
     """One grid cell: build, optionally train, evaluate in the joint label
-    space of seen and held-out concepts.  ``run_few_shot`` passes the world
-    and its joint test split, shared by every cell; alone, the cell builds
-    both."""
+    space of seen and held-out concepts.  A grid (``_run_arms``) passes the
+    world and its joint test split, shared by every cell; alone, the cell
+    builds both."""
     if world is None:
         world = build_world(config.world)
     label_ids = world.seen_ids + world.ood_ids
@@ -234,23 +235,28 @@ def _map(fn, tasks, jobs: int, shared: tuple = ()) -> list:
         _FORKED = None
 
 
-def run_few_shot(config: ExperimentConfig, jobs: int = 1) -> RunResult:
-    """The shot x seed x lr grid on one world; 0-shot cells skip training.
-
-    The world and its joint test split are built once per call and shared
-    by every cell (the world's arrays are read-only); nothing outlives the
-    call."""
-    world = build_world(config.world)
-    test = _test_split(world, world.seen_ids + world.ood_ids, config.n_test_per_class)
-    tasks = [
-        (config, shot, seed, lr)
-        for shot in config.shots
-        for seed in config.seeds
-        for lr in config.lrs
+def _run_arms(arms: list[ExperimentConfig], jobs: int) -> list[RunResult]:
+    """One ``RunResult`` per arm, each over the shot x seed x lr grid; 0-shot
+    cells skip training.  The arms differ only in their ablation flags, so
+    the world and its joint test split are built once and shared by every
+    cell (the world's arrays are read-only), and every cell goes through one
+    ``_map`` call; nothing outlives the call."""
+    base = arms[0]
+    world = build_world(base.world)
+    test = _test_split(world, world.seen_ids + world.ood_ids, base.n_test_per_class)
+    grid = [(shot, seed, lr) for shot in base.shots for seed in base.seeds for lr in base.lrs]
+    tasks = [(arm, *point) for arm in arms for point in grid]
+    cells = _map(run_cell, tasks, jobs, (world, test))
+    n = len(grid)
+    return [
+        RunResult("few_shot", config_hash(arm), cells[i * n : (i + 1) * n])
+        for i, arm in enumerate(arms)
     ]
-    result = RunResult("few_shot", config_hash(config))
-    result.cells = _map(run_cell, tasks, jobs, (world, test))
-    return result
+
+
+def run_few_shot(config: ExperimentConfig, jobs: int = 1) -> RunResult:
+    """The shot x seed x lr grid on one world: a grid of one arm."""
+    return _run_arms([config], jobs)[0]
 
 
 def _zero_shot_split(config: ExperimentConfig, seed: int, lr: float) -> list[CellResult]:
@@ -303,33 +309,23 @@ class AblationResult:
         return drops
 
 
-def run_ablation(config: ExperimentConfig, jobs: int = 1) -> AblationResult:
-    """Full model vs one ablated arm on identical seeds and splits."""
-    active = config.active_ablations()
-    if len(active) > 1:
-        raise AblationError(f"one ablation flag per arm, got {active}")
-    flag = active[0] if active else "none"
-    full_config = replace(config, **{name: False for name in ABLATION_FLAGS})
-    full = run_few_shot(full_config, jobs=jobs)
-    ablated = run_few_shot(config, jobs=jobs) if active else full
-    return AblationResult(flag, full, ablated)
-
-
-def run_ablation_suite(
+def run_ablation(
     config: ExperimentConfig, flags: tuple[str, ...] = ABLATION_FLAGS, jobs: int = 1
 ) -> dict[str, AblationResult]:
-    """Every single-flag arm against one shared full-model run."""
+    """Each flag's single-flag arm against one full-model arm, ``config``,
+    which sets no flag; all arms run in one grid on identical seeds and
+    splits."""
     for flag in flags:
         if flag not in ABLATION_FLAGS:
-            raise AblationError(f"unknown ablation flag {flag!r}")
-    if config.active_ablations():
-        raise AblationError("suite config must have no ablation flags set")
-    full = run_few_shot(config, jobs=jobs)
-    out = {}
-    for flag in flags:
-        ablated = run_few_shot(replace(config, **{flag: True}), jobs=jobs)
-        out[flag] = AblationResult(flag, full, ablated)
-    return out
+            raise AblationError(
+                f"unknown ablation {flag!r}; choose from {', '.join(ABLATION_FLAGS)}"
+            )
+    active = [flag for flag in ABLATION_FLAGS if getattr(config, flag)]
+    if active:
+        raise AblationError(f"the full arm must set no ablation flag, got {active}")
+    arms = [config] + [replace(config, **{flag: True}) for flag in flags]
+    full, *ablated = _run_arms(arms, jobs)
+    return {flag: AblationResult(flag, full, arm) for flag, arm in zip(flags, ablated)}
 
 
 # ---------------------------------------------------------------------------

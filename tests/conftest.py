@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from namelearn.harness import ABLATION_FLAGS, ExperimentConfig, run_ablation_suite, run_few_shot
+from namelearn.harness import ExperimentConfig, run_ablation, run_few_shot
 from namelearn.selfcheck import full_loss_grad_checks
 
 SWEEP_CONFIG = ExperimentConfig()  # default world, shots 0..16, 3 seeds, 3 lrs
@@ -26,9 +26,9 @@ def run_sweep():
 
 
 def run_suite():
-    """Criterion 7's suite: every arm at 16 shots against one full-model run."""
+    """Criterion 7's suite: every arm at 16 shots against one full-model arm."""
     config = replace(SWEEP_CONFIG, shots=(16,), lrs=(1e-3,), n_test_per_class=100)
-    return run_ablation_suite(config, ABLATION_FLAGS)
+    return run_ablation(config)
 
 
 def run_criterion_1():

@@ -296,16 +296,16 @@ def test_zero_shot_margin_over_baseline_on_default_world():
 # ---------------------------------------------------------------------------
 # Ablations
 
-def test_ablation_rejects_multiple_flags():
-    cfg = replace(TINY, disable_name_agent=True, disable_difficulty=True)
-    with pytest.raises(AblationError):
-        run_ablation(cfg)
-
-
-def test_ablation_no_flag_is_self_comparison():
-    result = run_ablation(replace(TINY, shots=(0,), seeds=(0,)))
-    assert result.flag == "none"
-    assert result.delta_by_shot() == {0: 0.0}
+@pytest.mark.parametrize(
+    "set_flags", [("disable_difficulty",), ("disable_name_agent", "disable_difficulty")]
+)
+def test_ablation_rejects_a_config_with_any_flag_set(monkeypatch, set_flags):
+    built = []
+    monkeypatch.setattr(harness, "build_world", lambda *a, **k: built.append(a))
+    cfg = replace(TINY, **{flag: True for flag in set_flags})
+    with pytest.raises(AblationError, match="the full arm must set no ablation flag"):
+        run_ablation(cfg, ("disable_difficulty",))
+    assert built == []  # rejected before any world was built
 
 
 def test_a_shot_with_no_ok_cell_has_no_mean_in_any_reader(tmp_path, capsys):
@@ -347,10 +347,8 @@ def test_a_shot_with_no_ok_cell_has_no_mean_in_any_reader(tmp_path, capsys):
 
 
 def test_ablation_paired_delta():
-    cfg = replace(
-        TINY, shots=(2,), seeds=(0,), epochs=60, disable_name_agent=True
-    )
-    result = run_ablation(cfg)
+    cfg = replace(TINY, shots=(2,), seeds=(0,), epochs=60)
+    (result,) = run_ablation(cfg, ("disable_name_agent",)).values()
     assert result.flag == "disable_name_agent"
     # removing name learning costs accuracy on the held-out split
     assert result.delta_by_shot()[2] > 0.0
@@ -444,6 +442,39 @@ def test_cli_ablate(tmp_path):
     assert (tmp_path / "ab" / "ablated" / "results.csv").exists()
 
 
+def test_cli_ablate_config_that_sets_the_chosen_flag_runs_the_same_arms(tmp_path):
+    """The full arm clears the chosen flag, so a config file that sets it
+    writes the files of one that does not, apart from ``wall_time``."""
+    written = {}
+    for name, extra in (("plain", {}), ("set", {"disable_difficulty": "true"})):
+        cfg = write_tiny_config(tmp_path / f"{name}.cfg", **extra)
+        out = tmp_path / name
+        args = ["--config", str(cfg), "--ablation", "disable_difficulty", "--out", str(out)]
+        assert main(["ablate", *args]) == 0
+        files = sorted(out.rglob("*.*"))
+        assert [f.relative_to(out).as_posix() for f in files] == [
+            "ablated/plotdata.csv", "ablated/results.csv", "ablated/summary.json",
+            "deltas.json",
+            "full/plotdata.csv", "full/results.csv", "full/summary.json",
+        ]
+        written[name] = [
+            strip_wall_time(f.read_text()) if f.name == "results.csv" else f.read_text()
+            for f in files
+        ]
+    assert written["set"] == written["plain"]
+
+
+def test_cli_ablate_config_that_sets_another_flag_is_hard_error(tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path / "exp.cfg", disable_name_agent="true")
+    out = tmp_path / "out"
+    args = ["--config", str(cfg), "--ablation", "disable_difficulty", "--out", str(out)]
+    assert main(["ablate", *args]) == 1
+    assert capsys.readouterr().err == (
+        "error: the full arm must set no ablation flag, got ['disable_name_agent']\n"
+    )
+    assert not out.exists()
+
+
 def test_cli_ablate_writes_valid_json_when_an_arm_has_no_ok_cell(monkeypatch, tmp_path, capsys):
     """A shot whose ablated cells all failed has no drop: ``null`` in
     ``deltas.json`` (as in ``summary.json``), ``n/a`` on the console."""
@@ -510,12 +541,13 @@ def test_runs_reject_jobs_below_one(run, jobs):
         run(replace(TINY, epochs=1), jobs=jobs)
 
 
-def test_cli_ablate_unknown_flag(tmp_path):
+def test_cli_ablate_unknown_flag(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path / "exp.cfg")
-    rc = main(
-        ["ablate", "--config", str(cfg), "--ablation", "nonsense", "--out", str(tmp_path)]
-    )
+    out = tmp_path / "out"
+    rc = main(["ablate", "--config", str(cfg), "--ablation", "nonsense", "--out", str(out)])
     assert rc == 1
+    assert capsys.readouterr().err.startswith("error: unknown ablation 'nonsense'; choose from ")
+    assert not out.exists()
 
 
 def test_cli_world_build(tmp_path):
@@ -631,14 +663,23 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-def test_cli_partial_failure_exit_code(monkeypatch, tmp_path):
+@pytest.mark.parametrize(
+    "command, n_failed",
+    [
+        (["few-shot"], 1),  # the one 2-shot cell
+        (["zero-shot"], 1),  # the one split's 16-shot cell
+        (["ablate", "--ablation", "disable_difficulty"], 2),  # one 2-shot cell per arm
+    ],
+)
+def test_cli_partial_failure_exit_code(monkeypatch, tmp_path, capsys, command, n_failed):
     def explode(self, shots, epochs, lr):
         raise TrainingDivergedError("loss became nan")
 
     monkeypatch.setattr("namelearn.harness.TrainingSession.train", explode)
     cfg = write_tiny_config(tmp_path / "exp.cfg")
-    rc = main(["few-shot", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    rc = main([*command, "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 2
+    assert capsys.readouterr().err == f"  {n_failed} cell(s) failed\n"
 
 
 def test_map_starts_no_more_workers_than_tasks(monkeypatch):
@@ -665,17 +706,33 @@ def test_map_starts_no_more_workers_than_tasks(monkeypatch):
     assert pools == [2]
     assert harness._map(pow, [(2, 5)], jobs=8) == [32]
     assert pools == [2]  # one task runs in this process
+    suite = run_ablation(replace(TINY, epochs=2), ("disable_difficulty",), jobs=2)
+    assert pools == [2, 2]  # both arms' 8 cells share one pool
+    assert len(suite["disable_difficulty"].ablated.cells) == 4
 
 
-def test_parallel_jobs_match_serial(tmp_path):
-    serial = run_few_shot(TINY, jobs=1)
-    parallel = run_few_shot(TINY, jobs=2)
-    a = emit_metrics(serial, tmp_path / "s")["results"].read_text()
-    b = emit_metrics(parallel, tmp_path / "p")["results"].read_text()
-    assert strip_wall_time(a) == strip_wall_time(b)
+def run_arms(run, config, jobs=1):
+    """Every arm's ``RunResult``: the sweep's one, or the full arm's and then
+    each ablated arm's for two flags."""
+    if run is run_few_shot:
+        return [run_few_shot(config, jobs)]
+    suite = run_ablation(config, ("disable_difficulty", "disable_name_agent"), jobs)
+    return [suite["disable_difficulty"].full] + [r.ablated for r in suite.values()]
 
 
-def test_sweep_builds_its_world_and_test_split_once(monkeypatch):
+@pytest.mark.parametrize("run", [run_few_shot, run_ablation])
+def test_parallel_jobs_match_serial(tmp_path, run):
+    serial, parallel = run_arms(run, TINY, jobs=1), run_arms(run, TINY, jobs=2)
+    assert len(serial) == len(parallel)
+    for i, (s, p) in enumerate(zip(serial, parallel)):
+        assert (s.config_hash, s.kind) == (p.config_hash, p.kind)
+        a = emit_metrics(s, tmp_path / f"s{i}")["results"].read_text()
+        b = emit_metrics(p, tmp_path / f"p{i}")["results"].read_text()
+        assert strip_wall_time(a) == strip_wall_time(b)
+
+
+@pytest.mark.parametrize("run, n_arms", [(run_few_shot, 1), (run_ablation, 3)])
+def test_sweep_builds_its_world_and_test_split_once(monkeypatch, run, n_arms):
     builds, splits = [], []
     build_world, sample_split = harness.build_world, harness.World.sample_split
 
@@ -689,8 +746,8 @@ def test_sweep_builds_its_world_and_test_split_once(monkeypatch):
 
     monkeypatch.setattr(harness, "build_world", counting_build)
     monkeypatch.setattr(harness.World, "sample_split", counting_split)
-    result = run_few_shot(replace(TINY, epochs=2))
-    assert len(result.cells) == 4
+    arms = run_arms(run, replace(TINY, epochs=2))
+    assert [len(arm.cells) for arm in arms] == [4] * n_arms
     assert len(builds) == 1 and len(splits) == 1
 
 

@@ -3,8 +3,8 @@
 ``pinned_outputs.txt`` holds one section per output, each a list of rows:
 
 * ``sweep`` and ``ablation``: the ``results.csv`` rows of criterion 5's sweep
-  and criterion 7's ablation suite (one block per arm), without the
-  ``wall_time`` column, and each run's ``config_hash``;
+  and of criterion 7's ``run_ablation`` over every flag (one block per arm),
+  without the ``wall_time`` column, and each run's ``config_hash``;
 * ``hard_world``: the same rows for the hard world at 0/1/4/16 shots (seed 0,
   lr 1e-3);
 * ``parameters``: every learnable of each arm after a short run on both
