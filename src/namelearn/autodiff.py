@@ -470,46 +470,32 @@ def backward(tape: Tape, loss: Tensor) -> None:
     Leaves connected only through ``detach`` receive exact zeros.  Raises
     ``ShapeError`` if the loss is not a scalar.
 
-    A node's first gradient is kept by reference, since op backwards may hand
-    one array to several inputs (``add`` returns ``g`` twice).  The first
-    accumulation into a node copies it into a buffer of its own, and later
-    ones add in place there.  Each leaf's ``.grad`` is a fresh float64 array
-    that no other leaf shares.
+    A node's first gradient is kept by reference, and gradients that meet at
+    a node are summed into a new array, so no op's returned array is written
+    to (``add`` returns ``g`` twice).  Each leaf's ``.grad`` is a fresh
+    float64 copy that no other leaf shares.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    owned: set[int] = set()  # nodes whose gradient buffer this pass allocated
     produced = {id(out) for out, _, _ in tape.entries}
     for out, inputs, backward_fn in reversed(tape.entries):
         g = grads.get(id(out))
         if g is None:
             continue
         for inp, ig in zip(inputs, backward_fn(g)):
-            if not inp.requires_grad:
-                continue
-            key = id(inp)
-            acc = grads.get(key)
-            if acc is None:
-                grads[key] = ig
-            elif key in owned:
-                acc += ig
-            else:
-                acc = grads[key] = np.array(acc, dtype=np.float64)
-                acc += ig
-                owned.add(key)
+            if inp.requires_grad:
+                key = id(inp)
+                grads[key] = grads[key] + ig if key in grads else ig
     for _, inputs, _ in tape.entries:
         for inp in inputs:
             key = id(inp)
-            if not inp.requires_grad or key in produced:
-                continue
-            produced.add(key)  # so a leaf read by several ops is assigned once
-            if key not in grads:
-                inp.grad = np.zeros_like(inp.data)
-            elif key in owned:
-                inp.grad = grads[key]
-            else:
-                inp.grad = np.array(grads[key], dtype=np.float64)
+            if inp.requires_grad and key not in produced:
+                produced.add(key)  # so a leaf read by several ops is assigned once
+                if key in grads:
+                    inp.grad = np.array(grads[key], dtype=np.float64)
+                else:
+                    inp.grad = np.zeros_like(inp.data)
     if loss.requires_grad and id(loss) not in produced:
         loss.grad = np.ones_like(loss.data)
 

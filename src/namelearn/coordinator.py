@@ -5,9 +5,10 @@ classification loss, and learnable clipped loss weights, combined into one
 differentiable total.  The similarity matrix stores raw cosine products and
 the temperature divides inside the loss, because in the paper's formula the
 similarities are first multiplied by the temperature, which cancels it.
-Training and evaluation both score through ``similarity_matrix``.  A round's
-text side has one row per distinct prompt, so the loss scores N images against
-U texts, with multiplicities taken from the match indices; that equals the
+Training and evaluation both score through ``similarity_matrix``, and
+evaluation and the Bayes oracle through ``nearest_class``.  A round's text
+side has one row per distinct prompt, so the loss scores N images against U
+texts, with multiplicities taken from the match indices; that equals the
 square loss over one text row per image-prompt pair (see
 ``contrastive_loss``).  A batch's fixed inputs are checked once, when the
 session prepares it: the match indices by ``check_matches``, the class labels
@@ -104,6 +105,17 @@ def similarity_matrix(img: Tensor, txt: Tensor) -> Tensor:
     ops' expressions in their order."""
     s, backward = _similarity(img, txt, None)
     return ad._make(s, (img, txt), backward)
+
+
+def nearest_class(feats: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """Each feature row's most cosine-similar row of ``classes``, the first
+    on ties: ``similarity_matrix`` block by block (``autodiff.row_blocks``),
+    so no ``(N, classes)`` matrix is built."""
+    classes = Tensor(classes)
+    best = np.empty(len(feats), dtype=np.intp)
+    for rows in ad.row_blocks(len(best)):
+        best[rows] = np.argmax(similarity_matrix(Tensor(feats[rows]), classes).data, axis=1)
+    return best
 
 
 def _similarity(img: Tensor, txt: Tensor, img_rows):

@@ -314,12 +314,15 @@ def run_ablation(
 ) -> dict[str, AblationResult]:
     """Each flag's single-flag arm against one full-model arm, ``config``,
     which sets no flag; all arms run in one grid on identical seeds and
-    splits."""
-    for flag in flags:
+    splits.  ``AblationError``, before any world is built, for an unknown or
+    repeated flag."""
+    for i, flag in enumerate(flags):
         if flag not in ABLATION_FLAGS:
             raise AblationError(
                 f"unknown ablation {flag!r}; choose from {', '.join(ABLATION_FLAGS)}"
             )
+        if flag in flags[:i]:
+            raise AblationError(f"ablation {flag!r} is listed twice")
     active = [flag for flag in ABLATION_FLAGS if getattr(config, flag)]
     if active:
         raise AblationError(f"the full arm must set no ablation flag, got {active}")

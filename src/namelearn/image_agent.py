@@ -10,8 +10,9 @@ nothing and returns two payloads: ``visual_context``, a pooled context vector
 for the text agent, and ``image_features`` for the coordinator.  The score is
 one number per batch, taken from the batch's mean feature; the residual
 coefficient ``ALPHA`` and the routing threshold ``DIFFICULTY_THRESHOLD`` are
-fixed.  ``encode`` reads ``disable_difficulty`` and
-``disable_image_agent_robust`` from the session's ``SessionSettings``.
+fixed.  The agent reads ``disable_difficulty`` and
+``disable_image_agent_robust`` from the session's ``SessionSettings`` once,
+when built, and builds its scorer only where the arm scores.
 Nothing on the image side learns, so ``prepare`` computes a training run's
 payloads once and every round's ``step`` sends them.  The frozen encoder and
 the robust encoding (``robust_features``, one op) work in row blocks
@@ -124,10 +125,11 @@ class ImageAgent:
         settings: SessionSettings,
         rng: np.random.Generator,
     ):
-        self.settings = settings
         self.frozen_visual = Tensor(frozen_visual, name="frozen_visual")
+        self.routes = not settings.disable_image_agent_robust
         d = frozen_visual.shape[1]
-        self.estimator = DifficultyEstimator(d, max(1, d // 2), rng)
+        scores = not settings.disable_difficulty
+        self.estimator = DifficultyEstimator(d, max(1, d // 2), rng) if scores else None
 
     # -- encodings ------------------------------------------------------------
 
@@ -142,14 +144,10 @@ class ImageAgent:
     def encode(self, images: np.ndarray) -> tuple[Tensor, float, str]:
         """Route a raw batch: its features, difficulty score and strategy."""
         standard = self.encode_standard(Tensor(images))
-        if self.settings.disable_difficulty:
-            difficulty = 0.5  # neutral score when estimation is ablated
-        else:
+        difficulty = 0.5  # neutral score when estimation is ablated
+        if self.estimator is not None:
             difficulty = self.estimator.estimate(ad.mean_rows(standard)).item()
-        if self.settings.disable_image_agent_robust:
-            strategy = STANDARD
-        else:
-            strategy = select_strategy(difficulty, DIFFICULTY_THRESHOLD)
+        strategy = select_strategy(difficulty, DIFFICULTY_THRESHOLD) if self.routes else STANDARD
         features = standard if strategy == STANDARD else robust_features(standard)
         return features, difficulty, strategy
 

@@ -7,7 +7,9 @@ concept family so that a concept's name can also be rendered inside templates
 authored for *other* families (context exchange), multiplying its training
 views.  Each round ``NameAgent.step`` receives nothing and returns one
 payload, ``prompts``, for the text agent: the frozen block the session
-prepared for the batch, plus the live name table's rows.
+prepared for the batch, plus the live name table's rows.  An agent
+without a name table (the ``disable_name_agent`` arm) renders every name
+with its frozen token.
 """
 
 from __future__ import annotations
@@ -85,34 +87,36 @@ def build_template_bank(
     return canonical, bank
 
 
+class NameRows(dict):
+    """Held-out concept id -> row, rows in ascending id: a concept's row of
+    the name table and its column in the classification head.  Looking up
+    any other id raises ``MissingNameEmbeddingError``."""
+
+    def __init__(self, concept_ids):
+        ids = [int(cid) for cid in concept_ids]
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise ValueError(f"concept ids must be strictly ascending, got {ids}")
+        super().__init__((cid, row) for row, cid in enumerate(ids))
+
+    def __missing__(self, concept_id):
+        raise MissingNameEmbeddingError(f"no name embedding for concept {concept_id}")
+
+
 class NameEmbeddingTable:
     """Learnable name vectors of the held-out concepts, as one ``(n, D)``
-    tensor: one row per concept, rows in ascending concept id.
-
-    A concept's row is also its column in the classification head.
-    In-vocabulary names stay on the frozen token table.
+    tensor whose rows follow ``NameRows(concept_ids)``.  In-vocabulary names
+    stay on the frozen token table.
     """
 
     def __init__(self, concept_ids, values: np.ndarray):
-        self.concept_ids = [int(cid) for cid in concept_ids]
-        if any(a >= b for a, b in zip(self.concept_ids, self.concept_ids[1:])):
-            raise ValueError(f"concept ids must be strictly ascending, got {self.concept_ids}")
+        self.index = NameRows(concept_ids)
+        self.concept_ids = list(self.index)
         values = np.array(values, dtype=np.float64)
         if values.ndim != 2 or len(values) != len(self.concept_ids):
             raise ValueError(
                 f"need ({len(self.concept_ids)}, D) name vectors, got shape {values.shape}"
             )
-        self.index = {cid: row for row, cid in enumerate(self.concept_ids)}
         self.weight = Tensor(values, requires_grad=True, name="name_embed")
-
-    def row(self, concept_id: int) -> int:
-        """The table row holding one concept's name vector."""
-        try:
-            return self.index[concept_id]
-        except KeyError:
-            raise MissingNameEmbeddingError(
-                f"no name embedding for concept {concept_id}"
-            ) from None
 
 
 @dataclass
@@ -137,21 +141,17 @@ class RenderedPrompt:
 
 
 def render_prompt(
-    template: PromptTemplate,
-    concept,
-    table: NameEmbeddingTable | None,
-    frozen_names: bool = False,
+    template: PromptTemplate, concept, table: NameEmbeddingTable | None
 ) -> RenderedPrompt:
     """Fill the template's name slot for one concept.
 
     In-vocabulary concepts always use their frozen name token.  OOV concepts
-    use their row of the name table, unless ``frozen_names`` forces the
-    frozen (blind) token, e.g. for the no-name-learning baseline; with frozen
-    names ``table`` is never read and may be ``None``.
+    use their row of the name table or, with no table (the no-name-learning
+    baseline), their frozen (blind) token.
     """
     name_token, name_row = concept.name_token, None
-    if concept.split == "ood" and not frozen_names:
-        name_token, name_row = None, table.row(concept.id)
+    if concept.split == "ood" and table is not None:
+        name_token, name_row = None, table.index[concept.id]
     return RenderedPrompt(template.tokens, name_token, name_row)
 
 
@@ -206,8 +206,8 @@ class NameAgent:
     (the slot holds one token or one row).  ``block`` stacks a batch's
     frozen parts and its selection of table rows once, when the session
     builds it, so a round costs one ``matmul`` and one ``add`` against the
-    live table.  With ``frozen_names`` set (baseline / no-name-learning arm)
-    every rendering uses the concept's frozen token instead.
+    live table.  With no table (the no-name-learning arm) every rendering
+    uses the concept's frozen token, and a block is its frozen rows alone.
     """
 
     agent_id = AgentId.NAME
@@ -217,41 +217,42 @@ class NameAgent:
         concepts_by_id: dict,
         templates: list[PromptTemplate],
         canonical: PromptTemplate,
-        table: NameEmbeddingTable,
+        table: NameEmbeddingTable | None,
         vocab: np.ndarray,
-        frozen_names: bool = False,
     ):
         self.concepts = concepts_by_id
         self.templates = {t.template_id: t for t in templates}
         self.templates[canonical.template_id] = canonical
         self.table = table
         self.vocab = vocab
-        self.frozen_names = frozen_names
 
     def parameters(self) -> list[Tensor]:
-        """The name table, unless names are frozen and no prompt selects a row."""
-        return [] if self.frozen_names else [self.table.weight]
+        """The name table, if the agent has one."""
+        return [] if self.table is None else [self.table.weight]
 
     def render(self, concept_id: int, template_id: str) -> RenderedPrompt:
         template = self.templates[template_id]
         concept = self.concepts[concept_id]
-        return render_prompt(template, concept, self.table, self.frozen_names)
+        return render_prompt(template, concept, self.table)
 
     def block(self, pairs: list[tuple[int, str]]) -> tuple[Tensor, Tensor | None]:
         """The frozen pooled rows ``(U, D)`` of one prompt list and their
         weights ``(U, n_ood)`` over the table rows (``None`` when no prompt
-        selects a row), rendered and validated: the table's values change,
-        its row layout does not, so the selection is kept, not applied."""
+        selects a row, or there is no table), rendered and validated: the
+        table's values change, its row layout does not, so the selection is
+        kept, not applied."""
         frozen = np.zeros((len(pairs), self.vocab.shape[1]))
-        selection = np.zeros((len(pairs), self.table.weight.shape[0]))
+        selection = None if self.table is None else np.zeros((len(pairs), len(self.table.index)))
         for i, pair in enumerate(pairs):
             rendered = self.render(*pair)
             frozen[i] = pool_frozen_tokens(rendered, self.vocab)
             if rendered.name_row is not None:
                 selection[i, rendered.name_row] = 1.0 / len(rendered.prompt_tokens)
         frozen.flags.writeable = False
+        if selection is None or not selection.any():
+            return Tensor(frozen), None
         selection.flags.writeable = False
-        return Tensor(frozen), Tensor(selection) if selection.any() else None
+        return Tensor(frozen), Tensor(selection)
 
     def pooled(self, block: tuple[Tensor, Tensor | None]) -> Tensor:
         """A block's pooled embeddings against the live name table."""

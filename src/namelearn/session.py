@@ -2,34 +2,34 @@
 
 The session owns the learnables its arm trains (name embeddings, context
 fusion, coordinator scalars and head) and hands them to the optimizer: every
-tensor Adam holds gets a gradient each round.  The name
-table has one row per held-out concept, in ascending id, and that row is
-also the concept's class index; each row starts at the mean of the frozen
-vocabulary rows, the reserved blind row excluded (under ``disable_name_agent``
-no prompt selects a row: the table only indexes the classes).  Nothing on the
-image side learns, so ``prepare_shots`` prepares a run's image side once
-(pair order, image payloads, unit image rows, checked labels) and ``train``
-keeps it as ``shots`` until the next run.  ``build_batch`` adds an epoch's
-prompt side (the rotated plan, each distinct prompt once, the name agent's
-frozen block, the checked matches) into ``batch.run``, which every round on
-it reads; a run builds each distinct batch once, as the rotation repeats
-every few epochs, and a round raises ``bus.UnpreparedBatchError`` on a batch
-another session built, or none.  It runs fixed-schedule bus rounds
+tensor Adam holds gets a gradient each round.  An arm builds nothing its
+rounds never read.  ``class_rows`` maps each held-out concept, in ascending
+id, to its class index; the name table, built only where names learn (not
+under ``disable_name_agent``), follows that map, each row starting at the
+mean of the frozen vocabulary rows, the reserved blind row excluded.  Nothing
+on the image side learns, so ``prepare_shots`` prepares a run's image side
+once (pair order, image payloads, unit image rows, checked labels) and
+``train`` keeps it as ``shots`` until the next run.  ``build_batch`` adds an
+epoch's prompt side (the rotated plan, each distinct prompt once, the name
+agent's frozen block, the checked matches) into ``batch.run``, which every
+round on it reads; a run builds each distinct batch once, as the rotation
+repeats every few epochs, and a round raises ``bus.UnpreparedBatchError`` on
+a batch another session built, or none.  It runs fixed-schedule bus rounds
 under a gradient tape and returns each step's loss breakdown; it keeps no
-per-step history, so its memory does not grow with epochs
-(``write_step_log`` writes a returned history).  It evaluates by cosine
-retrieval against per-class text features, scored through the coordinator's
-``similarity_matrix`` as training rounds are.  Its bus is built from its four
-agents.  The coordinator agent ends each round: its inbox holds the
+per-step history, so its memory does not grow with epochs (``write_step_log``
+writes a returned history).  It evaluates by cosine retrieval against
+per-class text features, scored through the coordinator's ``nearest_class``,
+by ``similarity_matrix`` as training rounds are.  Its bus is built from its
+four agents.  The coordinator agent ends each round: its inbox holds the
 ``image_features`` and the ``text_features`` (one row per distinct prompt),
 as ``bus.ROUND_SCHEMA`` routes them; it computes the loss, one tape entry,
 over images against distinct prompts and returns ``total_loss``'s
-``(total, breakdown)`` pair.
-The image agent's difficulty scorer is fixed: the loss has no path back to
-it.  The image and text agents and ``CoordinatorParams`` read the session's
-``SessionSettings`` record as it is; the session itself reads only
-``disable_name_agent`` (when built) and ``disable_context_exchange`` (for the
-prompt pools).
+``(total, breakdown)`` pair.  The image agent's difficulty scorer is fixed,
+as the loss has no path back to it, and not built under
+``disable_difficulty``.  The image and text agents and ``CoordinatorParams``
+read the session's ``SessionSettings`` record as it is, when built; the
+session itself reads only ``disable_name_agent`` (when built) and
+``disable_context_exchange`` (for the prompt pools).
 """
 
 from __future__ import annotations
@@ -41,12 +41,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Labels, Tape, Tensor, backward, check_labels, row_blocks, unit_rows
+from .autodiff import Labels, Tape, Tensor, backward, check_labels, unit_rows
 from .bus import AgentId, EmptyBatchError, MessageBus, PreparedRun, run_round
 from .coordinator import Adam, CoordinatorParams, LossBreakdown, check_matches
-from .coordinator import similarity_matrix, total_loss
+from .coordinator import nearest_class, total_loss
 from .image_agent import ImageAgent
-from .name_agent import NameAgent, NameEmbeddingTable, context_exchange_augment
+from .name_agent import NameAgent, NameEmbeddingTable, NameRows, context_exchange_augment
 from .settings import SessionSettings
 from .text_agent import TextAgent
 from .world import World, check_split_labels
@@ -116,8 +116,12 @@ class TrainingSession:
         # their seeds.
         _, difficulty_rng, fusion_rng, exchange_ss = ss.spawn(4)
 
-        mean = np.delete(world.vocab, world.oov_token, axis=0).mean(axis=0)
-        self.table = NameEmbeddingTable(world.ood_ids, np.tile(mean, (len(world.ood_ids), 1)))
+        self.class_rows = NameRows(world.ood_ids)
+        self.table = None  # no name learns under disable_name_agent
+        if not settings.disable_name_agent:
+            mean = np.delete(world.vocab, world.oov_token, axis=0).mean(axis=0)
+            values = np.tile(mean, (len(self.class_rows), 1))
+            self.table = NameEmbeddingTable(self.class_rows, values)
 
         self.image_agent = ImageAgent(
             world.gen_map, settings, np.random.default_rng(difficulty_rng)
@@ -133,7 +137,6 @@ class TrainingSession:
             world.canonical_template,
             self.table,
             world.vocab,
-            frozen_names=settings.disable_name_agent,
         )
         self.coordinator_params = CoordinatorParams(
             world.config.embed_dim, len(world.ood_ids), settings
@@ -177,7 +180,7 @@ class TrainingSession:
         pairs = [(cid, j) for cid in ids for j in range(len(shots_by_class[cid]))]
         if not pairs:
             raise EmptyBatchError("no shots to train on")
-        labels = [self.table.row(cid) for cid, _ in pairs]
+        labels = [self.class_rows[cid] for cid, _ in pairs]
         image = self.image_agent.prepare(np.concatenate([shots_by_class[cid] for cid in ids]))
         img_rows = unit_rows(image["image_features"].data, "similarity_matrix")
         n_classes = self.coordinator_params.w_cls_head.shape[1]
@@ -243,16 +246,12 @@ class TrainingSession:
     def evaluate(
         self, images: np.ndarray, labels: np.ndarray, class_ids: list[int]
     ) -> dict[str, float]:
-        """Cosine-retrieval accuracy over a label space, reported per split.
-        Images are scored block by block (``autodiff.row_blocks``), so no
-        ``(N, classes)`` score matrix is built."""
+        """Cosine-retrieval accuracy over a label space, reported per split,
+        scored through ``coordinator.nearest_class``."""
         check_split_labels(len(images), labels, class_ids)
         feats = self.image_agent.encode(images)[0]
-        text = Tensor(self.class_text_features(class_ids, ImageAgent.emit_visual_context(feats)))
-        best = np.empty(len(feats.data), dtype=np.intp)
-        for rows in row_blocks(len(best)):
-            best[rows] = np.argmax(similarity_matrix(Tensor(feats.data[rows]), text).data, axis=1)
-        correct = np.asarray(class_ids)[best] == labels
+        text = self.class_text_features(class_ids, ImageAgent.emit_visual_context(feats))
+        correct = np.asarray(class_ids)[nearest_class(feats.data, text)] == labels
         is_seen = np.isin(labels, self.world.seen_ids)
         out = {"overall": float(np.mean(correct))}
         if np.any(is_seen):

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import name_agent
-from .autodiff import Tensor, row_blocks
+from .autodiff import Tensor
+from .coordinator import nearest_class
 from .image_agent import frozen_visual_features
 from .name_agent import NAME_SLOT, PromptTemplate
 from .text_agent import encode_text
@@ -205,17 +206,13 @@ class World:
         self, images: np.ndarray, labels: np.ndarray, class_ids: list[int]
     ) -> float:
         """Nearest-latent accuracy on visual features over a label space: the
-        adaptation ceiling.  Images are scored block by block
-        (``autodiff.row_blocks``), so no ``(N, classes)`` matrix is built."""
+        adaptation ceiling, scored as evaluation scores, through
+        ``coordinator.nearest_class``."""
         images = np.atleast_2d(images)
         check_split_labels(len(images), labels, class_ids)
         feats = frozen_visual_features(Tensor(images), Tensor(self.gen_map)).data
         protos = np.stack([self.concept(cid).latent for cid in class_ids])
-        best = np.empty(len(feats), dtype=np.intp)
-        for rows in row_blocks(len(best)):
-            unit = feats[rows] / np.linalg.norm(feats[rows], axis=1, keepdims=True)
-            best[rows] = np.argmax(unit @ protos.T, axis=1)
-        return float(np.mean(np.asarray(class_ids)[best] == labels))
+        return float(np.mean(np.asarray(class_ids)[nearest_class(feats, protos)] == labels))
 
 
 def build_world(config: WorldConfig = WorldConfig()) -> World:
@@ -283,7 +280,7 @@ def build_world(config: WorldConfig = WorldConfig()) -> World:
     mixer = tuple(Tensor(a) for a in (mixer_in, mixer_in_bias, mixer_out, mixer_out_bias))
     feats = {}
     for c in concepts:
-        rendered = name_agent.render_prompt(canonical, c, None, frozen_names=True)
+        rendered = name_agent.render_prompt(canonical, c, None)
         pooled = Tensor(name_agent.pool_frozen_tokens(rendered, vocab))
         feats[c.id] = encode_text(pooled, mixer).data
     sc_cos = [

@@ -3,6 +3,7 @@ the ablation suite and criterion 1's gradient check each run once per test
 session, and both the acceptance criteria and the pinned outputs read them.
 Each fixture returns what its ``run_`` function returns."""
 
+import tempfile
 import time
 from dataclasses import replace
 
@@ -49,3 +50,22 @@ def ablation_suite():
 @pytest.fixture(scope="session")
 def criterion_1():
     return run_criterion_1()
+
+
+def pytest_configure(config):
+    """Generated cases (``test_properties``) are drawn from a fixed seed, the
+    same cases on every run, and no example database is written.  The cache
+    of literals Hypothesis reads from the source files when it collects goes
+    to a directory removed when the session ends, not into the checkout."""
+    try:
+        from hypothesis import settings
+        from hypothesis.configuration import set_hypothesis_home_dir
+    except ImportError:  # ``test_properties`` then skips itself
+        return
+    settings.register_profile(
+        "tier1", derandomize=True, max_examples=200, deadline=None, database=None
+    )
+    settings.load_profile("tier1")
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)

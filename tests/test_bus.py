@@ -449,9 +449,13 @@ def test_round_fixed_cost_in_python_calls():
     """A criterion-1 round's Python-level calls, counted by cProfile over the
     whole check (set-up and backward included).  With numpy fixed the count
     does not vary from run to run, so a call that creeps back into every
-    round shows here as timings would not.  The count sums the profiler's own
-    entries: ``pstats`` merges code that shares a file, line and name (the
-    dataclass ``__init__``s generated in ``<string>``) and drops calls."""
+    round shows here as timings would not.  Some of the counted calls run
+    inside numpy's own Python code (``ones_like``, ``_all``, the
+    ``concatenate`` dispatcher; about 7 per default train step, under one per
+    round here, as set-up spreads over the rounds), so a numpy upgrade can
+    move the count.  The count sums the profiler's own entries: ``pstats``
+    merges code that shares a file, line and name (the dataclass
+    ``__init__``s generated in ``<string>``) and drops calls."""
     selfcheck.full_loss_grad_checks(1)  # first-call work inside numpy
     profile = cProfile.Profile()
     profile.runcall(selfcheck.full_loss_grad_checks, 2)

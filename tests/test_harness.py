@@ -308,6 +308,15 @@ def test_ablation_rejects_a_config_with_any_flag_set(monkeypatch, set_flags):
     assert built == []  # rejected before any world was built
 
 
+def test_ablation_rejects_a_repeated_flag(monkeypatch):
+    built = []
+    monkeypatch.setattr(harness, "build_world", lambda *a, **k: built.append(a))
+    flags = ("disable_difficulty", "disable_name_agent", "disable_difficulty")
+    with pytest.raises(AblationError, match="ablation 'disable_difficulty' is listed twice"):
+        run_ablation(TINY, flags)
+    assert built == []  # rejected before any world was built
+
+
 def test_a_shot_with_no_ok_cell_has_no_mean_in_any_reader(tmp_path, capsys):
     """Every reader takes a shot's mean from ``RunResult.shot_stats``: a shot
     whose cells all failed has none, so ``summary.json`` writes ``null``, the

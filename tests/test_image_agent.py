@@ -132,6 +132,18 @@ def test_encode_is_the_round_routing(agent, threshold, monkeypatch):
     assert np.array_equal(sent["image_features"].data, features.data)
 
 
+def test_an_agent_without_estimation_builds_no_scorer_and_scores_neutral():
+    # The neutral 0.5 routes robust (the threshold is inclusive), or standard
+    # where the robust route is ablated too.
+    frozen, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(12, 8)))
+    images = np.random.default_rng(6).normal(size=(5, 12))
+    for robust_off, route in ((False, "robust"), (True, "standard")):
+        settings = SessionSettings(disable_difficulty=True, disable_image_agent_robust=robust_off)
+        agent = ImageAgent(np.ascontiguousarray(frozen), settings, np.random.default_rng(1))
+        assert agent.estimator is None
+        assert agent.encode(images)[1:] == (0.5, route)
+
+
 @pytest.mark.parametrize("alpha", [0.1, 1.0])
 def test_route_is_invisible_to_cosine_scores(agent, alpha):
     # The robust encoding is a positive per-row rescale of the standard one,

@@ -17,6 +17,7 @@ from namelearn.name_agent import (
     build_template_bank,
     context_exchange_augment,
     load_name_table,
+    pool_frozen_tokens,
     render_prompt,
     save_name_table,
 )
@@ -56,7 +57,7 @@ def test_init_vocab_mean_matches_mean_oracle(world):
     assert table.weight.requires_grad
     assert table.weight.shape == (len(world.ood_ids), world.config.embed_dim)
     for cid in world.ood_ids:
-        assert np.array_equal(table.weight.data[table.row(cid)], expected)
+        assert np.array_equal(table.weight.data[table.index[cid]], expected)
 
 
 @pytest.mark.parametrize(
@@ -80,7 +81,7 @@ def test_render_ood_splice_arithmetic(world, table):
     concept = world.concept(world.ood_ids[0])
     rp = render_prompt(world.canonical_template, concept, table)
     assert rp.name_token is None
-    assert rp.name_row == table.row(concept.id) == 0
+    assert rp.name_row == table.index[concept.id] == 0
     # Table rows are never mistaken for vocabulary ids.
     assert rp.frozen_token_ids == tuple(
         t for t in world.canonical_template.tokens if t != NAME_SLOT
@@ -102,7 +103,7 @@ def test_render_reflects_parameter_updates(world, table):
     )
     pair = [(concept.id, world.canonical_template.template_id)]
     before = agent.pool(pair).data.copy()
-    table.weight.data[table.row(concept.id)] += 0.25  # simulated optimizer step
+    table.weight.data[table.index[concept.id]] += 0.25  # simulated optimizer step
     assert not np.array_equal(agent.pool(pair).data, before)
 
 
@@ -162,11 +163,24 @@ def test_a_table_update_shows_in_the_next_pool(world, table):
     a, b = world.ood_ids[0], world.seen_ids[0]
     pairs = [(a, canonical), (b, canonical)]
     before = agent.pool(pairs).data.copy()
-    table.weight.data[table.row(a)] += 0.25  # simulated optimizer step
+    table.weight.data[table.index[a]] += 0.25  # simulated optimizer step
     after = agent.pool(pairs).data
     weight = 1.0 / len(world.canonical_template.tokens)
     assert np.allclose(after[0] - before[0], 0.25 * weight, rtol=0, atol=1e-15)
     assert np.array_equal(after[1], before[1])  # a frozen name: no table row
+
+
+def test_an_agent_without_a_table_renders_frozen_names(world):
+    # The no-name-learning arm: every held-out name is its blind token and a
+    # block is its frozen rows alone, with no selection.
+    agent = _agent(world, None)
+    template_ids = [world.canonical_template.template_id, world.templates[0].template_id]
+    pairs = [(cid, tid) for cid in world.ood_ids for tid in template_ids]
+    assert all(agent.render(*pair).name_token == world.oov_token for pair in pairs)
+    frozen, selection = agent.block(pairs)
+    assert selection is None and agent.parameters() == []
+    rows = [pool_frozen_tokens(agent.render(*pair), world.vocab) for pair in pairs]
+    assert np.array_equal(frozen.data, np.stack(rows)) and not frozen.data.flags.writeable
 
 
 def test_training_rejects_negative_template_token():

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from namelearn import autodiff as ad
-from namelearn import image_agent, session as session_module
+from namelearn import coordinator, image_agent
 from namelearn.autodiff import Tensor
 from namelearn.harness import parse_config_file
 from namelearn.image_agent import ALPHA, frozen_visual_features, robust_features
@@ -68,13 +68,13 @@ def test_default_block_size_keeps_the_whole_batch_bits(trained, monkeypatch):
     # (``robust`` now holds the whole split's robust features).
     monkeypatch.setattr(image_agent, "DIFFICULTY_THRESHOLD", ROUTES["robust"])
     blocks = []
-    similarity = session_module.similarity_matrix
+    similarity = coordinator.similarity_matrix
 
     def recording(img, txt):
         blocks.append((img.data, txt.data, similarity(img, txt).data))
         return similarity(img, txt)
 
-    monkeypatch.setattr(session_module, "similarity_matrix", recording)
+    monkeypatch.setattr(coordinator, "similarity_matrix", recording)
     session.evaluate(images, labels, ids)
     assert [len(img) for img, _, _ in blocks] == [
         len(range(len(images))[rows]) for rows in ad.row_blocks(len(images))

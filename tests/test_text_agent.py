@@ -40,20 +40,13 @@ def agent(world):
     return make_agent(world)
 
 
-def make_namer(world, extra_concepts=(), frozen_names=False):
+def make_namer(world, extra_concepts=(), learns_names=True):
     """Name agent whose table holds one random vector, for the first held-out
-    concept only."""
+    concept only; with no table unless ``learns_names``."""
     vectors = np.random.default_rng(1).normal(scale=0.02, size=(1, world.config.embed_dim))
-    table = NameEmbeddingTable(world.ood_ids[:1], vectors)
+    table = NameEmbeddingTable(world.ood_ids[:1], vectors) if learns_names else None
     concepts = {c.id: c for c in list(world.concepts) + list(extra_concepts)}
-    return NameAgent(
-        concepts,
-        world.templates,
-        world.canonical_template,
-        table,
-        world.vocab,
-        frozen_names=frozen_names,
-    )
+    return NameAgent(concepts, world.templates, world.canonical_template, table, world.vocab)
 
 
 @pytest.fixture()
@@ -112,7 +105,7 @@ def test_encode_standard_rejects_unknown_token(world):
 
 
 def test_encode_standard_accepts_blind_token(world):
-    namer = make_namer(world, frozen_names=True)
+    namer = make_namer(world, learns_names=False)
     cid = world.ood_ids[0]
     rendered = namer.render(cid, world.canonical_template.template_id)
     assert rendered.name_token == world.oov_token
@@ -124,7 +117,7 @@ def test_encode_standard_accepts_blind_token(world):
 def test_encode_standard_sensitive_to_name_embeddings(world, namer):
     cid = world.ood_ids[0]
     a = standard(world, pooled(world, namer, cid))
-    namer.table.weight.data[namer.table.row(cid)] += 0.5
+    namer.table.weight.data[namer.table.index[cid]] += 0.5
     b = standard(world, pooled(world, namer, cid))
     assert not np.allclose(a.data, b.data)
 
@@ -316,7 +309,7 @@ def test_embed_sequence_splice_length(world, namer):
     cid = world.ood_ids[0]
     tokens = world.canonical_template.tokens
     frozen = [t for t in tokens if t != NAME_SLOT]
-    names = namer.table.weight.data[[namer.table.row(cid)]]
+    names = namer.table.weight.data[[namer.table.index[cid]]]
     spliced = np.concatenate([world.vocab[frozen], names])
     assert len(spliced) == len(tokens)
     assert np.allclose(pooled(world, namer, cid).data, [spliced.mean(axis=0)], atol=1e-15)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from namelearn.autodiff import Tensor
+from namelearn.autodiff import DomainError, Tensor
 from namelearn.image_agent import frozen_visual_features
 from namelearn.session import SessionSettings, TrainingSession
 from namelearn.text_agent import encode_text
@@ -181,6 +181,18 @@ def test_both_scorers_reject_a_bad_split(world, scorer, case):
     args, message = BAD_SPLITS[case]
     with pytest.raises(ValueError, match=message):
         score(*args(images, labels, ids))
+
+
+@pytest.mark.parametrize("scorer", ["evaluate", "bayes_oracle_accuracy"])
+def test_both_scorers_reject_a_zero_image(default_world, scorer):
+    # A zero image has no direction to score: its cosines would be NaN, and
+    # argmax would pick the first class.
+    w = default_world
+    images, labels = w.sample_split(w.ood_ids, per_class=3, seed=1)
+    images[0] = 0.0
+    score = getattr(frozen_model(w) if scorer == "evaluate" else w, scorer)
+    with pytest.raises(DomainError, match="row with norm <= 1e-12"):
+        score(images, labels, w.ood_ids)
 
 
 def test_blind_ood_zero_shot_is_uniform(paired_world):
