@@ -400,16 +400,19 @@ Labels = namedtuple("Labels", "index rows shape")  # (N,) indices, arange(N), (N
 
 def check_labels(labels, shape: tuple[int, ...], op: str = "softmax_cross_entropy") -> Labels:
     """Every check ``op`` makes of its per-row column indices into a nonempty
-    matrix; a batch's fixed class labels are checked once."""
+    matrix, which must be of an integer dtype (not bool, not float); a
+    batch's fixed class labels are checked once."""
     if len(shape) != 2 or shape[0] == 0:
         raise ShapeError(f"{op}: need a nonempty matrix, got shape {shape}")
-    idx = np.asarray(labels, dtype=np.intp)
+    idx = np.asarray(labels)
     n, m = shape
     if idx.shape != (n,):
         raise ShapeError(f"{op}: need {n} labels, got shape {idx.shape}")
+    if idx.dtype.kind not in "iu":
+        raise DomainError(f"{op}: labels of dtype {idx.dtype}, not integers")
     if np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= m:
         raise DomainError(f"{op}: label out of range for {m} columns")
-    return Labels(idx, np.arange(n), shape)
+    return Labels(idx.astype(np.intp, copy=False), np.arange(n), shape)
 
 
 def pick_per_row(a: Tensor, indices) -> Tensor:
@@ -470,6 +473,10 @@ def backward(tape: Tape, loss: Tensor) -> None:
     Leaves connected only through ``detach`` receive exact zeros.  Raises
     ``ShapeError`` if the loss is not a scalar.
 
+    Gradients are keyed by the tensor (which hashes by identity).  The leaves
+    are the gradient-requiring inputs, and the loss, that no entry outputs,
+    taken in the order the tape first reads them (a set of tensors would
+    iterate in address order, which differs from one run to the next).
     A node's first gradient is kept by reference, and gradients that meet at
     a node are summed into a new array, so no op's returned array is written
     to (``add`` returns ``g`` twice).  Each leaf's ``.grad`` is a fresh
@@ -477,27 +484,18 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    produced = {id(out) for out, _, _ in tape.entries}
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
     for out, inputs, backward_fn in reversed(tape.entries):
-        g = grads.get(id(out))
+        g = grads.get(out)
         if g is None:
             continue
         for inp, ig in zip(inputs, backward_fn(g)):
             if inp.requires_grad:
-                key = id(inp)
-                grads[key] = grads[key] + ig if key in grads else ig
-    for _, inputs, _ in tape.entries:
-        for inp in inputs:
-            key = id(inp)
-            if inp.requires_grad and key not in produced:
-                produced.add(key)  # so a leaf read by several ops is assigned once
-                if key in grads:
-                    inp.grad = np.array(grads[key], dtype=np.float64)
-                else:
-                    inp.grad = np.zeros_like(inp.data)
-    if loss.requires_grad and id(loss) not in produced:
-        loss.grad = np.ones_like(loss.data)
+                grads[inp] = grads[inp] + ig if inp in grads else ig
+    outs = {out for out, _, _ in tape.entries}
+    for leaf in dict.fromkeys([inp for _, inputs, _ in tape.entries for inp in inputs] + [loss]):
+        if leaf.requires_grad and leaf not in outs:
+            leaf.grad = np.array(grads[leaf], np.float64) if leaf in grads else np.zeros_like(leaf.data)
 
 
 def grad_check(f: Callable[..., Tensor], params: Sequence[Tensor], eps: float = 1e-5) -> float:

@@ -139,13 +139,17 @@ Matches = namedtuple("Matches", "index counts rows shape")  # (N,), (U,) floats,
 
 def check_matches(y, shape: tuple[int, ...]) -> Matches:
     """Every check ``contrastive_loss`` makes of its match indices, done once
-    for a batch's fixed indices."""
+    for a batch's fixed indices; as in ``ad.check_labels``, indices of a
+    dtype that is not an integer dtype raise ``DomainError``."""
     if len(shape) != 2:
         raise ShapeError(f"contrastive_loss: need a matrix, got {shape}")
     n, u = shape
     if n == 0:
         raise ShapeError("contrastive_loss: empty batch")
-    y = np.asarray(y, dtype=np.intp)
+    y = np.asarray(y)
+    if y.dtype.kind not in "iu":
+        raise DomainError(f"contrastive_loss: match indices of dtype {y.dtype}, not integers")
+    y = y.astype(np.intp, copy=False)
     if y.shape != (n,) or np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= u:
         raise DomainError(f"contrastive_loss: bad match indices for {n} rows, {u} columns")
     m = np.bincount(y, minlength=u)

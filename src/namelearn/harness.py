@@ -26,7 +26,7 @@ from .autodiff import DomainError
 from .coordinator import LR_BAND, LossBreakdown, NanGradientError
 from .session import TrainingDivergedError, TrainingSession
 from .settings import ConfigError, SessionSettings
-from .world import World, WorldConfig, build_world
+from .world import World, WorldBuildError, WorldConfig, build_world
 
 # The paper's eight ablation arms: every session setting is one.
 ABLATION_FLAGS = tuple(f.name for f in fields(SessionSettings))
@@ -418,7 +418,8 @@ def emit_metrics(result: RunResult, out_dir) -> dict[str, Path]:
 
 def parse_config_file(path) -> ExperimentConfig:
     """An ``ExperimentConfig`` from a config file; a line that does not parse
-    or repeats a key raises ``ConfigError`` naming ``path:line`` and its key."""
+    or repeats a key raises ``ConfigError`` naming ``path:line`` and its key,
+    and a value out of range (the world's included) one naming ``path``."""
     entries: dict[str, object] = {}
     set_on: dict[str, int] = {}  # key -> the line that set it
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), 1):
@@ -435,7 +436,10 @@ def parse_config_file(path) -> ExperimentConfig:
             entries[key] = _parse_entry(key, value)
         except ConfigError as exc:
             raise ConfigError(f"{path}:{line_no}: {exc}") from None
-    return _config_from_entries(entries)
+    try:
+        return _config_from_entries(entries)
+    except (ConfigError, WorldBuildError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _parse_entry(key: str, value: str):
@@ -468,6 +472,7 @@ def _config_from_entries(entries: dict[str, object]) -> ExperimentConfig:
     exp = {key: v for key, v in entries.items() if not key.startswith("world.")}
     if world:
         exp["world"] = replace(WorldConfig(), **world)
+        exp["world"].validate()
     return replace(ExperimentConfig(), **exp)
 
 

@@ -9,12 +9,12 @@ agent's ``visual_context``, weighted by the fixed ratio ``LAMBDA_MIX``.  The
 context is a constant ``(D,)`` array broadcast to every row, and the frozen
 mixer's layers are read as constants too: neither is a tape input, so no
 gradient crosses into the image agent or the frozen encoder, and the op's
-inputs are the prompts and the fusion layers alone.  Each round ``step``
-reads the ``prompts`` and the ``visual_context`` its inbox holds and returns
-one payload, ``text_features``, for the coordinator.  It reads
-``disable_text_context`` and ``simple_concat_fusion`` from the session's
-``SessionSettings`` when built, and builds ``fusion_layers`` only where the
-arm fuses: under ``disable_text_context`` it has no learnables.
+inputs are the prompts and the fusion layers alone.  An encode keeps each
+layer's input for the backward, which reads the relu masks off them.  Each
+round ``step`` turns the ``prompts`` and ``visual_context`` in its inbox into
+one payload, ``text_features``, for the coordinator.  The agent reads
+``disable_text_context`` and ``simple_concat_fusion`` when built, and builds
+``fusion_layers`` only where the arm fuses.
 """
 
 from __future__ import annotations
@@ -31,25 +31,25 @@ from .settings import SessionSettings
 LAMBDA_MIX = 0.7
 
 
-def _relu_mlp(x: np.ndarray, layers) -> tuple[np.ndarray, list, list]:
+def _relu_mlp(x: np.ndarray, layers) -> tuple[np.ndarray, list]:
     """``affine`` layers ``(W1, b1, W2, b2, ...)``, a ``relu`` between each
-    two: the output, each layer's input and each ``relu``'s mask."""
-    inputs, masks = [], []
+    two, each in place on the fresh output below it: the output and each
+    layer's input."""
+    inputs = []
     for i in range(0, len(layers), 2):
         if i:
-            mask = x > 0
-            x[~mask] = 0.0  # ``relu``'s np.where, in place on a fresh output
-            masks.append(mask)
+            np.maximum(x, 0.0, out=x)
         inputs.append(x)
         x = x @ layers[i].data + layers[i + 1].data
-    return x, inputs, masks
+    return x, inputs
 
 
-def _relu_mlp_backward(g: np.ndarray, layers, inputs, masks, need_input, need_layers) -> tuple:
+def _relu_mlp_backward(g: np.ndarray, layers, inputs, need_input, need_layers) -> tuple:
     """Gradients through ``_relu_mlp``: the input's (``None`` unless
     ``need_input``), then each layer's (``None`` unless ``need_layers``).
     ``g`` goes on down only while the input or a lower layer needs a
-    gradient, so no product is formed that nobody reads."""
+    gradient, so no product is formed that nobody reads.  A ``relu`` passes
+    ``g`` where its output, the next layer's input, is positive."""
     grads = [None] * len(layers)
     for i in range(len(layers) - 2, -1, -2):
         if need_layers:
@@ -59,7 +59,7 @@ def _relu_mlp_backward(g: np.ndarray, layers, inputs, masks, need_input, need_la
             return None, grads
         g = g @ layers[i].data.T
         if i:
-            g = g * masks[i // 2 - 1]
+            g = g * (inputs[i // 2] > 0)
     return g, grads
 
 
@@ -74,7 +74,7 @@ def encode_text(x: Tensor, mixer, context: np.ndarray | None = None, fusion=()) 
     order, so every gradient is theirs, bit for bit, and forms none that no
     input reads: with frozen prompts (the ``disable_name_agent`` arm) it
     stops at the fusion layers."""
-    std, std_in, std_masks = _relu_mlp(x.data, mixer)
+    std, std_in = _relu_mlp(x.data, mixer)
     out = std
     if fusion:
         if std.ndim != 2 or context.shape != std.shape[1:]:
@@ -83,18 +83,17 @@ def encode_text(x: Tensor, mixer, context: np.ndarray | None = None, fusion=()) 
         cat = np.empty((n, 2 * k))
         cat[:, :k] = std
         cat[:, k:] = context
-        fused, fused_in, fused_masks = _relu_mlp(cat, fusion)
-        wa = float(LAMBDA_MIX)
-        wb = 1.0 - wa
+        fused, fused_in = _relu_mlp(cat, fusion)
+        wa, wb = LAMBDA_MIX, 1.0 - LAMBDA_MIX
         out = std * wa + fused * wb
 
     def backward(g):
         need_x, grads = x.requires_grad, ()
         if fusion:
-            gz, grads = _relu_mlp_backward(g * wb, fusion, fused_in, fused_masks, need_x, True)
+            gz, grads = _relu_mlp_backward(g * wb, fusion, fused_in, need_x, True)
             if need_x:
                 g = g * wa + gz[:, :k]
-        return (_relu_mlp_backward(g, mixer, std_in, std_masks, need_x, False)[0], *grads)
+        return (_relu_mlp_backward(g, mixer, std_in, need_x, False)[0], *grads)
 
     return ad._make(out, (x, *fusion), backward)
 

@@ -53,10 +53,14 @@ def criterion_1():
 
 
 def pytest_configure(config):
-    """Generated cases (``test_properties``) are drawn from a fixed seed, the
-    same cases on every run, and no example database is written.  The cache
-    of literals Hypothesis reads from the source files when it collects goes
-    to a directory removed when the session ends, not into the checkout."""
+    """Generated cases (``test_properties``) are drawn from a fixed seed, and
+    no example database is written.  The seed alone does not fix the cases:
+    when it collects, Hypothesis also harvests the literals of the local
+    modules under ``src/`` and ``tests/`` and draws them as candidate values,
+    so editing a literal there (a planted defect too) can change the cases;
+    with the source unchanged, every run draws the same ones.  That cache of
+    literals goes to a directory removed when the session ends, not into the
+    checkout."""
     try:
         from hypothesis import settings
         from hypothesis.configuration import set_hypothesis_home_dir

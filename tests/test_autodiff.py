@@ -45,6 +45,23 @@ def test_pick_per_row_rejects_out_of_range_index(indices):
         ad.pick_per_row(Tensor(np.eye(2)), indices)
 
 
+@pytest.mark.parametrize(
+    "labels", [[0.9, 1.7], [0.0, 1.0], [True, False], np.array([0, 1], dtype=object)],
+    ids=["fractional", "integral_floats", "bool", "object"],
+)
+def test_label_checks_reject_a_dtype_that_is_not_an_integer_dtype(labels):
+    # A cast to intp would read [0.9, 1.7] as [0, 1] and [True, False] as
+    # [1, 0]: a label that is not an integer is an error, not an index.
+    logits = Tensor(np.zeros((2, 3)))
+    for op, call in [
+        ("softmax_cross_entropy", lambda: ad.check_labels(labels, (2, 3))),
+        ("pick_per_row", lambda: ad.pick_per_row(logits, labels)),
+        ("softmax_cross_entropy", lambda: ad.softmax_cross_entropy(logits, labels)),
+    ]:
+        with pytest.raises(DomainError, match=f"^{op}: labels of dtype"):
+            call()
+
+
 def test_shape_mismatch_names_op_and_shapes():
     with pytest.raises(ShapeError) as exc:
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
@@ -247,6 +264,46 @@ def test_softmax_cross_entropy_rejects_bad_input():
 
 # ---------------------------------------------------------------------------
 # Gradient buffers: shared by reference inside a pass, never between leaves
+
+
+def test_tensors_hash_and_compare_by_identity():
+    # ``backward`` keys its gradients by the tensor, so two tensors of equal
+    # value must stay two keys: no value equality, no value hash.
+    assert Tensor.__eq__ is object.__eq__ and Tensor.__hash__ is object.__hash__
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    b = Tensor([1.0, 2.0], requires_grad=True)
+    assert a != b and len({a, b}) == 2
+    with Tape() as tape:
+        loss = ad.add(ad.sum_all(ad.mul(a, Tensor([3.0, 5.0]))), ad.sum_all(b))
+    backward(tape, loss)
+    assert np.array_equal(a.grad, [3.0, 5.0]) and np.array_equal(b.grad, [1.0, 1.0])
+
+
+def test_backward_assigns_the_leaves_in_the_order_the_tape_reads_them():
+    # A set of tensors iterates in address order, which differs from one run
+    # to the next; ``backward`` copies the leaves' gradients in tape order.
+    assigned = []
+
+    class Recorded(Tensor):
+        @property
+        def grad(self):
+            return Tensor.grad.__get__(self)
+
+        @grad.setter
+        def grad(self, value):
+            if value is not None:
+                assigned.append(self.name)
+            Tensor.grad.__set__(self, value)
+
+    leaves = [Recorded([float(k)], requires_grad=True, name=str(k)) for k in range(20)]
+    order = [int(k) for k in np.random.default_rng(0).permutation(20)]
+    with Tape() as tape:
+        loss = ad.sum_all(leaves[order[0]])
+        for k in order[1:]:
+            loss = ad.add(loss, ad.sum_all(leaves[k]))
+    backward(tape, loss)
+    assert assigned == [str(k) for k in order]
+    assert all(np.array_equal(leaf.grad, [1.0]) for leaf in leaves)
 
 
 def test_leaf_added_to_itself_gets_the_summed_gradient():

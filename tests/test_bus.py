@@ -463,4 +463,4 @@ def test_round_fixed_cost_in_python_calls():
     rounds = sum(e.callcount for e in entries if getattr(e.code, "co_name", None) == "run_round")
     assert rounds == 2 * (1 + 2 * 243)
     calls = sum(e.callcount for e in entries)
-    assert calls / rounds <= 72, calls / rounds
+    assert calls / rounds <= 70, calls / rounds

@@ -183,6 +183,17 @@ def test_contrastive_rejects_negative_or_misshaped_indices():
             contrastive_loss(Tensor(np.eye(2)), y, 1.0)
 
 
+@pytest.mark.parametrize(
+    "y", [[0.2, 1.9], [0.0, 1.0], [False, True]], ids=["fractional", "integral_floats", "bool"]
+)
+def test_match_checks_reject_a_dtype_that_is_not_an_integer_dtype(y):
+    # A cast to intp would read [0.2, 1.9] as [0, 1].
+    calls = (lambda: check_matches(y, (2, 2)), lambda: contrastive_loss(Tensor(np.eye(2)), y, 1.0))
+    for call in calls:
+        with pytest.raises(DomainError, match="^contrastive_loss: match indices of dtype"):
+            call()
+
+
 # (N, U) scores against distinct texts, column u shared by bincount(y)[u] rows.
 
 def _grouped_case(seed):

@@ -171,6 +171,30 @@ def test_config_file_bad_bool(tmp_path):
         parse_config_file(path)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("epochs = 0", "epochs must be >= 1, got 0"),
+        ("shots = 4,1", "shots must be ascending"),
+        ("world.embed_dim = 0", "embed_dim must be >= 1, got 0"),
+    ],
+    ids=["epochs", "shots", "world.embed_dim"],
+)
+def test_cli_config_value_out_of_range_names_the_file(tmp_path, capsys, monkeypatch, line, message):
+    # A value that parses but is out of range fails in ``parse_config_file``,
+    # named by its file, before any world is built: the world's fields too.
+    built = []
+    monkeypatch.setattr(harness, "build_world", lambda *a, **k: built.append(a))
+    path = tmp_path / "range.cfg"
+    path.write_text(line + "\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        parse_config_file(path)
+    assert main(["few-shot", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "out").exists()
+    assert built == []
+
+
 def test_config_hash_stable_and_sensitive():
     a = config_hash(TINY)
     assert a == config_hash(replace(TINY, shots=(0, 2)))
@@ -634,7 +658,7 @@ def test_cli_world_dimension_or_seed_below_range_is_hard_error(
     cfg = write_tiny_config(tmp_path / "exp.cfg", **{f"world.{field}": value})
     rc = main([*command, "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert capsys.readouterr().err.startswith(f"error: {field} must be >= ")
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: {field} must be >= ")
     assert not (tmp_path / "out").exists()
 
 

@@ -295,6 +295,22 @@ def test_a_round_encodes_the_visual_context_the_bus_delivers(world):
     assert not np.array_equal(swapped.data, sent["visual_context"].data)
 
 
+def test_a_nan_in_a_prompt_row_reaches_its_text_feature():
+    # The relu passes a NaN on, so ``train_step``'s finite-loss check can
+    # see it; a relu that zeroed it would train on a bad row unnoticed.
+    world = build_world(WorldConfig())
+    session = TrainingSession(world, SessionSettings(), seed=0)
+    canonical = world.canonical_template.template_id
+    rows = session.name_agent.pool([(cid, canonical) for cid in world.ood_ids])
+    c = Tensor(np.random.default_rng(5).normal(size=world.config.embed_dim))
+    clean = session.text_agent.encode(rows, c).data
+    rows.data[1, 3] = np.nan
+    out = session.text_agent.encode(rows, c).data
+    assert not np.isfinite(out[1]).all()
+    others = np.arange(len(out)) != 1
+    assert np.array_equal(out[others], clean[others])
+
+
 def test_linear_fusion_shape_and_params(world):
     agent = make_agent(world, simple_concat_fusion=True)
     assert [p.name for p in agent.parameters()] == ["fusion.linear_w", "fusion.linear_b"]
