@@ -14,15 +14,14 @@ by reference; ``MessageBus.log`` builds from them, when read, one record per
 delivery, keyed by label, holding what ``serialize_log`` writes: the payload's
 shape and first four values (copied).
 
-A round's fixed cost is Python-level calls, not arithmetic: ``AgentId``
-hashes by identity in C, and each agent's labels are checked with one tuple
-comparison, building an error message only once a check has failed.
+Agents go by their names, the strings of ``ROUND_ORDER``.  A round's fixed
+cost is Python-level calls, not arithmetic: each agent's labels are checked
+with one tuple comparison, building an error message only once it fails.
 """
 
 from __future__ import annotations
 
 import json
-from enum import Enum
 from typing import NamedTuple, Protocol
 
 import numpy as np
@@ -30,32 +29,21 @@ import numpy as np
 from .autodiff import Tensor
 
 
-class AgentId(Enum):
-    IMAGE = "Image"
-    TEXT = "Text"
-    NAME = "Name"
-    COORDINATOR = "Coordinator"
-
-    # Members are singletons compared by identity, so the identity hash agrees
-    # with equality, and it runs in C instead of ``Enum.__hash__``.
-    __hash__ = object.__hash__
-
-
-ROUND_ORDER = (AgentId.IMAGE, AgentId.NAME, AgentId.TEXT, AgentId.COORDINATOR)
+ROUND_ORDER = ("Image", "Name", "Text", "Coordinator")
 
 # Label -> (sender, receiver), in send order.  Every sender steps before its
 # receiver in ROUND_ORDER, so each payload is read in the round that sends it.
 ROUND_SCHEMA = {
-    "visual_context": (AgentId.IMAGE, AgentId.TEXT),
-    "image_features": (AgentId.IMAGE, AgentId.COORDINATOR),
-    "prompts": (AgentId.NAME, AgentId.TEXT),
-    "text_features": (AgentId.TEXT, AgentId.COORDINATOR),
+    "visual_context": ("Image", "Text"),
+    "image_features": ("Image", "Coordinator"),
+    "prompts": ("Name", "Text"),
+    "text_features": ("Text", "Coordinator"),
 }
 
 # Per sender, in ROUND_ORDER: the labels it sends, in send order.  The
 # coordinator, last, sends nothing.
 _SENDS = tuple(
-    (agent, tuple(label for label, (sender, _) in ROUND_SCHEMA.items() if sender is agent))
+    (agent, tuple(label for label, (sender, _) in ROUND_SCHEMA.items() if sender == agent))
     for agent in ROUND_ORDER[:-1]
 )
 
@@ -76,7 +64,7 @@ class PreparedRun(dict):
     """Agent -> what it computed once for a batch, which each round reads."""
 
     def __missing__(self, agent):
-        raise UnpreparedBatchError(f"{agent.agent_id.value} agent: not its session's batch")
+        raise UnpreparedBatchError(f"{agent.agent_id} agent: not its session's batch")
 
 
 # Values kept per payload in the log: the shape and this many leading values
@@ -96,15 +84,15 @@ class LogRecord(NamedTuple):
         # Every payload is a feature; the tag stays so that lines stay stable.
         return {
             "round": round_index,
-            "sender": sender.value,
-            "receiver": receiver.value,
+            "sender": sender,
+            "receiver": receiver,
             "content_tag": "feature",
             "payload_summary": {"shape": list(self.shape), "first": self.values.tolist()},
         }
 
 
 class Agent(Protocol):
-    agent_id: AgentId
+    agent_id: str
 
     def step(self, inbox: dict[str, Tensor], batch): ...
 
@@ -114,13 +102,13 @@ class MessageBus:
     round's log."""
 
     def __init__(self, *agents: Agent):
-        given = [agent.agent_id.value for agent in agents]
-        expected = [agent_id.value for agent_id in ROUND_ORDER]
+        given = [agent.agent_id for agent in agents]
+        expected = list(ROUND_ORDER)
         if given != expected:
             raise ValueError(f"a bus takes its agents in ROUND_ORDER {expected}, got {given}")
         self.agents = agents
         self.round_index = 0
-        self._inboxes: dict[AgentId, dict[str, Tensor]] = {agent: {} for agent in ROUND_ORDER}
+        self._inboxes: dict[str, dict[str, Tensor]] = {agent: {} for agent in ROUND_ORDER}
 
     @property
     def log(self) -> list[LogRecord]:
@@ -155,8 +143,8 @@ def run_round(bus: MessageBus, batch):
         sent = agent.step(inboxes[agent_id], batch)
         if tuple(sent) != labels:
             raise ProtocolError(
-                f"{agent_id.value} sent {list(sent)}; the round schema gives it {list(labels)}"
+                f"{agent_id} sent {list(sent)}; the round schema gives it {list(labels)}"
             )
         for label in labels:
             inboxes[ROUND_SCHEMA[label][1]][label] = sent[label]
-    return bus.agents[-1].step(inboxes[AgentId.COORDINATOR], batch)
+    return bus.agents[-1].step(inboxes["Coordinator"], batch)

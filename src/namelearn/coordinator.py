@@ -107,14 +107,24 @@ def similarity_matrix(img: Tensor, txt: Tensor) -> Tensor:
     return ad._make(s, (img, txt), backward)
 
 
+def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of the first of each set of bit-identical rows of ``a``, in
+    row order, and each row's position among those firsts."""
+    seen: dict[bytes, int] = {}
+    index = np.array([seen.setdefault(row.tobytes(), len(seen)) for row in a], dtype=np.intp)
+    return np.unique(index, return_index=True)[1], index
+
+
 def nearest_class(feats: np.ndarray, classes: np.ndarray) -> np.ndarray:
     """Each feature row's most cosine-similar row of ``classes``, the first
     on ties: ``similarity_matrix`` block by block (``autodiff.row_blocks``),
-    so no ``(N, classes)`` matrix is built."""
-    classes = Tensor(classes)
+    so no ``(N, classes)`` matrix is built.  Equal class rows are scored as
+    one column, so they tie exactly, wherever BLAS rounds by position."""
+    first = distinct_rows(classes)[0]
+    distinct = Tensor(classes[first])
     best = np.empty(len(feats), dtype=np.intp)
     for rows in ad.row_blocks(len(best)):
-        best[rows] = np.argmax(similarity_matrix(Tensor(feats[rows]), classes).data, axis=1)
+        best[rows] = first[np.argmax(similarity_matrix(Tensor(feats[rows]), distinct).data, axis=1)]
     return best
 
 

@@ -3,21 +3,21 @@
 Two encoding strategies over the frozen visual encoder — plain features, or
 unit-normalized features plus a small gradient-blocked residual copy — routed
 by a difficulty score that a fixed, seeded scorer estimates from the batch
-feature distribution.  ``ImageAgent.encode`` is the one routing path, for
-training rounds and evaluation alike, and its return is the one place to
-read a batch's difficulty score and strategy.  Each round ``step`` receives
-nothing and returns two payloads: ``visual_context``, a pooled context vector
-for the text agent, and ``image_features`` for the coordinator.  The score is
-one number per batch, taken from the batch's mean feature; the residual
+feature distribution.  ``ImageAgent.encode`` is the one routing path, and its
+return is the one place to read a batch's difficulty score and strategy.
+``ImageAgent.prepare`` makes the two payloads that training rounds and
+evaluation both read: ``visual_context``, the mean feature row, for the text
+agent, and ``image_features`` for the coordinator.  The score is one
+number per batch, taken from the batch's mean feature; the residual
 coefficient ``ALPHA`` and the routing threshold ``DIFFICULTY_THRESHOLD`` are
 fixed.  The agent reads ``disable_difficulty`` and
 ``disable_image_agent_robust`` from the session's ``SessionSettings`` once,
-when built, and builds its scorer only where the arm scores.
-Nothing on the image side learns, so ``prepare`` computes a training run's
-payloads once and every round's ``step`` sends them.  The frozen encoder and
-the robust encoding (``robust_features``, one op) work in row blocks
-(``autodiff.row_blocks``), so encoding a large test set holds its features
-and not a chain of temporaries.
+when built, and builds its scorer only where the arm scores.  Nothing on the
+image side learns, so ``prepare`` computes a training run's payloads once and
+each round's ``step``, which receives nothing, sends them.  The frozen
+encoder and the robust encoding (``robust_features``, one op) work in row
+blocks (``autodiff.row_blocks``), so encoding a large test set holds its
+features and not a chain of temporaries.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .bus import AgentId
 from .settings import SessionSettings
 
 STANDARD = "standard"
@@ -117,7 +116,7 @@ def select_strategy(difficulty: float, threshold: float) -> str:
 
 
 class ImageAgent:
-    agent_id = AgentId.IMAGE
+    agent_id = "Image"
 
     def __init__(
         self,
@@ -131,19 +130,9 @@ class ImageAgent:
         scores = not settings.disable_difficulty
         self.estimator = DifficultyEstimator(d, max(1, d // 2), rng) if scores else None
 
-    # -- encodings ------------------------------------------------------------
-
-    def encode_standard(self, images: Tensor) -> Tensor:
-        """Frozen encoder output, unchanged."""
-        return frozen_visual_features(images, self.frozen_visual)
-
-    def encode_robust(self, images: Tensor, alpha: float = ALPHA) -> Tensor:
-        """Unit-normalized features plus a gradient-blocked scaled residual."""
-        return robust_features(self.encode_standard(images), alpha)
-
     def encode(self, images: np.ndarray) -> tuple[Tensor, float, str]:
         """Route a raw batch: its features, difficulty score and strategy."""
-        standard = self.encode_standard(Tensor(images))
+        standard = frozen_visual_features(Tensor(images), self.frozen_visual)
         difficulty = 0.5  # neutral score when estimation is ablated
         if self.estimator is not None:
             difficulty = self.estimator.estimate(ad.mean_rows(standard)).item()
@@ -151,18 +140,13 @@ class ImageAgent:
         features = standard if strategy == STANDARD else robust_features(standard)
         return features, difficulty, strategy
 
-    @staticmethod
-    def emit_visual_context(features: Tensor) -> Tensor:
-        """Pooled context for the text agent: column-wise mean of the batch."""
-        return ad.mean_rows(features)
-
     # -- round protocol ---------------------------------------------------------
 
     def prepare(self, images: np.ndarray) -> Mapping[str, Tensor]:
         """A run's two payloads, read-only: a function of its images alone."""
         features = self.encode(images)[0]
         return MappingProxyType({
-            "visual_context": self.emit_visual_context(features),
+            "visual_context": ad.mean_rows(features),
             "image_features": features,
         })
 

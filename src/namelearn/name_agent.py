@@ -23,7 +23,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .bus import AgentId
 
 NAME_SLOT = -1
 SHARED_AFFINITY = "shared"
@@ -210,7 +209,7 @@ class NameAgent:
     uses the concept's frozen token, and a block is its frozen rows alone.
     """
 
-    agent_id = AgentId.NAME
+    agent_id = "Name"
 
     def __init__(
         self,

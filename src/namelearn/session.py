@@ -17,15 +17,16 @@ repeats every few epochs, and a round raises ``bus.UnpreparedBatchError`` on
 a batch another session built, or none.  It runs fixed-schedule bus rounds
 under a gradient tape and returns each step's loss breakdown; it keeps no
 per-step history, so its memory does not grow with epochs (``write_step_log``
-writes a returned history).  It evaluates by cosine retrieval against
-per-class text features, scored through the coordinator's ``nearest_class``,
-by ``similarity_matrix`` as training rounds are.  Its bus is built from its
-four agents.  The coordinator agent ends each round: its inbox holds the
-``image_features`` and the ``text_features`` (one row per distinct prompt),
-as ``bus.ROUND_SCHEMA`` routes them; it computes the loss, one tape entry,
-over images against distinct prompts and returns ``total_loss``'s
-``(total, breakdown)`` pair.  The image agent's difficulty scorer is fixed,
-as the loss has no path back to it, and not built under
+writes a returned history).  It evaluates by cosine retrieval: the test
+images go through ``ImageAgent.prepare``, as training shots do, and are
+scored against per-class text features through the coordinator's
+``nearest_class``, by ``similarity_matrix`` as training rounds are.  Its bus
+is built from its four agents.  The coordinator agent ends each round: its
+inbox holds the ``image_features`` and the ``text_features`` (one row per
+distinct prompt), as ``bus.ROUND_SCHEMA`` routes them; it computes the loss,
+one tape entry, over images against distinct prompts and returns
+``total_loss``'s ``(total, breakdown)`` pair.  The image agent's difficulty
+scorer is fixed, as the loss has no path back to it, and not built under
 ``disable_difficulty``.  The image and text agents and ``CoordinatorParams``
 read the session's ``SessionSettings`` record as it is, when built; the
 session itself reads only ``disable_name_agent`` (when built) and
@@ -42,9 +43,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .autodiff import Labels, Tape, Tensor, backward, check_labels, unit_rows
-from .bus import AgentId, EmptyBatchError, MessageBus, PreparedRun, run_round
+from .bus import EmptyBatchError, MessageBus, PreparedRun, run_round
 from .coordinator import Adam, CoordinatorParams, LossBreakdown, check_matches
-from .coordinator import nearest_class, total_loss
+from .coordinator import distinct_rows, nearest_class, total_loss
 from .image_agent import ImageAgent
 from .name_agent import NameAgent, NameEmbeddingTable, NameRows, context_exchange_augment
 from .settings import SessionSettings
@@ -95,7 +96,7 @@ class Batch:
 
 
 class CoordinatorAgent:
-    agent_id = AgentId.COORDINATOR
+    agent_id = "Coordinator"
 
     def __init__(self, params: CoordinatorParams):
         self.params = params
@@ -238,22 +239,25 @@ class TrainingSession:
     def class_text_features(self, class_ids: list[int], context: Tensor | None) -> np.ndarray:
         """Per-class text features from the canonical prompt, encoded the way
         training rounds encode: trained name embeddings, then the text agent
-        with this visual context (``None`` under ``disable_text_context``)."""
+        with this visual context (``None`` under ``disable_text_context``).
+        Equal prompt rows are encoded once, so their classes tie exactly."""
         template_id = self.world.canonical_template.template_id
-        pooled = self.name_agent.pool([(cid, template_id) for cid in class_ids])
-        return self.text_agent.encode(pooled, context).data
+        pooled = self.name_agent.pool([(cid, template_id) for cid in class_ids]).data
+        first, index = distinct_rows(pooled)
+        return self.text_agent.encode(Tensor(pooled[first]), context).data[index]
 
     def evaluate(
         self, images: np.ndarray, labels: np.ndarray, class_ids: list[int]
     ) -> dict[str, float]:
-        """Cosine-retrieval accuracy over a label space, reported per split,
-        scored through ``coordinator.nearest_class``."""
+        """Cosine-retrieval accuracy over a label space, ``"seen"`` and
+        ``"ood"``, each where its split has images, scored through
+        ``coordinator.nearest_class``."""
         check_split_labels(len(images), labels, class_ids)
-        feats = self.image_agent.encode(images)[0]
-        text = self.class_text_features(class_ids, ImageAgent.emit_visual_context(feats))
-        correct = np.asarray(class_ids)[nearest_class(feats.data, text)] == labels
+        image = self.image_agent.prepare(images)
+        text = self.class_text_features(class_ids, image["visual_context"])
+        correct = np.asarray(class_ids)[nearest_class(image["image_features"].data, text)] == labels
         is_seen = np.isin(labels, self.world.seen_ids)
-        out = {"overall": float(np.mean(correct))}
+        out = {}
         if np.any(is_seen):
             out["seen"] = float(np.mean(correct[is_seen]))
         if np.any(~is_seen):

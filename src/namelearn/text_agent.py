@@ -23,7 +23,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .bus import AgentId
 from .settings import SessionSettings
 
 # Weight of the plain text feature in the fusion: it dominates, so the
@@ -126,7 +125,7 @@ def fusion_layers(d: int, simple: bool, rng: np.random.Generator) -> tuple[Tenso
 
 
 class TextAgent:
-    agent_id = AgentId.TEXT
+    agent_id = "Text"
 
     def __init__(
         self,

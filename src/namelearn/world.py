@@ -91,12 +91,14 @@ class ConceptSpec:
 def check_split_labels(n_images: int, labels: np.ndarray, class_ids) -> None:
     """The input check of both scorers, ``TrainingSession.evaluate`` and
     ``World.bayes_oracle_accuracy``: ``ValueError`` unless the label space is
-    nonempty and holds every label, and there is one label per image."""
+    nonempty and holds every label, of an integer dtype, one per image."""
     if len(class_ids) == 0:
         raise ValueError("empty label space: no class to score against")
     labels = np.asarray(labels)
     if labels.shape != (n_images,):
         raise ValueError(f"{n_images} images need {n_images} labels, got shape {labels.shape}")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels of dtype {labels.dtype}, not integers")
     outside = sorted(set(labels.tolist()) - set(np.asarray(class_ids).tolist()))
     if outside:
         raise ValueError(f"labels {outside} are outside the label space {list(class_ids)}")

@@ -16,7 +16,7 @@ import pytest
 from namelearn import autodiff as ad
 from namelearn.autodiff import Tape, Tensor, backward
 from namelearn.harness import ExperimentConfig, emit_metrics, run_few_shot
-from namelearn.image_agent import ImageAgent
+from namelearn.image_agent import frozen_visual_features, robust_features
 from namelearn.selfcheck import classification_oracle_suite, contrastive_oracle_suite
 from namelearn.session import SessionSettings, TrainingSession, write_step_log
 from namelearn.world import WorldConfig, build_world
@@ -220,19 +220,20 @@ def test_criterion_8_determinism(tmp_path):
 
 def test_criterion_9_residual_detach_semantics(default_world):
     rng = np.random.default_rng(0)
-    agent = ImageAgent(default_world.gen_map, SessionSettings(), np.random.default_rng(1))
+    encoder = Tensor(default_world.gen_map)
     x = Tensor(rng.normal(size=(6, default_world.config.image_dim)), requires_grad=True)
     with Tape() as tape:
-        loss = ad.sum_all(agent.encode_robust(x))
+        loss = ad.sum_all(robust_features(frozen_visual_features(x, encoder)))
     backward(tape, loss)
     grad_robust = x.grad.copy()
     with Tape() as tape:
-        loss = ad.sum_all(ad.l2_normalize_rows(agent.encode_standard(x)))
+        loss = ad.sum_all(ad.l2_normalize_rows(frozen_visual_features(x, encoder)))
     backward(tape, loss)
     residual_blocked = np.array_equal(grad_robust, x.grad)
 
-    alpha_zero = agent.encode_robust(x, alpha=0.0)
-    normalized = ad.l2_normalize_rows(agent.encode_standard(x))
+    standard = frozen_visual_features(x, encoder)
+    alpha_zero = robust_features(standard, alpha=0.0)
+    normalized = ad.l2_normalize_rows(standard)
     reduction = float(np.max(np.abs(alpha_zero.data - normalized.data)))
     ok = residual_blocked and reduction <= 1e-12
     _criterion(

@@ -18,6 +18,7 @@ from namelearn.coordinator import (
     contrastive_loss,
     effective_temperature,
     loss_weights,
+    nearest_class,
     similarity_matrix,
     total_loss,
     weighted_total,
@@ -706,3 +707,13 @@ def test_flat_adam_names_the_tensor_with_a_non_finite_entry():
     # The scan runs before any update: nothing moved.
     assert all(np.array_equal(p.data, b) for p, b in zip(params, before))
     assert not opt._m.any() and not opt._v.any()
+
+
+def test_nearest_class_gives_a_tie_to_the_first_of_equal_class_rows():
+    # Rows a, b, a, b, c: an image nearest a is class 0, nearest b class 1,
+    # whatever bits BLAS would give equal columns at other positions.
+    rng = np.random.default_rng(3)
+    a, b, c = rng.normal(size=(3, 32))
+    classes = np.stack([a, b, a, b, c] + [c] * 5)
+    feats = np.concatenate([a + rng.normal(0, 0.01, (8, 32)), b + rng.normal(0, 0.01, (8, 32))])
+    assert nearest_class(feats, classes).tolist() == [0] * 8 + [1] * 8

@@ -613,6 +613,20 @@ def test_cli_selftest_passes_all_four_suites(monkeypatch, capsys):
     assert "grouped contrastive loss" in lines[2]
 
 
+def test_cli_selftest_fails_on_a_suite_at_its_bound(monkeypatch, capsys):
+    from namelearn import selfcheck
+
+    # The second suite's worst error equals its bound: it fails, and so does the run.
+    suites = ["composite_grad_checks", "full_loss_grad_checks"]
+    suites += ["contrastive_oracle_suite", "classification_oracle_suite"]
+    for i, name in enumerate(suites):
+        report = selfcheck.SuiteReport(name, 1e-4 if i == 1 else 0.0, 1e-4)
+        monkeypatch.setattr(selfcheck, name, lambda report=report: report)
+    assert main(["selftest"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["PASS", "FAIL", "PASS", "PASS"]
+
+
 def test_cli_bad_config_is_hard_error(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("mystery = 1\n")

@@ -10,6 +10,8 @@ from namelearn.coordinator import contrastive_loss, similarity_matrix
 from namelearn.image_agent import (
     DifficultyEstimator,
     ImageAgent,
+    frozen_visual_features,
+    robust_features,
     select_strategy,
 )
 from namelearn.settings import SessionSettings
@@ -22,47 +24,43 @@ def agent():
     return ImageAgent(np.ascontiguousarray(frozen), SessionSettings(), np.random.default_rng(1))
 
 
-def test_encode_standard_is_frozen_output(agent):
+def test_frozen_encoder_output(agent):
     rng = np.random.default_rng(2)
     x = rng.normal(size=(5, 12))
-    out = agent.encode_standard(Tensor(x))
+    out = frozen_visual_features(Tensor(x), agent.frozen_visual)
     assert np.array_equal(out.data, x @ agent.frozen_visual.data)
     assert out.shape == (5, 8)
 
 
-def test_encode_standard_rejects_empty_batch(agent):
+def test_frozen_encoder_rejects_empty_batch(agent):
     with pytest.raises(ShapeError):
-        agent.encode_standard(Tensor(np.zeros((0, 12))))
+        frozen_visual_features(Tensor(np.zeros((0, 12))), agent.frozen_visual)
 
 
-def test_encode_standard_rejects_dim_mismatch(agent):
+def test_frozen_encoder_rejects_dim_mismatch(agent):
     with pytest.raises(ShapeError):
-        agent.encode_standard(Tensor(np.zeros((3, 7))))
+        frozen_visual_features(Tensor(np.zeros((3, 7))), agent.frozen_visual)
 
 
-def test_encode_robust_hand_case():
-    # Identity encoder: features [[3, 4]] -> [[0.6, 0.8]] + 0.1 * [[3, 4]].
-    agent = ImageAgent(np.eye(2), SessionSettings(), np.random.default_rng(0))
+def test_robust_features_hand_case():
+    # Features [[3, 4]] -> [[0.6, 0.8]] + 0.1 * [[3, 4]].
     assert image_agent.ALPHA == 0.1
-    out = agent.encode_robust(Tensor([[3.0, 4.0]]))
+    out = robust_features(Tensor([[3.0, 4.0]]))
     assert np.allclose(out.data, [[0.9, 1.2]], atol=1e-12)
 
 
-def test_encode_robust_alpha_zero_reduces_to_normalization(agent):
-    rng = np.random.default_rng(3)
-    x = Tensor(rng.normal(size=(4, 12)))
-    robust = agent.encode_robust(x, alpha=0.0)
-    normalized = ad.l2_normalize_rows(agent.encode_standard(x))
-    assert np.allclose(robust.data, normalized.data, atol=1e-12)
+def test_robust_features_alpha_zero_reduces_to_normalization():
+    x = Tensor(np.random.default_rng(3).normal(size=(4, 8)))
+    robust = robust_features(x, alpha=0.0)
+    assert np.allclose(robust.data, ad.l2_normalize_rows(x).data, atol=1e-12)
 
 
-def test_encode_robust_rejects_zero_norm_feature():
-    agent = ImageAgent(np.eye(2), SessionSettings(), np.random.default_rng(0))
+def test_robust_features_rejects_zero_norm_feature():
     with pytest.raises(DomainError):
-        agent.encode_robust(Tensor([[0.0, 0.0]]))
+        robust_features(Tensor([[0.0, 0.0]]))
 
 
-def test_encode_robust_residual_branch_blocks_gradient(agent):
+def test_robust_features_residual_branch_blocks_gradient(agent):
     # Gradient of sum(robust) w.r.t. the raw batch equals the gradient of
     # sum(normalized term) alone: the residual branch contributes zero.
     # The normalized path itself is finite-difference verified, so equality
@@ -70,17 +68,18 @@ def test_encode_robust_residual_branch_blocks_gradient(agent):
     rng = np.random.default_rng(4)
     x = Tensor(rng.normal(size=(3, 12)), requires_grad=True)
 
-    err = grad_check(
-        lambda t: ad.sum_all(ad.l2_normalize_rows(agent.encode_standard(t))), [x], eps=1e-5
-    )
+    def standard(t):
+        return frozen_visual_features(t, agent.frozen_visual)
+
+    err = grad_check(lambda t: ad.sum_all(ad.l2_normalize_rows(standard(t))), [x], eps=1e-5)
     assert err < 1e-4
 
     with Tape() as tape:
-        loss = ad.sum_all(agent.encode_robust(x))
+        loss = ad.sum_all(robust_features(standard(x)))
     backward(tape, loss)
     grad_robust = x.grad.copy()
     with Tape() as tape:
-        loss = ad.sum_all(ad.l2_normalize_rows(agent.encode_standard(x)))
+        loss = ad.sum_all(ad.l2_normalize_rows(standard(x)))
     backward(tape, loss)
     assert np.array_equal(grad_robust, x.grad)
 
@@ -125,8 +124,9 @@ def test_encode_is_the_round_routing(agent, threshold, monkeypatch):
     images = np.random.default_rng(6).normal(size=(5, 12))
     features, difficulty, strategy = agent.encode(images)
     assert strategy == select_strategy(difficulty, threshold)
-    encoder = agent.encode_standard if strategy == "standard" else agent.encode_robust
-    assert np.array_equal(features.data, encoder(Tensor(images)).data)
+    standard = frozen_visual_features(Tensor(images), agent.frozen_visual)
+    want = standard if strategy == "standard" else robust_features(standard)
+    assert np.array_equal(features.data, want.data)
     sent = agent.step({}, SimpleNamespace(run={agent: agent.prepare(images)}))
     assert list(sent) == ["visual_context", "image_features"]
     assert np.array_equal(sent["image_features"].data, features.data)
@@ -151,8 +151,9 @@ def test_route_is_invisible_to_cosine_scores(agent, alpha):
     rng = np.random.default_rng(8)
     images = Tensor(rng.normal(size=(6, 12)))
     text = Tensor(rng.normal(size=(6, 8)))
-    s_standard = similarity_matrix(agent.encode_standard(images), text)
-    s_robust = similarity_matrix(agent.encode_robust(images, alpha), text)
+    standard = frozen_visual_features(images, agent.frozen_visual)
+    s_standard = similarity_matrix(standard, text)
+    s_robust = similarity_matrix(robust_features(standard, alpha), text)
     assert np.max(np.abs(s_standard.data - s_robust.data)) <= 1e-12
     for tau in (0.5, 1.0, 2.0):
         l_standard = contrastive_loss(s_standard, np.arange(6), tau).item()
@@ -186,19 +187,25 @@ def test_select_strategy_rejects_out_of_range():
         select_strategy(1.0, 0.5)
 
 
-def test_emit_visual_context_mean():
-    out = ImageAgent.emit_visual_context(Tensor([[1.0, 1.0], [3.0, 3.0]]))
-    assert np.array_equal(out.data, [2.0, 2.0])
+def prepared_context(images) -> np.ndarray:
+    """``prepare``'s visual context on an identity encoder that routes every
+    batch standard, so that the features are the images."""
+    settings = SessionSettings(disable_image_agent_robust=True)
+    agent = ImageAgent(np.eye(np.shape(images)[1]), settings, np.random.default_rng(0))
+    return agent.prepare(np.asarray(images, dtype=float))["visual_context"].data
 
 
-def test_emit_visual_context_single_row():
-    out = ImageAgent.emit_visual_context(Tensor([[0.5, -1.5, 2.0]]))
-    assert np.array_equal(out.data, [0.5, -1.5, 2.0])
+def test_prepare_sends_the_mean_feature_row_as_context():
+    assert np.array_equal(prepared_context([[1.0, 1.0], [3.0, 3.0]]), [2.0, 2.0])
 
 
-def test_emit_visual_context_permutation_invariant():
+def test_prepare_context_of_a_single_row_is_the_row():
+    assert np.array_equal(prepared_context([[0.5, -1.5, 2.0]]), [0.5, -1.5, 2.0])
+
+
+def test_prepare_context_is_permutation_invariant():
     rng = np.random.default_rng(5)
     feats = rng.normal(size=(6, 4))
-    a = ImageAgent.emit_visual_context(Tensor(feats)).data
-    b = ImageAgent.emit_visual_context(Tensor(feats[rng.permutation(6)])).data
+    a = prepared_context(feats)
+    b = prepared_context(feats[rng.permutation(6)])
     assert np.allclose(a, b, atol=1e-12)

@@ -19,7 +19,7 @@ from namelearn.coordinator import LR_BAND, check_matches  # noqa: E402
 from namelearn.harness import ExperimentConfig, parse_config_file  # noqa: E402
 from namelearn.settings import SessionSettings  # noqa: E402
 from namelearn.text_agent import encode_text  # noqa: E402
-from namelearn.world import FILLER_POOL, WorldConfig  # noqa: E402
+from namelearn.world import FILLER_POOL, WorldConfig, check_split_labels  # noqa: E402
 from test_fused_ops import FUSIONS, GRAD_MASKS, composed_text, run  # noqa: E402
 
 
@@ -82,6 +82,33 @@ def test_check_matches_accepts_exactly_the_in_range_indices_that_use_every_colum
     else:
         with pytest.raises(DomainError, match="^contrastive_loss: "):
             check_matches(y, (len(y), u))
+
+
+@st.composite
+def label_splits(draw):
+    """A label space of distinct ids and one label per image, of a drawn
+    dtype: ids in the space and ids outside it (-1 wraps to the top of an
+    unsigned dtype); a float array may hold fractions."""
+    ids = draw(st.lists(st.integers(0, 20), min_size=1, max_size=6, unique=True))
+    y = draw(st.lists(st.sampled_from(ids) | st.integers(-1, 21), min_size=1, max_size=12))
+    dtype = np.dtype(draw(st.sampled_from(INDEX_DTYPES)))
+    values = np.array(y)
+    if dtype.kind == "f":
+        values = values + draw(st.sampled_from([0.0, 0.25, 0.9]))
+    return ids, values.astype(dtype)
+
+
+@given(label_splits())
+def test_check_split_labels_accepts_exactly_the_integer_labels_in_the_space(case):
+    ids, y = case
+    if y.dtype.kind not in "iu":
+        with pytest.raises(ValueError, match="not integers"):
+            check_split_labels(len(y), y, ids)
+    elif np.isin(y, ids).all():
+        check_split_labels(len(y), y, ids)
+    else:
+        with pytest.raises(ValueError, match="outside the label space"):
+            check_split_labels(len(y), y, ids)
 
 
 # Entries whose sums are exact, so many pre-activations land on zero or

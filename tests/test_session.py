@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from namelearn import selfcheck
-from namelearn.autodiff import Tape, Tensor, backward
-from namelearn.bus import AgentId, run_round
+from namelearn.autodiff import Tape, Tensor, backward, mean_rows
+from namelearn.bus import run_round
+from namelearn.coordinator import nearest_class
 from namelearn.harness import ABLATION_FLAGS
 from namelearn.name_agent import load_name_table, save_name_table
 from namelearn.session import SessionSettings, TrainingSession, write_step_log
@@ -32,7 +33,7 @@ def built_batch(session, shots, epoch):
 
 def delivered(session):
     """The current round's payloads in the coordinator's inbox."""
-    return session.bus._inboxes[AgentId.COORDINATOR]
+    return session.bus._inboxes["Coordinator"]
 
 
 def scorer_weights(session):
@@ -229,8 +230,6 @@ def test_image_side_is_encoded_once_per_prepared_batch(world, monkeypatch):
 
 
 def test_session_keeps_the_training_runs_context(world):
-    from namelearn.image_agent import ImageAgent
-
     session = TrainingSession(world, SessionSettings(), seed=0)
     assert session.shots is None
     for seed in (31, 32):  # each run replaces the last one's
@@ -239,7 +238,7 @@ def test_session_keeps_the_training_runs_context(world):
         images = np.concatenate([shots[cid] for cid in sorted(shots)])
         features = session.image_agent.encode(images)[0]
         context = session.shots.image["visual_context"]
-        assert np.array_equal(context.data, ImageAgent.emit_visual_context(features).data)
+        assert np.array_equal(context.data, mean_rows(features).data)
     batches = [session.build_batch(session.shots, epoch) for epoch in range(3)]
     assert all(b.run[session.image_agent] is session.shots.image for b in batches)
 
@@ -461,9 +460,30 @@ def test_evaluate_reports_per_split_accuracy(world):
     ids = world.seen_ids + world.ood_ids
     images, labels = world.sample_split(ids, per_class=20, seed=40)
     out = session.evaluate(images, labels, ids)
-    assert set(out) == {"overall", "seen", "ood"}
+    assert set(out) == {"seen", "ood"}
     assert out["seen"] >= 0.95  # frozen alignment intact before training
     assert out["ood"] <= 0.35  # broken alignment for held-out names
+
+
+def test_evaluate_scores_the_payloads_prepare_makes(world, monkeypatch):
+    """Evaluation routes its images through ``ImageAgent.prepare``, once, as
+    training shots do, and scores the two payloads it makes."""
+    session = TrainingSession(world, SessionSettings(), seed=0)
+    images, labels = world.sample_split(world.ood_ids, per_class=4, seed=44)
+    made = []
+    prepare = session.image_agent.prepare
+
+    def spy(x):
+        made.append(prepare(x))
+        return made[-1]
+
+    monkeypatch.setattr(session.image_agent, "prepare", spy)
+    out = session.evaluate(images, labels, world.ood_ids)
+    assert len(made) == 1
+    features, context = made[0]["image_features"].data, made[0]["visual_context"]
+    text = session.class_text_features(world.ood_ids, context)
+    predicted = np.asarray(world.ood_ids)[nearest_class(features, text)]
+    assert out == {"ood": float(np.mean(predicted == labels))}
 
 
 def test_evaluate_rejects_a_label_outside_the_label_space(world):

@@ -6,8 +6,7 @@ import pytest
 from namelearn import autodiff as ad
 from namelearn import text_agent
 from namelearn.autodiff import ShapeError, Tensor, grad_check
-from namelearn.bus import AgentId, run_round
-from namelearn.image_agent import ImageAgent
+from namelearn.bus import run_round
 from namelearn.name_agent import (
     NAME_SLOT,
     NameAgent,
@@ -260,21 +259,30 @@ def test_text_features_equal_the_tiled_composed_chain(world):
     # Two evaluations on different test batches, each with its own context.
     for seed in (1, 2):
         images = np.concatenate([world.sample_images(cid, 5, seed=seed) for cid in ids])
-        c = ImageAgent.emit_visual_context(session.image_agent.encode(images)[0])
+        c = session.image_agent.prepare(images)["visual_context"]
         rows = session.name_agent.pool([(cid, canonical) for cid in ids])
-        want = tiled_encode(agent, rows, c).data
-        assert np.array_equal(session.class_text_features(ids, c), want)
-        # The same context again, then over fewer rows.
-        assert np.array_equal(agent.encode(rows, c).data, want)
         one = session.name_agent.pool([(ids[0], canonical)])
-        assert np.array_equal(agent.encode(one, c).data, tiled_encode(agent, one, c).data)
+        # Untrained, every held-out class pools the same row: it is encoded
+        # once, and the classes share its features.
+        assert np.array_equal(rows.data, np.repeat(one.data, len(ids), axis=0))
+        want = tiled_encode(agent, one, c).data
+        assert np.array_equal(session.class_text_features(ids, c), np.repeat(want, len(ids), 0))
+        # The same context again, over one row, then over every row.
+        assert np.array_equal(agent.encode(one, c).data, want)
+        assert np.array_equal(agent.encode(rows, c).data, tiled_encode(agent, rows, c).data)
+    # Distinct name rows: every class's row is encoded, in class order.
+    weight = session.table.weight
+    weight.data += np.random.default_rng(4).normal(0.0, 0.1, weight.shape)
+    rows = session.name_agent.pool([(cid, canonical) for cid in ids])
+    assert len(np.unique(rows.data, axis=0)) == len(ids)
+    assert np.array_equal(session.class_text_features(ids, c), tiled_encode(agent, rows, c).data)
     # Training rounds after an evaluation: the context the image agent sends.
     shots = session.prepare_shots({cid: world.sample_images(cid, 2, seed=3) for cid in ids})
     for epoch in range(2):
         batch = session.build_batch(shots, epoch)
         run_round(session.bus, batch)
-        inbox = session.bus._inboxes[AgentId.COORDINATOR]
-        c = ImageAgent.emit_visual_context(inbox["image_features"])
+        inbox = session.bus._inboxes["Coordinator"]
+        c = ad.mean_rows(inbox["image_features"])
         want = tiled_encode(agent, session.name_agent.pool(batch.prompts), c)
         assert np.array_equal(inbox["text_features"].data, want.data)
 
@@ -290,7 +298,7 @@ def test_a_round_encodes_the_visual_context_the_bus_delivers(world):
     batch.run[session.image_agent] = {**sent, "visual_context": swapped}
     run_round(session.bus, batch)
     want = tiled_encode(session.text_agent, session.name_agent.pool(batch.prompts), swapped)
-    text = session.bus._inboxes[AgentId.COORDINATOR]["text_features"]
+    text = session.bus._inboxes["Coordinator"]["text_features"]
     assert np.array_equal(text.data, want.data)
     assert not np.array_equal(swapped.data, sent["visual_context"].data)
 

@@ -169,6 +169,10 @@ BAD_SPLITS = {
     "one_label_short": (lambda x, y, ids: (x, y[:-1], ids), "10 images need 10 labels"),
     "label_outside_the_space": (lambda x, y, ids: (x, y, ids[1:]), "outside the label space"),
     "empty_label_space": (lambda x, y, ids: (x, y, []), "empty label space"),
+    # Labels equal to ids in the space, of a dtype that is not an integer's.
+    "float_labels": (lambda x, y, ids: (x, y.astype(float), ids), "not integers"),
+    "float_label_list": (lambda x, y, ids: (x, [float(v) for v in y], ids), "not integers"),
+    "bool_labels": (lambda x, y, ids: (x, y.astype(bool), ids), "not integers"),
 }
 
 
@@ -176,6 +180,7 @@ BAD_SPLITS = {
 @pytest.mark.parametrize("scorer", ["evaluate", "bayes_oracle_accuracy"])
 def test_both_scorers_reject_a_bad_split(world, scorer, case):
     ids = (world.seen_ids + world.ood_ids)[:5]
+    assert ids[:2] == [0, 1]  # bool labels are in the space, as False and True
     images, labels = world.sample_split(ids, per_class=2, seed=0)
     score = getattr(frozen_model(world) if scorer == "evaluate" else world, scorer)
     args, message = BAD_SPLITS[case]
@@ -205,7 +210,11 @@ def test_blind_ood_zero_shot_is_uniform(paired_world):
     assert np.array_equal(text, np.tile(text[0], (len(w.ood_ids), 1)))
     images, labels = w.sample_split(w.ood_ids, per_class=50, seed=4)
     chance = 1.0 / len(w.ood_ids)
-    assert session.evaluate(images, labels, w.ood_ids) == {"overall": chance, "ood": chance}
+    assert session.evaluate(images, labels, w.ood_ids) == {"ood": chance}
+    # The first class takes every tie: its own images all score, the last's none.
+    for cid, accuracy in ((w.ood_ids[0], 1.0), (w.ood_ids[-1], 0.0)):
+        images, labels = w.sample_split([cid], per_class=10, seed=4)
+        assert session.evaluate(images, labels, w.ood_ids) == {"ood": accuracy}
 
 
 def test_seen_zero_shot_separable_case(paired_world):
@@ -250,5 +259,5 @@ def test_training_and_evaluation_run_on_a_read_only_world(world):
     session.train(shots, epochs=4, lr=1e-3)
     ids = world.seen_ids + world.ood_ids
     images, labels = world.sample_split(ids, per_class=5, seed=6)
-    assert set(session.evaluate(images, labels, ids)) == {"overall", "seen", "ood"}
+    assert set(session.evaluate(images, labels, ids)) == {"seen", "ood"}
     assert [arr.tobytes() for arr in _world_arrays(world)] == before
